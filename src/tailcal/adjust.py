@@ -27,12 +27,19 @@ from .numerics import as_matrix, prob_matrix, prob_vector
 
 METHODS = ("class-frequency", "p2p-ce", "p2p-la", "none")
 PRIOR_KIND_FREQUENCY = "frequency"
-TRAIN_SIDE_KINDS = ("train-side",)
-PMBAR_KINDS = ("val-side", "train-reweighted", "averaged")
+
+# Effective-prior estimator kinds (see prior.py). The train-side estimate is
+# the prior the training loss saw; the other three all measure the
+# inference-side marginal, so they are interchangeable with one another.
+ESTIMATOR_TRAIN_SIDE = "train-side"
+ESTIMATOR_VAL_SIDE = "val-side"
+ESTIMATOR_TRAIN_REWEIGHTED = "train-reweighted"
+ESTIMATOR_AVERAGED = "averaged"
+PMBAR_KINDS = (ESTIMATOR_VAL_SIDE, ESTIMATOR_TRAIN_REWEIGHTED, ESTIMATOR_AVERAGED)
 
 _METHOD_COMPAT = {
     "class-frequency": (PRIOR_KIND_FREQUENCY,),
-    "p2p-ce": TRAIN_SIDE_KINDS,
+    "p2p-ce": (ESTIMATOR_TRAIN_SIDE,),
     "p2p-la": PMBAR_KINDS,
 }
 
@@ -157,11 +164,6 @@ def adjust_logits(logits, spec: AdjustmentSpec) -> np.ndarray:
             f"{z.shape[1]} logit columns vs {spec.estimated_prior.shape[0]} classes"
         )
     return z + _log_shift(spec)
-
-
-def adjust_logit_row(logits, spec: AdjustmentSpec) -> np.ndarray:
-    """Single-row convenience wrapper around :func:`adjust_logits`."""
-    return adjust_logits(np.asarray(logits, dtype=np.float64)[None, :], spec)[0]
 
 
 def adjust_posteriors(posteriors, spec: AdjustmentSpec) -> AdjustedPosteriors:

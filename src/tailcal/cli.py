@@ -17,7 +17,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -36,6 +36,8 @@ from .dataset import (
     sample_dataset,
     save_counts,
     save_dataset,
+    _read_csv,
+    _write_csv,
 )
 from .errors import DataError, ParseError, TailcalError, UsageError
 from .model import (
@@ -93,6 +95,10 @@ def _run_dir(explicit, config: dict) -> Path:
     return path
 
 
+# What a command returns for its manifest: run dir, config, inputs, outputs.
+RunRecord = tuple[Path, dict, list[str], list[str]]
+
+
 def write_manifest(
     out_dir: Path,
     command: str,
@@ -132,32 +138,74 @@ def _load_json_config(path) -> dict:
     return payload
 
 
-def _resolve(config: dict, flags: dict, defaults: dict) -> dict:
-    """Flags beat the config file, which beats defaults."""
+def _resolve(config: dict, args, defaults: dict) -> dict:
+    """Flags beat the config file, which beats defaults; keys are the defaults'."""
     out = dict(defaults)
     out.update({k: v for k, v in config.items() if k in defaults})
-    out.update({k: v for k, v in flags.items() if v is not None})
+    out.update({k: v for k, v in vars(args).items() if k in defaults and v is not None})
     return out
 
 
-def _parse_prior_arg(text, num_classes: int) -> np.ndarray:
-    """--target-prior accepts 'uniform', a JSON list, or a counts file path."""
-    if text is None or text == "uniform":
-        return np.full(num_classes, 1.0 / num_classes)
-    if isinstance(text, str) and text.strip().startswith("["):
+# ---------------------------------------------------------------------------
+# flag value types: a malformed value is an argparse usage error (exit 2)
+
+
+def _list_of(convert, what: str):
+    """Comma-separated values, each passed through ``convert``; blanks skipped."""
+
+    def parse(text: str) -> list:
+        try:
+            return [convert(v.strip()) for v in text.split(",") if v.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
+
+    return parse
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _group_thresholds(text: str) -> evaluation.GroupThresholds:
+    try:
+        many, few = (int(v) for v in text.split(","))
+        return evaluation.GroupThresholds(many, few)
+    except (ValueError, TailcalError) as exc:
+        raise argparse.ArgumentTypeError(f"expected many_min,few_max, got {text!r}: {exc}")
+
+
+def _target_prior(text: str):
+    """'uniform' and counts-file paths pass through; a JSON list is parsed here."""
+    if not text.strip().startswith("["):
+        return text
+    try:
         values = np.asarray(json.loads(text), dtype=np.float64)
-        return prob_vector(values / values.sum())
-    counts = load_counts(text)
-    return empirical_prior(counts)
+        with np.errstate(all="ignore"):
+            return prob_vector(values / values.sum())
+    except (ValueError, TypeError, TailcalError) as exc:
+        raise argparse.ArgumentTypeError(f"not a probability list: {text!r}: {exc}")
 
 
-def _parse_grid(text) -> list[float]:
-    if text is None:
-        return list(prior.DEFAULT_ALPHA_GRID)
-    values = [float(v) for v in str(text).split(",") if v.strip()]
-    if not values:
-        raise UsageError("empty alpha grid")
-    return values
+def _resolve_target(value, num_classes: int) -> np.ndarray:
+    """The --target-prior value for ``num_classes`` classes; None is uniform."""
+    if value is None or isinstance(value, str) and value == "uniform":
+        return np.full(num_classes, 1.0 / num_classes)
+    target = empirical_prior(load_counts(value)) if isinstance(value, str) else value
+    if target.shape != (num_classes,):
+        raise UsageError(
+            f"--target-prior lists {target.shape[0]} classes, the scores have {num_classes}"
+        )
+    return target
 
 
 # ---------------------------------------------------------------------------
@@ -166,49 +214,20 @@ def _parse_grid(text) -> list[float]:
 
 def save_logit_dump(ids, logits, labels, path) -> None:
     logits = np.asarray(logits, dtype=np.float64)
-    c = logits.shape[1]
-    header = "id," + ",".join(f"logit_{j}" for j in range(c)) + ",label"
-    lines = [header]
-    for i, row, label in zip(ids, logits, labels):
-        lines.append(f"{i}," + ",".join(repr(float(v)) for v in row) + f",{int(label)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = ["id"] + [f"logit_{j}" for j in range(logits.shape[1])] + ["label"]
+    _write_csv(path, header, logits, labels, ids)
+
+
+def _check_dump_header(names: list[str]) -> tuple[bool, int]:
+    if names[0] != "id" or names[-1] != "label" or len(names) < 4:
+        raise ValueError(
+            f"expected header 'id,logit_0,...,label', got {','.join(names)!r}"
+        )
+    return True, len(names) - 2
 
 
 def load_logit_dump(path) -> tuple[list[str], np.ndarray, np.ndarray]:
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines or not lines[0].strip():
-        raise ParseError(f"{path}: no header")
-    header = lines[0].split(",")
-    if header[0] != "id" or header[-1] != "label" or len(header) < 4:
-        raise ParseError(
-            f"{path}: line 1: expected header 'id,logit_0,...,label', got {lines[0]!r}"
-        )
-    c = len(header) - 2
-    ids: list[str] = []
-    logits = []
-    labels = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != c + 2:
-            raise ParseError(
-                f"{path}: line {lineno}: expected {c + 2} columns, got {len(parts)}"
-            )
-        try:
-            logits.append([float(v) for v in parts[1:-1]])
-            labels.append(int(parts[-1]))
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-        ids.append(parts[0])
-    if not ids:
-        raise ParseError(f"{path}: no data rows")
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.min() < 0 or labels.max() >= c:
-        bad = int(np.argmax((labels < 0) | (labels >= c)))
-        raise ParseError(f"{path}: line {bad + 2}: label {labels[bad]} out of range")
-    return ids, np.asarray(logits, dtype=np.float64), labels
+    return _read_csv(path, _check_dump_header)
 
 
 # ---------------------------------------------------------------------------
@@ -268,25 +287,8 @@ GEN_DEFAULTS = {
 }
 
 
-def cmd_gen_data(args, argv) -> int:
-    started = time.time()
-    cfg = _resolve(
-        _load_json_config(args.config),
-        {
-            "classes": args.classes,
-            "dims": args.dims,
-            "profile": args.profile,
-            "max_count": args.max_count,
-            "imbalance": args.imbalance,
-            "counts": None if args.counts is None else [int(v) for v in args.counts.split(",")],
-            "val_per_class": args.val_per_class,
-            "test_per_class": args.test_per_class,
-            "shift_direction": args.shift_direction,
-            "shift_ratio": args.shift_ratio,
-            "seed": args.seed,
-        },
-        GEN_DEFAULTS,
-    )
+def cmd_gen_data(args) -> RunRecord:
+    cfg = _resolve(_load_json_config(args.config), args, GEN_DEFAULTS)
     cfg["seed"] = _master_seed(cfg["seed"])
     classes, dims = int(cfg["classes"]), int(cfg["dims"])
     means = (
@@ -331,8 +333,7 @@ def cmd_gen_data(args, argv) -> int:
     print(f"{'class':>6} {'train':>8} {'val':>8} {'test':>8}")
     for i in range(classes):
         print(f"{i:>6} {train_counts[i]:>8} {val_counts[i]:>8} {test_counts[i]:>8}")
-    write_manifest(out, "gen-data", argv, cfg, [], outputs, started)
-    return 0
+    return out, cfg, [], outputs
 
 
 # ---------------------------------------------------------------------------
@@ -355,26 +356,8 @@ TRAIN_DEFAULTS = {
 }
 
 
-def cmd_train(args, argv) -> int:
-    started = time.time()
-    cfg = _resolve(
-        _load_json_config(args.config),
-        {
-            "stage": args.stage,
-            "mode": args.mode,
-            "loss": args.loss,
-            "alpha": args.alpha,
-            "lr": args.lr,
-            "iterations": args.iterations,
-            "batch_size": args.batch_size,
-            "schedule": args.schedule,
-            "arch": args.arch,
-            "hidden": args.hidden,
-            "activation": args.activation,
-            "seed": args.seed,
-        },
-        TRAIN_DEFAULTS,
-    )
+def cmd_train(args) -> RunRecord:
+    cfg = _resolve(_load_json_config(args.config), args, TRAIN_DEFAULTS)
     cfg["seed"] = _master_seed(cfg["seed"])
     cfg["data"] = args.data
     inputs = [args.data]
@@ -436,40 +419,34 @@ def cmd_train(args, argv) -> int:
     print(f"trained stage-{stage} model -> {model_path}")
     if result.loss_trace:
         print(f"final epoch mean loss: {result.loss_trace[-1]:.6f}")
-    write_manifest(
-        out, "train", argv, cfg, inputs, [str(model_path), str(trace_path)], started
-    )
-    return 0
+    return out, cfg, inputs, [str(model_path), str(trace_path)]
 
 
 # ---------------------------------------------------------------------------
 # estimate-prior
 
 
-def cmd_estimate_prior(args, argv) -> int:
-    started = time.time()
+def cmd_estimate_prior(args) -> RunRecord:
     model, provenance = load_model(args.model)
     inputs = [args.model, args.data]
     ds = load_dataset(args.data, num_classes=model.num_classes)
-    target = _parse_prior_arg(args.target_prior, model.num_classes)
+    target = _resolve_target(args.target_prior, model.num_classes)
     if args.target_prior is None and args.estimator in ("train-reweighted", "averaged"):
         _notice("no --target-prior given; defaulting to uniform")
 
     estimator = args.estimator
+    freq = empirical_prior(ds.counts)
     if estimator == "train":
         estimate = prior.effective_prior_train(
             _train_side_posteriors(model, provenance, ds.features)
         )
-        freq = empirical_prior(ds.counts)
     elif estimator == "val":
         estimate = prior.pmbar_from_val(_raw_posteriors(model, ds.features))
-        freq = empirical_prior(ds.counts)
     elif estimator == "train-reweighted":
-        freq = empirical_prior(ds.counts)
         estimate = prior.pmbar_from_train(
             _train_side_posteriors(model, provenance, ds.features), target, freq
         )
-    elif estimator == "averaged":
+    else:  # averaged
         if args.train_data is None:
             raise UsageError("--estimator averaged needs --train-data plus --data (val)")
         inputs.append(args.train_data)
@@ -480,8 +457,6 @@ def cmd_estimate_prior(args, argv) -> int:
             _train_side_posteriors(model, provenance, ds_train.features), target, freq
         )
         estimate = prior.average_estimates(est_val, est_train)
-    else:
-        raise UsageError(f"unknown estimator {estimator!r}")
 
     out = _run_dir(args.out, {"estimator": estimator, "model": args.model})
     prior_path = out / "prior.json"
@@ -490,16 +465,8 @@ def cmd_estimate_prior(args, argv) -> int:
     for i, (f, e) in enumerate(zip(freq, estimate.probs)):
         print(f"{i:>6} {f:>12.6f} {e:>12.6f}")
     print(f"estimator: {estimate.estimator}  samples: {estimate.samples}")
-    write_manifest(
-        out,
-        "estimate-prior",
-        argv,
-        {"estimator": estimator, "target_prior": [float(v) for v in target]},
-        inputs,
-        [str(prior_path)],
-        started,
-    )
-    return 0
+    config = {"estimator": estimator, "target_prior": [float(v) for v in target]}
+    return out, config, inputs, [str(prior_path)]
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +489,7 @@ def _resolve_alpha(args) -> float | None:
 
 
 def _adjustment_from_args(args, num_classes: int) -> adjust.AdjustmentSpec:
-    target = _parse_prior_arg(args.target_prior, num_classes)
+    target = _resolve_target(args.target_prior, num_classes)
     if args.target_prior is None and args.method != "none":
         _notice("no --target-prior given; defaulting to uniform")
     if args.method == "none":
@@ -539,21 +506,25 @@ def _adjustment_from_args(args, num_classes: int) -> adjust.AdjustmentSpec:
     return adjust.spec_from_estimate(args.method, estimate, target, alpha)
 
 
-def cmd_adjust(args, argv) -> int:
-    started = time.time()
-    inputs = []
+def _load_scores(args, inputs: list[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Row ids, logits and labels from --logits, or from --model run on --data.
+
+    Appends the files read to ``inputs``.
+    """
     if args.logits:
         inputs.append(args.logits)
-        ids, logits, labels = load_logit_dump(args.logits)
-    elif args.model and args.data:
+        return load_logit_dump(args.logits)
+    if args.model and args.data:
         inputs += [args.model, args.data]
         model, _ = load_model(args.model)
         ds = load_dataset(args.data, num_classes=model.num_classes)
-        logits = predict_logits(model, ds.features)
-        ids = [str(i) for i in range(ds.n)]
-        labels = ds.labels
-    else:
-        raise UsageError("adjust needs --logits, or --model with --data")
+        return [str(i) for i in range(ds.n)], predict_logits(model, ds.features), ds.labels
+    raise UsageError(f"{args.command} needs --logits, or --model with --data")
+
+
+def cmd_adjust(args) -> RunRecord:
+    inputs = []
+    ids, logits, labels = _load_scores(args, inputs)
     if args.prior:
         inputs.append(args.prior)
     if args.counts:
@@ -570,44 +541,21 @@ def cmd_adjust(args, argv) -> int:
     acc_after = evaluation.top1_accuracy(np.argmax(adjusted, axis=1), labels)
     print(f"top-1 before adjustment: {acc_before:.4f}")
     print(f"top-1 after adjustment:  {acc_after:.4f}")
-    write_manifest(
-        out,
-        "adjust",
-        argv,
-        {"method": args.method, "spec": spec.to_json()},
-        inputs,
-        [str(dump_path), str(spec_path)],
-        started,
-    )
-    return 0
+    config = {"method": args.method, "spec": spec.to_json()}
+    return out, config, inputs, [str(dump_path), str(spec_path)]
 
 
 # ---------------------------------------------------------------------------
 # eval
 
 
-def cmd_eval(args, argv) -> int:
-    started = time.time()
+def cmd_eval(args) -> RunRecord:
     inputs = []
-    if args.logits:
-        inputs.append(args.logits)
-        _, logits, labels = load_logit_dump(args.logits)
-        provenance = {"logits": args.logits}
-    elif args.model and args.data:
-        inputs += [args.model, args.data]
-        model, _ = load_model(args.model)
-        ds = load_dataset(args.data, num_classes=model.num_classes)
-        logits = predict_logits(model, ds.features)
-        labels = ds.labels
-        provenance = {"model": args.model, "data": args.data}
-    else:
-        raise UsageError("eval needs --logits, or --model with --data")
-    num_classes = logits.shape[1]
-    target = _parse_prior_arg(args.target_prior, num_classes)
-    thresholds = evaluation.GroupThresholds()
-    if args.groups:
-        many, few = (int(v) for v in args.groups.split(","))
-        thresholds = evaluation.GroupThresholds(many, few)
+    _, logits, labels = _load_scores(args, inputs)
+    provenance = (
+        {"logits": args.logits} if args.logits else {"model": args.model, "data": args.data}
+    )
+    target = _resolve_target(args.target_prior, logits.shape[1])
     train_counts = load_counts(args.train_counts) if args.train_counts else None
     if args.train_counts:
         inputs.append(args.train_counts)
@@ -617,7 +565,7 @@ def cmd_eval(args, argv) -> int:
         softmax_rows(logits),
         target,
         train_counts=train_counts,
-        thresholds=thresholds,
+        thresholds=args.groups,
         provenance=provenance,
     )
     out = _run_dir(args.out, {"eval": provenance})
@@ -627,8 +575,7 @@ def cmd_eval(args, argv) -> int:
         evaluation.emit_report(report, fmt, path)
         outputs.append(str(path))
     print((out / "report.txt").read_text(), end="")
-    write_manifest(out, "eval", argv, {"target_prior": [float(v) for v in target]}, inputs, outputs, started)
-    return 0
+    return out, {"target_prior": [float(v) for v in target]}, inputs, outputs
 
 
 # ---------------------------------------------------------------------------
@@ -726,12 +673,9 @@ def toy_experiment(cfg: ToyConfig, workers: int = 1) -> dict:
         trials = [run_toy_trial(cfg, t) for t in range(cfg.trials)]
     trials.sort(key=lambda r: r["trial"])
 
-    summary: dict = {"trials": cfg.trials, "variants": {}, "config": {
-        "samples": cfg.samples, "imbalance": cfg.imbalance,
-        "test_samples": cfg.test_samples, "alpha": cfg.alpha,
-        "learning_rate": cfg.learning_rate, "iterations": cfg.iterations,
-        "batch_size": cfg.batch_size, "schedule": cfg.schedule, "seed": cfg.seed,
-    }}
+    config = asdict(cfg)
+    del config["trials"]
+    summary: dict = {"trials": cfg.trials, "variants": {}, "config": config}
     for name in TOY_VARIANTS:
         bal = np.array([t["variants"][name]["balanced"] for t in trials])
         off = np.array([abs(t["variants"][name]["offset"]) for t in trials])
@@ -773,20 +717,10 @@ def toy_experiment(cfg: ToyConfig, workers: int = 1) -> dict:
     return summary
 
 
-def cmd_toy_experiment(args, argv) -> int:
-    started = time.time()
-    cfg = ToyConfig(
-        trials=args.trials,
-        samples=args.samples,
-        imbalance=args.imbalance,
-        test_samples=args.test_samples,
-        alpha=args.alpha,
-        learning_rate=args.lr if args.lr is not None else TOY_LEARNING_RATE,
-        iterations=args.iterations if args.iterations is not None else TOY_ITERATIONS,
-        batch_size=args.batch_size,
-        schedule=args.schedule or TOY_SCHEDULE,
-        seed=_master_seed(args.seed),
-    )
+def cmd_toy_experiment(args) -> RunRecord:
+    flags = _resolve({}, args, asdict(ToyConfig()))
+    flags["seed"] = _master_seed(args.seed)
+    cfg = ToyConfig(**flags)
     summary = toy_experiment(cfg, workers=args.workers)
     trial0 = summary.pop("_trial0")
 
@@ -841,8 +775,7 @@ def cmd_toy_experiment(args, argv) -> int:
     print(f"p2p within 1 point of bayes: {'PASS' if o['p2p_within_1pt_of_bayes'] else 'FAIL'}")
     e = summary["effective_prior"]
     print(f"effective head prior exceeds frequency in {e['head_exceeds_frequency_trials']}/{e['trials']} trials")
-    write_manifest(out, "toy-experiment", argv, summary["config"], [], outputs, started)
-    return 0
+    return out, summary["config"], [], outputs
 
 
 # ---------------------------------------------------------------------------
@@ -903,17 +836,13 @@ def shift_eval_rows(
     return rows
 
 
-def cmd_shift_eval(args, argv) -> int:
-    started = time.time()
+def cmd_shift_eval(args) -> RunRecord:
     model, provenance = load_model(args.model)
     ds_train = load_dataset(args.train_data, num_classes=model.num_classes)
     estimate = prior.effective_prior_train(
         _train_side_posteriors(model, provenance, ds_train.features)
     )
-    ratios = [float(v) for v in args.ratios.split(",") if v.strip()]
-    if any(r < 1 for r in ratios):
-        raise UsageError("shift ratios must be >= 1")
-    directions = [d.strip() for d in args.directions.split(",") if d.strip()]
+    ratios, directions = args.ratios, args.directions  # ShiftSpec validates each
     rows = shift_eval_rows(
         model,
         provenance,
@@ -938,16 +867,8 @@ def cmd_shift_eval(args, argv) -> int:
         print(f"{label:>14} {row['unadjusted_mean']:>12.4f} {row['adjusted_mean']:>12.4f}")
     table_path = out / "shift_eval.csv"
     table_path.write_text("\n".join(lines) + "\n")
-    write_manifest(
-        out,
-        "shift-eval",
-        argv,
-        {"ratios": ratios, "directions": directions, "trials": args.trials},
-        [args.model, args.train_data],
-        [str(table_path)],
-        started,
-    )
-    return 0
+    config = {"ratios": ratios, "directions": directions, "trials": args.trials}
+    return out, config, [args.model, args.train_data], [str(table_path)]
 
 
 # ---------------------------------------------------------------------------
@@ -1016,19 +937,17 @@ def ingest_logits(
     }
 
 
-def cmd_ingest_logits(args, argv) -> int:
-    started = time.time()
+def cmd_ingest_logits(args) -> RunRecord:
     ids, logits, labels = load_logit_dump(args.logits)
     inputs = [args.logits]
-    target = _parse_prior_arg(args.target_prior, logits.shape[1])
+    target = _resolve_target(args.target_prior, logits.shape[1])
     if args.target_prior is None:
         _notice("no --target-prior given; defaulting to uniform")
     train_dump = None
     train_counts = None
     if args.train_logits:
         inputs.append(args.train_logits)
-        _, train_logits, train_labels = load_logit_dump(args.train_logits)
-        train_dump = (train_logits, train_labels)
+        train_dump = load_logit_dump(args.train_logits)[1:]  # (logits, labels)
         if args.counts is None:
             raise UsageError("--train-logits needs --counts metadata")
         train_counts = load_counts(args.counts)
@@ -1040,7 +959,7 @@ def cmd_ingest_logits(args, argv) -> int:
         args.split,
         RngStream(_master_seed(args.seed)).child(17),
         target,
-        _parse_grid(args.grid),
+        args.grid,
         train_dump=train_dump,
         train_counts=train_counts,
     )
@@ -1062,40 +981,21 @@ def cmd_ingest_logits(args, argv) -> int:
     print(f"holdout split: {result['val_size']} rows; tuned alpha = {result['alpha']:g}")
     print(f"top-1 before: {result['top1_before']:.4f}  after: {result['top1_after']:.4f}  "
           f"delta: {report['delta']:+.4f}")
-    write_manifest(
-        out,
-        "ingest-logits",
-        argv,
-        {"split": args.split, "alpha": result["alpha"]},
-        inputs,
-        [str(prior_path), str(dump_path), str(report_path)],
-        started,
-    )
-    return 0
+    outputs = [str(prior_path), str(dump_path), str(report_path)]
+    return out, {"split": args.split, "alpha": result["alpha"]}, inputs, outputs
 
 
 # ---------------------------------------------------------------------------
 # sweep-alpha
 
 
-def cmd_sweep_alpha(args, argv) -> int:
-    started = time.time()
+def cmd_sweep_alpha(args) -> RunRecord:
     inputs = [args.prior]
     estimate = prior.load_prior(args.prior)
-    if args.logits:
-        inputs.append(args.logits)
-        _, logits, labels = load_logit_dump(args.logits)
-    elif args.model and args.data:
-        inputs += [args.model, args.data]
-        model, _ = load_model(args.model)
-        ds = load_dataset(args.data, num_classes=model.num_classes)
-        logits = predict_logits(model, ds.features)
-        labels = ds.labels
-    else:
-        raise UsageError("sweep-alpha needs --logits, or --model with --data")
-    target = _parse_prior_arg(args.target_prior, logits.shape[1])
+    _, logits, labels = _load_scores(args, inputs)
+    target = _resolve_target(args.target_prior, logits.shape[1])
     alpha, curve = prior.tune_alpha_on_logits(
-        logits, labels, args.method, estimate, _parse_grid(args.grid), target
+        logits, labels, args.method, estimate, args.grid, target
     )
     out = _run_dir(args.out, {"method": args.method})
     curve_path = out / "alpha_curve.csv"
@@ -1107,16 +1007,7 @@ def cmd_sweep_alpha(args, argv) -> int:
     for a, acc in curve:
         print(f"alpha={a:g}: accuracy={acc:.4f}")
     print(f"chosen alpha: {alpha:g}")
-    write_manifest(
-        out,
-        "sweep-alpha",
-        argv,
-        {"method": args.method},
-        inputs,
-        [str(curve_path), str(chosen_path)],
-        started,
-    )
-    return 0
+    return out, {"method": args.method}, inputs, [str(curve_path), str(chosen_path)]
 
 
 # ---------------------------------------------------------------------------
@@ -1141,7 +1032,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", choices=("exponential", "step", "explicit"))
     p.add_argument("--max-count", type=int, dest="max_count")
     p.add_argument("--imbalance", type=float)
-    p.add_argument("--counts", help="comma-separated explicit per-class counts")
+    p.add_argument("--counts", type=_list_of(int, "integers"),
+                   help="comma-separated explicit per-class counts")
     p.add_argument("--val-per-class", type=int, dest="val_per_class")
     p.add_argument("--test-per-class", type=int, dest="test_per_class")
     p.add_argument("--shift-direction", choices=("forward", "backward", "uniform"), dest="shift_direction")
@@ -1173,7 +1065,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimator", required=True,
                    choices=("train", "val", "train-reweighted", "averaged"))
     p.add_argument("--train-data", dest="train_data")
-    p.add_argument("--target-prior", dest="target_prior")
+    p.add_argument("--target-prior", dest="target_prior", type=_target_prior)
     p.add_argument("--out")
     p.set_defaults(func=cmd_estimate_prior)
 
@@ -1185,7 +1077,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("class-frequency", "p2p-ce", "p2p-la", "none"))
     p.add_argument("--prior", help="effective-prior JSON for p2p methods")
     p.add_argument("--counts", help="counts JSON for class-frequency")
-    p.add_argument("--target-prior", dest="target_prior")
+    p.add_argument("--target-prior", dest="target_prior", type=_target_prior)
     p.add_argument("--alpha", type=float)
     p.add_argument("--alpha-from-sweep", dest="alpha_from_sweep",
                    help="chosen_alpha.json from a sweep-alpha run")
@@ -1196,23 +1088,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--logits")
     p.add_argument("--model")
     p.add_argument("--data")
-    p.add_argument("--target-prior", dest="target_prior")
+    p.add_argument("--target-prior", dest="target_prior", type=_target_prior)
     p.add_argument("--train-counts", dest="train_counts")
-    p.add_argument("--groups", help="many_min,few_max thresholds")
+    p.add_argument("--groups", type=_group_thresholds, help="many_min,few_max thresholds")
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("toy-experiment", help="seeded multi-trial toy comparison")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--imbalance", type=float, default=100.0)
-    p.add_argument("--test-samples", type=int, default=10000, dest="test_samples")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--lr", type=float)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--imbalance", type=float)
+    p.add_argument("--test-samples", type=int, dest="test_samples")
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--lr", type=float, dest="learning_rate")
     p.add_argument("--iterations", type=int)
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--schedule", choices=("constant", "cosine"))
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_toy_experiment)
@@ -1221,8 +1113,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--train-data", required=True, dest="train_data",
                    help="training CSV for the effective-prior estimate")
-    p.add_argument("--directions", default="forward,backward")
-    p.add_argument("--ratios", default="5,10,50")
+    p.add_argument("--directions", type=_list_of(str, "names"), default="forward,backward")
+    p.add_argument("--ratios", type=_list_of(_finite_float, "numbers"), default="5,10,50")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--test-samples", type=int, default=10000, dest="test_samples")
     p.add_argument("--alpha", type=float, default=1.0)
@@ -1235,8 +1127,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", type=float, default=0.2, help="holdout fraction for estimation")
     p.add_argument("--train-logits", dest="train_logits")
     p.add_argument("--counts", help="training counts JSON for the train-side estimate")
-    p.add_argument("--target-prior", dest="target_prior")
-    p.add_argument("--grid", help="comma-separated alpha grid")
+    p.add_argument("--target-prior", dest="target_prior", type=_target_prior)
+    p.add_argument("--grid", type=_list_of(_finite_float, "numbers"),
+                   default=prior.DEFAULT_ALPHA_GRID, help="comma-separated alpha grid")
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_ingest_logits)
@@ -1248,8 +1141,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--logits")
     p.add_argument("--model")
     p.add_argument("--data")
-    p.add_argument("--target-prior", dest="target_prior")
-    p.add_argument("--grid")
+    p.add_argument("--target-prior", dest="target_prior", type=_target_prior)
+    p.add_argument("--grid", type=_list_of(_finite_float, "numbers"),
+                   default=prior.DEFAULT_ALPHA_GRID)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep_alpha)
 
@@ -1260,8 +1154,11 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args, argv)
+        out, config, inputs, outputs = args.func(args)
+        write_manifest(out, args.command, argv, config, inputs, outputs, started)
+        return 0
     except TailcalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -270,66 +271,104 @@ def feature_mean(ds: LabeledDataset, label: int | None = None) -> np.ndarray:
     return rows.mean(axis=0)
 
 
-def _format_float(x: float) -> str:
-    # repr() of a float64 is the shortest decimal that round-trips exactly.
-    return repr(float(x))
+def _write_csv(path, header: list[str], values: np.ndarray, labels, ids=None) -> None:
+    """Write the CSV format shared by datasets and logit dumps.
+
+    ``header`` first, then one ``[id,]v0,...,v{K-1},label`` line per row.
+    Floats go through ``repr``, the shortest decimal that round-trips a
+    float64 exactly. Lines are written one at a time, so the file's text is
+    never held in memory whole.
+    """
+    prefixes = repeat("") if ids is None else (f"{i}," for i in ids)
+    with open(path, "w") as out:
+        out.write(",".join(header) + "\n")
+        for prefix, row, label in zip(prefixes, values, labels):
+            out.write(prefix + ",".join(map(repr, row.tolist())) + f",{int(label)}\n")
+
+
+def _read_csv(path, check_header) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Parse the CSV format shared by datasets and logit dumps.
+
+    ``check_header(names)`` gets the split header line, raises ValueError
+    when its format rejects it, and returns ``(has_ids, num_classes)``:
+    whether the first column holds string row ids, and the exclusive bound
+    on labels (None: any int64). Every other column but the last holds
+    floats; the last holds an integer label. Blank lines are skipped. A
+    malformed row, a non-finite cell or an out-of-range label raises
+    :class:`ParseError` naming the file and the line. Returns
+    ``(ids, values, labels)``; ``ids`` is empty without an id column.
+    """
+    path = Path(path)
+    with path.open() as lines:
+        first = lines.readline()
+        if not first.strip():
+            raise ParseError(f"{path}: no header")
+        names = first.rstrip("\n").split(",")
+        try:
+            has_ids, num_classes = check_header(names)
+        except ValueError as exc:
+            raise ParseError(f"{path}: line 1: {exc}") from exc
+        lead = 1 if has_ids else 0
+        bound = np.iinfo(np.int64).max if num_classes is None else num_classes
+        ids: list[str] = []
+        rows = []
+        labels = []
+        linenos = []
+        for lineno, line in enumerate(lines, start=2):
+            if not line.strip():
+                continue
+            parts = line.rstrip("\n").split(",")
+            if len(parts) != len(names):
+                raise ParseError(
+                    f"{path}: line {lineno}: expected {len(names)} columns, got {len(parts)}"
+                )
+            try:
+                rows.append([float(v) for v in parts[lead:-1]])
+                label = int(parts[-1])
+            except ValueError as exc:
+                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+            if not 0 <= label < bound:
+                raise ParseError(f"{path}: line {lineno}: label {label} out of range [0, {bound})")
+            if has_ids:
+                ids.append(parts[0])
+            labels.append(label)
+            linenos.append(lineno)
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    values = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"{path}: line {linenos[int(np.argmin(finite))]}: non-finite value")
+    return ids, values, np.asarray(labels, dtype=np.int64)
 
 
 def save_dataset(ds: LabeledDataset, path) -> None:
     """Write ``f0,...,f{D-1},label`` CSV; lossless float64 round-trip."""
-    path = Path(path)
-    header = ",".join([f"f{j}" for j in range(ds.dims)] + ["label"])
-    lines = [header]
-    for row, label in zip(ds.features, ds.labels):
-        lines.append(",".join([_format_float(v) for v in row] + [str(int(label))]))
-    path.write_text("\n".join(lines) + "\n")
+    header = [f"f{j}" for j in range(ds.dims)] + ["label"]
+    _write_csv(path, header, ds.features, ds.labels)
 
 
 def load_dataset(path, num_classes: int | None = None) -> LabeledDataset:
     """Parse a dataset CSV written by :func:`save_dataset`.
 
     Raises :class:`ParseError` naming the offending line for malformed rows,
-    inconsistent column counts, or labels outside [0, num_classes).
+    inconsistent column counts, non-finite cells or labels outside
+    [0, num_classes), and naming the class when one has no samples.
     """
-    path = Path(path)
-    text = path.read_text()
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
-        raise ParseError(f"{path}: no header")
-    header = lines[0].split(",")
-    if header[-1] != "label" or len(header) < 2:
-        raise ParseError(f"{path}: line 1: expected header 'f0,...,label'")
-    dims = len(header) - 1
-    features = []
-    labels = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != dims + 1:
-            raise ParseError(
-                f"{path}: line {lineno}: expected {dims + 1} columns, got {len(parts)}"
-            )
-        try:
-            features.append([float(v) for v in parts[:-1]])
-            label = int(parts[-1])
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-        if label < 0 or (num_classes is not None and label >= num_classes):
-            raise ParseError(
-                f"{path}: line {lineno}: label {label} out of range"
-                + (f" [0, {num_classes})" if num_classes is not None else "")
-            )
-        labels.append(label)
-    if not labels:
-        raise ParseError(f"{path}: no data rows")
-    labels = np.asarray(labels, dtype=np.int64)
-    c = num_classes if num_classes is not None else int(labels.max()) + 1
-    counts = np.bincount(labels, minlength=c)
+
+    def check_header(names):
+        if names[-1] != "label" or len(names) < 2:
+            raise ValueError("expected header 'f0,...,label'")
+        return False, num_classes
+
+    _, features, labels = _read_csv(path, check_header)
+    # n rows fill at most n classes, so a label >= n always leaves one empty
+    c = num_classes if num_classes is not None else min(int(labels.max()), labels.size) + 1
+    counts = np.bincount(labels[labels < c], minlength=c)
     if np.any(counts < 1):
         missing = int(np.argmin(counts))
-        raise ParseError(f"{path}: class {missing} has no samples")
-    return LabeledDataset(np.asarray(features, dtype=np.float64), labels, counts)
+        raise ParseError(f"{Path(path)}: class {missing} has no samples")
+    return LabeledDataset(features, labels, counts)
 
 
 def save_counts(counts, path) -> None:

@@ -318,13 +318,3 @@ def export_prior_bars(
     for i, (f, e, n) in enumerate(zip(freq, eff, counts)):
         lines.append(f"{i},{float(f)!r},{float(e)!r},{thresholds.bucket(int(n))}")
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def export_figure_data(kind: str, path, **inputs) -> None:
-    """Dispatch to the figure-data exporters by kind."""
-    if kind == "boundary-2d":
-        export_boundary_data(path=path, **inputs)
-    elif kind == "prior-bars":
-        export_prior_bars(path=path, **inputs)
-    else:
-        raise ConfigError(f"unknown figure kind {kind!r}")

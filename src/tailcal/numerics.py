@@ -112,27 +112,6 @@ def softmax_rows(z) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def log_softmax(z) -> np.ndarray:
-    """log(softmax(z)), i.e. z - log_sum_exp(z)."""
-    v = as_vector(z)
-    if v.size < 2:
-        raise DimensionError("log_softmax needs >= 2 logits")
-    return v - log_sum_exp(v)
-
-
-def normalize_to_simplex(v) -> np.ndarray:
-    """Divide non-negative entries by their sum to land on the simplex."""
-    x = as_vector(v)
-    if x.size < 2:
-        raise DimensionError("simplex normalization needs >= 2 entries")
-    if np.any(x < 0):
-        raise NormalizationError(f"negative entry {x.min()} cannot be normalized")
-    total = float(x.sum())
-    if total <= 0.0:
-        raise NormalizationError("all-zero vector cannot be normalized")
-    return x / total
-
-
 def _splitmix64(x: int) -> int:
     """One splitmix64 finalizer step; the standard 64-bit avalanche mix."""
     x = (x + 0x9E3779B97F4A7C15) & _MASK64

@@ -25,7 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from . import adjust
-from .dataset import LabeledDataset
+from .adjust import (
+    ESTIMATOR_AVERAGED,
+    ESTIMATOR_TRAIN_REWEIGHTED,
+    ESTIMATOR_TRAIN_SIDE,
+    ESTIMATOR_VAL_SIDE,
+    PMBAR_KINDS,
+)
 from .errors import (
     DimensionError,
     EstimatorKindError,
@@ -33,21 +39,11 @@ from .errors import (
     ParseError,
     UsageError,
 )
-from .model import Model, predict_logits
-from .numerics import prob_matrix, prob_vector, softmax_rows
+from .numerics import prob_matrix, prob_vector
 
 PROB_FLOOR = 1e-8
 
-ESTIMATOR_TRAIN_SIDE = "train-side"
-ESTIMATOR_VAL_SIDE = "val-side"
-ESTIMATOR_TRAIN_REWEIGHTED = "train-reweighted"
-ESTIMATOR_AVERAGED = "averaged"
-ESTIMATORS = (
-    ESTIMATOR_TRAIN_SIDE,
-    ESTIMATOR_VAL_SIDE,
-    ESTIMATOR_TRAIN_REWEIGHTED,
-    ESTIMATOR_AVERAGED,
-)
+ESTIMATORS = (ESTIMATOR_TRAIN_SIDE,) + PMBAR_KINDS
 
 DEFAULT_ALPHA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
 
@@ -85,12 +81,14 @@ def _floor_and_normalize(raw: np.ndarray) -> np.ndarray:
     return prob_vector(floored / floored.sum())
 
 
+def _mean_posterior(posteriors, kind: str) -> EffectivePrior:
+    p = prob_matrix(posteriors)
+    return EffectivePrior(_floor_and_normalize(p.mean(axis=0)), kind, p.shape[0])
+
+
 def effective_prior_train(posteriors) -> EffectivePrior:
     """Mean training-side posterior per class: the prior the model absorbed."""
-    p = prob_matrix(posteriors)
-    return EffectivePrior(
-        _floor_and_normalize(p.mean(axis=0)), ESTIMATOR_TRAIN_SIDE, p.shape[0]
-    )
+    return _mean_posterior(posteriors, ESTIMATOR_TRAIN_SIDE)
 
 
 def pmbar_from_val(posteriors) -> EffectivePrior:
@@ -99,9 +97,24 @@ def pmbar_from_val(posteriors) -> EffectivePrior:
     For a logit-adjusted model the posteriors must come from raw inference
     logits (train-time shift removed).
     """
-    p = prob_matrix(posteriors)
+    return _mean_posterior(posteriors, ESTIMATOR_VAL_SIDE)
+
+
+def _reweighted(means: np.ndarray, target_prior, train_prior, samples: int) -> EffectivePrior:
+    """Reweight train-side column means by target/train prior ratios.
+
+    The finite-sample result need not sum to one before the renormalization,
+    which is the consistent projection back to the simplex.
+    """
+    target = prob_vector(target_prior)
+    train = prob_vector(train_prior)
+    if np.any(train <= 0):
+        raise NumericError("train prior must be strictly positive")
+    if target.shape != train.shape or means.shape != train.shape:
+        raise DimensionError("posteriors, target and train priors disagree on classes")
+    raw = means * target / train
     return EffectivePrior(
-        _floor_and_normalize(p.mean(axis=0)), ESTIMATOR_VAL_SIDE, p.shape[0]
+        _floor_and_normalize(raw / raw.sum()), ESTIMATOR_TRAIN_REWEIGHTED, samples
     )
 
 
@@ -109,20 +122,10 @@ def pmbar_from_train(train_posteriors, target_prior, train_prior) -> EffectivePr
     """Recover the val-side marginal from training-side posteriors.
 
     Column means are reweighted by target/train prior ratios and
-    renormalized; the finite-sample result need not sum to one before the
-    renormalization, which is the consistent projection back to the simplex.
+    renormalized.
     """
     p = prob_matrix(train_posteriors)
-    target = prob_vector(target_prior)
-    train = prob_vector(train_prior)
-    if np.any(train <= 0):
-        raise NumericError("train prior must be strictly positive")
-    if target.shape != train.shape or p.shape[1] != train.shape[0]:
-        raise DimensionError("posteriors, target and train priors disagree on classes")
-    raw = p.mean(axis=0) * target / train
-    return EffectivePrior(
-        _floor_and_normalize(raw / raw.sum()), ESTIMATOR_TRAIN_REWEIGHTED, p.shape[0]
-    )
+    return _reweighted(p.mean(axis=0), target_prior, train_prior, p.shape[0])
 
 
 def reweight_estimate(
@@ -138,23 +141,13 @@ def reweight_estimate(
         raise EstimatorKindError(
             f"reweighting starts from a train-side estimate, got {estimate.estimator!r}"
         )
-    target = prob_vector(target_prior)
-    train = prob_vector(train_prior)
-    if np.any(train <= 0):
-        raise NumericError("train prior must be strictly positive")
-    raw = estimate.probs * target / train
-    return EffectivePrior(
-        _floor_and_normalize(raw / raw.sum()),
-        ESTIMATOR_TRAIN_REWEIGHTED,
-        estimate.samples,
-    )
+    return _reweighted(estimate.probs, target_prior, train_prior, estimate.samples)
 
 
 def average_estimates(a: EffectivePrior, b: EffectivePrior) -> EffectivePrior:
     """Probability-space mean of two estimates of the val-side marginal."""
-    pmbar_kinds = (ESTIMATOR_VAL_SIDE, ESTIMATOR_TRAIN_REWEIGHTED, ESTIMATOR_AVERAGED)
     for est in (a, b):
-        if est.estimator not in pmbar_kinds:
+        if est.estimator not in PMBAR_KINDS:
             raise EstimatorKindError(
                 f"cannot average a {est.estimator!r} estimate; "
                 "only val-side/train-reweighted/averaged estimates measure "
@@ -168,11 +161,6 @@ def average_estimates(a: EffectivePrior, b: EffectivePrior) -> EffectivePrior:
         ESTIMATOR_AVERAGED,
         a.samples + b.samples,
     )
-
-
-def model_posteriors(model: Model, features) -> np.ndarray:
-    """softmax of the model's raw inference logits, row per sample."""
-    return softmax_rows(predict_logits(model, features))
 
 
 def tune_alpha_on_logits(
@@ -206,24 +194,6 @@ def tune_alpha_on_logits(
         curve.append((alpha, float(np.mean(pred == y))))
     best_alpha, _ = max(curve, key=lambda pair: (pair[1], -pair[0]))
     return best_alpha, curve
-
-
-def tune_alpha(
-    model: Model,
-    method: str,
-    estimate: EffectivePrior,
-    grid,
-    holdout: LabeledDataset,
-    target_prior,
-) -> float:
-    """Pick the exponent maximizing adjusted accuracy on a holdout set."""
-    if holdout.n == 0:
-        raise DimensionError("holdout dataset is empty")
-    logits = predict_logits(model, holdout.features)
-    best, _ = tune_alpha_on_logits(
-        logits, holdout.labels, method, estimate, grid, target_prior
-    )
-    return best
 
 
 def save_prior(estimate: EffectivePrior, path) -> None:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from tailcal.adjust import (
     AdjustmentSpec,
     achieved_prior,
-    adjust_logit_row,
     adjust_logits,
     adjust_posteriors,
     apply_to_linear_model,
@@ -43,7 +42,7 @@ posterior_rows = st.lists(
 
 def test_adjust_logits_worked_example():
     spec = spec_from_estimate("p2p-ce", train_side([0.9, 0.1]), UNIFORM, 1.0)
-    adjusted = adjust_logit_row([2.0, 1.0], spec)
+    adjusted = adjust_logits(np.array([[2.0, 1.0]]), spec)[0]
     np.testing.assert_allclose(adjusted, [1.412214, 2.609438], atol=1e-5)
     assert np.argmax(adjusted) == 1  # flips from class 0
 

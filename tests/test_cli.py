@@ -1,8 +1,13 @@
+import contextlib
+import io
+import itertools
 import json
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailcal import adjust, prior
 from tailcal.cli import (
@@ -12,6 +17,7 @@ from tailcal.cli import (
     save_logit_dump,
 )
 from tailcal.dataset import load_dataset
+from tailcal.errors import ParseError
 from tailcal.model import load_model, predict_logits
 from tailcal.numerics import RngStream, softmax_rows
 from tailcal.oracle import bayes_posterior_rows, sample_mixture, toy_mixture
@@ -440,6 +446,18 @@ def test_logit_dump_roundtrip(workdir):
     assert labels.tolist() == [0, 1]
 
 
+def test_logit_dump_errors_name_the_line_after_blank_lines(workdir, capsys):
+    rows = ["id,logit_0,logit_1,label", "a,0.1,0.2,0", "", "", "b,0.1,0.2,1", "",
+            "c,0.1,0.2,0", "d,0.1,0.2,5"]
+    (workdir / "label.csv").write_text("\n".join(rows) + "\n")
+    with pytest.raises(ParseError, match="line 8: label 5 out of range"):
+        load_logit_dump("label.csv")
+    rows[-1] = "d,0.1,inf,1"
+    (workdir / "inf.csv").write_text("\n".join(rows) + "\n")
+    assert run_cli("eval", "--logits", "inf.csv", "--out", "x") == 3
+    assert "inf.csv: line 8: non-finite value" in capsys.readouterr().err
+
+
 def test_master_seed_env_var_default(workdir, monkeypatch):
     args = ["gen-data", "--counts", "450,50", "--val-per-class", "20",
             "--test-per-class", "20"]
@@ -490,3 +508,68 @@ def test_train_side_estimator_uses_provenance_shift(workdir):
     )
     expected = prior.effective_prior_train(shifted)
     np.testing.assert_allclose(est.probs, expected.probs, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# every argument list ends in a documented exit code, never a traceback
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen-data", "--out", str(root / "d"), "--seed", "3", "--counts", "60,20",
+                     "--val-per-class", "5", "--test-per-class", "10"]) == 0
+        assert main(["train", "--data", str(root / "d" / "train.csv"), "--out", str(root / "m"),
+                     "--seed", "3", "--iterations", "10"]) == 0
+    gen = RngStream(3).generator()
+    for c in (2, 3):
+        save_logit_dump([str(i) for i in range(30)], gen.normal(size=(30, c)),
+                        np.arange(30) % c, root / f"dump{c}.csv")
+    prior.save_prior(prior.EffectivePrior(np.array([0.7, 0.3]), "val-side", 10), root / "p.json")
+    files = {"dump2": root / "dump2.csv", "dump3": root / "dump3.csv", "prior": root / "p.json",
+             "model": root / "m" / "model.json", "train": root / "d" / "train.csv"}
+    outs = (root / "out" / str(i) for i in itertools.count())
+    return files, outs
+
+
+# flag -> (a command line that takes it, well-formed values of the flag)
+FLAG_CASES = {
+    "--groups": (["eval", "--logits", "{dump3}"], ["100,20", "5,1"]),
+    "--target-prior": (["eval", "--logits", "{dump3}"], ["uniform", "[0.2, 0.3, 0.5]"]),
+    "--ratios": (["shift-eval", "--model", "{model}", "--train-data", "{train}", "--trials", "1",
+                  "--test-samples", "40"], ["5", "2,10"]),
+    "--directions": (["shift-eval", "--model", "{model}", "--train-data", "{train}",
+                      "--trials", "1", "--test-samples", "40", "--ratios", "2"],
+                     ["forward", "forward,backward"]),
+    "--grid": (["sweep-alpha", "--prior", "{prior}", "--logits", "{dump2}", "--method", "p2p-la"],
+               ["0,1", "0.5"]),
+    "--counts": (["gen-data", "--val-per-class", "2", "--test-per-class", "2"], ["30,10"]),
+    "--workers": (["toy-experiment", "--trials", "2", "--samples", "200", "--test-samples", "100",
+                   "--iterations", "5"], ["1", "2"]),
+    "--split": (["ingest-logits", "--logits", "{dump2}"], ["0.2", "0.5"]),
+}
+MALFORMED = ["", ",", "x", "x,y", "5", "-1", "0", "1,2,3", "[0.5,", "[0.5,0.5]", "[]",
+             "[1,-1]", "[0, 0]", "{}", "nan", "inf", "1e400", "sideways", "0.2,", "-"]
+# free text only where no value can ask for a large allocation or many threads
+FREE_TEXT = {"--groups", "--target-prior", "--ratios", "--directions", "--grid", "--split"}
+
+
+@settings(max_examples=200)
+@given(flag=st.sampled_from(sorted(FLAG_CASES)), data=st.data())
+def test_any_flag_value_exits_with_a_documented_code(tiny, flag, data):
+    files, outs = tiny
+    command, good = FLAG_CASES[flag]
+    values = st.sampled_from(good) | st.sampled_from(MALFORMED)
+    if flag in FREE_TEXT:
+        values = values | st.text(alphabet="0123456789,.-[]einfx ", max_size=10)
+    value = data.draw(values)
+    argv = [a.format(**files) for a in command] + [flag, value, "--out", str(next(outs))]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the value
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -177,6 +177,23 @@ def test_load_rejects_label_out_of_range(tmp_path):
         load_dataset(path, num_classes=2)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_load_rejects_nonfinite_cell_naming_its_line(tmp_path, cell):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"f0,f1,label\n0.0,0.0,0\n\n1.0,{cell},1\n")
+    with pytest.raises(ParseError, match=r"nonfinite\.csv: line 4: non-finite"):
+        load_dataset(path, num_classes=2)
+
+
+@pytest.mark.parametrize("label", ["1000000000000", "100000000000000000000"])
+def test_load_without_class_count_rejects_a_huge_label(tmp_path, label):
+    # classes are inferred from the labels here; a huge one must not size an array
+    path = tmp_path / "huge.csv"
+    path.write_text(f"f0,label\n0.1,0\n0.2,{label}\n")
+    with pytest.raises(ParseError, match="no samples|line 3"):
+        load_dataset(path)
+
+
 def test_load_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")

@@ -13,7 +13,6 @@ from tailcal.evaluation import (
     confusion_matrix,
     emit_report,
     export_boundary_data,
-    export_figure_data,
     export_prior_bars,
     group_accuracy,
     load_report,
@@ -190,16 +189,3 @@ def test_prior_bars_export(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0" and first[3] == "many"
     assert float(first[2]) > float(first[1])
-
-
-def test_export_figure_data_dispatch(tmp_path):
-    with pytest.raises(ConfigError):
-        export_figure_data("heatmap", tmp_path / "x.csv")
-    export_figure_data(
-        "prior-bars",
-        tmp_path / "bars.csv",
-        freq_prior=[0.5, 0.5],
-        effective_prior=[0.6, 0.4],
-        train_counts=[10, 10],
-    )
-    assert (tmp_path / "bars.csv").read_text().startswith("class,")

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from tailcal.errors import DimensionError, NormalizationError, NumericInputError
 from tailcal.numerics import (
     RngStream,
-    log_softmax,
     log_sum_exp,
-    normalize_to_simplex,
     prob_vector,
     softmax,
 )
@@ -52,21 +50,6 @@ def test_log_sum_exp_values():
         log_sum_exp([])
 
 
-def test_normalize_to_simplex():
-    np.testing.assert_allclose(
-        normalize_to_simplex([0.4444, 1.0]), [0.4444 / 1.4444, 1.0 / 1.4444], atol=1e-12
-    )
-    np.testing.assert_allclose(normalize_to_simplex([1.0, 0.0, 0.0]), [1, 0, 0])
-    np.testing.assert_allclose(normalize_to_simplex([2.0, 2.0]), [0.5, 0.5])
-
-
-def test_normalize_rejects_bad_input():
-    with pytest.raises(NormalizationError):
-        normalize_to_simplex([0.0, 0.0])
-    with pytest.raises(NormalizationError):
-        normalize_to_simplex([1.0, -0.5])
-
-
 def test_prob_vector_validation():
     with pytest.raises(NormalizationError):
         prob_vector([0.6, 0.6])
@@ -81,11 +64,6 @@ def test_softmax_shift_invariance(z, c):
     np.testing.assert_allclose(
         softmax(np.asarray(z) + c), softmax(z), atol=1e-12
     )
-
-
-@given(finite_logits)
-def test_log_softmax_consistency(z):
-    np.testing.assert_allclose(np.exp(log_softmax(z)), softmax(z), atol=1e-12)
 
 
 def _resolvable_argmax(z):
@@ -103,16 +81,6 @@ def test_softmax_preserves_argmax(z):
 @given(finite_logits)
 def test_softmax_lands_on_simplex(z):
     prob_vector(softmax(z))
-
-
-@given(
-    st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False), min_size=2, max_size=8)
-    .filter(lambda v: sum(v) > 0)
-)
-def test_normalize_idempotent(v):
-    once = normalize_to_simplex(v)
-    np.testing.assert_allclose(normalize_to_simplex(once), once, atol=1e-12)
-    prob_vector(once)
 
 
 def test_rng_streams_are_reproducible():

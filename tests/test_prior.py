@@ -29,7 +29,6 @@ from tailcal.prior import (
     pmbar_from_train,
     pmbar_from_val,
     save_prior,
-    tune_alpha,
     tune_alpha_on_logits,
 )
 
@@ -160,9 +159,8 @@ def test_tune_alpha_dominates_unadjusted(gmm, toy_ce_model, toy_train):
         softmax_rows(predict_logits(toy_ce_model, toy_train.features))
     )
     grid = list(DEFAULT_ALPHA_GRID)
-    best = tune_alpha(toy_ce_model, "p2p-ce", est, grid, holdout, [0.5, 0.5])
     logits = predict_logits(toy_ce_model, holdout.features)
-    _, curve = tune_alpha_on_logits(
+    best, curve = tune_alpha_on_logits(
         logits, holdout.labels, "p2p-ce", est, grid, [0.5, 0.5]
     )
     by_alpha = dict(curve)
@@ -172,8 +170,9 @@ def test_tune_alpha_dominates_unadjusted(gmm, toy_ce_model, toy_train):
 def test_tune_alpha_deterministic(gmm, toy_ce_model):
     holdout = sample_dataset(gmm, [500, 500], RngStream(809))
     est = EffectivePrior(np.array([0.95, 0.05]), "train-side", 100)
-    args = (toy_ce_model, "p2p-ce", est, [0.0, 0.5, 1.0], holdout, [0.5, 0.5])
-    assert tune_alpha(*args) == tune_alpha(*args)
+    logits = predict_logits(toy_ce_model, holdout.features)
+    args = (logits, holdout.labels, "p2p-ce", est, [0.0, 0.5, 1.0], [0.5, 0.5])
+    assert tune_alpha_on_logits(*args) == tune_alpha_on_logits(*args)
 
 
 def test_tune_alpha_rejects_bad_grid():

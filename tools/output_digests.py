@@ -1,0 +1,126 @@
+"""Digest every output of a fixed-seed run of all tailcal subcommands.
+
+Run from anywhere:
+
+    python3 tools/output_digests.py [--work DIR]
+
+It runs a small chain of ``python -m tailcal`` processes against the
+``src/`` tree next to this script: gen-data (2- and 10-class), stage-1
+linear and MLP training, stage-2 CL and FT, estimate-prior with all four
+estimators, adjust with all four methods, eval by both input routes,
+sweep-alpha, toy-experiment, shift-eval and ingest-logits with a train-side
+dump. It then prints one ``sha256  path`` line per output file and per
+command's stdout, sorted, except ``manifest.json``; each manifest
+contributes its ``config``, ``inputs`` and ``outputs`` objects instead,
+because its wall clock and timestamp differ between runs.
+
+Two trees produce the same outputs when this script prints the same text
+for both. Paths are relative to the work directory, which defaults to a
+fresh temporary one. Exits 1 if any command fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+SEED = "7"
+
+CHAIN = [
+    ["gen-data", "--out", "d2", "--seed", SEED, "--counts", "1960,40",
+     "--val-per-class", "200", "--test-per-class", "300"],
+    ["gen-data", "--out", "d10", "--seed", SEED, "--classes", "10", "--dims", "4",
+     "--max-count", "300", "--imbalance", "10", "--val-per-class", "30",
+     "--test-per-class", "30"],
+    ["train", "--data", "d2/train.csv", "--out", "s1", "--seed", SEED],
+    ["train", "--data", "d10/train.csv", "--out", "m10", "--seed", SEED, "--arch", "mlp",
+     "--hidden", "8", "--lr", "0.5", "--iterations", "30", "--batch-size", "256"],
+    ["train", "--data", "d2/train.csv", "--out", "s2cl", "--seed", SEED, "--stage", "2",
+     "--mode", "CL", "--init", "s1/model.json"],
+    ["train", "--data", "d2/train.csv", "--out", "s2ft", "--seed", SEED, "--stage", "2",
+     "--mode", "FT", "--init", "s1/model.json"],
+    ["estimate-prior", "--model", "s1/model.json", "--data", "d2/train.csv",
+     "--estimator", "train", "--out", "est_train"],
+    ["estimate-prior", "--model", "s1/model.json", "--data", "d2/val.csv",
+     "--estimator", "val", "--out", "est_val"],
+    ["estimate-prior", "--model", "s2ft/model.json", "--data", "d2/train.csv",
+     "--estimator", "train-reweighted", "--target-prior", "uniform", "--out", "est_rw"],
+    ["estimate-prior", "--model", "s2ft/model.json", "--data", "d2/val.csv",
+     "--train-data", "d2/train.csv", "--estimator", "averaged", "--out", "est_avg"],
+    ["adjust", "--model", "s1/model.json", "--data", "d2/test.csv", "--method", "none",
+     "--out", "adj_none"],
+    ["adjust", "--model", "s1/model.json", "--data", "d2/train.csv", "--method", "none",
+     "--out", "adj_train"],
+    ["adjust", "--logits", "adj_none/adjusted_logits.csv", "--method", "class-frequency",
+     "--counts", "d2/counts.json", "--target-prior", "uniform", "--out", "adj_cf"],
+    ["adjust", "--model", "s1/model.json", "--data", "d2/test.csv", "--method", "p2p-ce",
+     "--prior", "est_train/prior.json", "--target-prior", "uniform", "--out", "adj_ce"],
+    ["adjust", "--model", "s2ft/model.json", "--data", "d2/test.csv", "--method", "p2p-la",
+     "--prior", "est_avg/prior.json", "--target-prior", "[0.5, 0.5]", "--out", "adj_la"],
+    ["eval", "--logits", "adj_ce/adjusted_logits.csv", "--train-counts", "d2/counts.json",
+     "--out", "ev_logits"],
+    ["eval", "--model", "m10/model.json", "--data", "d10/test.csv",
+     "--train-counts", "d10/counts.json", "--groups", "200,50", "--out", "ev_model"],
+    ["sweep-alpha", "--prior", "est_train/prior.json", "--logits",
+     "adj_none/adjusted_logits.csv", "--grid", "0,0.5,1,1.5", "--out", "sweep"],
+    ["adjust", "--logits", "adj_none/adjusted_logits.csv", "--method", "p2p-ce",
+     "--prior", "est_train/prior.json", "--alpha-from-sweep", "sweep/chosen_alpha.json",
+     "--out", "adj_sweep"],
+    ["toy-experiment", "--trials", "3", "--samples", "2000", "--test-samples", "2000",
+     "--seed", SEED, "--out", "toy"],
+    ["shift-eval", "--model", "s2ft/model.json", "--train-data", "d2/train.csv",
+     "--ratios", "5", "--trials", "2", "--test-samples", "1000", "--seed", SEED,
+     "--out", "shift"],
+    ["ingest-logits", "--logits", "adj_none/adjusted_logits.csv",
+     "--train-logits", "adj_train/adjusted_logits.csv", "--counts", "d2/counts.json",
+     "--seed", SEED, "--out", "ingest"],
+]
+
+
+def run_chain(work: Path) -> list[str]:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("TAILCAL_SEED", None)
+    lines = []
+    for argv in CHAIN:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tailcal", *argv],
+            cwd=work, env=env, capture_output=True,
+        )
+        out = argv[argv.index("--out") + 1]
+        if proc.returncode != 0:
+            sys.stderr.write(proc.stderr.decode(errors="replace"))
+            raise SystemExit(f"tailcal {' '.join(argv)}: exit {proc.returncode}")
+        lines.append(f"{hashlib.sha256(proc.stdout).hexdigest()}  {out}/<stdout>")
+    for path in sorted(p for p in work.rglob("*") if p.is_file()):
+        rel = path.relative_to(work).as_posix()
+        if path.name == "manifest.json":
+            manifest = json.loads(path.read_text())
+            kept = {k: manifest[k] for k in ("config", "inputs", "outputs")}
+            lines.append(f"{rel}  {json.dumps(kept, sort_keys=True)}")
+        else:
+            lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {rel}")
+    return sorted(lines)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--work", help="empty or new directory for the run outputs")
+    args = parser.parse_args()
+    if args.work:
+        work = Path(args.work)
+        work.mkdir(parents=True, exist_ok=True)
+        print("\n".join(run_chain(work)))
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            print("\n".join(run_chain(Path(tmp))))
+
+
+if __name__ == "__main__":
+    main()
