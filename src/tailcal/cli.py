@@ -17,7 +17,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -76,37 +76,34 @@ def _master_seed(value) -> int:
     return int(os.environ.get(SEED_ENV_VAR, DEFAULT_SEED))
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+# Flags that may name a file the command reads. main() hashes each string value
+# before the command runs, except --target-prior 'uniform' (lists are parsed).
+INPUT_FLAGS = (
+    "config", "data", "init", "model", "train_data", "logits", "train_logits",
+    "prior", "counts", "train_counts", "alpha_from_sweep", "target_prior",
+)
 
 
-def _config_digest(config: dict) -> str:
-    blob = json.dumps(config, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:8]
+@dataclass
+class RunDir:
+    """The --out directory of one run and the output files named in it."""
 
+    path: Path
+    outputs: list[str] = field(default_factory=list)
 
-def _run_dir(explicit, config: dict) -> Path:
-    if explicit:
-        path = Path(explicit)
-    else:
-        stamp = datetime.now(timezone.utc).strftime("%Y%m%d-%H%M%S")
-        path = Path("runs") / f"{stamp}-{_config_digest(config)}"
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-# What a command returns for its manifest: run dir, config, inputs, outputs.
-RunRecord = tuple[Path, dict, list[str], list[str]]
+    def output(self, name: str) -> Path:
+        """``path/name``, recorded as an output. The first call creates the
+        directory and removes any manifest an earlier run left in it, so a
+        manifest lists only the outputs of a run that finished."""
+        if not self.outputs:
+            self.path.mkdir(parents=True, exist_ok=True)
+            (self.path / "manifest.json").unlink(missing_ok=True)
+        self.outputs.append(str(self.path / name))
+        return self.path / name
 
 
 def write_manifest(
-    out_dir: Path,
-    command: str,
-    argv: list[str],
-    config: dict,
-    inputs: list[str],
-    outputs: list[str],
-    started: float,
+    run: RunDir, command: str, argv: list[str], config: dict, inputs: dict, started: float
 ) -> None:
     manifest = {
         "schema": 1,
@@ -114,34 +111,52 @@ def write_manifest(
         "command": command,
         "argv": list(argv),
         "config": config,
-        "inputs": {p: _sha256(Path(p)) for p in inputs},
-        "outputs": sorted(outputs),
+        "inputs": inputs,
+        "outputs": sorted(run.outputs),
         "wall_clock_s": time.time() - started,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
+    tmp = run.path / "manifest.json.tmp"
+    tmp.write_text(json.dumps(manifest, indent=1) + "\n")
+    os.replace(tmp, run.path / "manifest.json")
 
 
 def load_manifest(path) -> dict:
     return json.loads(Path(path).read_text())
 
 
-def _load_json_config(path) -> dict:
-    if path is None:
-        return {}
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise UsageError(f"config {path} must hold a JSON object")
-    return payload
+# The type of each config-file key whose default is None.
+NONE_DEFAULT_TYPES = {"means": list, "sigmas": list, "counts": list, "batch_size": int, "seed": int}
 
 
-def _resolve(config: dict, args, defaults: dict) -> dict:
-    """Flags beat the config file, which beats defaults; keys are the defaults'."""
+def _resolve(args, defaults: dict) -> dict:
+    """Flags beat the --config file, which beats defaults; keys are the defaults'.
+
+    A config value must have its default's type (an int may stand for a
+    float, and a list must hold numbers); anything else is a usage error.
+    """
     out = dict(defaults)
-    out.update({k: v for k, v in config.items() if k in defaults})
+    path = getattr(args, "config", None)
+    if path is not None:
+        try:
+            config = json.loads(Path(path).read_text())
+        except ValueError as exc:  # not JSON, or not text
+            raise UsageError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(config, dict):
+            raise UsageError(f"config {path} must hold a JSON object")
+        for key in config.keys() & defaults.keys():
+            kind, value = NONE_DEFAULT_TYPES.get(key, type(defaults[key])), config[key]
+            allowed = (int, float) if kind is float else kind
+            try:
+                if isinstance(value, bool) or not isinstance(value, allowed):
+                    raise TypeError
+                if kind is list:
+                    np.asarray(value, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise UsageError(
+                    f"config {path}: key {key!r} must be {kind.__name__}, got {value!r}"
+                ) from None
+            out[key] = value
     out.update({k: v for k, v in vars(args).items() if k in defaults and v is not None})
     return out
 
@@ -287,8 +302,8 @@ GEN_DEFAULTS = {
 }
 
 
-def cmd_gen_data(args) -> RunRecord:
-    cfg = _resolve(_load_json_config(args.config), args, GEN_DEFAULTS)
+def cmd_gen_data(args, run: RunDir) -> dict:
+    cfg = _resolve(args, GEN_DEFAULTS)
     cfg["seed"] = _master_seed(cfg["seed"])
     classes, dims = int(cfg["classes"]), int(cfg["dims"])
     means = (
@@ -320,20 +335,14 @@ def cmd_gen_data(args) -> RunRecord:
     ds_val = sample_dataset(gmm, val_counts, master.child(1))
     ds_test = sample_dataset(gmm, test_counts, master.child(2))
 
-    out = _run_dir(args.out, cfg)
-    outputs = []
     for name, ds in (("train", ds_train), ("val", ds_val), ("test", ds_test)):
-        path = out / f"{name}.csv"
-        save_dataset(ds, path)
-        outputs.append(str(path))
-    counts_path = out / "counts.json"
-    save_counts(train_counts, counts_path)
-    outputs.append(str(counts_path))
+        save_dataset(ds, run.output(f"{name}.csv"))
+    save_counts(train_counts, run.output("counts.json"))
 
     print(f"{'class':>6} {'train':>8} {'val':>8} {'test':>8}")
     for i in range(classes):
         print(f"{i:>6} {train_counts[i]:>8} {val_counts[i]:>8} {test_counts[i]:>8}")
-    return out, cfg, [], outputs
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +365,13 @@ TRAIN_DEFAULTS = {
 }
 
 
-def cmd_train(args) -> RunRecord:
-    cfg = _resolve(_load_json_config(args.config), args, TRAIN_DEFAULTS)
+def cmd_train(args, run: RunDir) -> dict:
+    cfg = _resolve(args, TRAIN_DEFAULTS)
     cfg["seed"] = _master_seed(cfg["seed"])
     cfg["data"] = args.data
-    inputs = [args.data]
     ds = load_dataset(args.data)
     seed = RngStream(cfg["seed"])
-    batch = int(cfg["batch_size"]) if cfg["batch_size"] else ds.n
+    batch = ds.n if cfg["batch_size"] is None else int(cfg["batch_size"])
     train_cfg = TrainConfig(
         learning_rate=float(cfg["lr"]),
         iterations=int(cfg["iterations"]),
@@ -377,7 +385,6 @@ def cmd_train(args) -> RunRecord:
     if stage == 2:
         if args.init is None:
             raise UsageError("stage-2 training needs --init with the stage-1 model")
-        inputs.append(args.init)
         init_model, _ = load_model(args.init)
         result = stage2_retrain(
             init_model, ds, cfg["mode"], train_cfg, freq, float(cfg["alpha"])
@@ -411,24 +418,22 @@ def cmd_train(args) -> RunRecord:
             seed=(train_cfg.seed.seed, train_cfg.seed.stream_id),
         )
 
-    out = _run_dir(args.out, cfg)
-    model_path = out / "model.json"
+    model_path = run.output("model.json")
     save_model(result.model, model_path, provenance)
-    trace_path = out / "loss_trace.json"
-    trace_path.write_text(json.dumps({"epoch_mean_loss": result.loss_trace}) + "\n")
+    trace = {"epoch_mean_loss": result.loss_trace}
+    run.output("loss_trace.json").write_text(json.dumps(trace) + "\n")
     print(f"trained stage-{stage} model -> {model_path}")
     if result.loss_trace:
         print(f"final epoch mean loss: {result.loss_trace[-1]:.6f}")
-    return out, cfg, inputs, [str(model_path), str(trace_path)]
+    return cfg
 
 
 # ---------------------------------------------------------------------------
 # estimate-prior
 
 
-def cmd_estimate_prior(args) -> RunRecord:
+def cmd_estimate_prior(args, run: RunDir) -> dict:
     model, provenance = load_model(args.model)
-    inputs = [args.model, args.data]
     ds = load_dataset(args.data, num_classes=model.num_classes)
     target = _resolve_target(args.target_prior, model.num_classes)
     if args.target_prior is None and args.estimator in ("train-reweighted", "averaged"):
@@ -449,7 +454,6 @@ def cmd_estimate_prior(args) -> RunRecord:
     else:  # averaged
         if args.train_data is None:
             raise UsageError("--estimator averaged needs --train-data plus --data (val)")
-        inputs.append(args.train_data)
         ds_train = load_dataset(args.train_data, num_classes=model.num_classes)
         freq = empirical_prior(ds_train.counts)
         est_val = prior.pmbar_from_val(_raw_posteriors(model, ds.features))
@@ -458,15 +462,12 @@ def cmd_estimate_prior(args) -> RunRecord:
         )
         estimate = prior.average_estimates(est_val, est_train)
 
-    out = _run_dir(args.out, {"estimator": estimator, "model": args.model})
-    prior_path = out / "prior.json"
-    prior.save_prior(estimate, prior_path)
+    prior.save_prior(estimate, run.output("prior.json"))
     print(f"{'class':>6} {'frequency':>12} {'effective':>12}")
     for i, (f, e) in enumerate(zip(freq, estimate.probs)):
         print(f"{i:>6} {f:>12.6f} {e:>12.6f}")
     print(f"estimator: {estimate.estimator}  samples: {estimate.samples}")
-    config = {"estimator": estimator, "target_prior": [float(v) for v in target]}
-    return out, config, inputs, [str(prior_path)]
+    return {"estimator": estimator, "target_prior": [float(v) for v in target]}
 
 
 # ---------------------------------------------------------------------------
@@ -506,59 +507,42 @@ def _adjustment_from_args(args, num_classes: int) -> adjust.AdjustmentSpec:
     return adjust.spec_from_estimate(args.method, estimate, target, alpha)
 
 
-def _load_scores(args, inputs: list[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Row ids, logits and labels from --logits, or from --model run on --data.
-
-    Appends the files read to ``inputs``.
-    """
+def _load_scores(args) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Row ids, logits and labels from --logits, or from --model run on --data."""
     if args.logits:
-        inputs.append(args.logits)
         return load_logit_dump(args.logits)
     if args.model and args.data:
-        inputs += [args.model, args.data]
         model, _ = load_model(args.model)
         ds = load_dataset(args.data, num_classes=model.num_classes)
         return [str(i) for i in range(ds.n)], predict_logits(model, ds.features), ds.labels
     raise UsageError(f"{args.command} needs --logits, or --model with --data")
 
 
-def cmd_adjust(args) -> RunRecord:
-    inputs = []
-    ids, logits, labels = _load_scores(args, inputs)
-    if args.prior:
-        inputs.append(args.prior)
-    if args.counts:
-        inputs.append(args.counts)
+def cmd_adjust(args, run: RunDir) -> dict:
+    ids, logits, labels = _load_scores(args)
     spec = _adjustment_from_args(args, logits.shape[1])
     adjusted = adjust.adjust_logits(logits, spec)
 
-    out = _run_dir(args.out, {"method": args.method})
-    dump_path = out / "adjusted_logits.csv"
-    save_logit_dump(ids, adjusted, labels, dump_path)
-    spec_path = out / "adjustment.json"
-    adjust.save_spec(spec, spec_path)
+    save_logit_dump(ids, adjusted, labels, run.output("adjusted_logits.csv"))
+    adjust.save_spec(spec, run.output("adjustment.json"))
     acc_before = evaluation.top1_accuracy(np.argmax(logits, axis=1), labels)
     acc_after = evaluation.top1_accuracy(np.argmax(adjusted, axis=1), labels)
     print(f"top-1 before adjustment: {acc_before:.4f}")
     print(f"top-1 after adjustment:  {acc_after:.4f}")
-    config = {"method": args.method, "spec": spec.to_json()}
-    return out, config, inputs, [str(dump_path), str(spec_path)]
+    return {"method": args.method, "spec": spec.to_json()}
 
 
 # ---------------------------------------------------------------------------
 # eval
 
 
-def cmd_eval(args) -> RunRecord:
-    inputs = []
-    _, logits, labels = _load_scores(args, inputs)
+def cmd_eval(args, run: RunDir) -> dict:
+    _, logits, labels = _load_scores(args)
     provenance = (
         {"logits": args.logits} if args.logits else {"model": args.model, "data": args.data}
     )
     target = _resolve_target(args.target_prior, logits.shape[1])
     train_counts = load_counts(args.train_counts) if args.train_counts else None
-    if args.train_counts:
-        inputs.append(args.train_counts)
     report = evaluation.build_report(
         np.argmax(logits, axis=1),
         labels,
@@ -568,14 +552,10 @@ def cmd_eval(args) -> RunRecord:
         thresholds=args.groups,
         provenance=provenance,
     )
-    out = _run_dir(args.out, {"eval": provenance})
-    outputs = []
     for fmt, name in (("json", "report.json"), ("csv", "report.csv"), ("table-text", "report.txt")):
-        path = out / name
-        evaluation.emit_report(report, fmt, path)
-        outputs.append(str(path))
-    print((out / "report.txt").read_text(), end="")
-    return out, {"target_prior": [float(v) for v in target]}, inputs, outputs
+        evaluation.emit_report(report, fmt, run.output(name))
+    print((run.path / "report.txt").read_text(), end="")
+    return {"target_prior": [float(v) for v in target]}
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +598,7 @@ def run_toy_trial(cfg: ToyConfig, trial: int) -> dict:
     train_cfg = TrainConfig(
         learning_rate=cfg.learning_rate,
         iterations=cfg.iterations,
-        batch_size=cfg.batch_size or ds_train.n,
+        batch_size=ds_train.n if cfg.batch_size is None else cfg.batch_size,
         seed=base.child(2),
         schedule=cfg.schedule,
     )
@@ -717,18 +697,14 @@ def toy_experiment(cfg: ToyConfig, workers: int = 1) -> dict:
     return summary
 
 
-def cmd_toy_experiment(args) -> RunRecord:
-    flags = _resolve({}, args, asdict(ToyConfig()))
+def cmd_toy_experiment(args, run: RunDir) -> dict:
+    flags = _resolve(args, asdict(ToyConfig()))
     flags["seed"] = _master_seed(args.seed)
     cfg = ToyConfig(**flags)
     summary = toy_experiment(cfg, workers=args.workers)
     trial0 = summary.pop("_trial0")
 
-    out = _run_dir(args.out, summary["config"])
-    outputs = []
-    summary_path = out / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=1) + "\n")
-    outputs.append(str(summary_path))
+    run.output("summary.json").write_text(json.dumps(summary, indent=1) + "\n")
 
     csv_lines = ["variant,balanced_mean,balanced_std,offset_abs_mean,offset_abs_std,prior_l1_mean"]
     for name in TOY_VARIANTS:
@@ -739,23 +715,17 @@ def cmd_toy_experiment(args) -> RunRecord:
         )
     b = summary["bayes"]
     csv_lines.append(f"bayes,{b['balanced_mean']!r},{b['balanced_std']!r},,,")
-    csv_path = out / "summary.csv"
-    csv_path.write_text("\n".join(csv_lines) + "\n")
-    outputs.append(str(csv_path))
-
-    boundary_path = out / "boundary_trial0.csv"
+    run.output("summary.csv").write_text("\n".join(csv_lines) + "\n")
     evaluation.export_boundary_data(
         [(name, trial0["models"][name]) for name in TOY_VARIANTS],
         toy_mixture(),
         np.full(2, 0.5),
-        boundary_path,
+        run.output("boundary_trial0.csv"),
     )
-    outputs.append(str(boundary_path))
-    bars_path = out / "prior_bars_trial0.csv"
     evaluation.export_prior_bars(
-        trial0["freq_prior"], trial0["effective_prior"], cfg.train_counts(), bars_path
+        trial0["freq_prior"], trial0["effective_prior"], cfg.train_counts(),
+        run.output("prior_bars_trial0.csv"),
     )
-    outputs.append(str(bars_path))
 
     # a singleton run has no spread to report
     std_of = (
@@ -775,7 +745,7 @@ def cmd_toy_experiment(args) -> RunRecord:
     print(f"p2p within 1 point of bayes: {'PASS' if o['p2p_within_1pt_of_bayes'] else 'FAIL'}")
     e = summary["effective_prior"]
     print(f"effective head prior exceeds frequency in {e['head_exceeds_frequency_trials']}/{e['trials']} trials")
-    return out, summary["config"], [], outputs
+    return summary["config"]
 
 
 # ---------------------------------------------------------------------------
@@ -836,13 +806,14 @@ def shift_eval_rows(
     return rows
 
 
-def cmd_shift_eval(args) -> RunRecord:
+def cmd_shift_eval(args, run: RunDir) -> dict:
     model, provenance = load_model(args.model)
     ds_train = load_dataset(args.train_data, num_classes=model.num_classes)
     estimate = prior.effective_prior_train(
         _train_side_posteriors(model, provenance, ds_train.features)
     )
     ratios, directions = args.ratios, args.directions  # ShiftSpec validates each
+    seed = _master_seed(args.seed)
     rows = shift_eval_rows(
         model,
         provenance,
@@ -852,10 +823,9 @@ def cmd_shift_eval(args) -> RunRecord:
         ratios,
         args.test_samples,
         args.trials,
-        RngStream(_master_seed(args.seed)),
+        RngStream(seed),
         alpha=args.alpha,
     )
-    out = _run_dir(args.out, {"ratios": ratios, "directions": directions})
     lines = ["direction,ratio,unadjusted_mean,adjusted_mean"]
     print(f"{'shift':>14} {'unadjusted':>12} {'adjusted':>12}")
     for row in rows:
@@ -865,10 +835,8 @@ def cmd_shift_eval(args) -> RunRecord:
         )
         label = f"{row['direction']}@{row['ratio']:g}"
         print(f"{label:>14} {row['unadjusted_mean']:>12.4f} {row['adjusted_mean']:>12.4f}")
-    table_path = out / "shift_eval.csv"
-    table_path.write_text("\n".join(lines) + "\n")
-    config = {"ratios": ratios, "directions": directions, "trials": args.trials}
-    return out, config, [args.model, args.train_data], [str(table_path)]
+    run.output("shift_eval.csv").write_text("\n".join(lines) + "\n")
+    return {"ratios": ratios, "directions": directions, "trials": args.trials, "seed": seed}
 
 
 # ---------------------------------------------------------------------------
@@ -937,37 +905,33 @@ def ingest_logits(
     }
 
 
-def cmd_ingest_logits(args) -> RunRecord:
+def cmd_ingest_logits(args, run: RunDir) -> dict:
     ids, logits, labels = load_logit_dump(args.logits)
-    inputs = [args.logits]
     target = _resolve_target(args.target_prior, logits.shape[1])
     if args.target_prior is None:
         _notice("no --target-prior given; defaulting to uniform")
     train_dump = None
     train_counts = None
     if args.train_logits:
-        inputs.append(args.train_logits)
         train_dump = load_logit_dump(args.train_logits)[1:]  # (logits, labels)
         if args.counts is None:
             raise UsageError("--train-logits needs --counts metadata")
         train_counts = load_counts(args.counts)
-        inputs.append(args.counts)
+    seed = _master_seed(args.seed)
     result = ingest_logits(
         ids,
         logits,
         labels,
         args.split,
-        RngStream(_master_seed(args.seed)).child(17),
+        RngStream(seed).child(17),
         target,
         args.grid,
         train_dump=train_dump,
         train_counts=train_counts,
     )
-    out = _run_dir(args.out, {"split": args.split})
-    prior_path = out / "prior.json"
-    prior.save_prior(result["estimate"], prior_path)
-    dump_path = out / "adjusted_logits.csv"
-    save_logit_dump(result["rest_ids"], result["adjusted_logits"], result["rest_labels"], dump_path)
+    prior.save_prior(result["estimate"], run.output("prior.json"))
+    dump = run.output("adjusted_logits.csv")
+    save_logit_dump(result["rest_ids"], result["adjusted_logits"], result["rest_labels"], dump)
     report = {
         "val_size": result["val_size"],
         "alpha": result["alpha"],
@@ -976,38 +940,32 @@ def cmd_ingest_logits(args) -> RunRecord:
         "delta": result["top1_after"] - result["top1_before"],
         "alpha_curve": result["curve"],
     }
-    report_path = out / "ingest_report.json"
-    report_path.write_text(json.dumps(report, indent=1) + "\n")
+    run.output("ingest_report.json").write_text(json.dumps(report, indent=1) + "\n")
     print(f"holdout split: {result['val_size']} rows; tuned alpha = {result['alpha']:g}")
     print(f"top-1 before: {result['top1_before']:.4f}  after: {result['top1_after']:.4f}  "
           f"delta: {report['delta']:+.4f}")
-    outputs = [str(prior_path), str(dump_path), str(report_path)]
-    return out, {"split": args.split, "alpha": result["alpha"]}, inputs, outputs
+    return {"split": args.split, "alpha": result["alpha"], "seed": seed}
 
 
 # ---------------------------------------------------------------------------
 # sweep-alpha
 
 
-def cmd_sweep_alpha(args) -> RunRecord:
-    inputs = [args.prior]
+def cmd_sweep_alpha(args, run: RunDir) -> dict:
     estimate = prior.load_prior(args.prior)
-    _, logits, labels = _load_scores(args, inputs)
+    _, logits, labels = _load_scores(args)
     target = _resolve_target(args.target_prior, logits.shape[1])
     alpha, curve = prior.tune_alpha_on_logits(
         logits, labels, args.method, estimate, args.grid, target
     )
-    out = _run_dir(args.out, {"method": args.method})
-    curve_path = out / "alpha_curve.csv"
-    curve_path.write_text(
+    run.output("alpha_curve.csv").write_text(
         "\n".join(["alpha,holdout_accuracy"] + [f"{a!r},{acc!r}" for a, acc in curve]) + "\n"
     )
-    chosen_path = out / "chosen_alpha.json"
-    chosen_path.write_text(json.dumps({"alpha": alpha}) + "\n")
+    run.output("chosen_alpha.json").write_text(json.dumps({"alpha": alpha}) + "\n")
     for a, acc in curve:
         print(f"alpha={a:g}: accuracy={acc:.4f}")
     print(f"chosen alpha: {alpha:g}")
-    return out, {"method": args.method}, inputs, [str(curve_path), str(chosen_path)]
+    return {"method": args.method}
 
 
 # ---------------------------------------------------------------------------
@@ -1022,29 +980,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"tailcal {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags that several subcommands share, each declared once
+    out, seed, target, scores = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    out.add_argument("--out")
+    seed.add_argument("--seed", type=int)
+    target.add_argument("--target-prior", type=_target_prior)
+    for flag in ("--logits", "--model", "--data"):
+        scores.add_argument(flag)
 
-    p = sub.add_parser("gen-data", help="synthesize long-tailed Gaussian-mixture datasets")
+    p = sub.add_parser("gen-data", parents=[out, seed],
+                       help="synthesize long-tailed Gaussian-mixture datasets")
     p.add_argument("--config")
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int)
     p.add_argument("--classes", type=int)
     p.add_argument("--dims", type=int)
     p.add_argument("--profile", choices=("exponential", "step", "explicit"))
-    p.add_argument("--max-count", type=int, dest="max_count")
+    p.add_argument("--max-count", type=int)
     p.add_argument("--imbalance", type=float)
     p.add_argument("--counts", type=_list_of(int, "integers"),
                    help="comma-separated explicit per-class counts")
-    p.add_argument("--val-per-class", type=int, dest="val_per_class")
-    p.add_argument("--test-per-class", type=int, dest="test_per_class")
-    p.add_argument("--shift-direction", choices=("forward", "backward", "uniform"), dest="shift_direction")
-    p.add_argument("--shift-ratio", type=float, dest="shift_ratio")
+    p.add_argument("--val-per-class", type=int)
+    p.add_argument("--test-per-class", type=int)
+    p.add_argument("--shift-direction", choices=("forward", "backward", "uniform"))
+    p.add_argument("--shift-ratio", type=float)
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train", help="stage-1 or stage-2 training")
+    p = sub.add_parser("train", parents=[out, seed], help="stage-1 or stage-2 training")
     p.add_argument("--config")
     p.add_argument("--data", required=True)
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int)
     p.add_argument("--stage", type=int, choices=(1, 2))
     p.add_argument("--mode", choices=("CL", "FT"))
     p.add_argument("--init", help="stage-1 model file for stage-2 runs")
@@ -1052,99 +1014,80 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float)
     p.add_argument("--lr", type=float)
     p.add_argument("--iterations", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
+    p.add_argument("--batch-size", type=int)
     p.add_argument("--schedule", choices=("constant", "cosine"))
     p.add_argument("--arch", choices=("linear", "mlp"))
     p.add_argument("--hidden", type=int)
     p.add_argument("--activation", choices=("relu", "tanh"))
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("estimate-prior", help="estimate the effective prior of a model")
+    p = sub.add_parser("estimate-prior", parents=[out, target],
+                       help="estimate the effective prior of a model")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--estimator", required=True,
                    choices=("train", "val", "train-reweighted", "averaged"))
-    p.add_argument("--train-data", dest="train_data")
-    p.add_argument("--target-prior", dest="target_prior", type=_target_prior)
-    p.add_argument("--out")
+    p.add_argument("--train-data")
     p.set_defaults(func=cmd_estimate_prior)
 
-    p = sub.add_parser("adjust", help="apply a post-hoc prior correction")
-    p.add_argument("--logits")
-    p.add_argument("--model")
-    p.add_argument("--data")
+    p = sub.add_parser("adjust", parents=[out, target, scores],
+                       help="apply a post-hoc prior correction")
     p.add_argument("--method", required=True,
                    choices=("class-frequency", "p2p-ce", "p2p-la", "none"))
     p.add_argument("--prior", help="effective-prior JSON for p2p methods")
     p.add_argument("--counts", help="counts JSON for class-frequency")
-    p.add_argument("--target-prior", dest="target_prior", type=_target_prior)
     p.add_argument("--alpha", type=float)
-    p.add_argument("--alpha-from-sweep", dest="alpha_from_sweep",
-                   help="chosen_alpha.json from a sweep-alpha run")
-    p.add_argument("--out")
+    p.add_argument("--alpha-from-sweep", help="chosen_alpha.json from a sweep-alpha run")
     p.set_defaults(func=cmd_adjust)
 
-    p = sub.add_parser("eval", help="evaluate a logit dump or model on data")
-    p.add_argument("--logits")
-    p.add_argument("--model")
-    p.add_argument("--data")
-    p.add_argument("--target-prior", dest="target_prior", type=_target_prior)
-    p.add_argument("--train-counts", dest="train_counts")
+    p = sub.add_parser("eval", parents=[out, target, scores],
+                       help="evaluate a logit dump or model on data")
+    p.add_argument("--train-counts")
     p.add_argument("--groups", type=_group_thresholds, help="many_min,few_max thresholds")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("toy-experiment", help="seeded multi-trial toy comparison")
+    p = sub.add_parser("toy-experiment", parents=[out, seed],
+                       help="seeded multi-trial toy comparison")
     p.add_argument("--trials", type=int)
     p.add_argument("--samples", type=int)
     p.add_argument("--imbalance", type=float)
-    p.add_argument("--test-samples", type=int, dest="test_samples")
+    p.add_argument("--test-samples", type=int)
     p.add_argument("--alpha", type=float)
     p.add_argument("--lr", type=float, dest="learning_rate")
     p.add_argument("--iterations", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
+    p.add_argument("--batch-size", type=int)
     p.add_argument("--schedule", choices=("constant", "cosine"))
     p.add_argument("--workers", type=_positive_int, default=1)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_toy_experiment)
 
-    p = sub.add_parser("shift-eval", help="evaluate under shifted test priors")
+    p = sub.add_parser("shift-eval", parents=[out, seed], help="evaluate under shifted test priors")
     p.add_argument("--model", required=True)
-    p.add_argument("--train-data", required=True, dest="train_data",
+    p.add_argument("--train-data", required=True,
                    help="training CSV for the effective-prior estimate")
     p.add_argument("--directions", type=_list_of(str, "names"), default="forward,backward")
     p.add_argument("--ratios", type=_list_of(_finite_float, "numbers"), default="5,10,50")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--test-samples", type=int, default=10000, dest="test_samples")
+    p.add_argument("--trials", type=_positive_int, default=20)
+    p.add_argument("--test-samples", type=int, default=10000)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_shift_eval)
 
-    p = sub.add_parser("ingest-logits", help="correct an externally produced logit dump")
+    p = sub.add_parser("ingest-logits", parents=[out, seed, target],
+                       help="correct an externally produced logit dump")
     p.add_argument("--logits", required=True)
     p.add_argument("--split", type=float, default=0.2, help="holdout fraction for estimation")
-    p.add_argument("--train-logits", dest="train_logits")
+    p.add_argument("--train-logits")
     p.add_argument("--counts", help="training counts JSON for the train-side estimate")
-    p.add_argument("--target-prior", dest="target_prior", type=_target_prior)
     p.add_argument("--grid", type=_list_of(_finite_float, "numbers"),
                    default=prior.DEFAULT_ALPHA_GRID, help="comma-separated alpha grid")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_ingest_logits)
 
-    p = sub.add_parser("sweep-alpha", help="grid-search the estimate exponent")
+    p = sub.add_parser("sweep-alpha", parents=[out, target, scores],
+                       help="grid-search the estimate exponent")
     p.add_argument("--prior", required=True)
     p.add_argument("--method", default="p2p-ce",
                    choices=("class-frequency", "p2p-ce", "p2p-la"))
-    p.add_argument("--logits")
-    p.add_argument("--model")
-    p.add_argument("--data")
-    p.add_argument("--target-prior", dest="target_prior", type=_target_prior)
     p.add_argument("--grid", type=_list_of(_finite_float, "numbers"),
                    default=prior.DEFAULT_ALPHA_GRID)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_sweep_alpha)
 
     return parser
@@ -1152,12 +1095,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.time()
     try:
-        out, config, inputs, outputs = args.func(args)
-        write_manifest(out, args.command, argv, config, inputs, outputs, started)
+        inputs = {
+            path: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            for flag in INPUT_FLAGS
+            if isinstance(path := getattr(args, flag, None), str)
+            and not (flag == "target_prior" and path == "uniform")
+        }
+        if args.out:
+            run = RunDir(Path(args.out))
+        else:
+            stamp = datetime.now(timezone.utc).strftime("%Y%m%d-%H%M%S")
+            digest = hashlib.sha256(json.dumps(argv).encode()).hexdigest()[:8]
+            run = RunDir(Path("runs") / f"{stamp}-{digest}")
+        config = args.func(args, run)
+        write_manifest(run, args.command, argv, config, inputs, started)
         return 0
     except TailcalError as exc:
         print(f"error: {exc}", file=sys.stderr)

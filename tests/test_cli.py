@@ -1,8 +1,10 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -383,6 +385,114 @@ def test_manifest_records_inputs_and_outputs(small_run):
     assert manifest["config"]["seed"] == 77
 
 
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_manifest_inputs_are_the_named_files_as_read(small_run):
+    (small_run / "cfg.json").write_text('{"counts": [90, 10], "val_per_class": 5, "test_per_class": 5}')
+    prior.save_prior(prior.EffectivePrior(np.array([0.9, 0.1]), "train-side", 10), "p.json")
+    (small_run / "chosen.json").write_text('{"alpha": 0.5}')
+    runs = [  # (argv, the files it names)
+        (["gen-data", "--config", "cfg.json", "--out", "g"], ["cfg.json"]),
+        (["estimate-prior", "--model", "stage1/model.json", "--data", "data/train.csv",
+          "--estimator", "train-reweighted", "--target-prior", "data/counts.json", "--out", "e"],
+         ["stage1/model.json", "data/train.csv", "data/counts.json"]),
+        (["adjust", "--model", "stage1/model.json", "--data", "data/test.csv", "--method",
+          "p2p-ce", "--prior", "p.json", "--alpha-from-sweep", "chosen.json", "--out", "a"],
+         ["stage1/model.json", "data/test.csv", "p.json", "chosen.json"]),
+        # --out rewrites the very --logits file it reads
+        (["adjust", "--logits", "a/adjusted_logits.csv", "--method", "p2p-ce",
+          "--prior", "p.json", "--alpha", "1.0", "--out", "a"], ["a/adjusted_logits.csv", "p.json"]),
+    ]
+    for argv, named in runs:
+        before = {path: _sha256(path) for path in named}
+        assert run_cli(*argv) == 0
+        out = argv[argv.index("--out") + 1]
+        assert load_manifest(small_run / out / "manifest.json")["inputs"] == before, argv
+    assert _sha256("a/adjusted_logits.csv") != before["a/adjusted_logits.csv"]
+
+
+def test_named_but_unused_missing_file_exits_3_before_any_work(small_run, capsys):
+    code = run_cli(
+        "estimate-prior", "--model", "stage1/model.json", "--data", "data/train.csv",
+        "--estimator", "train", "--train-data", "missing.csv", "--out", "unused",
+    )
+    assert code == 3
+    assert "missing.csv" in capsys.readouterr().err
+    assert not (small_run / "unused").exists()
+
+
+def test_seeded_commands_record_the_seed_from_the_environment(small_run, monkeypatch):
+    gen = RngStream(8).generator()
+    save_logit_dump([str(i) for i in range(60)], gen.normal(size=(60, 2)), np.arange(60) % 2,
+                    "dump.csv")
+    monkeypatch.setenv("TAILCAL_SEED", "5")
+    assert run_cli(
+        "shift-eval", "--model", "stage1/model.json", "--train-data", "data/train.csv",
+        "--ratios", "5", "--trials", "1", "--test-samples", "100", "--out", "shift",
+    ) == 0
+    assert run_cli("ingest-logits", "--logits", "dump.csv", "--out", "ingest") == 0
+    for out in ("shift", "ingest"):
+        assert load_manifest(small_run / out / "manifest.json")["config"]["seed"] == 5
+
+
+def test_failed_run_in_a_reused_out_leaves_no_manifest(workdir, monkeypatch):
+    argv = ["gen-data", "--counts", "90,10", "--val-per-class", "5", "--test-per-class", "5",
+            "--out", "d"]
+    assert run_cli(*argv) == 0
+    assert sorted(p.name for p in (workdir / "d").iterdir()) == [
+        "counts.json", "manifest.json", "test.csv", "train.csv", "val.csv"
+    ]
+
+    def full_disk(counts, path):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr("tailcal.cli.save_counts", full_disk)
+    assert run_cli(*argv) == 3
+    assert (workdir / "d" / "test.csv").exists()
+    assert not (workdir / "d" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, body", [
+    ("gen-data", {"classes": "abc"}),
+    ("gen-data", {"imbalance": [100]}),
+    ("gen-data", {"counts": [90, "x"]}),
+    ("gen-data", {"means": [[0, 0], [1]]}),
+    ("gen-data", {"seed": 1.5}),
+    ("train", {"lr": "fast"}),
+    ("train", {"iterations": True}),
+    ("train", {"batch_size": "full"}),
+])
+def test_wrong_typed_config_value_exits_2_naming_the_key(small_run, capsys, command, body):
+    (small_run / "bad.json").write_text(json.dumps(body))
+    data = ["--data", "data/train.csv"] if command == "train" else []
+    assert run_cli(command, "--config", "bad.json", *data, "--out", "x") == 2
+    err = capsys.readouterr().err
+    assert repr(next(iter(body))) in err
+    assert "Traceback" not in err
+    assert not (small_run / "x").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--data", "data/train.csv", "--batch-size", "0"],
+    ["train", "--data", "data/train.csv", "--config", "zero.json"],
+    ["toy-experiment", "--trials", "1", "--samples", "200", "--test-samples", "100",
+     "--batch-size", "0"],
+    ["shift-eval", "--model", "stage1/model.json", "--train-data", "data/train.csv",
+     "--trials", "0"],
+])
+def test_zero_batch_size_or_trials_exits_2(small_run, capsys, argv):
+    (small_run / "zero.json").write_text('{"batch_size": 0}')
+    try:
+        code = run_cli(*argv, "--out", "x")
+    except SystemExit as exc:  # argparse rejects the value
+        code = exc.code
+    assert code == 2
+    assert ("--trials" if argv[0] == "shift-eval" else "batch size") in capsys.readouterr().err
+    assert not (small_run / "x").exists()
+
+
 def test_pipeline_files_match_in_process(small_run):
     """train -> estimate-prior -> adjust -> eval via files equals the
     in-process pipeline to 1e-12 on every reported number."""
@@ -548,6 +658,9 @@ FLAG_CASES = {
     "--workers": (["toy-experiment", "--trials", "2", "--samples", "200", "--test-samples", "100",
                    "--iterations", "5"], ["1", "2"]),
     "--split": (["ingest-logits", "--logits", "{dump2}"], ["0.2", "0.5"]),
+    "--trials": (["shift-eval", "--model", "{model}", "--train-data", "{train}",
+                  "--test-samples", "40", "--ratios", "2"], ["1", "2"]),
+    "--batch-size": (["train", "--data", "{train}", "--iterations", "5"], ["16", "80"]),
 }
 MALFORMED = ["", ",", "x", "x,y", "5", "-1", "0", "1,2,3", "[0.5,", "[0.5,0.5]", "[]",
              "[1,-1]", "[0, 0]", "{}", "nan", "inf", "1e400", "sideways", "0.2,", "-"]

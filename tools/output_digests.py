@@ -7,9 +7,10 @@ Run from anywhere:
 It runs a small chain of ``python -m tailcal`` processes against the
 ``src/`` tree next to this script: gen-data (2- and 10-class), stage-1
 linear and MLP training, stage-2 CL and FT, estimate-prior with all four
-estimators, adjust with all four methods, eval by both input routes,
-sweep-alpha, toy-experiment, shift-eval and ingest-logits with a train-side
-dump. It then prints one ``sha256  path`` line per output file and per
+estimators and with a counts-file target prior, adjust with all four methods,
+eval by both input routes, sweep-alpha, toy-experiment, shift-eval and
+ingest-logits with a train-side dump; one gen-data run reads ``cfg.json``,
+which the script writes first. It then prints one ``sha256  path`` line per output file and per
 command's stdout, sorted, except ``manifest.json``; each manifest
 contributes its ``config``, ``inputs`` and ``outputs`` objects instead,
 because its wall clock and timestamp differ between runs.
@@ -32,6 +33,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SEED = "7"
+CONFIG = {"counts": [450, 50], "val_per_class": 20, "test_per_class": 30, "seed": 7}
 
 CHAIN = [
     ["gen-data", "--out", "d2", "--seed", SEED, "--counts", "1960,40",
@@ -39,6 +41,7 @@ CHAIN = [
     ["gen-data", "--out", "d10", "--seed", SEED, "--classes", "10", "--dims", "4",
      "--max-count", "300", "--imbalance", "10", "--val-per-class", "30",
      "--test-per-class", "30"],
+    ["gen-data", "--config", "cfg.json", "--out", "dcfg", "--test-per-class", "40"],
     ["train", "--data", "d2/train.csv", "--out", "s1", "--seed", SEED],
     ["train", "--data", "d10/train.csv", "--out", "m10", "--seed", SEED, "--arch", "mlp",
      "--hidden", "8", "--lr", "0.5", "--iterations", "30", "--batch-size", "256"],
@@ -52,6 +55,9 @@ CHAIN = [
      "--estimator", "val", "--out", "est_val"],
     ["estimate-prior", "--model", "s2ft/model.json", "--data", "d2/train.csv",
      "--estimator", "train-reweighted", "--target-prior", "uniform", "--out", "est_rw"],
+    ["estimate-prior", "--model", "s2ft/model.json", "--data", "d2/train.csv",
+     "--estimator", "train-reweighted", "--target-prior", "d2/counts.json",
+     "--out", "est_counts"],
     ["estimate-prior", "--model", "s2ft/model.json", "--data", "d2/val.csv",
      "--train-data", "d2/train.csv", "--estimator", "averaged", "--out", "est_avg"],
     ["adjust", "--model", "s1/model.json", "--data", "d2/test.csv", "--method", "none",
@@ -88,6 +94,7 @@ def run_chain(work: Path) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("TAILCAL_SEED", None)
     lines = []
+    (work / "cfg.json").write_text(json.dumps(CONFIG) + "\n")
     for argv in CHAIN:
         proc = subprocess.run(
             [sys.executable, "-m", "tailcal", *argv],
