@@ -133,7 +133,8 @@ def _resolve(args, defaults: dict) -> dict:
     """Flags beat the --config file, which beats defaults; keys are the defaults'.
 
     A config value must have its default's type (an int may stand for a
-    float, and a list must hold numbers); anything else is a usage error.
+    float, a list must hold numbers and ``counts`` integers) and be one of
+    its flag's ``choices``, if it has any; anything else is a usage error.
     """
     out = dict(defaults)
     path = getattr(args, "config", None)
@@ -156,6 +157,14 @@ def _resolve(args, defaults: dict) -> dict:
                 raise UsageError(
                     f"config {path}: key {key!r} must be {kind.__name__}, got {value!r}"
                 ) from None
+            if key == "counts" and not all(type(v) is int for v in value):
+                raise UsageError(f"config {path}: key 'counts' must hold integers, got {value!r}")
+            choices = args.choices.get(key)
+            if choices is not None and value not in choices:
+                raise UsageError(
+                    f"config {path}: key {key!r} must be one of "
+                    f"{', '.join(map(str, choices))}, got {value!r}"
+                )
             out[key] = value
     out.update({k: v for k, v in vars(args).items() if k in defaults and v is not None})
     return out
@@ -1090,6 +1099,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default=prior.DEFAULT_ALPHA_GRID)
     p.set_defaults(func=cmd_sweep_alpha)
 
+    # every subcommand's flag choices, which _resolve also applies to --config values
+    for p in sub.choices.values():
+        p.set_defaults(choices={a.dest: a.choices for a in p._actions if a.choices})
     return parser
 
 

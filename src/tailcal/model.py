@@ -252,7 +252,11 @@ def model_parameters(model: Model) -> list[np.ndarray]:
 def batch_loss_and_grads(
     model: Model, features: np.ndarray, labels: np.ndarray, loss: LossSpec
 ) -> tuple[float, list[np.ndarray]]:
-    """Mean loss over a batch plus gradients aligned with model_parameters."""
+    """Mean loss over a batch plus gradients aligned with model_parameters.
+
+    Labels must lie in [0, C); :func:`train` passes those of a validated
+    :class:`LabeledDataset`, so they are not checked again on each step.
+    """
     x = as_matrix(features)
     y = np.asarray(labels, dtype=np.int64)
     n = x.shape[0]
@@ -266,10 +270,11 @@ def batch_loss_and_grads(
         hidden = _activate(pre, model.activation)
         z = hidden @ model.head.weights.T + model.head.biases + shift
     lse = log_sum_exp_rows(z)
-    rows = np.arange(n)
-    mean_loss = float(np.mean(lse - z[rows, y]))
+    # z and g are fresh C-contiguous arrays, so ravel() is a view of each
+    true_class = np.arange(n) * model.num_classes + y
+    mean_loss = float(np.mean(lse - z.ravel()[true_class]))
     g = np.exp(z - lse[:, None])
-    g[rows, y] -= 1.0
+    g.ravel()[true_class] -= 1.0
     g /= n
     if isinstance(model, LinearSoftmaxModel):
         return mean_loss, [g.T @ x, g.sum(axis=0)]
@@ -327,7 +332,7 @@ def train(
                 break
             batch = perm[start : start + cfg.batch_size]
             batch_loss, grads = batch_loss_and_grads(
-                model, ds.features[batch], ds.labels[batch], loss
+                model, np.take(ds.features, batch, axis=0), ds.labels[batch], loss
             )
             if not np.isfinite(batch_loss):
                 raise DivergenceError(

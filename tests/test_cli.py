@@ -463,6 +463,7 @@ def test_failed_run_in_a_reused_out_leaves_no_manifest(workdir, monkeypatch):
     ("train", {"lr": "fast"}),
     ("train", {"iterations": True}),
     ("train", {"batch_size": "full"}),
+    ("gen-data", {"counts": [90.7, 10.2]}),
 ])
 def test_wrong_typed_config_value_exits_2_naming_the_key(small_run, capsys, command, body):
     (small_run / "bad.json").write_text(json.dumps(body))
@@ -470,6 +471,26 @@ def test_wrong_typed_config_value_exits_2_naming_the_key(small_run, capsys, comm
     assert run_cli(command, "--config", "bad.json", *data, "--out", "x") == 2
     err = capsys.readouterr().err
     assert repr(next(iter(body))) in err
+    assert "Traceback" not in err
+    assert not (small_run / "x").exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("train", "loss", "focal"),
+    ("train", "arch", "cnn"),
+    ("train", "stage", 3),
+    ("train", "mode", "XX"),
+    ("train", "activation", "sigmoid"),
+    ("train", "schedule", "linear"),
+    ("gen-data", "profile", "zipf"),
+    ("gen-data", "shift_direction", "sideways"),
+])
+def test_config_value_outside_the_flag_choices_exits_2(small_run, capsys, command, key, value):
+    (small_run / "bad.json").write_text(json.dumps({key: value}))
+    data = ["--data", "data/train.csv"] if command == "train" else []
+    assert run_cli(command, "--config", "bad.json", *data, "--out", "x") == 2
+    err = capsys.readouterr().err
+    assert "bad.json" in err and repr(key) in err and repr(value) in err
     assert "Traceback" not in err
     assert not (small_run / "x").exists()
 

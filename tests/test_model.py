@@ -9,6 +9,7 @@ from tailcal.errors import (
     DimensionError,
     DivergenceError,
     ModelFormatError,
+    NumericInputError,
 )
 from tailcal.model import (
     LinearSoftmaxModel,
@@ -169,6 +170,89 @@ def test_gradients_match_central_differences(family, loss_kind, rng):
             np.linalg.norm(analytic), np.linalg.norm(numeric)
         )
         assert rel < 1e-5
+
+
+def _row_indexed_loss_and_grads(model, x, y, loss):
+    """batch_loss_and_grads written with m.max(axis=1) and z[rows, y]."""
+    c = model.num_classes
+    shift = loss.alpha * np.log(loss.prior) if loss.kind == "logit-adjusted" else np.zeros(c)
+    if isinstance(model, LinearSoftmaxModel):
+        hidden = x
+        z = x @ model.weights.T + model.biases + shift
+    else:
+        pre = x @ model.hidden_weights.T + model.hidden_biases
+        hidden = np.maximum(pre, 0.0) if model.activation == "relu" else np.tanh(pre)
+        z = hidden @ model.head.weights.T + model.head.biases + shift
+    n = x.shape[0]
+    mx = z.max(axis=1, keepdims=True)
+    lse = (mx + np.log(np.exp(z - mx).sum(axis=1, keepdims=True)))[:, 0]
+    rows = np.arange(n)
+    mean_loss = float(np.mean(lse - z[rows, y]))
+    g = np.exp(z - lse[:, None])
+    g[rows, y] -= 1.0
+    g /= n
+    if isinstance(model, LinearSoftmaxModel):
+        return mean_loss, [g.T @ x, g.sum(axis=0)]
+    if model.activation == "relu":
+        act_grad = (pre > 0.0).astype(np.float64)
+    else:
+        act_grad = 1.0 - np.tanh(pre) * np.tanh(pre)
+    d_hidden = (g @ model.head.weights) * act_grad
+    return mean_loss, [d_hidden.T @ x, d_hidden.sum(axis=0), g.T @ hidden, g.sum(axis=0)]
+
+
+@pytest.mark.parametrize("c", [2, 10])
+@pytest.mark.parametrize("loss_kind", ["plain-ce", "logit-adjusted"])
+@pytest.mark.parametrize("family", ["linear", "relu", "tanh"])
+def test_batch_loss_and_grads_match_the_row_indexed_form_bit_for_bit(family, loss_kind, c):
+    rng = np.random.default_rng(c)
+    d, n = 6, 257
+    if family == "linear":
+        model = LinearSoftmaxModel(rng.normal(size=(c, d)), rng.normal(size=c))
+    else:
+        model = MlpModel(
+            rng.normal(size=(8, d)), rng.normal(size=8), family,
+            LinearSoftmaxModel(rng.normal(size=(c, 8)), rng.normal(size=c)),
+        )
+    prior = rng.dirichlet(np.ones(c))
+    loss = LossSpec() if loss_kind == "plain-ce" else LossSpec(loss_kind, prior, alpha=1.3)
+    x = rng.normal(scale=3.0, size=(n, d))
+    y = rng.integers(0, c, size=n)
+    value, grads = batch_loss_and_grads(model, x, y, loss)
+    ref_value, ref_grads = _row_indexed_loss_and_grads(model, x, y, loss)
+    assert value == ref_value
+    assert len(grads) == len(ref_grads)
+    for g, ref in zip(grads, ref_grads):
+        assert np.array_equal(g, ref)
+
+
+@pytest.mark.parametrize("batch_size", [64, 300])
+def test_train_matches_the_gather_by_index_loop_bit_for_bit(batch_size):
+    ds = sample_dataset(separable_gmm(), [250, 50], RngStream(3))
+    cfg = small_cfg(iterations=12, batch_size=batch_size, learning_rate=5.0)
+    result = train(init_linear(2, 2), ds, LossSpec(), cfg)
+    model, gen, step = init_linear(2, 2), cfg.seed.generator(), 0
+    while step < cfg.iterations:
+        perm = gen.permutation(ds.n)
+        for start in range(0, ds.n, batch_size):
+            if step < cfg.iterations:
+                batch = perm[start : start + batch_size]
+                _, grads = _row_indexed_loss_and_grads(
+                    model, ds.features[batch], ds.labels[batch], LossSpec()
+                )
+                for param, grad in zip(model_parameters(model), grads):
+                    param -= cfg.learning_rate * grad
+                step += 1
+    for trained, ref in zip(model_parameters(result.model), model_parameters(model)):
+        assert np.array_equal(trained, ref)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_batch_loss_and_grads_rejects_nonfinite_features(bad):
+    x = np.zeros((4, 2))
+    x[2, 1] = bad
+    with pytest.raises(NumericInputError):
+        batch_loss_and_grads(init_linear(2, 2), x, np.array([0, 1, 0, 1]), LossSpec())
 
 
 def test_train_zero_iterations_returns_init(toy_train):

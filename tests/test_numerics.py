@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 
 from tailcal.errors import DimensionError, NormalizationError, NumericInputError
 from tailcal.numerics import (
+    FOLD_MAX_COLUMNS,
     RngStream,
     log_sum_exp,
+    log_sum_exp_rows,
     prob_vector,
     softmax,
+    softmax_rows,
 )
 
 finite_logits = st.lists(
@@ -48,6 +51,53 @@ def test_log_sum_exp_values():
     assert log_sum_exp([1000.0, 1000.0]) == pytest.approx(1000 + math.log(2))
     with pytest.raises(DimensionError):
         log_sum_exp([])
+
+
+ROW_WIDTHS = (2, 3, 10, FOLD_MAX_COLUMNS, FOLD_MAX_COLUMNS + 1, 32, 100)
+
+
+def _hard_rows(c: int, layout: str) -> np.ndarray:
+    """Random rows plus rows of ties, signed zeros and values near +-700."""
+    rng = np.random.default_rng(c)
+    rows = [rng.normal(scale=5.0, size=(64, c)), rng.integers(-2, 3, size=(64, c))]
+    rows.append(np.full((1, c), 3.5))
+    rows.append(np.where(np.arange(c) % 2, 0.0, -0.0)[None])
+    rows.append(np.where(np.arange(c) % 2, -0.0, 0.0)[None])
+    rows.append(np.where(np.arange(c) % 2, -1.0, 0.0)[None])
+    rows.append(np.where(np.arange(c) == c - 1, 700.0, 699.0)[None])
+    rows.append(np.where(np.arange(c) == 0, -700.0, -699.999)[None])
+    rows.append(np.linspace(-700.0, 700.0, c)[None])
+    rows.append(np.linspace(700.0, -700.0, c)[None])
+    m = np.concatenate(rows).astype(np.float64)
+    return np.asfortranarray(m) if layout == "F" else m
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shape and bytes: stricter than np.array_equal, which takes -0.0 == 0.0."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("c", ROW_WIDTHS)
+def test_row_kernels_match_the_row_max_formula_bit_for_bit(c, layout):
+    """Both branches of the row max give the bits of m.max(axis=1)."""
+    m = _hard_rows(c, layout)
+    mx = m.max(axis=1, keepdims=True)
+    lse = (mx + np.log(np.exp(m - mx).sum(axis=1, keepdims=True)))[:, 0]
+    e = np.exp(m - mx)
+    posts = e / e.sum(axis=1, keepdims=True)
+    assert _same_bits(log_sum_exp_rows(m), lse)
+    assert _same_bits(softmax_rows(m), posts)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_row_kernels_reject_nonfinite(bad):
+    m = np.zeros((3, 2))
+    m[1, 0] = bad
+    with pytest.raises(NumericInputError):
+        log_sum_exp_rows(m)
+    with pytest.raises(NumericInputError):
+        softmax_rows(m)
 
 
 def test_prob_vector_validation():
