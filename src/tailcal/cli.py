@@ -647,20 +647,31 @@ def run_toy_trial(cfg: ToyConfig, trial: int) -> dict:
     return result
 
 
-def toy_experiment(cfg: ToyConfig, workers: int = 1) -> dict:
-    """Run all trials (optionally across workers) and aggregate in trial order.
+def toy_workers(trials: int, workers: int | None = None) -> int:
+    """The thread count for ``trials`` toy trials: ``workers`` if given, else
+    one per usable CPU (the process's affinity mask where the OS has one), at
+    most one per trial."""
+    if workers is not None:
+        return workers
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:
+        usable = os.cpu_count() or 1
+    return min(trials, usable)
 
-    Per-trial streams are independent, so the aggregate is invariant to the
-    worker count.
+
+def toy_experiment(cfg: ToyConfig, workers: int | None = None) -> dict:
+    """Run all trials on a pool of ``workers`` threads and aggregate them in
+    trial order.
+
+    ``workers`` defaults to :func:`toy_workers`: one thread per usable CPU,
+    at most one per trial. Every trial draws only from its own per-trial
+    stream, so the aggregate has the same bits for any worker count.
     """
     if cfg.trials < 1:
         raise UsageError("need at least one trial")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trials = list(pool.map(lambda t: run_toy_trial(cfg, t), range(cfg.trials)))
-    else:
-        trials = [run_toy_trial(cfg, t) for t in range(cfg.trials)]
-    trials.sort(key=lambda r: r["trial"])
+    with ThreadPoolExecutor(max_workers=toy_workers(cfg.trials, workers)) as pool:
+        trials = list(pool.map(lambda t: run_toy_trial(cfg, t), range(cfg.trials)))
 
     config = asdict(cfg)
     del config["trials"]
@@ -710,7 +721,8 @@ def cmd_toy_experiment(args, run: RunDir) -> dict:
     flags = _resolve(args, asdict(ToyConfig()))
     flags["seed"] = _master_seed(args.seed)
     cfg = ToyConfig(**flags)
-    summary = toy_experiment(cfg, workers=args.workers)
+    workers = toy_workers(cfg.trials, args.workers)
+    summary = toy_experiment(cfg, workers)
     trial0 = summary.pop("_trial0")
 
     run.output("summary.json").write_text(json.dumps(summary, indent=1) + "\n")
@@ -754,7 +766,7 @@ def cmd_toy_experiment(args, run: RunDir) -> dict:
     print(f"p2p within 1 point of bayes: {'PASS' if o['p2p_within_1pt_of_bayes'] else 'FAIL'}")
     e = summary["effective_prior"]
     print(f"effective head prior exceeds frequency in {e['head_exceeds_frequency_trials']}/{e['trials']} trials")
-    return summary["config"]
+    return {**summary["config"], "workers": workers}
 
 
 # ---------------------------------------------------------------------------
@@ -1066,7 +1078,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--schedule", choices=("constant", "cosine"))
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_positive_int,
+                   help="trial threads (default: the usable CPUs, at most --trials)")
     p.set_defaults(func=cmd_toy_experiment)
 
     p = sub.add_parser("shift-eval", parents=[out, seed], help="evaluate under shifted test priors")

@@ -104,11 +104,29 @@ def _row_max(m: np.ndarray) -> np.ndarray:
     return mx[:, None]
 
 
+def _row_sum(e: np.ndarray) -> np.ndarray:
+    """The sum of each row of ``e`` as an (N, 1) column, in the bits of
+    ``e.sum(axis=1, keepdims=True)``.
+
+    Two terms add to the same bits in either order, so rows 2 wide are summed
+    over their column views: at N = 10 000 (2-core x86, numpy 2.4) that takes
+    about 15 us against about 230 us for numpy's reduction. numpy's sum
+    starts from +0.0, so the added 0.0 turns a -0.0 sum into +0.0 as it does.
+    Three or more terms round differently in another order, so wider rows
+    keep the reduction.
+    """
+    if e.shape[1] != 2:
+        return e.sum(axis=1, keepdims=True)
+    s = e[:, 0] + e[:, 1]
+    s += 0.0
+    return s[:, None]
+
+
 def log_sum_exp_rows(z) -> np.ndarray:
     """Row-wise log-sum-exp of a matrix."""
     m = as_matrix(z)
     mx = _row_max(m)
-    return (mx + np.log(np.exp(m - mx).sum(axis=1, keepdims=True)))[:, 0]
+    return (mx + np.log(_row_sum(np.exp(m - mx))))[:, 0]
 
 
 def softmax(z) -> np.ndarray:
@@ -130,7 +148,7 @@ def softmax_rows(z) -> np.ndarray:
     if m.shape[1] < 2:
         raise DimensionError("softmax needs >= 2 logits per row")
     e = np.exp(m - _row_max(m))
-    return e / e.sum(axis=1, keepdims=True)
+    return e / _row_sum(e)
 
 
 def _splitmix64(x: int) -> int:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import json
+import threading
 import time
 from pathlib import Path
 
@@ -11,12 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailcal import adjust, prior
+from tailcal import adjust, cli, prior
 from tailcal.cli import (
+    ToyConfig,
     load_logit_dump,
     load_manifest,
     main,
     save_logit_dump,
+    toy_workers,
 )
 from tailcal.dataset import load_dataset
 from tailcal.errors import ParseError
@@ -330,14 +333,67 @@ def test_toy_experiment_single_trial(workdir, capsys):
     assert len(bars) == 3
 
 
-def test_toy_experiment_worker_invariance(workdir):
+def test_toy_experiment_worker_invariance(workdir, capsys):
     args = ["toy-experiment", "--trials", "6", "--samples", "2000",
             "--test-samples", "1000", "--seed", "9"]
-    assert run_cli(*args, "--workers", "1", "--out", "w1") == 0
-    assert run_cli(*args, "--workers", "3", "--out", "w3") == 0
-    a = (workdir / "w1" / "summary.json").read_text()
-    b = (workdir / "w3" / "summary.json").read_text()
-    assert a == b
+    runs = {"w1": ["--workers", "1"], "w3": ["--workers", "3"], "default": []}
+    stdout = {}
+    for out, workers in runs.items():
+        assert run_cli(*args, *workers, "--out", out) == 0
+        stdout[out] = capsys.readouterr().out
+
+    def outputs(out):
+        return {
+            p.name: p.read_bytes()
+            for p in sorted((workdir / out).iterdir())
+            if p.name != "manifest.json"
+        }
+
+    assert outputs("w1") == outputs("w3") == outputs("default")
+    assert len(outputs("w1")) == 4
+    assert stdout["w1"] == stdout["w3"] == stdout["default"]
+    workers = {out: load_manifest(workdir / out / "manifest.json")["config"]["workers"]
+               for out in runs}
+    assert workers == {"w1": 1, "w3": 3, "default": toy_workers(6)}
+    assert "workers" not in json.loads((workdir / "w1" / "summary.json").read_text())["config"]
+
+
+@pytest.mark.parametrize("trials, expected", [(2, 2), (5, 3)])
+def test_toy_workers_default_to_the_usable_cpus_at_most_one_per_trial(
+    monkeypatch, trials, expected
+):
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert toy_workers(trials) == expected
+    assert toy_workers(trials, 7) == 7  # --workers pins the count
+
+
+def test_toy_experiment_runs_the_default_count_of_trials_at_once(monkeypatch):
+    """With 3 usable CPUs, 3 trials must all be in flight together: each one
+    waits at a 3-party barrier, which breaks if they run fewer at a time."""
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    barrier = threading.Barrier(3, timeout=30)
+    run_trial = cli.run_toy_trial
+
+    def trial_at_the_barrier(cfg, trial):
+        barrier.wait()
+        return run_trial(cfg, trial)
+
+    monkeypatch.setattr(cli, "run_toy_trial", trial_at_the_barrier)
+    cfg = ToyConfig(trials=3, samples=200, test_samples=100, iterations=5)
+    assert cli.toy_experiment(cfg)["trials"] == 3
+
+
+def test_toy_experiment_error_in_a_trial_thread_exits_2(workdir, capsys):
+    """A trial's UsageError is raised on a pool thread; main() still maps it."""
+    code = run_cli(
+        "toy-experiment", "--trials", "4", "--samples", "10", "--imbalance", "1e9",
+        "--out", "toy",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "imbalance too large" in err
+    assert "Traceback" not in err
+    assert not (workdir / "toy" / "manifest.json").exists()
 
 
 def test_shift_eval_uniform_matches_balanced_eval(small_run):

@@ -9,6 +9,7 @@ from tailcal.errors import DimensionError, NormalizationError, NumericInputError
 from tailcal.numerics import (
     FOLD_MAX_COLUMNS,
     RngStream,
+    _row_sum,
     log_sum_exp,
     log_sum_exp_rows,
     prob_vector,
@@ -80,12 +81,15 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 @pytest.mark.parametrize("layout", ["C", "F"])
 @pytest.mark.parametrize("c", ROW_WIDTHS)
 def test_row_kernels_match_the_row_max_formula_bit_for_bit(c, layout):
-    """Both branches of the row max give the bits of m.max(axis=1)."""
+    """Both branches of the row max give the bits of m.max(axis=1), and both
+    branches of the row sum the bits of e.sum(axis=1), signed zeros included."""
     m = _hard_rows(c, layout)
     mx = m.max(axis=1, keepdims=True)
     lse = (mx + np.log(np.exp(m - mx).sum(axis=1, keepdims=True)))[:, 0]
     e = np.exp(m - mx)
     posts = e / e.sum(axis=1, keepdims=True)
+    for rows in (e, m, -m):
+        assert _same_bits(_row_sum(rows), rows.sum(axis=1, keepdims=True))
     assert _same_bits(log_sum_exp_rows(m), lse)
     assert _same_bits(softmax_rows(m), posts)
 

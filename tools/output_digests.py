@@ -8,12 +8,15 @@ It runs a small chain of ``python -m tailcal`` processes against the
 ``src/`` tree next to this script: gen-data (2- and 10-class), stage-1
 linear and MLP training, stage-2 CL and FT, estimate-prior with all four
 estimators and with a counts-file target prior, adjust with all four methods,
-eval by both input routes, sweep-alpha, toy-experiment, shift-eval and
-ingest-logits with a train-side dump; one gen-data run reads ``cfg.json``,
-which the script writes first. It then prints one ``sha256  path`` line per output file and per
+eval by both input routes, sweep-alpha, toy-experiment with its default
+worker count and with ``--workers 1``, shift-eval and ingest-logits with a
+train-side dump; one gen-data run reads ``cfg.json``, which the script
+writes first. It then prints one ``sha256  path`` line per output file and per
 command's stdout, sorted, except ``manifest.json``; each manifest
 contributes its ``config``, ``inputs`` and ``outputs`` objects instead,
-because its wall clock and timestamp differ between runs.
+because its wall clock and timestamp differ between runs. The two
+toy-experiment runs print the same digests; their manifests differ only in
+``workers``, and the default one records the usable CPUs of the machine.
 
 Two trees produce the same outputs when this script prints the same text
 for both. Paths are relative to the work directory, which defaults to a
@@ -81,6 +84,8 @@ CHAIN = [
      "--out", "adj_sweep"],
     ["toy-experiment", "--trials", "3", "--samples", "2000", "--test-samples", "2000",
      "--seed", SEED, "--out", "toy"],
+    ["toy-experiment", "--trials", "3", "--samples", "2000", "--test-samples", "2000",
+     "--seed", SEED, "--workers", "1", "--out", "toy_w1"],
     ["shift-eval", "--model", "s2ft/model.json", "--train-data", "d2/train.csv",
      "--ratios", "5", "--trials", "2", "--test-samples", "1000", "--seed", SEED,
      "--out", "shift"],
