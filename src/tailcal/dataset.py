@@ -9,6 +9,7 @@ datasets through CSV at full float64 precision.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -274,13 +275,13 @@ def feature_mean(ds: LabeledDataset, label: int | None = None) -> np.ndarray:
 def _write_csv(path, header: list[str], values: np.ndarray, labels, ids=None) -> None:
     """Write the CSV format shared by datasets and logit dumps.
 
-    ``header`` first, then one ``[id,]v0,...,v{K-1},label`` line per row.
-    Floats go through ``repr``, the shortest decimal that round-trips a
-    float64 exactly. Lines are written one at a time, so the file's text is
+    ``header`` first, then one ``[id,]v0,...,v{K-1},label`` line per row, in
+    UTF-8. Floats go through ``repr``, the shortest decimal that round-trips
+    a float64 exactly. Lines are written one at a time, so the file's text is
     never held in memory whole.
     """
     prefixes = repeat("") if ids is None else (f"{i}," for i in ids)
-    with open(path, "w") as out:
+    with open(path, "w", encoding="utf-8") as out:
         out.write(",".join(header) + "\n")
         for prefix, row, label in zip(prefixes, values, labels):
             out.write(prefix + ",".join(map(repr, row.tolist())) + f",{int(label)}\n")
@@ -289,50 +290,71 @@ def _write_csv(path, header: list[str], values: np.ndarray, labels, ids=None) ->
 def _read_csv(path, check_header) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Parse the CSV format shared by datasets and logit dumps.
 
-    ``check_header(names)`` gets the split header line, raises ValueError
-    when its format rejects it, and returns ``(has_ids, num_classes)``:
-    whether the first column holds string row ids, and the exclusive bound
-    on labels (None: any int64). Every other column but the last holds
-    floats; the last holds an integer label. Blank lines are skipped. A
-    malformed row, a non-finite cell or an out-of-range label raises
-    :class:`ParseError` naming the file and the line. Returns
-    ``(ids, values, labels)``; ``ids`` is empty without an id column.
+    The file is UTF-8 text; other bytes raise :class:`ParseError` naming the
+    file. ``check_header(names)`` gets the split header line, raises
+    ValueError when its format rejects it, and returns ``(has_ids,
+    num_classes)``: whether the first column holds string row ids, and the
+    exclusive bound on labels (None: any int64). Every other column but the
+    last holds floats; the last holds an integer label. Every non-blank line
+    must have as many columns as the header; ``#`` is data, not a comment.
+    Blank lines are skipped. A malformed row, a non-finite cell or an
+    out-of-range label raises :class:`ParseError` naming the file and the
+    line. Returns ``(ids, values, labels)``; ``ids`` is empty without an id
+    column.
+
+    :func:`_parse_rows` defines the contract and writes every error.
+    :func:`_parse_rows_vectorised` is a faster read of the same contract: its
+    result is used only when it has passed every check, and any input it
+    cannot vouch for is parsed again by :func:`_parse_rows`.
     """
     path = Path(path)
-    with path.open() as lines:
-        first = lines.readline()
-        if not first.strip():
-            raise ParseError(f"{path}: no header")
-        names = first.rstrip("\n").split(",")
-        try:
-            has_ids, num_classes = check_header(names)
-        except ValueError as exc:
-            raise ParseError(f"{path}: line 1: {exc}") from exc
-        lead = 1 if has_ids else 0
-        bound = np.iinfo(np.int64).max if num_classes is None else num_classes
-        ids: list[str] = []
-        rows = []
-        labels = []
-        linenos = []
-        for lineno, line in enumerate(lines, start=2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != len(names):
-                raise ParseError(
-                    f"{path}: line {lineno}: expected {len(names)} columns, got {len(parts)}"
-                )
+    try:
+        with path.open(encoding="utf-8") as lines:
+            first = lines.readline()
+            if not first.strip():
+                raise ParseError(f"{path}: no header")
+            names = first.rstrip("\n").split(",")
             try:
-                rows.append([float(v) for v in parts[lead:-1]])
-                label = int(parts[-1])
+                has_ids, num_classes = check_header(names)
             except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-            if not 0 <= label < bound:
-                raise ParseError(f"{path}: line {lineno}: label {label} out of range [0, {bound})")
-            if has_ids:
-                ids.append(parts[0])
-            labels.append(label)
-            linenos.append(lineno)
+                raise ParseError(f"{path}: line 1: {exc}") from exc
+            bound = np.iinfo(np.int64).max if num_classes is None else num_classes
+            parsed = _parse_rows_vectorised(lines, names, has_ids, bound)
+            if parsed is None:
+                lines.seek(0)
+                lines.readline()
+                parsed = _parse_rows(path, lines, names, has_ids, bound)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    return parsed
+
+
+def _parse_rows(path: Path, lines, names: list[str], has_ids: bool, bound: int):
+    """Parse the data lines one at a time; the reference reading of the format."""
+    lead = 1 if has_ids else 0
+    ids: list[str] = []
+    rows = []
+    labels = []
+    linenos = []
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        parts = line.rstrip("\n").split(",")
+        if len(parts) != len(names):
+            raise ParseError(
+                f"{path}: line {lineno}: expected {len(names)} columns, got {len(parts)}"
+            )
+        try:
+            rows.append([float(v) for v in parts[lead:-1]])
+            label = int(parts[-1])
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+        if not 0 <= label < bound:
+            raise ParseError(f"{path}: line {lineno}: label {label} out of range [0, {bound})")
+        if has_ids:
+            ids.append(parts[0])
+        labels.append(label)
+        linenos.append(lineno)
     if not rows:
         raise ParseError(f"{path}: no data rows")
     values = np.asarray(rows, dtype=np.float64)
@@ -340,6 +362,40 @@ def _read_csv(path, check_header) -> tuple[list[str], np.ndarray, np.ndarray]:
     if not finite.all():
         raise ParseError(f"{path}: line {linenos[int(np.argmin(finite))]}: non-finite value")
     return ids, values, np.asarray(labels, dtype=np.int64)
+
+
+def _parse_rows_vectorised(lines, names: list[str], has_ids: bool, bound: int):
+    """Parse the data lines in one ``np.loadtxt`` pass, or return None.
+
+    Returns what :func:`_parse_rows` returns for input that passes every
+    check, and None for anything else, including every input it rejects.
+    ``loadtxt`` parses a subset of what ``float`` and ``int`` accept (no
+    ``1_0``, no float-valued labels) to the same values, and it skips only
+    empty lines, so a whitespace-only line fails its column count here.
+    """
+    width = len(names) - (2 if has_ids else 1)
+    fields = [("values", np.float64, (width,)), ("label", np.int64)]
+    if has_ids:
+        fields.insert(0, ("id", object))  # each cell as its str, untouched
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            # The dtype's field count is the column count every row must have;
+            # selecting columns with usecols would let extra ones pass unseen.
+            table = np.loadtxt(
+                lines, dtype=np.dtype(fields), delimiter=",", comments=None, ndmin=1
+            )
+    except ValueError:
+        return None
+    if table.size == 0:
+        return None
+    labels = table["label"].copy()
+    if labels.min() < 0 or labels.max() >= bound:
+        return None
+    values = table["values"].copy()
+    if not np.isfinite(values).all():
+        return None
+    return table["id"].tolist() if has_ids else [], values, labels
 
 
 def save_dataset(ds: LabeledDataset, path) -> None:

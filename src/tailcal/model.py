@@ -322,6 +322,11 @@ def train(
     if cfg.iterations == 0:
         return result
     gen = cfg.seed.generator()
+    # One gather buffer for every step: a fresh batch-sized array per step
+    # makes the allocator hand memory back to the OS and fault it in again.
+    # mode="clip" never clips a permutation's indices; the default "raise"
+    # would gather through a temporary array of the buffer's size.
+    buf = np.empty((cfg.batch_size, ds.dims))
     step = 0
     while step < cfg.iterations:
         perm = gen.permutation(ds.n)
@@ -331,9 +336,8 @@ def train(
             if step >= cfg.iterations:
                 break
             batch = perm[start : start + cfg.batch_size]
-            batch_loss, grads = batch_loss_and_grads(
-                model, np.take(ds.features, batch, axis=0), ds.labels[batch], loss
-            )
+            x = np.take(ds.features, batch, axis=0, out=buf[: batch.size], mode="clip")
+            batch_loss, grads = batch_loss_and_grads(model, x, ds.labels[batch], loss)
             if not np.isfinite(batch_loss):
                 raise DivergenceError(
                     f"non-finite loss at step {step}; lower the learning rate"

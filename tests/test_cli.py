@@ -314,6 +314,37 @@ def test_ingest_rejects_class_mismatch_counts(workdir, capsys):
     assert "classes" in capsys.readouterr().err
 
 
+# Per CSV format: its header, one valid data row, and a command that reads it.
+CSV_READERS = {
+    "dataset": ("f0,f1,label", "0.5,0.25,1", ("train", "--data")),
+    "dump": ("id,logit_0,logit_1,label", "r0,0.5,0.25,1", ("ingest-logits", "--logits")),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(CSV_READERS))
+@pytest.mark.parametrize("rows_before", [0, 2000])
+def test_non_utf8_csv_exits_3_naming_the_file(workdir, capsys, fmt, rows_before):
+    # 2000 rows put the bad byte past the first read buffer, past the header
+    header, row, command = CSV_READERS[fmt]
+    text = header + "\n" + (row + "\n") * rows_before
+    (workdir / "in.csv").write_bytes(text.encode() + row.replace("0.5", "\xff").encode("latin-1"))
+    assert run_cli(*command, "in.csv", "--out", "x") == 3
+    assert "in.csv: not UTF-8 text (invalid start byte)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", sorted(CSV_READERS))
+@pytest.mark.parametrize("change", ["extra", "missing"])
+def test_row_with_a_wrong_column_count_exits_3_naming_its_line(workdir, capsys, fmt, change):
+    header, row, command = CSV_READERS[fmt]
+    # an extra integer after the label still parses if the columns are not counted
+    bad = row + ",0" if change == "extra" else row.replace("0.25,", "")
+    (workdir / "in.csv").write_text(f"{header}\n{row}\n{bad}\n{row}\n")
+    assert run_cli(*command, "in.csv", "--out", "x") == 3
+    columns = header.count(",") + 1
+    got = columns + 1 if change == "extra" else columns - 1
+    assert f"in.csv: line 3: expected {columns} columns, got {got}" in capsys.readouterr().err
+
+
 def test_toy_experiment_single_trial(workdir, capsys):
     assert run_cli(
         "toy-experiment", "--trials", "1", "--samples", "2000",

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tailcal.dataset import (
     GaussianMixtureSpec,
     LabeledDataset,
     LongTailProfile,
     ShiftSpec,
+    _parse_rows,
+    _parse_rows_vectorised,
+    _read_csv,
     empirical_prior,
     feature_mean,
     imbalance_factor,
@@ -208,6 +213,14 @@ def test_load_rejects_ragged_rows(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("body", ["", "\n", "\r\n \r\n"])
+def test_load_rejects_a_header_without_rows(tmp_path, body):
+    path = tmp_path / "norows.csv"
+    path.write_bytes(b"f0,f1,label\n" + body.encode())
+    with pytest.raises(ParseError, match=r"norows\.csv: no data rows"):
+        load_dataset(path)
+
+
 def test_counts_json_roundtrip(tmp_path):
     path = tmp_path / "counts.json"
     save_counts([9901, 99], path)
@@ -228,3 +241,138 @@ def test_labeled_dataset_invariants():
 def test_mixture_spec_validation():
     with pytest.raises(CountError):
         GaussianMixtureSpec(np.zeros((2, 2)), np.array([1.0, 0.0]))
+
+
+# --- the vectorised reader against the per-line reference -------------------
+
+# Cell texts that loadtxt and float() may read differently; every one is a
+# valid float64 literal.
+EDGE_FLOATS = [
+    "0.0", "-0.0", "5e-324", "-5e-324", "2.2250738585072e-308", "1e300", "-1e300",
+    "1e-300", "-1e-300", "1.7976931348623157e+308", "+1.5", " 2.5 ", "\xa03.5\u2003",
+    "1E3", ".5", "7.",
+]
+FAULTS = {
+    "bad float": ("value", "1.0.0"),
+    "float label": ("label", "1.0"),
+    "huge label": ("label", str(10**20)),
+    "label out of range": ("label", "{bound}"),
+    "negative label": ("label", "-1"),
+    "nan": ("value", "nan"),
+    "whitespace-only line": ("line", " \t "),
+    "hash cell": ("value", "#"),
+    "hash comment": ("value", "# 1.0"),
+    "underscore float": ("value", "1_0"),
+    "extra column": ("value", "1.0,2.0"),
+    "extra column after the label": ("append", "0"),
+    "missing column": ("drop", None),
+}
+
+float_cells = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}"),
+)
+# Comma-free ids that are not plain integers; str.isspace characters other
+# than the line breaks of text mode are allowed.
+id_cells = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters=",\r\n"), max_size=6
+).filter(lambda s: not s.strip().isdigit())
+
+
+@st.composite
+def csv_tables(draw):
+    """(has_ids, bound, header, data lines) of a table that every reader accepts."""
+    has_ids = draw(st.booleans())
+    width = draw(st.integers(2 if has_ids else 1, 4))
+    bound = width if has_ids else draw(st.sampled_from([width, None]))
+    labels = st.integers(0, (bound or 10**6) - 1).map(str)
+    lines = []
+    for _ in range(draw(st.integers(1, 5))):
+        cells = [draw(float_cells) for _ in range(width)] + [draw(labels)]
+        if has_ids:
+            cells.insert(0, draw(id_cells))
+        lines.append(",".join(cells))
+        if draw(st.booleans()):
+            lines.append("")
+    names = (["id"] if has_ids else []) + [f"v{j}" for j in range(width)] + ["label"]
+    return has_ids, bound, ",".join(names), lines
+
+
+def _write_table(path, header, lines, crlf, final_newline):
+    end = "\r\n" if crlf else "\n"
+    text = end.join([header, *lines]) + (end if final_newline else "")
+    path.write_bytes(text.encode("utf-8"))
+
+
+def _read_both(path, has_ids, bound):
+    """(vectorised result or None, per-line result or ParseError message)."""
+    limit = np.iinfo(np.int64).max if bound is None else bound
+    results = []
+    for parse in (_parse_rows_vectorised, lambda *args: _parse_rows(path, *args)):
+        with path.open(encoding="utf-8") as lines:
+            names = lines.readline().rstrip("\n").split(",")
+            try:
+                results.append(parse(lines, names, has_ids, limit))
+            except ParseError as exc:
+                results.append(str(exc))
+    return results
+
+
+def _check_header_for(has_ids, bound):
+    return lambda names: (has_ids, bound)
+
+
+def _same(a, b):
+    ids_a, values_a, labels_a = a
+    ids_b, values_b, labels_b = b
+    return (ids_a == ids_b and values_a.tobytes() == values_b.tobytes()
+            and values_a.shape == values_b.shape and labels_a.dtype == labels_b.dtype
+            and labels_a.tobytes() == labels_b.tobytes())
+
+
+@given(table=csv_tables(), crlf=st.booleans(), final_newline=st.booleans())
+def test_vectorised_read_matches_the_per_line_read_byte_for_byte(tmp_path_factory, table,
+                                                                 crlf, final_newline):
+    has_ids, bound, header, lines = table
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    _write_table(path, header, lines, crlf, final_newline)
+    fast, slow = _read_both(path, has_ids, bound)
+    assert fast is not None, "a valid table fell back to the per-line read"
+    assert _same(fast, slow)
+    assert _same(_read_csv(path, _check_header_for(has_ids, bound)), slow)
+
+
+@given(table=csv_tables(), fault=st.sampled_from(sorted(FAULTS)), data=st.data())
+def test_vectorised_read_defers_every_fault_to_the_per_line_read(tmp_path_factory, table,
+                                                                 fault, data):
+    has_ids, bound, header, lines = table
+    rows = [i for i, line in enumerate(lines) if line]
+    at = data.draw(st.sampled_from(rows))
+    where, text = FAULTS[fault]
+    cells = lines[at].split(",")
+    if where == "line":
+        lines.insert(at, text)
+    elif where == "drop":
+        del cells[-2]
+    elif where == "append":
+        cells.append(text)
+    elif where == "label":
+        cells[-1] = text.format(bound=bound or 2**63 - 1)
+    else:
+        cells[data.draw(st.integers(1 if has_ids else 0, len(cells) - 2))] = text
+    if where != "line":
+        lines[at] = ",".join(cells)
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    _write_table(path, header, lines, data.draw(st.booleans()), True)
+    fast, slow = _read_both(path, has_ids, bound)
+    assert fast is None, f"the vectorised read accepted a table with a {fault}"
+    try:
+        whole = _read_csv(path, _check_header_for(has_ids, bound))
+    except ParseError as exc:
+        whole = str(exc)
+    if isinstance(slow, str):
+        assert whole == slow
+    else:  # 1_0 is a float() literal; a whitespace-only line is blank
+        assert fault in ("underscore float", "whitespace-only line")
+        assert _same(whole, slow)

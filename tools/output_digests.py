@@ -10,9 +10,11 @@ linear and MLP training, stage-2 CL and FT, estimate-prior with all four
 estimators and with a counts-file target prior, adjust with all four methods,
 eval by both input routes, sweep-alpha, toy-experiment with its default
 worker count and with ``--workers 1``, shift-eval and ingest-logits with a
-train-side dump; one gen-data run reads ``cfg.json``, which the script
-writes first. It then prints one ``sha256  path`` line per output file and per
-command's stdout, sorted, except ``manifest.json``; each manifest
+train-side dump; one gen-data run reads ``cfg.json``, and one train and one
+ingest-logits run read a dataset and a logit dump with CRLF line endings and
+blank lines; the script writes these three inputs first. It then prints one
+``sha256  path`` line per output file and per command's stdout, sorted,
+except ``manifest.json``; each manifest
 contributes its ``config``, ``inputs`` and ``outputs`` objects instead,
 because its wall clock and timestamp differ between runs. The two
 toy-experiment runs print the same digests; their manifests differ only in
@@ -29,6 +31,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -37,6 +40,28 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 SEED = "7"
 CONFIG = {"counts": [450, 50], "val_per_class": 20, "test_per_class": 30, "seed": 7}
+CRLF_CLASSES = 3
+
+
+def write_crlf_inputs(work: Path) -> None:
+    """Write crlf_data.csv and crlf_dump.csv: CRLF line endings, an empty
+    line after every 40th row and at the end, signed zeros and subnormals."""
+    rng = random.Random(int(SEED))
+    data, dump = ["f0,f1,label"], ["id,logit_0,logit_1,logit_2,label"]
+    for i in range(400):
+        label = 0 if i % 5 else 1
+        cells = [rng.gauss(1.0 - 2.0 * label, 1.0) for _ in range(2)]
+        data.append(",".join(map(repr, cells)) + f",{label}")
+        label = i % CRLF_CLASSES
+        logits = [rng.gauss(0.0, 1.0) + 2.0 * (j == label) - 0.5 * j for j in range(CRLF_CLASSES)]
+        logits[(label + 1) % CRLF_CLASSES] = (-0.0, 0.0, 5e-324, -5e-324)[i % 4]
+        dump.append(f"img-{i:03d}.png," + ",".join(map(repr, logits)) + f",{label}")
+        if i % 40 == 39:
+            data.append("")
+            dump.append("")
+    for name, lines in (("crlf_data.csv", data), ("crlf_dump.csv", dump)):
+        (work / name).write_bytes(("\r\n".join(lines) + "\r\n\r\n").encode("utf-8"))
+
 
 CHAIN = [
     ["gen-data", "--out", "d2", "--seed", SEED, "--counts", "1960,40",
@@ -92,6 +117,8 @@ CHAIN = [
     ["ingest-logits", "--logits", "adj_none/adjusted_logits.csv",
      "--train-logits", "adj_train/adjusted_logits.csv", "--counts", "d2/counts.json",
      "--seed", SEED, "--out", "ingest"],
+    ["train", "--data", "crlf_data.csv", "--out", "crlf_s1", "--seed", SEED],
+    ["ingest-logits", "--logits", "crlf_dump.csv", "--seed", SEED, "--out", "crlf_ingest"],
 ]
 
 
@@ -100,6 +127,7 @@ def run_chain(work: Path) -> list[str]:
     env.pop("TAILCAL_SEED", None)
     lines = []
     (work / "cfg.json").write_text(json.dumps(CONFIG) + "\n")
+    write_crlf_inputs(work)
     for argv in CHAIN:
         proc = subprocess.run(
             [sys.executable, "-m", "tailcal", *argv],
