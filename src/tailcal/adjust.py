@@ -94,46 +94,25 @@ class AdjustmentSpec:
             "alpha": float(self.alpha),
         }
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "AdjustmentSpec":
-        if payload.get("method") == "none":
-            return cls("none")
-        try:
-            return cls(
-                method=payload["method"],
-                estimated_prior=np.asarray(payload["estimated_prior"]),
-                prior_kind=payload["prior_kind"],
-                target_prior=np.asarray(payload["target_prior"]),
-                alpha=float(payload.get("alpha", 1.0)),
-            )
-        except (KeyError, TypeError) as exc:
-            raise SpecError(f"malformed adjustment spec: {exc}") from exc
-
 
 def no_adjustment() -> AdjustmentSpec:
     return AdjustmentSpec("none")
 
 
-def class_frequency_spec(counts_prior, target_prior, alpha: float = 1.0) -> AdjustmentSpec:
-    """Correction from the empirical count prior (pass counts or their prior)."""
-    p = np.asarray(counts_prior, dtype=np.float64)
-    if p.sum() > 1.5:  # raw counts rather than a prior
-        p = p / p.sum()
-    return AdjustmentSpec("class-frequency", p, PRIOR_KIND_FREQUENCY, target_prior, alpha)
+def class_frequency_spec(freq_prior, target_prior, alpha: float = 1.0) -> AdjustmentSpec:
+    """Correction from the empirical count prior, e.g. ``empirical_prior(counts)``."""
+    return AdjustmentSpec(
+        "class-frequency", freq_prior, PRIOR_KIND_FREQUENCY, target_prior, alpha
+    )
 
 
 def spec_from_estimate(method: str, estimate, target_prior, alpha: float | None = None) -> AdjustmentSpec:
-    """Build a p2p spec from an EffectivePrior-like estimate.
-
-    ``estimate`` must expose ``probs`` and ``estimator``; when ``alpha`` is
-    omitted the estimate's own stored exponent is used.
-    """
-    if not hasattr(estimate, "probs") or not hasattr(estimate, "estimator"):
-        raise SpecError("estimate must carry .probs and .estimator")
+    """Build a p2p spec from a :class:`prior.EffectivePrior`; when ``alpha``
+    is omitted the estimate's own stored exponent is used."""
     return AdjustmentSpec(
         method,
-        np.asarray(estimate.probs),
-        str(estimate.estimator),
+        estimate.probs,
+        estimate.estimator,
         target_prior,
         float(estimate.alpha) if alpha is None else float(alpha),
     )
@@ -185,8 +164,6 @@ def adjust_posteriors(posteriors, spec: AdjustmentSpec) -> AdjustedPosteriors:
 
 def achieved_prior(posteriors) -> np.ndarray:
     """Column means: the Monte-Carlo class marginal the posteriors imply."""
-    if isinstance(posteriors, AdjustedPosteriors):
-        posteriors = posteriors.matrix
     p = prob_matrix(posteriors)
     return prob_vector(p.mean(axis=0))
 
@@ -210,11 +187,3 @@ def apply_to_linear_model(model: LinearSoftmaxModel, spec: AdjustmentSpec) -> Li
 
 def save_spec(spec: AdjustmentSpec, path) -> None:
     Path(path).write_text(json.dumps(spec.to_json(), indent=1) + "\n")
-
-
-def load_spec(path) -> AdjustmentSpec:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"{path}: not an adjustment spec: {exc}") from exc
-    return AdjustmentSpec.from_json(payload)

@@ -25,6 +25,8 @@ import numpy as np
 
 from . import __version__, adjust, evaluation, prior
 from .dataset import (
+    PROFILE_KINDS,
+    SHIFT_DIRECTIONS,
     GaussianMixtureSpec,
     LongTailProfile,
     ShiftSpec,
@@ -41,6 +43,9 @@ from .dataset import (
 )
 from .errors import DataError, ParseError, TailcalError, UsageError
 from .model import (
+    ACTIVATIONS,
+    SCHEDULES,
+    STAGE_TWO_MODES,
     LossSpec,
     ModelProvenance,
     TrainConfig,
@@ -389,22 +394,14 @@ def cmd_train(args, run: RunDir) -> dict:
         schedule=cfg["schedule"],
     )
     freq = empirical_prior(ds.counts)
-
-    stage = int(cfg["stage"])
+    stage, alpha = int(cfg["stage"]), float(cfg["alpha"])
+    if stage == 2 and args.init is None:
+        raise UsageError("stage-2 training needs --init with the stage-1 model")
+    la = stage == 2 or cfg["loss"] == "la"  # stage 2 always trains logit-adjusted
+    loss = LossSpec("logit-adjusted", freq, alpha) if la else LossSpec()
     if stage == 2:
-        if args.init is None:
-            raise UsageError("stage-2 training needs --init with the stage-1 model")
         init_model, _ = load_model(args.init)
-        result = stage2_retrain(
-            init_model, ds, cfg["mode"], train_cfg, freq, float(cfg["alpha"])
-        )
-        provenance = ModelProvenance(
-            stage=2,
-            loss_kind="logit-adjusted",
-            prior=freq,
-            alpha=float(cfg["alpha"]),
-            seed=(train_cfg.seed.seed, train_cfg.seed.stream_id),
-        )
+        result = stage2_retrain(init_model, ds, cfg["mode"], train_cfg, freq, alpha)
     else:
         if cfg["arch"] == "mlp":
             model0 = init_mlp(
@@ -412,20 +409,10 @@ def cmd_train(args, run: RunDir) -> dict:
             )
         else:
             model0 = init_linear(ds.num_classes, ds.dims)
-        if cfg["loss"] == "la":
-            loss = LossSpec("logit-adjusted", freq, float(cfg["alpha"]))
-            loss_kind = "logit-adjusted"
-        else:
-            loss = LossSpec()
-            loss_kind = "plain-ce"
         result = train(model0, ds, loss, train_cfg)
-        provenance = ModelProvenance(
-            stage=1,
-            loss_kind=loss_kind,
-            prior=freq if loss_kind == "logit-adjusted" else None,
-            alpha=float(cfg["alpha"]) if loss_kind == "logit-adjusted" else 1.0,
-            seed=(train_cfg.seed.seed, train_cfg.seed.stream_id),
-        )
+    provenance = ModelProvenance(
+        stage, loss.kind, loss.prior, loss.alpha, (train_cfg.seed.seed, train_cfg.seed.stream_id)
+    )
 
     model_path = run.output("model.json")
     save_model(result.model, model_path, provenance)
@@ -508,8 +495,8 @@ def _adjustment_from_args(args, num_classes: int) -> adjust.AdjustmentSpec:
     if args.method == "class-frequency":
         if args.counts is None:
             raise UsageError("--method class-frequency needs --counts")
-        counts = load_counts(args.counts)
-        return adjust.class_frequency_spec(counts, target, 1.0 if alpha is None else alpha)
+        freq = empirical_prior(load_counts(args.counts))
+        return adjust.class_frequency_spec(freq, target, 1.0 if alpha is None else alpha)
     if args.prior is None:
         raise UsageError(f"--method {args.method} needs --prior")
     estimate = prior.load_prior(args.prior)
@@ -1014,14 +1001,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--classes", type=int)
     p.add_argument("--dims", type=int)
-    p.add_argument("--profile", choices=("exponential", "step", "explicit"))
+    p.add_argument("--profile", choices=PROFILE_KINDS)
     p.add_argument("--max-count", type=int)
     p.add_argument("--imbalance", type=float)
     p.add_argument("--counts", type=_list_of(int, "integers"),
                    help="comma-separated explicit per-class counts")
     p.add_argument("--val-per-class", type=int)
     p.add_argument("--test-per-class", type=int)
-    p.add_argument("--shift-direction", choices=("forward", "backward", "uniform"))
+    p.add_argument("--shift-direction", choices=SHIFT_DIRECTIONS)
     p.add_argument("--shift-ratio", type=float)
     p.set_defaults(func=cmd_gen_data)
 
@@ -1029,17 +1016,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--data", required=True)
     p.add_argument("--stage", type=int, choices=(1, 2))
-    p.add_argument("--mode", choices=("CL", "FT"))
+    p.add_argument("--mode", choices=STAGE_TWO_MODES)
     p.add_argument("--init", help="stage-1 model file for stage-2 runs")
     p.add_argument("--loss", choices=("ce", "la"))
     p.add_argument("--alpha", type=float)
     p.add_argument("--lr", type=float)
     p.add_argument("--iterations", type=int)
     p.add_argument("--batch-size", type=int)
-    p.add_argument("--schedule", choices=("constant", "cosine"))
+    p.add_argument("--schedule", choices=SCHEDULES)
     p.add_argument("--arch", choices=("linear", "mlp"))
     p.add_argument("--hidden", type=int)
-    p.add_argument("--activation", choices=("relu", "tanh"))
+    p.add_argument("--activation", choices=ACTIVATIONS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("estimate-prior", parents=[out, target],
@@ -1053,8 +1040,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adjust", parents=[out, target, scores],
                        help="apply a post-hoc prior correction")
-    p.add_argument("--method", required=True,
-                   choices=("class-frequency", "p2p-ce", "p2p-la", "none"))
+    p.add_argument("--method", required=True, choices=adjust.METHODS)
     p.add_argument("--prior", help="effective-prior JSON for p2p methods")
     p.add_argument("--counts", help="counts JSON for class-frequency")
     p.add_argument("--alpha", type=float)
@@ -1077,7 +1063,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, dest="learning_rate")
     p.add_argument("--iterations", type=int)
     p.add_argument("--batch-size", type=int)
-    p.add_argument("--schedule", choices=("constant", "cosine"))
+    p.add_argument("--schedule", choices=SCHEDULES)
     p.add_argument("--workers", type=_positive_int,
                    help="trial threads (default: the usable CPUs, at most --trials)")
     p.set_defaults(func=cmd_toy_experiment)
@@ -1107,7 +1093,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="grid-search the estimate exponent")
     p.add_argument("--prior", required=True)
     p.add_argument("--method", default="p2p-ce",
-                   choices=("class-frequency", "p2p-ce", "p2p-la"))
+                   choices=tuple(m for m in adjust.METHODS if m != "none"))
     p.add_argument("--grid", type=_list_of(_finite_float, "numbers"),
                    default=prior.DEFAULT_ALPHA_GRID)
     p.set_defaults(func=cmd_sweep_alpha)

@@ -1,9 +1,9 @@
 """Synthetic long-tailed Gaussian-mixture datasets.
 
 Generates class-conditional isotropic Gaussian samples under a long-tail
-count profile, computes class statistics (empirical prior, imbalance
-factor), builds test-time shifted label distributions, and round-trips
-datasets through CSV at full float64 precision.
+count profile, computes the empirical class prior, builds test-time
+shifted label distributions, and round-trips datasets through CSV at full
+float64 precision.
 """
 
 from __future__ import annotations
@@ -223,14 +223,6 @@ def empirical_prior(counts) -> np.ndarray:
     return prob_vector(counts / total)
 
 
-def imbalance_factor(counts) -> float:
-    """max(counts) / min(counts)."""
-    counts = np.asarray(counts, dtype=np.int64)
-    if np.any(counts < 1):
-        raise CountError(f"counts must all be >= 1, got {counts.tolist()}")
-    return float(counts.max() / counts.min())
-
-
 def make_shifted_counts(base_counts, shift: ShiftSpec) -> np.ndarray:
     """Redistribute the total of ``base_counts`` under a shifted profile.
 
@@ -259,19 +251,6 @@ def make_shifted_counts(base_counts, shift: ShiftSpec) -> np.ndarray:
     return counts
 
 
-def feature_mean(ds: LabeledDataset, label: int | None = None) -> np.ndarray:
-    """Mean feature row, optionally restricted to one class."""
-    if label is None:
-        rows = ds.features
-    else:
-        rows = ds.features[ds.labels == label]
-    if rows.shape[0] == 0:
-        raise DimensionError(
-            "empty dataset" if label is None else f"no samples with label {label}"
-        )
-    return rows.mean(axis=0)
-
-
 def _write_csv(path, header: list[str], values: np.ndarray, labels, ids=None) -> None:
     """Write the CSV format shared by datasets and logit dumps.
 
@@ -290,17 +269,17 @@ def _write_csv(path, header: list[str], values: np.ndarray, labels, ids=None) ->
 def _read_csv(path, check_header) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Parse the CSV format shared by datasets and logit dumps.
 
-    The file is UTF-8 text; other bytes raise :class:`ParseError` naming the
-    file. ``check_header(names)`` gets the split header line, raises
-    ValueError when its format rejects it, and returns ``(has_ids,
-    num_classes)``: whether the first column holds string row ids, and the
-    exclusive bound on labels (None: any int64). Every other column but the
-    last holds floats; the last holds an integer label. Every non-blank line
-    must have as many columns as the header; ``#`` is data, not a comment.
-    Blank lines are skipped. A malformed row, a non-finite cell or an
-    out-of-range label raises :class:`ParseError` naming the file and the
-    line. Returns ``(ids, values, labels)``; ``ids`` is empty without an id
-    column.
+    The file is UTF-8 text, a leading byte-order mark skipped; other bytes
+    raise :class:`ParseError` naming the file. ``check_header(names)`` gets
+    the split header line, raises ValueError when its format rejects it, and
+    returns ``(has_ids, num_classes)``: whether the first column holds string
+    row ids, and the exclusive bound on labels (None: any int64). Every other
+    column but the last holds floats; the last holds an integer label. Every
+    non-blank line must have as many columns as the header; ``#`` is data,
+    not a comment. Blank lines are skipped. A malformed row, a non-finite
+    cell or an out-of-range label raises :class:`ParseError` naming the file
+    and the line. Returns ``(ids, values, labels)``; ``ids`` is empty without
+    an id column.
 
     :func:`_parse_rows` defines the contract and writes every error.
     :func:`_parse_rows_vectorised` is a faster read of the same contract: its
@@ -309,7 +288,7 @@ def _read_csv(path, check_header) -> tuple[list[str], np.ndarray, np.ndarray]:
     """
     path = Path(path)
     try:
-        with path.open(encoding="utf-8") as lines:
+        with path.open(encoding="utf-8-sig") as lines:
             first = lines.readline()
             if not first.strip():
                 raise ParseError(f"{path}: no header")
@@ -435,12 +414,21 @@ def save_counts(counts, path) -> None:
 
 
 def load_counts(path) -> np.ndarray:
+    """Read a counts file: {"counts": [n0, ...]}, two or more JSON integers >= 1."""
     path = Path(path)
     try:
-        payload = json.loads(path.read_text())
-        counts = np.asarray(payload["counts"], dtype=np.int64)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        counts = json.loads(path.read_text())["counts"]
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: not a counts file: {exc}") from exc
-    if counts.ndim != 1 or counts.size < 2:
+    if (
+        not isinstance(counts, list)
+        or not all(type(v) is int and v >= 1 for v in counts)
+        or sum(counts) > np.iinfo(np.int64).max  # empirical_prior sums in int64
+    ):
+        raise ParseError(
+            f"{path}: not a counts file: counts must be JSON integers >= 1 "
+            f"with a total below 2**63, got {counts!r}"
+        )
+    if len(counts) < 2:
         raise ParseError(f"{path}: counts must list >= 2 classes")
-    return counts
+    return np.asarray(counts, dtype=np.int64)

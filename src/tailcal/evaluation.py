@@ -182,24 +182,6 @@ def report_to_json(report: EvalReport) -> dict:
     }
 
 
-def report_from_json(payload: dict) -> EvalReport:
-    per_class = np.array(
-        [np.nan if v is None else v for v in payload["per_class_accuracy"]],
-        dtype=np.float64,
-    )
-    return EvalReport(
-        top1=float(payload["top1"]),
-        balanced=float(payload["balanced_accuracy"]),
-        per_class=per_class,
-        groups=dict(payload["group_accuracy"]),
-        confusion=np.asarray(payload["confusion"], dtype=np.int64),
-        achieved_prior=np.asarray(payload["achieved_prior"], dtype=np.float64),
-        prior_l1=float(payload["prior_l1"]),
-        prior_kl=float(payload["prior_kl"]),
-        provenance=dict(payload["provenance"]),
-    )
-
-
 def _report_csv_lines(report: EvalReport) -> list[str]:
     lines = ["row,class,value"]
     for i, v in enumerate(report.per_class):
@@ -239,10 +221,6 @@ def emit_report(report: EvalReport, fmt: str, path) -> None:
         path.write_text(_report_table(report))
     else:
         raise ConfigError(f"unknown report format {fmt!r}")
-
-
-def load_report(path) -> EvalReport:
-    return report_from_json(json.loads(Path(path).read_text()))
 
 
 def _boundary_points(

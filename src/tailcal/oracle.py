@@ -17,10 +17,9 @@ import numpy as np
 from .dataset import GaussianMixtureSpec
 from .errors import CountError, DimensionError, UnsupportedModelError
 from .model import LinearSoftmaxModel, Model, predict_logits
-from .numerics import RngStream, as_matrix, as_vector, prob_vector, softmax_rows
+from .numerics import RngStream, as_matrix, prob_vector, softmax_rows
 
 TOY_TRAIN_COUNTS = (9901, 99)
-TOY_TEST_COUNTS = (5000, 5000)
 
 
 def toy_mixture() -> GaussianMixtureSpec:
@@ -42,23 +41,12 @@ def _log_likelihood_rows(gmm: GaussianMixtureSpec, x: np.ndarray) -> np.ndarray:
     return -0.5 * sq / var - gmm.dims * np.log(gmm.sigmas)
 
 
-def bayes_posterior(gmm: GaussianMixtureSpec, prior, x) -> np.ndarray:
-    """Exact posterior: entry i proportional to prior_i * N(x; mean_i, sigma_i^2 I).
-
-    Computed in log space, so it cannot overflow for any reasonable x.
-    """
+def bayes_posterior_rows(gmm: GaussianMixtureSpec, prior, features) -> np.ndarray:
+    """Exact posteriors per row, entry i proportional to prior_i * N(x; mean_i,
+    sigma_i^2 I); computed in log space, so no reasonable x overflows them."""
     p = prob_vector(prior)
     if p.shape[0] != gmm.num_classes:
         raise DimensionError("prior length must match the number of classes")
-    v = as_vector(x)
-    if v.shape[0] != gmm.dims:
-        raise DimensionError(f"x has {v.shape[0]} dims, mixture has {gmm.dims}")
-    return bayes_posterior_rows(gmm, p, v[None, :])[0]
-
-
-def bayes_posterior_rows(gmm: GaussianMixtureSpec, prior, features) -> np.ndarray:
-    """Row-wise Bayes posteriors for a feature matrix."""
-    p = prob_vector(prior)
     x = as_matrix(features)
     if x.shape[1] != gmm.dims:
         raise DimensionError(f"features have {x.shape[1]} dims, mixture has {gmm.dims}")

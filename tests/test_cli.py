@@ -257,8 +257,11 @@ def test_adjust_alpha_from_sweep(small_run):
         "--alpha-from-sweep", "sw/chosen_alpha.json",
         "--target-prior", "uniform", "--out", "adjsw",
     ) == 0
-    spec = adjust.load_spec(small_run / "adjsw" / "adjustment.json")
-    assert spec.alpha == chosen
+    estimate = prior.load_prior(small_run / "estsw" / "prior.json")
+    spec = adjust.spec_from_estimate("p2p-ce", estimate, np.array([0.5, 0.5]), chosen)
+    written = json.loads((small_run / "adjsw" / "adjustment.json").read_text())
+    assert written == spec.to_json()
+    assert written["alpha"] == chosen
     code = run_cli(
         "adjust", "--model", "stage1/model.json", "--data", "data/test.csv",
         "--method", "p2p-ce", "--prior", "estsw/prior.json",
@@ -314,6 +317,30 @@ def test_ingest_rejects_class_mismatch_counts(workdir, capsys):
     assert "classes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body", [
+    '{"counts": [1.5, 2.7]}',  # floats, once truncated to [1, 2]
+    '{"counts": [10, 0]}',  # an empty class
+    '{"counts": [true, 2]}',
+    '{"counts": ["90", 10]}',
+    '{"counts": [4611686018427387904, 4611686018427387904]}',  # a total past int64
+])
+@pytest.mark.parametrize("argv", [
+    ["adjust", "--model", "stage1/model.json", "--data", "data/test.csv",
+     "--method", "class-frequency", "--counts", "bad.json"],
+    ["eval", "--model", "stage1/model.json", "--data", "data/test.csv",
+     "--train-counts", "bad.json"],
+    ["estimate-prior", "--model", "stage1/model.json", "--data", "data/train.csv",
+     "--estimator", "train-reweighted", "--target-prior", "bad.json"],
+])
+def test_counts_file_without_integers_of_at_least_1_exits_3(small_run, capsys, body, argv):
+    (small_run / "bad.json").write_text(body)
+    assert run_cli(*argv, "--out", "x") == 3
+    err = capsys.readouterr().err
+    assert "bad.json: not a counts file: counts must be JSON integers >= 1" in err
+    assert "Traceback" not in err
+    assert not (small_run / "x").exists()
+
+
 # Per CSV format: its header, one valid data row, and a command that reads it.
 CSV_READERS = {
     "dataset": ("f0,f1,label", "0.5,0.25,1", ("train", "--data")),
@@ -330,6 +357,31 @@ def test_non_utf8_csv_exits_3_naming_the_file(workdir, capsys, fmt, rows_before)
     (workdir / "in.csv").write_bytes(text.encode() + row.replace("0.5", "\xff").encode("latin-1"))
     assert run_cli(*command, "in.csv", "--out", "x") == 3
     assert "in.csv: not UTF-8 text (invalid start byte)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", sorted(CSV_READERS))
+def test_a_leading_byte_order_mark_is_skipped(workdir, fmt):
+    header, row, command = CSV_READERS[fmt]
+    text = f"{header}\n{row}\n{row[:-1]}0\n"
+    (workdir / "plain.csv").write_text(text, encoding="utf-8")
+    (workdir / "bom.csv").write_text(text, encoding="utf-8-sig")
+    for name in ("plain", "bom"):
+        assert run_cli(*command, f"{name}.csv", "--out", name) == 0
+    outputs = sorted(p.name for p in (workdir / "plain").iterdir() if p.name != "manifest.json")
+    assert outputs
+    for name in outputs:
+        assert (workdir / "bom" / name).read_bytes() == (workdir / "plain" / name).read_bytes()
+
+
+@pytest.mark.parametrize("fmt", sorted(CSV_READERS))
+def test_a_bad_row_after_a_byte_order_mark_is_named_by_its_line(workdir, capsys, fmt):
+    header, row, command = CSV_READERS[fmt]
+    text = f"{header}\n{row}\n{row.replace('0.25', 'x')}\n{row}\n"
+    (workdir / "in.csv").write_text(text, encoding="utf-8-sig")
+    assert run_cli(*command, "in.csv", "--out", "x") == 3
+    err = capsys.readouterr().err
+    assert "in.csv: line 3: could not convert string to float: 'x'" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("fmt", sorted(CSV_READERS))
@@ -637,7 +689,7 @@ def test_pipeline_files_match_in_process(small_run):
     np.testing.assert_allclose(file_logits, in_proc_logits, atol=1e-12)
     np.testing.assert_array_equal(file_labels, test_ds.labels)
 
-    from tailcal.evaluation import build_report, load_report
+    from tailcal.evaluation import build_report, report_to_json
 
     in_proc_report = build_report(
         np.argmax(in_proc_logits, axis=1),
@@ -646,13 +698,13 @@ def test_pipeline_files_match_in_process(small_run):
         np.array([0.5, 0.5]),
         train_counts=train_ds.counts,
     )
-    file_report = load_report(small_run / "evp" / "report.json")
-    assert file_report.top1 == pytest.approx(in_proc_report.top1, abs=1e-12)
-    assert file_report.balanced == pytest.approx(in_proc_report.balanced, abs=1e-12)
+    file_report = json.loads((small_run / "evp" / "report.json").read_text())
+    in_proc = report_to_json(in_proc_report)
+    for key in ("top1", "balanced_accuracy", "prior_l1"):
+        assert file_report[key] == pytest.approx(in_proc[key], abs=1e-12)
     np.testing.assert_allclose(
-        file_report.achieved_prior, in_proc_report.achieved_prior, atol=1e-12
+        file_report["achieved_prior"], in_proc["achieved_prior"], atol=1e-12
     )
-    assert file_report.prior_l1 == pytest.approx(in_proc_report.prior_l1, abs=1e-12)
 
 
 def test_logit_dump_roundtrip(workdir):

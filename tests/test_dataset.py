@@ -12,8 +12,6 @@ from tailcal.dataset import (
     _parse_rows_vectorised,
     _read_csv,
     empirical_prior,
-    feature_mean,
-    imbalance_factor,
     load_counts,
     load_dataset,
     make_longtail_counts,
@@ -71,7 +69,7 @@ def test_profile_rejects_bad_parameters():
 def test_imbalance_factor_roundtrip():
     profile = LongTailProfile(5, max_count=6000, imbalance_factor=12)
     counts = make_longtail_counts(profile)
-    assert imbalance_factor(counts) == pytest.approx(12, rel=0.02)
+    assert counts.max() / counts.min() == pytest.approx(12, rel=0.02)
 
 
 def test_empirical_prior_examples():
@@ -85,12 +83,6 @@ def test_empirical_prior_reconstructs_counts():
     counts = np.array([123, 456, 7])
     prior = empirical_prior(counts)
     np.testing.assert_allclose(prior * counts.sum(), counts, atol=1e-9)
-
-
-def test_imbalance_factor_examples():
-    assert imbalance_factor([5000, 50]) == 100
-    assert imbalance_factor([10, 10]) == 1
-    assert imbalance_factor([500, 50, 5]) == 100
 
 
 def test_sample_dataset_deterministic(gmm):
@@ -110,7 +102,7 @@ def test_sample_dataset_class_means_converge(gmm):
     for label in (0, 1):
         n = ds.counts[label]
         bound = 3.0 * float(gmm.sigmas[label]) / np.sqrt(n)
-        observed = feature_mean(ds, label=label)
+        observed = ds.features[ds.labels == label].mean(axis=0)
         assert np.all(np.abs(observed - gmm.means[label]) < bound + 1e-12)
 
 
@@ -141,23 +133,16 @@ def test_shift_spec_validation():
         make_shifted_counts([4, 4], ShiftSpec("forward", 100))
 
 
-def test_feature_mean_trivial():
-    ds = LabeledDataset(np.array([[0.0, 0.0], [2.0, 2.0]]), [0, 1], [1, 1])
-    np.testing.assert_allclose(feature_mean(ds), [1.0, 1.0])
-    single = LabeledDataset(np.array([[3.0, 4.0]]), [0], [1])
-    np.testing.assert_allclose(feature_mean(single), [3.0, 4.0])
-
-
 def test_feature_mean_matches_mixture_mean(gmm):
     ds = sample_dataset(gmm, [9901, 99], RngStream(21))
     mixture_mean = 0.9901 * (-1.0) + 0.0099 * 1.0
-    assert abs(feature_mean(ds)[0] - mixture_mean) < 0.05
+    assert abs(ds.features.mean(axis=0)[0] - mixture_mean) < 0.05
 
 
 def test_moment_diagnostic_separates_train_and_test(gmm):
     train = sample_dataset(gmm, [9901, 99], RngStream(31, 0))
     test = sample_dataset(gmm, [5000, 5000], RngStream(31, 1))
-    gap = np.linalg.norm(feature_mean(train) - feature_mean(test))
+    gap = np.linalg.norm(train.features.mean(axis=0) - test.features.mean(axis=0))
     stderr = max(
         np.linalg.norm(train.features.std(axis=0)) / np.sqrt(train.n),
         np.linalg.norm(test.features.std(axis=0)) / np.sqrt(test.n),
@@ -229,6 +214,14 @@ def test_counts_json_roundtrip(tmp_path):
     bad.write_text("{}")
     with pytest.raises(ParseError):
         load_counts(bad)
+
+
+def test_read_csv_skips_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_text("f0,f1,label\n0.5,0.25,1\n", encoding="utf-8-sig")
+    headers = []
+    _read_csv(path, lambda names: headers.append(names) or (False, None))
+    assert headers == [["f0", "f1", "label"]]
 
 
 def test_labeled_dataset_invariants():

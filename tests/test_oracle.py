@@ -9,7 +9,6 @@ from tailcal.model import LinearSoftmaxModel, init_linear, init_mlp
 from tailcal.numerics import RngStream, prob_vector
 from tailcal.oracle import (
     bayes_classify,
-    bayes_posterior,
     bayes_posterior_rows,
     boundary_offset,
     oracle_effective_prior,
@@ -28,28 +27,28 @@ def bayes_equivalent_model(gmm, prior):
 
 def test_bayes_posterior_symmetry(gmm):
     np.testing.assert_allclose(
-        bayes_posterior(gmm, [0.5, 0.5], [0.0, 0.0]), [0.5, 0.5], atol=1e-15
+        bayes_posterior_rows(gmm, [0.5, 0.5], [[0.0, 0.0]])[0], [0.5, 0.5], atol=1e-15
     )
 
 
 def test_bayes_posterior_equal_likelihood_returns_prior(gmm):
     np.testing.assert_allclose(
-        bayes_posterior(gmm, [0.99, 0.01], [0.0, 0.0]), [0.99, 0.01], atol=1e-12
+        bayes_posterior_rows(gmm, [0.99, 0.01], [[0.0, 0.0]])[0], [0.99, 0.01], atol=1e-12
     )
 
 
 def test_bayes_boundary_closed_form(gmm):
     # equal posteriors where the log prior odds cancel the likelihood gap
     x_star = math.log(99) / 2
-    post = bayes_posterior(gmm, [0.99, 0.01], [x_star, 0.3])
+    post = bayes_posterior_rows(gmm, [0.99, 0.01], [[x_star, 0.3]])[0]
     assert post[0] == pytest.approx(post[1], abs=1e-12)
-    left = bayes_posterior(gmm, [0.99, 0.01], [x_star - 0.01, 0.0])
-    right = bayes_posterior(gmm, [0.99, 0.01], [x_star + 0.01, 0.0])
+    left = bayes_posterior_rows(gmm, [0.99, 0.01], [[x_star - 0.01, 0.0]])[0]
+    right = bayes_posterior_rows(gmm, [0.99, 0.01], [[x_star + 0.01, 0.0]])[0]
     assert left[0] > 0.5 > right[0]
 
 
 def test_bayes_posterior_no_overflow_far_from_means(gmm):
-    post = bayes_posterior(gmm, [0.5, 0.5], [1e6, -1e6])
+    post = bayes_posterior_rows(gmm, [0.5, 0.5], [[1e6, -1e6]])[0]
     prob_vector(post)
 
 
@@ -148,7 +147,7 @@ def test_boundary_offset_unequal_sigmas_crossing():
 
     t_star = _axis_crossing_bayes(gmm, prior)
     x_star = np.array([-1.0 + t_star, 0.0])
-    post = bayes_posterior(gmm, prior, x_star)
+    post = bayes_posterior_rows(gmm, prior, [x_star])[0]
     assert post[0] == pytest.approx(post[1], abs=1e-10)
     model = LinearSoftmaxModel(
         np.array([[-1.0, 0.0], [1.0, 0.0]]),
@@ -168,7 +167,7 @@ def test_boundary_offset_rejects_unsupported_models(gmm):
 
 
 def test_bayes_posterior_dimension_checks(gmm):
-    with pytest.raises(DimensionError):
-        bayes_posterior(gmm, [0.5, 0.5], [0.0, 0.0, 0.0])
-    with pytest.raises(DimensionError):
-        bayes_posterior(gmm, [0.5, 0.3, 0.2], [0.0, 0.0])
+    with pytest.raises(DimensionError, match="3 dims"):
+        bayes_posterior_rows(gmm, [0.5, 0.5], [[0.0, 0.0, 0.0]])
+    with pytest.raises(DimensionError, match="prior length"):
+        bayes_posterior_rows(gmm, [0.5, 0.3, 0.2], [[0.0, 0.0]])
