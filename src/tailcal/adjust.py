@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, EstimatorKindError, NumericError, SpecError
+from .errors import DataError, NumericError, UsageError
 from .model import LinearSoftmaxModel
 from .numerics import as_matrix, prob_matrix, prob_vector
 
@@ -61,22 +61,22 @@ class AdjustmentSpec:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise SpecError(f"unknown adjustment method {self.method!r}")
+            raise UsageError(f"unknown adjustment method {self.method!r}")
         if self.alpha < 0:
-            raise SpecError(f"alpha must be >= 0, got {self.alpha}")
+            raise UsageError(f"alpha must be >= 0, got {self.alpha}")
         if self.method == "none":
             return
         if self.estimated_prior is None or self.target_prior is None:
-            raise SpecError(f"method {self.method!r} needs estimated and target priors")
+            raise UsageError(f"method {self.method!r} needs estimated and target priors")
         estimated = prob_vector(self.estimated_prior)
         target = prob_vector(self.target_prior)
         if estimated.shape != target.shape:
-            raise DimensionError("estimated and target priors must have equal length")
+            raise DataError("estimated and target priors must have equal length")
         if np.any(estimated <= 0):
             raise NumericError("estimated prior must be strictly positive")
         allowed = _METHOD_COMPAT[self.method]
         if self.prior_kind not in allowed:
-            raise EstimatorKindError(
+            raise UsageError(
                 f"method {self.method!r} requires a prior of kind "
                 f"{' or '.join(allowed)}, got {self.prior_kind!r}"
             )
@@ -139,7 +139,7 @@ def adjust_logits(logits, spec: AdjustmentSpec) -> np.ndarray:
     if spec.method == "none":
         return z.copy()
     if z.shape[1] != spec.estimated_prior.shape[0]:
-        raise DimensionError(
+        raise DataError(
             f"{z.shape[1]} logit columns vs {spec.estimated_prior.shape[0]} classes"
         )
     return z + _log_shift(spec)
@@ -155,7 +155,7 @@ def adjust_posteriors(posteriors, spec: AdjustmentSpec) -> AdjustedPosteriors:
     if spec.method == "none":
         return AdjustedPosteriors(p.copy(), spec)
     if p.shape[1] != spec.estimated_prior.shape[0]:
-        raise DimensionError(
+        raise DataError(
             f"{p.shape[1]} posterior columns vs {spec.estimated_prior.shape[0]} classes"
         )
     scaled = p * (spec.target_prior / spec.estimated_prior**spec.alpha)
@@ -176,11 +176,11 @@ def apply_to_linear_model(model: LinearSoftmaxModel, spec: AdjustmentSpec) -> Li
     its logits after the fact.
     """
     if not isinstance(model, LinearSoftmaxModel):
-        raise SpecError("only linear models can absorb an adjustment")
+        raise UsageError("only linear models can absorb an adjustment")
     out = model.copy()
     if spec.method != "none":
         if out.num_classes != spec.estimated_prior.shape[0]:
-            raise DimensionError("model classes vs adjustment classes mismatch")
+            raise DataError("model classes vs adjustment classes mismatch")
         out.biases = out.biases + _log_shift(spec)
     return out
 

@@ -5,7 +5,9 @@ ingestion. Every run directory gets a manifest recording the resolved
 configuration, seeds, and input digests so numeric outputs replay exactly.
 
 Exit codes: 0 success, 2 usage/config error, 3 data/parse error, 4 numeric
-failure.
+failure. :func:`main` prints a raised :class:`~tailcal.errors.UsageError`,
+:class:`~tailcal.errors.DataError` or :class:`~tailcal.errors.NumericError`
+as ``error: <message>`` and returns its ``exit_code``; an OSError exits 3.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .dataset import (
     _read_csv,
     _write_csv,
 )
-from .errors import DataError, ParseError, TailcalError, UsageError
+from .errors import DataError, TailcalError, UsageError
 from .model import (
     ACTIVATIONS,
     SCHEDULES,
@@ -314,10 +316,19 @@ GEN_DEFAULTS = {
     "shift_ratio": 1.0,
     "seed": None,
 }
+# gen-data's integer values, each of which sizes or fills an int64 array
+GEN_INT_KEYS = ("classes", "dims", "max_count", "counts", "val_per_class", "test_per_class")
 
 
 def cmd_gen_data(args, run: RunDir) -> dict:
     cfg = _resolve(args, GEN_DEFAULTS)
+    int64 = np.iinfo(np.int64)
+    for key in GEN_INT_KEYS:
+        values = cfg[key] if key == "counts" else [cfg[key]]
+        if values is not None and not all(int64.min <= v <= int64.max for v in values):
+            flag = getattr(args, key) is not None  # a flag beats the config file
+            where = f"--{key.replace('_', '-')}" if flag else f"config {args.config}: key {key!r}"
+            raise UsageError(f"{where} must fit in a signed 64-bit integer, got {cfg[key]!r}")
     cfg["seed"] = _master_seed(cfg["seed"])
     classes, dims = int(cfg["classes"]), int(cfg["dims"])
     means = (
@@ -479,7 +490,7 @@ def _resolve_alpha(args) -> float | None:
             payload = json.loads(Path(args.alpha_from_sweep).read_text())
             return float(payload["alpha"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ParseError(
+            raise DataError(
                 f"{args.alpha_from_sweep}: not a sweep result: {exc}"
             ) from exc
     return None if args.alpha is None else float(args.alpha)
@@ -879,12 +890,12 @@ def ingest_logits(
             raise UsageError("train-side dump needs --counts metadata")
         counts = np.asarray(train_counts, dtype=np.int64)
         if counts.shape[0] != c:
-            raise ParseError(
+            raise DataError(
                 f"counts metadata lists {counts.shape[0]} classes, dump has {c}"
             )
         train_logits, _ = train_dump
         if train_logits.shape[1] != c:
-            raise ParseError(
+            raise DataError(
                 f"train dump has {train_logits.shape[1]} classes, eval dump has {c}"
             )
         est_train = prior.pmbar_from_train(

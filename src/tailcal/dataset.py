@@ -16,14 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    CountError,
-    DimensionError,
-    NormalizationError,
-    ParseError,
-    ProfileError,
-    ShiftError,
-)
+from .errors import DataError, NumericError, UsageError
 from .numerics import RngStream, as_matrix, prob_vector
 
 PROFILE_KINDS = ("exponential", "step", "explicit")
@@ -41,13 +34,13 @@ class GaussianMixtureSpec:
         means = as_matrix(self.means)
         sigmas = np.asarray(self.sigmas, dtype=np.float64)
         if means.shape[0] < 2:
-            raise DimensionError("mixture needs >= 2 classes")
+            raise DataError("mixture needs >= 2 classes")
         if sigmas.shape != (means.shape[0],):
-            raise DimensionError(
+            raise DataError(
                 f"sigmas shape {sigmas.shape} does not match {means.shape[0]} classes"
             )
         if not np.all(np.isfinite(sigmas)) or np.any(sigmas <= 0):
-            raise CountError("class sigmas must be finite and positive")
+            raise DataError("class sigmas must be finite and positive")
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "sigmas", sigmas)
 
@@ -78,24 +71,27 @@ class LongTailProfile:
 
     def __post_init__(self):
         if self.kind not in PROFILE_KINDS:
-            raise ProfileError(f"unknown profile kind {self.kind!r}")
+            raise UsageError(f"unknown profile kind {self.kind!r}")
         if self.num_classes < 2:
-            raise ProfileError(f"need >= 2 classes, got {self.num_classes}")
+            raise UsageError(f"need >= 2 classes, got {self.num_classes}")
         if self.kind == "explicit":
             if len(self.counts) != self.num_classes:
-                raise ProfileError("explicit profile needs one count per class")
+                raise UsageError("explicit profile needs one count per class")
         else:
             if self.max_count < 1:
-                raise ProfileError(f"max_count must be >= 1, got {self.max_count}")
+                raise UsageError(f"max_count must be >= 1, got {self.max_count}")
             if self.imbalance_factor < 1:
-                raise ProfileError(
+                raise UsageError(
                     f"imbalance factor must be >= 1, got {self.imbalance_factor}"
                 )
 
 
 def _round_half_even(values: np.ndarray) -> np.ndarray:
     # np.rint rounds half to even, the documented convention here.
-    return np.rint(values).astype(np.int64)
+    rounded = np.rint(values)
+    if np.any(rounded >= 2.0**63):  # the least float above the int64 maximum
+        raise UsageError(f"count {rounded.max():.0f} does not fit in a signed 64-bit integer")
+    return rounded.astype(np.int64)
 
 
 def make_longtail_counts(profile: LongTailProfile) -> np.ndarray:
@@ -118,7 +114,7 @@ def make_longtail_counts(profile: LongTailProfile) -> np.ndarray:
         )[0]
         counts = np.array([profile.max_count] * head + [tail_count] * (c - head))
     if np.any(counts < 1):
-        raise ProfileError(
+        raise UsageError(
             f"profile produces a zero count (counts={counts.tolist()}); "
             "reduce the imbalance factor or raise max_count"
         )
@@ -139,14 +135,14 @@ class LabeledDataset:
         self.counts = np.asarray(self.counts, dtype=np.int64)
         n, c = self.features.shape[0], self.counts.shape[0]
         if self.labels.shape != (n,):
-            raise DimensionError(f"{n} feature rows but {self.labels.shape} labels")
+            raise DataError(f"{n} feature rows but {self.labels.shape} labels")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= c):
-            raise CountError(
+            raise DataError(
                 f"label {int(self.labels.max())} out of range for {c} classes"
             )
         observed = np.bincount(self.labels, minlength=c)
         if not np.array_equal(observed, self.counts):
-            raise CountError(
+            raise DataError(
                 f"counts {self.counts.tolist()} inconsistent with labels "
                 f"{observed.tolist()}"
             )
@@ -177,11 +173,11 @@ class ShiftSpec:
 
     def __post_init__(self):
         if self.direction not in SHIFT_DIRECTIONS:
-            raise ShiftError(f"unknown shift direction {self.direction!r}")
+            raise UsageError(f"unknown shift direction {self.direction!r}")
         if self.ratio < 1:
-            raise ShiftError(f"shift ratio must be >= 1, got {self.ratio}")
+            raise UsageError(f"shift ratio must be >= 1, got {self.ratio}")
         if self.direction == "uniform" and self.ratio != 1:
-            raise ShiftError("uniform shift requires ratio == 1")
+            raise UsageError("uniform shift requires ratio == 1")
 
 
 def sample_dataset(
@@ -194,11 +190,11 @@ def sample_dataset(
     """
     counts = np.asarray(counts, dtype=np.int64)
     if counts.shape != (gmm.num_classes,):
-        raise DimensionError(
+        raise DataError(
             f"{counts.size} counts for {gmm.num_classes} mixture classes"
         )
     if np.any(counts < 1):
-        raise CountError(f"every class needs >= 1 sample, got {counts.tolist()}")
+        raise DataError(f"every class needs >= 1 sample, got {counts.tolist()}")
     gen = rng.generator()
     blocks = []
     labels = []
@@ -216,10 +212,10 @@ def empirical_prior(counts) -> np.ndarray:
     """Class-frequency prior n_i / sum(n)."""
     counts = np.asarray(counts, dtype=np.int64)
     if np.any(counts < 1):
-        raise CountError(f"counts must all be >= 1, got {counts.tolist()}")
+        raise DataError(f"counts must all be >= 1, got {counts.tolist()}")
     total = counts.sum()
     if total <= 0:
-        raise NormalizationError("zero total count")
+        raise NumericError("zero total count")
     return prob_vector(counts / total)
 
 
@@ -233,7 +229,7 @@ def make_shifted_counts(base_counts, shift: ShiftSpec) -> np.ndarray:
     base = np.asarray(base_counts, dtype=np.int64)
     c = base.shape[0]
     if c < 2:
-        raise DimensionError("need >= 2 classes to shift")
+        raise DataError("need >= 2 classes to shift")
     total = float(base.sum())
     if shift.direction == "uniform":
         counts = _round_half_even(np.full(c, total / c))
@@ -244,7 +240,7 @@ def make_shifted_counts(base_counts, shift: ShiftSpec) -> np.ndarray:
         if shift.direction == "backward":
             counts = counts[::-1].copy()
     if np.any(counts < 1):
-        raise ShiftError(
+        raise UsageError(
             f"shift produces a zero count (counts={counts.tolist()}); "
             "lower the ratio or enlarge the base total"
         )
@@ -270,14 +266,14 @@ def _read_csv(path, check_header) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Parse the CSV format shared by datasets and logit dumps.
 
     The file is UTF-8 text, a leading byte-order mark skipped; other bytes
-    raise :class:`ParseError` naming the file. ``check_header(names)`` gets
+    raise :class:`DataError` naming the file. ``check_header(names)`` gets
     the split header line, raises ValueError when its format rejects it, and
     returns ``(has_ids, num_classes)``: whether the first column holds string
     row ids, and the exclusive bound on labels (None: any int64). Every other
     column but the last holds floats; the last holds an integer label. Every
     non-blank line must have as many columns as the header; ``#`` is data,
     not a comment. Blank lines are skipped. A malformed row, a non-finite
-    cell or an out-of-range label raises :class:`ParseError` naming the file
+    cell or an out-of-range label raises :class:`DataError` naming the file
     and the line. Returns ``(ids, values, labels)``; ``ids`` is empty without
     an id column.
 
@@ -291,12 +287,12 @@ def _read_csv(path, check_header) -> tuple[list[str], np.ndarray, np.ndarray]:
         with path.open(encoding="utf-8-sig") as lines:
             first = lines.readline()
             if not first.strip():
-                raise ParseError(f"{path}: no header")
+                raise DataError(f"{path}: no header")
             names = first.rstrip("\n").split(",")
             try:
                 has_ids, num_classes = check_header(names)
             except ValueError as exc:
-                raise ParseError(f"{path}: line 1: {exc}") from exc
+                raise DataError(f"{path}: line 1: {exc}") from exc
             bound = np.iinfo(np.int64).max if num_classes is None else num_classes
             parsed = _parse_rows_vectorised(lines, names, has_ids, bound)
             if parsed is None:
@@ -304,7 +300,7 @@ def _read_csv(path, check_header) -> tuple[list[str], np.ndarray, np.ndarray]:
                 lines.readline()
                 parsed = _parse_rows(path, lines, names, has_ids, bound)
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     return parsed
 
 
@@ -320,26 +316,26 @@ def _parse_rows(path: Path, lines, names: list[str], has_ids: bool, bound: int):
             continue
         parts = line.rstrip("\n").split(",")
         if len(parts) != len(names):
-            raise ParseError(
+            raise DataError(
                 f"{path}: line {lineno}: expected {len(names)} columns, got {len(parts)}"
             )
         try:
             rows.append([float(v) for v in parts[lead:-1]])
             label = int(parts[-1])
         except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+            raise DataError(f"{path}: line {lineno}: {exc}") from exc
         if not 0 <= label < bound:
-            raise ParseError(f"{path}: line {lineno}: label {label} out of range [0, {bound})")
+            raise DataError(f"{path}: line {lineno}: label {label} out of range [0, {bound})")
         if has_ids:
             ids.append(parts[0])
         labels.append(label)
         linenos.append(lineno)
     if not rows:
-        raise ParseError(f"{path}: no data rows")
+        raise DataError(f"{path}: no data rows")
     values = np.asarray(rows, dtype=np.float64)
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
-        raise ParseError(f"{path}: line {linenos[int(np.argmin(finite))]}: non-finite value")
+        raise DataError(f"{path}: line {linenos[int(np.argmin(finite))]}: non-finite value")
     return ids, values, np.asarray(labels, dtype=np.int64)
 
 
@@ -386,7 +382,7 @@ def save_dataset(ds: LabeledDataset, path) -> None:
 def load_dataset(path, num_classes: int | None = None) -> LabeledDataset:
     """Parse a dataset CSV written by :func:`save_dataset`.
 
-    Raises :class:`ParseError` naming the offending line for malformed rows,
+    Raises :class:`DataError` naming the offending line for malformed rows,
     inconsistent column counts, non-finite cells or labels outside
     [0, num_classes), and naming the class when one has no samples.
     """
@@ -402,7 +398,7 @@ def load_dataset(path, num_classes: int | None = None) -> LabeledDataset:
     counts = np.bincount(labels[labels < c], minlength=c)
     if np.any(counts < 1):
         missing = int(np.argmin(counts))
-        raise ParseError(f"{Path(path)}: class {missing} has no samples")
+        raise DataError(f"{Path(path)}: class {missing} has no samples")
     return LabeledDataset(features, labels, counts)
 
 
@@ -419,16 +415,16 @@ def load_counts(path) -> np.ndarray:
     try:
         counts = json.loads(path.read_text())["counts"]
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: not a counts file: {exc}") from exc
+        raise DataError(f"{path}: not a counts file: {exc}") from exc
     if (
         not isinstance(counts, list)
         or not all(type(v) is int and v >= 1 for v in counts)
         or sum(counts) > np.iinfo(np.int64).max  # empirical_prior sums in int64
     ):
-        raise ParseError(
+        raise DataError(
             f"{path}: not a counts file: counts must be JSON integers >= 1 "
             f"with a total below 2**63, got {counts!r}"
         )
     if len(counts) < 2:
-        raise ParseError(f"{path}: counts must list >= 2 classes")
+        raise DataError(f"{path}: counts must list >= 2 classes")
     return np.asarray(counts, dtype=np.int64)

@@ -1,8 +1,15 @@
-"""Exception hierarchy shared by every module.
+"""Exception hierarchy shared by every module: one class per exit code.
 
-Each branch carries the exit code the command line surface maps it to:
-2 for configuration/usage problems, 3 for malformed data, 4 for numeric
-failures (divergence, domain violations).
+The command line prints a :class:`TailcalError`'s message and exits with
+its ``exit_code``; the message, not the class, says which check failed.
+
+- :class:`UsageError` (2): a bad flag or config value, an unrealizable
+  count profile or shift, an inconsistent adjustment spec or prior
+  estimate of the wrong kind, an operation the model family lacks.
+- :class:`DataError` (3): malformed, inconsistent or out-of-range input:
+  empty or mismatched shapes, unreadable files, bad counts or labels.
+- :class:`NumericError` (4): non-finite values, a vector off the
+  simplex, diverged training, an undefined KL divergence.
 """
 
 
@@ -12,8 +19,8 @@ class TailcalError(Exception):
     exit_code = 1
 
 
-class ConfigError(TailcalError):
-    """Invalid configuration, profile, or incompatible option combination."""
+class UsageError(TailcalError):
+    """Invalid configuration, profile, spec, or option combination."""
 
     exit_code = 2
 
@@ -28,67 +35,3 @@ class NumericError(TailcalError):
     """Numeric failure: divergence, domain violation, non-finite value."""
 
     exit_code = 4
-
-
-class DimensionError(DataError):
-    """Empty input or mismatched shapes."""
-
-
-class ParseError(DataError):
-    """Unreadable file content; message names the offending line."""
-
-
-class CountError(DataError):
-    """Per-class sample counts violate their contract."""
-
-
-class UsageError(ConfigError):
-    """Command invoked with missing or contradictory arguments."""
-
-
-class ProfileError(ConfigError):
-    """Long-tail count profile cannot be realized."""
-
-
-class ShiftError(ConfigError):
-    """Test-time shift specification cannot be realized."""
-
-
-class SpecError(ConfigError):
-    """Adjustment spec is internally inconsistent."""
-
-
-class EstimatorKindError(SpecError):
-    """Prior estimate of the wrong kind for the requested operation."""
-
-
-class UnsupportedModelError(ConfigError):
-    """Operation defined only for a restricted model family."""
-
-
-class NumericInputError(NumericError):
-    """Non-finite entries where finite values are required."""
-
-
-class NormalizationError(NumericError):
-    """Vector cannot be normalized onto the probability simplex."""
-
-
-class DivergenceError(NumericError):
-    """Training loss became non-finite or blew past the abort threshold."""
-
-
-class ModelFormatError(DataError):
-    """Model file is truncated or has an unsupported schema version."""
-
-
-class KLDomainError(NumericError):
-    """KL divergence undefined for the given pair; carries the L1 distance.
-
-    The L1 half of the mismatch diagnostic is always well defined, so it is
-    attached to the exception for callers that still want it.
-    """
-
-    def __init__(self, message: str, l1: float):
-        super().__init__(message)
-        self.l1 = l1

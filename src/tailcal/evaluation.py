@@ -13,7 +13,7 @@ import numpy as np
 
 from .adjust import achieved_prior
 from .dataset import GaussianMixtureSpec
-from .errors import ConfigError, DimensionError, KLDomainError, UnsupportedModelError
+from .errors import DataError, NumericError, UsageError
 from .model import LinearSoftmaxModel
 from .numerics import prob_vector
 
@@ -34,7 +34,7 @@ class GroupThresholds:
 
     def __post_init__(self):
         if not self.many_min > self.few_max >= 1:
-            raise ConfigError(
+            raise UsageError(
                 f"need many_min > few_max >= 1, got ({self.many_min}, {self.few_max})"
             )
 
@@ -51,7 +51,7 @@ def confusion_matrix(predictions, truth, num_classes: int) -> np.ndarray:
     pred = np.asarray(predictions, dtype=np.int64)
     true = np.asarray(truth, dtype=np.int64)
     if pred.shape != true.shape or pred.ndim != 1 or pred.size == 0:
-        raise DimensionError("predictions and truth must be equal-length, non-empty")
+        raise DataError("predictions and truth must be equal-length, non-empty")
     matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(matrix, (true, pred), 1)
     return matrix
@@ -62,7 +62,7 @@ def top1_accuracy(predictions, truth) -> float:
     pred = np.asarray(predictions)
     true = np.asarray(truth)
     if pred.shape != true.shape or pred.size == 0:
-        raise DimensionError("predictions and truth must be equal-length, non-empty")
+        raise DataError("predictions and truth must be equal-length, non-empty")
     return float(np.mean(pred == true))
 
 
@@ -84,7 +84,7 @@ def group_accuracy(per_class, train_counts, thresholds: GroupThresholds) -> dict
     acc = np.asarray(per_class, dtype=np.float64)
     counts = np.asarray(train_counts, dtype=np.int64)
     if acc.shape != counts.shape:
-        raise DimensionError("one training count per class accuracy required")
+        raise DataError("one training count per class accuracy required")
     groups: dict[str, list[float]] = {}
     for a, n in zip(acc, counts):
         if np.isnan(a):
@@ -97,19 +97,16 @@ def prior_mismatch(achieved, target) -> tuple[float, float]:
     """L1 and KL distance between the achieved and target class marginals.
 
     KL uses the 0*log(0) = 0 convention. When the achieved marginal puts mass
-    on a zero-target class, KL is undefined; the raised error carries the L1
-    value, which is always well defined.
+    on a zero-target class, KL is undefined and a NumericError is raised.
     """
     a = prob_vector(achieved)
     t = prob_vector(target)
     if a.shape != t.shape:
-        raise DimensionError("achieved and target priors must have equal length")
+        raise DataError("achieved and target priors must have equal length")
     l1 = float(np.abs(a - t).sum())
     bad = (t == 0) & (a > 0)
     if np.any(bad):
-        raise KLDomainError(
-            f"KL undefined: achieved mass {a[bad]} on zero-target classes", l1=l1
-        )
+        raise NumericError(f"KL undefined: achieved mass {a[bad]} on zero-target classes")
     positive = a > 0
     kl = float(np.sum(a[positive] * np.log(a[positive] / t[positive])))
     return l1, kl
@@ -220,7 +217,7 @@ def emit_report(report: EvalReport, fmt: str, path) -> None:
     elif fmt == "table-text":
         path.write_text(_report_table(report))
     else:
-        raise ConfigError(f"unknown report format {fmt!r}")
+        raise UsageError(f"unknown report format {fmt!r}")
 
 
 def _boundary_points(
@@ -236,29 +233,22 @@ def _boundary_points(
     return np.column_stack([x0, x1])
 
 
-def export_boundary_data(
-    named_models,
-    gmm: GaussianMixtureSpec,
-    bayes_prior,
-    path,
-    span: float = 4.0,
-    points: int = 41,
-) -> None:
+def export_boundary_data(named_models, gmm: GaussianMixtureSpec, bayes_prior, path) -> None:
     """CSV of sampled decision lines: header ``series,x0,x1``.
 
-    Each (name, linear model) pair contributes one series; the Bayes line
-    under ``bayes_prior`` is appended as series ``bayes``. 2-D two-class
-    settings only.
+    Each (name, linear model) pair contributes one series of 41 points over
+    [-4, 4]; the Bayes line under ``bayes_prior`` is appended as series
+    ``bayes``. 2-D two-class settings only.
     """
     if gmm.dims != 2 or gmm.num_classes != 2:
-        raise UnsupportedModelError("boundary export needs a 2-D, 2-class setting")
+        raise UsageError("boundary export needs a 2-D, 2-class setting")
     if abs(gmm.sigmas[0] - gmm.sigmas[1]) > 1e-12:
-        raise UnsupportedModelError("boundary export needs equal class sigmas")
-    spans = np.linspace(-span, span, points)
+        raise UsageError("boundary export needs equal class sigmas")
+    spans = np.linspace(-4.0, 4.0, 41)
     lines = ["series,x0,x1"]
     for name, model in named_models:
         if not isinstance(model, LinearSoftmaxModel) or model.num_classes != 2:
-            raise UnsupportedModelError(f"series {name!r} is not a 2-class linear model")
+            raise UsageError(f"series {name!r} is not a 2-class linear model")
         dw = model.weights[0] - model.weights[1]
         db = float(model.biases[0] - model.biases[1])
         for x0, x1 in _boundary_points(dw, db, spans):
@@ -275,24 +265,19 @@ def export_boundary_data(
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def export_prior_bars(
-    freq_prior,
-    effective_prior,
-    train_counts,
-    path,
-    thresholds: GroupThresholds | None = None,
-) -> None:
+def export_prior_bars(freq_prior, effective_prior, train_counts, path) -> None:
     """CSV comparing frequency and effective priors per class.
 
-    Header ``class,freq_prior,effective_prior,group``; one row per class.
+    Header ``class,freq_prior,effective_prior,group``; one row per class,
+    bucketed by the default :class:`GroupThresholds`.
     """
     freq = prob_vector(freq_prior)
     eff = prob_vector(effective_prior)
     counts = np.asarray(train_counts, dtype=np.int64)
     if freq.shape != eff.shape or counts.shape != freq.shape:
-        raise DimensionError("priors and counts must have one entry per class")
-    thresholds = thresholds or GroupThresholds()
+        raise DataError("priors and counts must have one entry per class")
+    bucket = GroupThresholds().bucket
     lines = ["class,freq_prior,effective_prior,group"]
     for i, (f, e, n) in enumerate(zip(freq, eff, counts)):
-        lines.append(f"{i},{float(f)!r},{float(e)!r},{thresholds.bucket(int(n))}")
+        lines.append(f"{i},{float(f)!r},{float(e)!r},{bucket(int(n))}")
     Path(path).write_text("\n".join(lines) + "\n")

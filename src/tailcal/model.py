@@ -20,13 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import LabeledDataset
-from .errors import (
-    ConfigError,
-    DimensionError,
-    DivergenceError,
-    ModelFormatError,
-    NumericError,
-)
+from .errors import DataError, NumericError, UsageError
 from .numerics import (
     RngStream,
     as_matrix,
@@ -57,7 +51,7 @@ class LinearSoftmaxModel:
         self.weights = as_matrix(self.weights)
         self.biases = as_vector(self.biases)
         if self.biases.shape[0] != self.weights.shape[0]:
-            raise DimensionError("one bias per class required")
+            raise DataError("one bias per class required")
 
     @property
     def num_classes(self) -> int:
@@ -84,11 +78,11 @@ class MlpModel:
         self.hidden_weights = as_matrix(self.hidden_weights)
         self.hidden_biases = as_vector(self.hidden_biases)
         if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
+            raise UsageError(f"unknown activation {self.activation!r}")
         if self.hidden_biases.shape[0] != self.hidden_weights.shape[0]:
-            raise DimensionError("one hidden bias per hidden unit required")
+            raise DataError("one hidden bias per hidden unit required")
         if self.head.dims != self.hidden_weights.shape[0]:
-            raise DimensionError("head input width must equal hidden width")
+            raise DataError("head input width must equal hidden width")
 
     @property
     def num_classes(self) -> int:
@@ -120,18 +114,18 @@ class LossSpec:
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
-            raise ConfigError(f"unknown loss kind {self.kind!r}")
+            raise UsageError(f"unknown loss kind {self.kind!r}")
         if self.alpha < 0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
+            raise UsageError(f"alpha must be >= 0, got {self.alpha}")
         if self.kind == "logit-adjusted":
             if self.prior is None:
-                raise ConfigError("logit-adjusted loss needs a prior")
+                raise UsageError("logit-adjusted loss needs a prior")
             prior = prob_vector(self.prior)
             if np.any(prior <= 0):
                 raise NumericError("logit-adjusted loss needs strictly positive prior")
             object.__setattr__(self, "prior", prior)
         elif self.prior is not None:
-            raise ConfigError("plain cross-entropy takes no prior")
+            raise UsageError("plain cross-entropy takes no prior")
 
 
 @dataclass(frozen=True)
@@ -144,13 +138,13 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.learning_rate <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
+            raise UsageError(f"learning rate must be positive, got {self.learning_rate}")
         if self.iterations < 0:
-            raise ConfigError("iterations must be >= 0")
+            raise UsageError("iterations must be >= 0")
         if self.batch_size < 1:
-            raise ConfigError("batch size must be >= 1")
+            raise UsageError("batch size must be >= 1")
         if self.schedule not in SCHEDULES:
-            raise ConfigError(f"unknown schedule {self.schedule!r}")
+            raise UsageError(f"unknown schedule {self.schedule!r}")
 
 
 def init_linear(num_classes: int, dims: int) -> LinearSoftmaxModel:
@@ -165,7 +159,7 @@ def init_mlp(
 ) -> MlpModel:
     """Hidden weights uniform in [-1/sqrt(D), 1/sqrt(D)]; zero head."""
     if hidden < 1:
-        raise ConfigError("hidden width must be >= 1")
+        raise UsageError("hidden width must be >= 1")
     gen = rng.generator()
     bound = 1.0 / np.sqrt(dims)
     w1 = gen.uniform(-bound, bound, size=(hidden, dims))
@@ -189,7 +183,7 @@ def predict_logits(model: Model, features) -> np.ndarray:
     """Per-sample logits, one row per feature row."""
     x = as_matrix(features)
     if x.shape[1] != model.dims:
-        raise DimensionError(
+        raise DataError(
             f"model expects {model.dims}-dim features, got {x.shape[1]}"
         )
     if isinstance(model, LinearSoftmaxModel):
@@ -205,7 +199,7 @@ def ce_loss_and_grad(logits, label: int) -> tuple[float, np.ndarray]:
     """
     z = as_vector(logits)
     if not 0 <= label < z.size:
-        raise DimensionError(f"label {label} out of range for {z.size} classes")
+        raise DataError(f"label {label} out of range for {z.size} classes")
     loss = log_sum_exp(z) - float(z[label])
     grad = softmax(z)
     grad[label] -= 1.0
@@ -225,14 +219,14 @@ def la_loss_and_grad(
     if np.any(p <= 0):
         raise NumericError("prior must be strictly positive (log of zero)")
     if p.size != z.size:
-        raise DimensionError("prior and logits must have equal length")
+        raise DataError("prior and logits must have equal length")
     return ce_loss_and_grad(z + alpha * np.log(p), label)
 
 
 def _loss_shift(loss: LossSpec, num_classes: int) -> np.ndarray:
     if loss.kind == "logit-adjusted":
         if loss.prior.shape[0] != num_classes:
-            raise DimensionError("loss prior length must match class count")
+            raise DataError("loss prior length must match class count")
         return loss.alpha * np.log(loss.prior)
     return np.zeros(num_classes)
 
@@ -310,10 +304,10 @@ def train(
 
     ``trainable`` masks entries of model_parameters (all True by default).
     Returns the trained model and the per-epoch mean loss trace. Aborts with
-    DivergenceError when the loss goes non-finite or beyond 1e6.
+    NumericError when the loss goes non-finite or beyond 1e6.
     """
     if cfg.batch_size > ds.n:
-        raise ConfigError(f"batch size {cfg.batch_size} exceeds dataset size {ds.n}")
+        raise UsageError(f"batch size {cfg.batch_size} exceeds dataset size {ds.n}")
     model = model.copy()
     params = model_parameters(model)
     if trainable is None:
@@ -339,7 +333,7 @@ def train(
             x = np.take(ds.features, batch, axis=0, out=buf[: batch.size], mode="clip")
             batch_loss, grads = batch_loss_and_grads(model, x, ds.labels[batch], loss)
             if not np.isfinite(batch_loss):
-                raise DivergenceError(
+                raise NumericError(
                     f"non-finite loss at step {step}; lower the learning rate"
                 )
             lr = _learning_rate(cfg, step)
@@ -352,7 +346,7 @@ def train(
         mean_epoch = epoch_loss / epoch_samples
         result.loss_trace.append(mean_epoch)
         if not np.isfinite(mean_epoch) or mean_epoch > DIVERGENCE_LIMIT:
-            raise DivergenceError(
+            raise NumericError(
                 f"epoch mean loss {mean_epoch} beyond limit {DIVERGENCE_LIMIT}"
             )
     return result
@@ -372,7 +366,7 @@ def stage2_retrain(
     FT updates all parameters starting from the stage-1 values.
     """
     if mode not in STAGE_TWO_MODES:
-        raise ConfigError(f"unknown stage-2 mode {mode!r}")
+        raise UsageError(f"unknown stage-2 mode {mode!r}")
     loss = LossSpec("logit-adjusted", prob_vector(prior), alpha)
     model = stage1_model.copy()
     trainable = None
@@ -449,9 +443,9 @@ def load_model(path) -> tuple[Model, ModelProvenance]:
     try:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{path}: not a model file: {exc}") from exc
+        raise DataError(f"{path}: not a model file: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("schema") != MODEL_SCHEMA_VERSION:
-        raise ModelFormatError(
+        raise DataError(
             f"{path}: unsupported schema {payload.get('schema')!r}, "
             f"expected {MODEL_SCHEMA_VERSION}"
         )
@@ -473,7 +467,7 @@ def load_model(path) -> tuple[Model, ModelProvenance]:
                 ),
             )
         else:
-            raise ModelFormatError(f"{path}: unknown family {arch['family']!r}")
+            raise DataError(f"{path}: unknown family {arch['family']!r}")
         prov = payload["provenance"]
         provenance = ModelProvenance(
             stage=int(prov["stage"]),
@@ -483,5 +477,5 @@ def load_model(path) -> tuple[Model, ModelProvenance]:
             seed=tuple(int(v) for v in prov["seed"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"{path}: malformed model file: {exc}") from exc
+        raise DataError(f"{path}: malformed model file: {exc}") from exc
     return model, provenance

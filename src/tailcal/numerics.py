@@ -12,14 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    NormalizationError,
-    NumericInputError,
-)
+from .errors import DataError, NumericError
 
 SIMPLEX_ATOL = 1e-9
-IDENTITY_ATOL = 1e-12
 
 _MASK64 = (1 << 64) - 1
 
@@ -36,9 +31,9 @@ def as_vector(values) -> np.ndarray:
     """Coerce to a finite 1-D float64 array."""
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
-        raise DimensionError(f"expected a non-empty 1-D vector, got shape {v.shape}")
+        raise DataError(f"expected a non-empty 1-D vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
-        raise NumericInputError("vector contains NaN or Inf")
+        raise NumericError("vector contains NaN or Inf")
     return v
 
 
@@ -46,41 +41,41 @@ def as_matrix(values) -> np.ndarray:
     """Coerce to a finite 2-D float64 array."""
     m = np.asarray(values, dtype=np.float64)
     if m.ndim != 2 or m.size == 0:
-        raise DimensionError(f"expected a non-empty 2-D matrix, got shape {m.shape}")
+        raise DataError(f"expected a non-empty 2-D matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise NumericInputError("matrix contains NaN or Inf")
+        raise NumericError("matrix contains NaN or Inf")
     return m
 
 
-def prob_vector(values, *, atol: float = SIMPLEX_ATOL, min_len: int = 2) -> np.ndarray:
+def prob_vector(values) -> np.ndarray:
     """Validate a point on the probability simplex and return it as float64.
 
-    Entries must be non-negative and sum to 1 within ``atol``; length must be
-    at least ``min_len`` (class distributions need two or more entries).
+    Entries must be non-negative and sum to 1 within ``SIMPLEX_ATOL``; length
+    must be at least 2 (class distributions need two or more entries).
     """
     p = as_vector(values)
-    if p.size < min_len:
-        raise DimensionError(f"probability vector needs >= {min_len} entries, got {p.size}")
+    if p.size < 2:
+        raise DataError(f"probability vector needs >= 2 entries, got {p.size}")
     if np.any(p < 0):
-        raise NormalizationError(f"negative probability entry: min={p.min()}")
+        raise NumericError(f"negative probability entry: min={p.min()}")
     total = float(p.sum())
-    if abs(total - 1.0) > atol:
-        raise NormalizationError(f"probabilities sum to {total!r}, not 1 within {atol}")
+    if abs(total - 1.0) > SIMPLEX_ATOL:
+        raise NumericError(f"probabilities sum to {total!r}, not 1 within {SIMPLEX_ATOL}")
     return p
 
 
-def prob_matrix(values, *, atol: float = SIMPLEX_ATOL) -> np.ndarray:
+def prob_matrix(values) -> np.ndarray:
     """Validate a matrix whose rows all lie on the simplex."""
     m = as_matrix(values)
     if m.shape[1] < 2:
-        raise DimensionError(f"posterior matrix needs >= 2 columns, got {m.shape[1]}")
+        raise DataError(f"posterior matrix needs >= 2 columns, got {m.shape[1]}")
     if np.any(m < 0):
-        raise NormalizationError("negative posterior entry")
+        raise NumericError("negative posterior entry")
     sums = m.sum(axis=1)
-    bad = np.abs(sums - 1.0) > atol
+    bad = np.abs(sums - 1.0) > SIMPLEX_ATOL
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise NormalizationError(f"row {i} sums to {sums[i]!r}, not 1 within {atol}")
+        raise NumericError(f"row {i} sums to {sums[i]!r}, not 1 within {SIMPLEX_ATOL}")
     return m
 
 
@@ -137,7 +132,7 @@ def softmax(z) -> np.ndarray:
     """
     v = as_vector(z)
     if v.size < 2:
-        raise DimensionError("softmax needs >= 2 logits")
+        raise DataError("softmax needs >= 2 logits")
     e = np.exp(v - v.max())
     return e / e.sum()
 
@@ -146,7 +141,7 @@ def softmax_rows(z) -> np.ndarray:
     """Row-wise stable softmax of a logit matrix."""
     m = as_matrix(z)
     if m.shape[1] < 2:
-        raise DimensionError("softmax needs >= 2 logits per row")
+        raise DataError("softmax needs >= 2 logits per row")
     e = np.exp(m - _row_max(m))
     return e / _row_sum(e)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import GaussianMixtureSpec
-from .errors import CountError, DimensionError, UnsupportedModelError
+from .errors import DataError, UsageError
 from .model import LinearSoftmaxModel, Model, predict_logits
 from .numerics import RngStream, as_matrix, prob_vector, softmax_rows
 
@@ -46,10 +46,10 @@ def bayes_posterior_rows(gmm: GaussianMixtureSpec, prior, features) -> np.ndarra
     sigma_i^2 I); computed in log space, so no reasonable x overflows them."""
     p = prob_vector(prior)
     if p.shape[0] != gmm.num_classes:
-        raise DimensionError("prior length must match the number of classes")
+        raise DataError("prior length must match the number of classes")
     x = as_matrix(features)
     if x.shape[1] != gmm.dims:
-        raise DimensionError(f"features have {x.shape[1]} dims, mixture has {gmm.dims}")
+        raise DataError(f"features have {x.shape[1]} dims, mixture has {gmm.dims}")
     with np.errstate(divide="ignore"):
         log_scores = _log_likelihood_rows(gmm, x) + np.log(p)
     return softmax_rows(log_scores)
@@ -66,10 +66,10 @@ def sample_mixture(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw (features, labels) i.i.d. from the mixture under a class prior."""
     if n_draws < 1:
-        raise CountError("need at least one draw")
+        raise DataError("need at least one draw")
     p = prob_vector(prior)
     if p.shape[0] != gmm.num_classes:
-        raise DimensionError("prior length must match the number of classes")
+        raise DataError("prior length must match the number of classes")
     gen = rng.generator()
     labels = gen.choice(gmm.num_classes, size=n_draws, p=p / p.sum())
     noise = gen.standard_normal((n_draws, gmm.dims))
@@ -91,7 +91,7 @@ def oracle_effective_prior(
     estimate stays independent of the model under test.
     """
     if n_draws < 1000:
-        raise CountError("need >= 1000 draws for a stable estimate")
+        raise DataError("need >= 1000 draws for a stable estimate")
     features, _ = sample_mixture(gmm, sampling_prior, n_draws, rng)
     posteriors = softmax_rows(predict_logits(model, features))
     return prob_vector(posteriors.mean(axis=0))
@@ -103,7 +103,7 @@ def _axis_crossing_model(model: LinearSoftmaxModel, origin, axis) -> float:
     db = float(model.biases[0] - model.biases[1])
     slope = float(dw @ axis)
     if abs(slope) < 1e-300:
-        raise UnsupportedModelError("decision boundary is parallel to the class axis")
+        raise UsageError("decision boundary is parallel to the class axis")
     return -(float(dw @ origin) + db) / slope
 
 
@@ -112,7 +112,7 @@ def _axis_crossing_bayes(gmm: GaussianMixtureSpec, prior) -> float:
     p = prob_vector(prior)
     m = float(np.linalg.norm(gmm.means[1] - gmm.means[0]))
     if m == 0.0:
-        raise UnsupportedModelError("coincident class means have no boundary axis")
+        raise UsageError("coincident class means have no boundary axis")
     s0, s1 = float(gmm.sigmas[0]), float(gmm.sigmas[1])
     log_prior_odds = float(np.log(p[0]) - np.log(p[1]))
     d = gmm.dims
@@ -125,7 +125,7 @@ def _axis_crossing_bayes(gmm: GaussianMixtureSpec, prior) -> float:
     c = log_prior_odds + d * np.log(s1 / s0) + 0.5 * m * m / (s1 * s1)
     disc = b * b - 4.0 * a * c
     if disc < 0:
-        raise UnsupportedModelError("no Bayes boundary crossing on the class axis")
+        raise UsageError("no Bayes boundary crossing on the class axis")
     roots = np.array([(-b - np.sqrt(disc)) / (2 * a), (-b + np.sqrt(disc)) / (2 * a)])
     return float(roots[np.argmin(np.abs(roots - m / 2.0))])
 
@@ -138,13 +138,13 @@ def boundary_offset(model: Model, gmm: GaussianMixtureSpec, prior) -> float:
     the direction of class 1's mean. Two-class linear models only.
     """
     if not isinstance(model, LinearSoftmaxModel):
-        raise UnsupportedModelError("boundary offset requires a linear model")
+        raise UsageError("boundary offset requires a linear model")
     if model.num_classes != 2 or gmm.num_classes != 2:
-        raise UnsupportedModelError("boundary offset requires exactly 2 classes")
+        raise UsageError("boundary offset requires exactly 2 classes")
     delta = gmm.means[1] - gmm.means[0]
     m = float(np.linalg.norm(delta))
     if m == 0.0:
-        raise UnsupportedModelError("coincident class means have no boundary axis")
+        raise UsageError("coincident class means have no boundary axis")
     axis = delta / m
     t_model = _axis_crossing_model(model, gmm.means[0], axis)
     t_bayes = _axis_crossing_bayes(gmm, prior)

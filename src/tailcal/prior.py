@@ -32,13 +32,7 @@ from .adjust import (
     ESTIMATOR_VAL_SIDE,
     PMBAR_KINDS,
 )
-from .errors import (
-    DimensionError,
-    EstimatorKindError,
-    NumericError,
-    ParseError,
-    UsageError,
-)
+from .errors import DataError, NumericError, UsageError
 from .numerics import prob_matrix, prob_vector
 
 PROB_FLOOR = 1e-8
@@ -59,9 +53,9 @@ class EffectivePrior:
 
     def __post_init__(self):
         if self.estimator not in ESTIMATORS:
-            raise EstimatorKindError(f"unknown estimator tag {self.estimator!r}")
+            raise UsageError(f"unknown estimator tag {self.estimator!r}")
         if self.samples < 1:
-            raise DimensionError("sample count must be >= 1")
+            raise DataError("sample count must be >= 1")
         probs = prob_vector(self.probs)
         if np.any(probs <= 0):
             raise NumericError("effective prior entries must be strictly positive")
@@ -111,7 +105,7 @@ def _reweighted(means: np.ndarray, target_prior, train_prior, samples: int) -> E
     if np.any(train <= 0):
         raise NumericError("train prior must be strictly positive")
     if target.shape != train.shape or means.shape != train.shape:
-        raise DimensionError("posteriors, target and train priors disagree on classes")
+        raise DataError("posteriors, target and train priors disagree on classes")
     raw = means * target / train
     return EffectivePrior(
         _floor_and_normalize(raw / raw.sum()), ESTIMATOR_TRAIN_REWEIGHTED, samples
@@ -138,7 +132,7 @@ def reweight_estimate(
     is reweighted toward several target priors.
     """
     if estimate.estimator != ESTIMATOR_TRAIN_SIDE:
-        raise EstimatorKindError(
+        raise UsageError(
             f"reweighting starts from a train-side estimate, got {estimate.estimator!r}"
         )
     return _reweighted(estimate.probs, target_prior, train_prior, estimate.samples)
@@ -148,13 +142,13 @@ def average_estimates(a: EffectivePrior, b: EffectivePrior) -> EffectivePrior:
     """Probability-space mean of two estimates of the val-side marginal."""
     for est in (a, b):
         if est.estimator not in PMBAR_KINDS:
-            raise EstimatorKindError(
+            raise UsageError(
                 f"cannot average a {est.estimator!r} estimate; "
                 "only val-side/train-reweighted/averaged estimates measure "
                 "the same marginal"
             )
     if a.probs.shape != b.probs.shape:
-        raise DimensionError("estimates must have equal length")
+        raise DataError("estimates must have equal length")
     mean = (a.probs + b.probs) / 2.0
     return EffectivePrior(
         _floor_and_normalize(mean / mean.sum()),
@@ -184,9 +178,9 @@ def tune_alpha_on_logits(
     z = np.asarray(logits, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if z.ndim != 2 or z.shape[0] == 0:
-        raise DimensionError("holdout logits must be a non-empty matrix")
+        raise DataError("holdout logits must be a non-empty matrix")
     if y.shape != (z.shape[0],):
-        raise DimensionError("one label per holdout row required")
+        raise DataError("one label per holdout row required")
     curve = []
     for alpha in sorted(grid):
         spec = adjust.spec_from_estimate(method, estimate, target_prior, alpha)
@@ -218,4 +212,4 @@ def load_prior(path) -> EffectivePrior:
             float(payload.get("alpha", 1.0)),
         )
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: not an effective-prior file: {exc}") from exc
+        raise DataError(f"{path}: not an effective-prior file: {exc}") from exc

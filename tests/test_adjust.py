@@ -16,9 +16,9 @@ from tailcal.adjust import (
     save_spec,
     spec_from_estimate,
 )
-from tailcal.errors import EstimatorKindError, SpecError
+from tailcal.errors import UsageError
 from tailcal.model import predict_logits
-from tailcal.numerics import prob_vector, softmax_rows
+from tailcal.numerics import softmax_rows
 from tailcal.prior import EffectivePrior
 
 UNIFORM = np.array([0.5, 0.5])
@@ -151,12 +151,12 @@ def test_achieved_prior_biased_model_far_from_uniform(gmm, toy_ce_model, toy_tes
 
 
 def test_method_estimator_compatibility_enforced():
-    with pytest.raises(EstimatorKindError):
+    with pytest.raises(UsageError, match="method 'p2p-la' requires a prior of kind val-side"):
         spec_from_estimate("p2p-la", train_side([0.9, 0.1]), UNIFORM, 1.0)
-    with pytest.raises(EstimatorKindError):
+    with pytest.raises(UsageError, match="'p2p-ce' requires a prior of kind train-side, got 'val-side'"):
         spec_from_estimate("p2p-ce", val_side([0.9, 0.1]), UNIFORM, 1.0)
     # class-frequency refuses estimated priors outright
-    with pytest.raises(EstimatorKindError):
+    with pytest.raises(UsageError, match="'class-frequency' requires a prior of kind frequency"):
         AdjustmentSpec("class-frequency", np.array([0.9, 0.1]), "train-side", UNIFORM, 1.0)
     # p2p-la accepts any inference-side estimate
     for kind in ("val-side", "train-reweighted", "averaged"):
@@ -165,11 +165,11 @@ def test_method_estimator_compatibility_enforced():
 
 
 def test_spec_validation_errors():
-    with pytest.raises(SpecError):
+    with pytest.raises(UsageError, match="method 'p2p-ce' needs estimated and target priors"):
         AdjustmentSpec("p2p-ce", None, "train-side", UNIFORM, 1.0)
-    with pytest.raises(SpecError):
+    with pytest.raises(UsageError, match="alpha must be >= 0, got -1"):
         AdjustmentSpec("p2p-ce", np.array([0.9, 0.1]), "train-side", UNIFORM, -1.0)
-    with pytest.raises(SpecError):
+    with pytest.raises(UsageError, match="unknown adjustment method 'mystery'"):
         AdjustmentSpec("mystery", np.array([0.9, 0.1]), "train-side", UNIFORM, 1.0)
 
 

@@ -22,7 +22,7 @@ from tailcal.cli import (
     toy_workers,
 )
 from tailcal.dataset import load_dataset
-from tailcal.errors import ParseError
+from tailcal.errors import DataError
 from tailcal.model import load_model, predict_logits
 from tailcal.numerics import RngStream, softmax_rows
 from tailcal.oracle import bayes_posterior_rows, sample_mixture, toy_mixture
@@ -614,6 +614,27 @@ def test_wrong_typed_config_value_exits_2_naming_the_key(small_run, capsys, comm
     assert not (small_run / "x").exists()
 
 
+TOO_BIG = 99999999999999999999  # above the int64 maximum, 2**63 - 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--counts", f"{TOO_BIG},1"],
+     f"--counts must fit in a signed 64-bit integer, got [{TOO_BIG}, 1]"),
+    (["--config", "big.json"],
+     f"config big.json: key 'counts' must fit in a signed 64-bit integer, got [{TOO_BIG}, 1]"),
+    (["--val-per-class", str(TOO_BIG)],
+     f"--val-per-class must fit in a signed 64-bit integer, got {TOO_BIG}"),
+    (["--classes", str(TOO_BIG)], f"--classes must fit in a signed 64-bit integer, got {TOO_BIG}"),
+    # fits int64, but its float64 rounding, the head class count, is 2**63
+    (["--max-count", str(2**63 - 1)], f"count {2**63} does not fit in a signed 64-bit integer"),
+], ids=["counts", "config-counts", "val-per-class", "classes", "max-count"])
+def test_gen_data_integer_beyond_int64_exits_2_naming_it(workdir, capsys, argv, message):
+    (workdir / "big.json").write_text(json.dumps({"counts": [TOO_BIG, 1]}))
+    assert run_cli("gen-data", *argv, "--out", "x") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (workdir / "x").exists()
+
+
 @pytest.mark.parametrize("command, key, value", [
     ("train", "loss", "focal"),
     ("train", "arch", "cnn"),
@@ -720,7 +741,7 @@ def test_logit_dump_errors_name_the_line_after_blank_lines(workdir, capsys):
     rows = ["id,logit_0,logit_1,label", "a,0.1,0.2,0", "", "", "b,0.1,0.2,1", "",
             "c,0.1,0.2,0", "d,0.1,0.2,5"]
     (workdir / "label.csv").write_text("\n".join(rows) + "\n")
-    with pytest.raises(ParseError, match="line 8: label 5 out of range"):
+    with pytest.raises(DataError, match="line 8: label 5 out of range"):
         load_logit_dump("label.csv")
     rows[-1] = "d,0.1,inf,1"
     (workdir / "inf.csv").write_text("\n".join(rows) + "\n")

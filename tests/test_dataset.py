@@ -20,7 +20,7 @@ from tailcal.dataset import (
     save_counts,
     save_dataset,
 )
-from tailcal.errors import CountError, ParseError, ProfileError, ShiftError
+from tailcal.errors import DataError, UsageError
 from tailcal.numerics import RngStream, prob_vector
 
 
@@ -53,16 +53,16 @@ def test_step_profile():
 
 
 def test_profile_rejects_zero_counts():
-    with pytest.raises(ProfileError):
+    with pytest.raises(UsageError, match="profile produces a zero count"):
         make_longtail_counts(LongTailProfile(2, max_count=10, imbalance_factor=100))
 
 
 def test_profile_rejects_bad_parameters():
-    with pytest.raises(ProfileError):
+    with pytest.raises(UsageError, match="need >= 2 classes, got 1"):
         LongTailProfile(1, max_count=10)
-    with pytest.raises(ProfileError):
+    with pytest.raises(UsageError, match="imbalance factor must be >= 1"):
         LongTailProfile(2, max_count=10, imbalance_factor=0.5)
-    with pytest.raises(ProfileError):
+    with pytest.raises(UsageError, match="explicit profile needs one count per class"):
         LongTailProfile(2, kind="explicit", counts=(5,))
 
 
@@ -93,7 +93,7 @@ def test_sample_dataset_deterministic(gmm):
 
 
 def test_sample_dataset_rejects_zero_count(gmm):
-    with pytest.raises(CountError):
+    with pytest.raises(DataError, match="every class needs >= 1 sample"):
         sample_dataset(gmm, [3, 0], RngStream(5))
 
 
@@ -123,13 +123,13 @@ def test_shifted_counts_uniform():
 
 
 def test_shift_spec_validation():
-    with pytest.raises(ShiftError):
+    with pytest.raises(UsageError, match="uniform shift requires ratio == 1"):
         ShiftSpec("uniform", 2.0)
-    with pytest.raises(ShiftError):
+    with pytest.raises(UsageError, match="unknown shift direction 'sideways'"):
         ShiftSpec("sideways", 2.0)
-    with pytest.raises(ShiftError):
+    with pytest.raises(UsageError, match="shift ratio must be >= 1"):
         ShiftSpec("forward", 0.5)
-    with pytest.raises(ShiftError):
+    with pytest.raises(UsageError, match="shift produces a zero count"):
         make_shifted_counts([4, 4], ShiftSpec("forward", 100))
 
 
@@ -163,7 +163,7 @@ def test_dataset_csv_roundtrip(tmp_path, gmm):
 def test_load_rejects_label_out_of_range(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("f0,f1,label\n0.0,0.0,0\n1.0,1.0,2\n0.5,0.5,1\n")
-    with pytest.raises(ParseError, match="line 3"):
+    with pytest.raises(DataError, match=r"line 3: label 2 out of range \[0, 2\)"):
         load_dataset(path, num_classes=2)
 
 
@@ -171,7 +171,7 @@ def test_load_rejects_label_out_of_range(tmp_path):
 def test_load_rejects_nonfinite_cell_naming_its_line(tmp_path, cell):
     path = tmp_path / "nonfinite.csv"
     path.write_text(f"f0,f1,label\n0.0,0.0,0\n\n1.0,{cell},1\n")
-    with pytest.raises(ParseError, match=r"nonfinite\.csv: line 4: non-finite"):
+    with pytest.raises(DataError, match=r"nonfinite\.csv: line 4: non-finite"):
         load_dataset(path, num_classes=2)
 
 
@@ -180,21 +180,21 @@ def test_load_without_class_count_rejects_a_huge_label(tmp_path, label):
     # classes are inferred from the labels here; a huge one must not size an array
     path = tmp_path / "huge.csv"
     path.write_text(f"f0,label\n0.1,0\n0.2,{label}\n")
-    with pytest.raises(ParseError, match="no samples|line 3"):
+    with pytest.raises(DataError, match="class 1 has no samples|line 3: label .* out of range"):
         load_dataset(path)
 
 
 def test_load_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
-    with pytest.raises(ParseError, match="no header"):
+    with pytest.raises(DataError, match="no header"):
         load_dataset(path)
 
 
 def test_load_rejects_ragged_rows(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("f0,f1,label\n0.0,0.0,0\n1.0,1\n")
-    with pytest.raises(ParseError, match="line 3"):
+    with pytest.raises(DataError, match="line 3: expected 3 columns, got 2"):
         load_dataset(path)
 
 
@@ -202,7 +202,7 @@ def test_load_rejects_ragged_rows(tmp_path):
 def test_load_rejects_a_header_without_rows(tmp_path, body):
     path = tmp_path / "norows.csv"
     path.write_bytes(b"f0,f1,label\n" + body.encode())
-    with pytest.raises(ParseError, match=r"norows\.csv: no data rows"):
+    with pytest.raises(DataError, match=r"norows\.csv: no data rows"):
         load_dataset(path)
 
 
@@ -212,7 +212,7 @@ def test_counts_json_roundtrip(tmp_path):
     assert load_counts(path).tolist() == [9901, 99]
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
-    with pytest.raises(ParseError):
+    with pytest.raises(DataError, match="not a counts file"):
         load_counts(bad)
 
 
@@ -225,14 +225,14 @@ def test_read_csv_skips_a_leading_byte_order_mark(tmp_path):
 
 
 def test_labeled_dataset_invariants():
-    with pytest.raises(CountError):
+    with pytest.raises(DataError, match=r"counts \[2, 0\] inconsistent with labels"):
         LabeledDataset(np.zeros((2, 2)), [0, 1], [2, 0])
-    with pytest.raises(CountError):
+    with pytest.raises(DataError, match="label 5 out of range for 2 classes"):
         LabeledDataset(np.zeros((2, 2)), [0, 5], [1, 1])
 
 
 def test_mixture_spec_validation():
-    with pytest.raises(CountError):
+    with pytest.raises(DataError, match="class sigmas must be finite and positive"):
         GaussianMixtureSpec(np.zeros((2, 2)), np.array([1.0, 0.0]))
 
 
@@ -299,7 +299,7 @@ def _write_table(path, header, lines, crlf, final_newline):
 
 
 def _read_both(path, has_ids, bound):
-    """(vectorised result or None, per-line result or ParseError message)."""
+    """(vectorised result or None, per-line result or DataError message)."""
     limit = np.iinfo(np.int64).max if bound is None else bound
     results = []
     for parse in (_parse_rows_vectorised, lambda *args: _parse_rows(path, *args)):
@@ -307,7 +307,7 @@ def _read_both(path, has_ids, bound):
             names = lines.readline().rstrip("\n").split(",")
             try:
                 results.append(parse(lines, names, has_ids, limit))
-            except ParseError as exc:
+            except DataError as exc:
                 results.append(str(exc))
     return results
 
@@ -362,7 +362,7 @@ def test_vectorised_read_defers_every_fault_to_the_per_line_read(tmp_path_factor
     assert fast is None, f"the vectorised read accepted a table with a {fault}"
     try:
         whole = _read_csv(path, _check_header_for(has_ids, bound))
-    except ParseError as exc:
+    except DataError as exc:
         whole = str(exc)
     if isinstance(slow, str):
         assert whole == slow

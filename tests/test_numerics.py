@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tailcal.errors import DimensionError, NormalizationError, NumericInputError
+from tailcal.errors import DataError, NumericError
 from tailcal.numerics import (
     FOLD_MAX_COLUMNS,
     RngStream,
@@ -38,11 +38,11 @@ def test_softmax_hand_value():
 
 
 def test_softmax_rejects_empty_and_nonfinite():
-    with pytest.raises(DimensionError):
+    with pytest.raises(DataError, match="expected a non-empty 1-D vector"):
         softmax([])
-    with pytest.raises(NumericInputError):
+    with pytest.raises(NumericError, match="vector contains NaN or Inf"):
         softmax([1.0, float("nan")])
-    with pytest.raises(NumericInputError):
+    with pytest.raises(NumericError, match="vector contains NaN or Inf"):
         softmax([1.0, float("inf")])
 
 
@@ -50,7 +50,7 @@ def test_log_sum_exp_values():
     assert log_sum_exp([0.0, 0.0]) == pytest.approx(math.log(2), abs=1e-12)
     assert log_sum_exp([3.7]) == pytest.approx(3.7)
     assert log_sum_exp([1000.0, 1000.0]) == pytest.approx(1000 + math.log(2))
-    with pytest.raises(DimensionError):
+    with pytest.raises(DataError, match="expected a non-empty 1-D vector"):
         log_sum_exp([])
 
 
@@ -98,16 +98,16 @@ def test_row_kernels_match_the_row_max_formula_bit_for_bit(c, layout):
 def test_row_kernels_reject_nonfinite(bad):
     m = np.zeros((3, 2))
     m[1, 0] = bad
-    with pytest.raises(NumericInputError):
+    with pytest.raises(NumericError, match="matrix contains NaN or Inf"):
         log_sum_exp_rows(m)
-    with pytest.raises(NumericInputError):
+    with pytest.raises(NumericError, match="matrix contains NaN or Inf"):
         softmax_rows(m)
 
 
 def test_prob_vector_validation():
-    with pytest.raises(NormalizationError):
+    with pytest.raises(NumericError, match=r"probabilities sum to 1\.2, not 1 within 1e-09"):
         prob_vector([0.6, 0.6])
-    with pytest.raises(DimensionError):
+    with pytest.raises(DataError, match="probability vector needs >= 2 entries, got 1"):
         prob_vector([1.0])
     p = prob_vector([0.25, 0.75])
     assert p.dtype == np.float64

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tailcal.dataset import GaussianMixtureSpec
-from tailcal.errors import CountError, DimensionError, UnsupportedModelError
+from tailcal.errors import DataError, UsageError
 from tailcal.model import LinearSoftmaxModel, init_linear, init_mlp
 from tailcal.numerics import RngStream, prob_vector
 from tailcal.oracle import (
@@ -13,7 +13,6 @@ from tailcal.oracle import (
     boundary_offset,
     oracle_effective_prior,
     sample_mixture,
-    toy_mixture,
 )
 
 
@@ -100,7 +99,7 @@ def test_oracle_effective_prior_stream_agreement(gmm):
 
 
 def test_oracle_effective_prior_needs_draws(gmm):
-    with pytest.raises(CountError):
+    with pytest.raises(DataError, match="need >= 1000 draws"):
         oracle_effective_prior(init_linear(2, 2), gmm, [0.5, 0.5], 10, RngStream(1))
 
 
@@ -159,15 +158,15 @@ def test_boundary_offset_unequal_sigmas_crossing():
 
 def test_boundary_offset_rejects_unsupported_models(gmm):
     mlp = init_mlp(2, 2, hidden=3, activation="relu", rng=RngStream(1))
-    with pytest.raises(UnsupportedModelError):
+    with pytest.raises(UsageError, match="boundary offset requires a linear model"):
         boundary_offset(mlp, gmm, [0.5, 0.5])
     three = GaussianMixtureSpec(np.zeros((3, 2)) + np.eye(3, 2), np.ones(3))
-    with pytest.raises(UnsupportedModelError):
+    with pytest.raises(UsageError, match="boundary offset requires exactly 2 classes"):
         boundary_offset(init_linear(3, 2), three, [1 / 3] * 3)
 
 
 def test_bayes_posterior_dimension_checks(gmm):
-    with pytest.raises(DimensionError, match="3 dims"):
+    with pytest.raises(DataError, match="features have 3 dims, mixture has 2"):
         bayes_posterior_rows(gmm, [0.5, 0.5], [[0.0, 0.0, 0.0]])
-    with pytest.raises(DimensionError, match="prior length"):
+    with pytest.raises(DataError, match="prior length must match the number of classes"):
         bayes_posterior_rows(gmm, [0.5, 0.3, 0.2], [[0.0, 0.0]])

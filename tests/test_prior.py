@@ -3,12 +3,7 @@ import numpy as np
 import pytest
 
 from tailcal.dataset import empirical_prior, sample_dataset
-from tailcal.errors import (
-    DimensionError,
-    EstimatorKindError,
-    NumericError,
-    UsageError,
-)
+from tailcal.errors import DataError, NumericError, UsageError
 from tailcal.model import (
     LossSpec,
     TrainConfig,
@@ -18,7 +13,7 @@ from tailcal.model import (
     train,
 )
 from tailcal.numerics import RngStream, prob_vector, softmax_rows
-from tailcal.oracle import bayes_posterior_rows, sample_mixture, toy_mixture
+from tailcal.oracle import bayes_posterior_rows, sample_mixture
 from tailcal.prior import (
     DEFAULT_ALPHA_GRID,
     PROB_FLOOR,
@@ -71,12 +66,12 @@ def test_train_reweighted_identity_when_priors_match():
 
 def test_train_reweighted_rejects_zero_train_prior():
     posts = np.tile([0.6, 0.4], (4, 1))
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError, match="train prior must be strictly positive"):
         pmbar_from_train(posts, [0.5, 0.5], [1.0, 0.0])
 
 
 def test_estimators_reject_empty():
-    with pytest.raises(DimensionError):
+    with pytest.raises(DataError, match="expected a non-empty 2-D matrix"):
         effective_prior_train(np.zeros((0, 2)))
 
 
@@ -114,10 +109,16 @@ def test_average_of_opposites_is_uniform():
 def test_average_rejects_train_side():
     a = effective_prior_train(np.tile([0.6, 0.4], (5, 1)))
     b = pmbar_from_val(np.tile([0.5, 0.5], (5, 1)))
-    with pytest.raises(EstimatorKindError):
+    with pytest.raises(UsageError, match="cannot average a 'train-side' estimate"):
         average_estimates(a, b)
-    with pytest.raises(EstimatorKindError):
+    with pytest.raises(UsageError, match="cannot average a 'train-side' estimate"):
         average_estimates(b, a)
+
+
+def test_effective_prior_rejects_an_unknown_estimator_tag():
+    # "val" is the estimate-prior flag value; the tag is "val-side"
+    with pytest.raises(UsageError, match="unknown estimator tag 'val'"):
+        EffectivePrior(np.array([0.5, 0.5]), "val", 10)
 
 
 def test_identity_between_estimation_routes(gmm):
@@ -177,11 +178,11 @@ def test_tune_alpha_deterministic(gmm, toy_ce_model):
 
 def test_tune_alpha_rejects_bad_grid():
     est = EffectivePrior(np.array([0.5, 0.5]), "train-side", 1)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="alpha grid is empty"):
         tune_alpha_on_logits(np.zeros((2, 2)), [0, 1], "p2p-ce", est, [], [0.5, 0.5])
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="alpha grid values must be >= 0"):
         tune_alpha_on_logits(np.zeros((2, 2)), [0, 1], "p2p-ce", est, [-0.5], [0.5, 0.5])
-    with pytest.raises(DimensionError):
+    with pytest.raises(DataError, match="holdout logits must be a non-empty matrix"):
         tune_alpha_on_logits(np.zeros((0, 2)), [], "p2p-ce", est, [1.0], [0.5, 0.5])
 
 
