@@ -133,16 +133,19 @@ def _log_shift(spec: AdjustmentSpec) -> np.ndarray:
     return -spec.alpha * np.log(spec.estimated_prior) + np.log(spec.target_prior)
 
 
-def adjust_logits(logits, spec: AdjustmentSpec) -> np.ndarray:
-    """Shift every row by -alpha * log(estimate) + log(target)."""
+def adjust_logits(logits, spec: AdjustmentSpec, out=None) -> np.ndarray:
+    """Shift every row by -alpha * log(estimate) + log(target).
+
+    The result goes to a new array, or to ``out``, which may be ``logits``.
+    """
     z = as_matrix(logits)
     if spec.method == "none":
-        return z.copy()
+        return np.positive(z, out=out)  # an exact copy, -0.0 kept
     if z.shape[1] != spec.estimated_prior.shape[0]:
         raise DataError(
             f"{z.shape[1]} logit columns vs {spec.estimated_prior.shape[0]} classes"
         )
-    return z + _log_shift(spec)
+    return np.add(z, _log_shift(spec), out=out)
 
 
 def adjust_posteriors(posteriors, spec: AdjustmentSpec) -> AdjustedPosteriors:

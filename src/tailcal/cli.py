@@ -40,6 +40,7 @@ from .dataset import (
     sample_dataset,
     save_counts,
     save_dataset,
+    _csv_blocks,
     _read_csv,
     _write_csv,
 )
@@ -261,6 +262,13 @@ def load_logit_dump(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     return _read_csv(path, _check_dump_header)
 
 
+def _dump_posterior_means(path) -> tuple[np.ndarray, int]:
+    """Column means of the softmax of a logit dump's rows, and the row count,
+    read a block at a time: the dump is never held whole."""
+    blocks = _csv_blocks(Path(path), _check_dump_header)
+    return prior.column_means(softmax_rows(logits) for _, logits, _ in blocks)
+
+
 # ---------------------------------------------------------------------------
 # shared model helpers
 
@@ -320,15 +328,23 @@ GEN_DEFAULTS = {
 GEN_INT_KEYS = ("classes", "dims", "max_count", "counts", "val_per_class", "test_per_class")
 
 
+def _given_as(args, key: str) -> str:
+    """How a gen-data value is named in an error: by its config key when it
+    came from the config file, else by its flag, which beats the file."""
+    if getattr(args, key) is None and args.config is not None:
+        return f"config {args.config}: key {key!r}"
+    return f"--{key.replace('_', '-')}"
+
+
 def cmd_gen_data(args, run: RunDir) -> dict:
     cfg = _resolve(args, GEN_DEFAULTS)
     int64 = np.iinfo(np.int64)
     for key in GEN_INT_KEYS:
         values = cfg[key] if key == "counts" else [cfg[key]]
         if values is not None and not all(int64.min <= v <= int64.max for v in values):
-            flag = getattr(args, key) is not None  # a flag beats the config file
-            where = f"--{key.replace('_', '-')}" if flag else f"config {args.config}: key {key!r}"
-            raise UsageError(f"{where} must fit in a signed 64-bit integer, got {cfg[key]!r}")
+            raise UsageError(
+                f"{_given_as(args, key)} must fit in a signed 64-bit integer, got {cfg[key]!r}"
+            )
     cfg["seed"] = _master_seed(cfg["seed"])
     classes, dims = int(cfg["classes"]), int(cfg["dims"])
     means = (
@@ -356,12 +372,28 @@ def cmd_gen_data(args, run: RunDir) -> dict:
     val_counts = np.full(classes, int(cfg["val_per_class"]))
 
     master = RngStream(cfg["seed"])
-    ds_train = sample_dataset(gmm, train_counts, master.child(0))
-    ds_val = sample_dataset(gmm, val_counts, master.child(1))
-    ds_test = sample_dataset(gmm, test_counts, master.child(2))
+    splits = (
+        ("train", train_counts, "max_count" if cfg["counts"] is None else "counts"),
+        ("val", val_counts, "val_per_class"),
+        ("test", test_counts, "test_per_class"),
+    )
 
-    for name, ds in (("train", ds_train), ("val", ds_val), ("test", ds_test)):
+    def too_big(name, counts, key) -> UsageError:
+        return UsageError(
+            f"{_given_as(args, key)}: the {name} split of {sum(counts.tolist())} rows "
+            f"of {gmm.dims} features is too big to allocate"
+        )
+
+    for name, counts, key in splits:  # arrays numpy refuses before allocating
+        if sum(counts.tolist()) * max(gmm.dims, 1) * 8 > np.iinfo(np.intp).max:
+            raise too_big(name, counts, key)
+    for stream, (name, counts, key) in enumerate(splits):  # one split in memory at a time
+        try:
+            ds = sample_dataset(gmm, counts, master.child(stream))
+        except MemoryError:
+            raise too_big(name, counts, key) from None
         save_dataset(ds, run.output(f"{name}.csv"))
+        del ds
     save_counts(train_counts, run.output("counts.json"))
 
     print(f"{'class':>6} {'train':>8} {'val':>8} {'test':>8}")
@@ -870,11 +902,15 @@ def ingest_logits(
     master: RngStream,
     target_prior: np.ndarray,
     grid,
-    train_dump: tuple[np.ndarray, np.ndarray] | None = None,
+    train_means: tuple[np.ndarray, int] | None = None,
     train_counts=None,
 ) -> dict:
     """Estimate the residual prior of an external dump, tune alpha on a
-    held-out split, and adjust the remaining rows."""
+    held-out split, and adjust the remaining rows.
+
+    ``train_means`` is ``(column means, row count)`` of a train-side dump's
+    posteriors, as :func:`_dump_posterior_means` reads them.
+    """
     n, c = logits.shape
     if not 0.0 < val_frac < 1.0:
         raise UsageError(f"val fraction must be in (0, 1), got {val_frac}")
@@ -884,8 +920,9 @@ def ingest_logits(
     perm = master.generator().permutation(n)
     val_idx, rest_idx = perm[:n_val], perm[n_val:]
 
-    estimate = prior.pmbar_from_val(softmax_rows(logits[val_idx]))
-    if train_dump is not None:
+    val = logits[val_idx]
+    estimate = prior.pmbar_from_val(softmax_rows(val))
+    if train_means is not None:
         if train_counts is None:
             raise UsageError("train-side dump needs --counts metadata")
         counts = np.asarray(train_counts, dtype=np.int64)
@@ -893,22 +930,20 @@ def ingest_logits(
             raise DataError(
                 f"counts metadata lists {counts.shape[0]} classes, dump has {c}"
             )
-        train_logits, _ = train_dump
-        if train_logits.shape[1] != c:
-            raise DataError(
-                f"train dump has {train_logits.shape[1]} classes, eval dump has {c}"
-            )
-        est_train = prior.pmbar_from_train(
-            softmax_rows(train_logits), target_prior, empirical_prior(counts)
-        )
+        means, samples = train_means
+        if means.shape[0] != c:
+            raise DataError(f"train dump has {means.shape[0]} classes, eval dump has {c}")
+        est_train = prior.reweight_means(means, target_prior, empirical_prior(counts), samples)
         estimate = prior.average_estimates(estimate, est_train)
 
     alpha, curve = prior.tune_alpha_on_logits(
-        logits[val_idx], labels[val_idx], "p2p-la", estimate, grid, target_prior
+        val, labels[val_idx], "p2p-la", estimate, grid, target_prior
     )
+    del val  # freed before the remaining rows are gathered
     spec = adjust.spec_from_estimate("p2p-la", estimate, target_prior, alpha)
-    adjusted = adjust.adjust_logits(logits[rest_idx], spec)
-    before = evaluation.top1_accuracy(np.argmax(logits[rest_idx], axis=1), labels[rest_idx])
+    rest = logits[rest_idx]
+    before = evaluation.top1_accuracy(np.argmax(rest, axis=1), labels[rest_idx])
+    adjusted = adjust.adjust_logits(rest, spec, out=rest)
     after = evaluation.top1_accuracy(np.argmax(adjusted, axis=1), labels[rest_idx])
     return {
         "estimate": estimate.with_alpha(alpha),
@@ -929,10 +964,10 @@ def cmd_ingest_logits(args, run: RunDir) -> dict:
     target = _resolve_target(args.target_prior, logits.shape[1])
     if args.target_prior is None:
         _notice("no --target-prior given; defaulting to uniform")
-    train_dump = None
+    train_means = None
     train_counts = None
     if args.train_logits:
-        train_dump = load_logit_dump(args.train_logits)[1:]  # (logits, labels)
+        train_means = _dump_posterior_means(args.train_logits)
         if args.counts is None:
             raise UsageError("--train-logits needs --counts metadata")
         train_counts = load_counts(args.counts)
@@ -945,7 +980,7 @@ def cmd_ingest_logits(args, run: RunDir) -> dict:
         RngStream(seed).child(17),
         target,
         args.grid,
-        train_dump=train_dump,
+        train_means=train_means,
         train_counts=train_counts,
     )
     prior.save_prior(result["estimate"], run.output("prior.json"))
@@ -1115,13 +1150,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _sha256(path) -> str:
+    """The hex SHA-256 digest of a file, read 1 MiB at a time."""
+    digest = hashlib.sha256()
+    with Path(path).open("rb") as raw:
+        while block := raw.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     started = time.time()
     try:
         inputs = {
-            path: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            path: _sha256(path)
             for flag in INPUT_FLAGS
             if isinstance(path := getattr(args, flag, None), str)
             and not (flag == "target_prior" and path == "uniform")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,10 @@ from .numerics import RngStream, as_matrix, prob_vector
 
 PROFILE_KINDS = ("exponential", "step", "explicit")
 SHIFT_DIRECTIONS = ("forward", "backward", "uniform")
+
+# Lines per block of a CSV read: a read holds one block's parse beside the
+# arrays it fills.
+CSV_BLOCK_LINES = 256
 
 
 @dataclass(frozen=True)
@@ -230,7 +234,7 @@ def make_shifted_counts(base_counts, shift: ShiftSpec) -> np.ndarray:
     c = base.shape[0]
     if c < 2:
         raise DataError("need >= 2 classes to shift")
-    total = float(base.sum())
+    total = float(sum(base.tolist()))  # Python ints: no int64 wrap-around
     if shift.direction == "uniform":
         counts = _round_half_even(np.full(c, total / c))
     else:
@@ -277,12 +281,51 @@ def _read_csv(path, check_header) -> tuple[list[str], np.ndarray, np.ndarray]:
     and the line. Returns ``(ids, values, labels)``; ``ids`` is empty without
     an id column.
 
-    :func:`_parse_rows` defines the contract and writes every error.
-    :func:`_parse_rows_vectorised` is a faster read of the same contract: its
-    result is used only when it has passed every check, and any input it
-    cannot vouch for is parsed again by :func:`_parse_rows`.
+    The rows arrive from :func:`_csv_blocks` a block at a time and are copied
+    into arrays sized from the file's line breaks, so the values are held once.
     """
     path = Path(path)
+    capacity = _line_breaks(path)  # the header is a line, so rows <= breaks
+    ids: list[str] = []
+    values = labels = None
+    n = 0
+    for block_ids, block_values, block_labels in _csv_blocks(path, check_header):
+        if values is None:
+            values = np.empty((capacity, block_values.shape[1]))
+            labels = np.empty(capacity, dtype=np.int64)
+        end = n + block_labels.size
+        values[n:end] = block_values
+        labels[n:end] = block_labels
+        ids += block_ids
+        n = end
+    return ids, values[:n], labels[:n]
+
+
+def _line_breaks(path: Path) -> int:
+    """How many line breaks text mode reads in the file: every ``\\n``,
+    ``\\r\\n`` and lone ``\\r``. Neither byte occurs inside a multi-byte
+    UTF-8 character."""
+    breaks, last = 0, b""
+    with path.open("rb") as raw:
+        while chunk := raw.read(1 << 20):
+            # numpy counts a byte about 4x faster than bytes.count
+            breaks += int(np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n")))
+            if b"\r" in chunk:
+                breaks += chunk.count(b"\r") - chunk.count(b"\r\n")
+            breaks -= last == b"\r" and chunk[:1] == b"\n"  # a CRLF across two chunks
+            last = chunk[-1:]
+    return breaks
+
+
+def _csv_blocks(path: Path, check_header):
+    """Yield the rows of a :func:`_read_csv` file as ``(ids, values, labels)``
+    blocks in file order, none of them empty.
+
+    After the header, :func:`_parse_rows_vectorised` parses the file
+    ``CSV_BLOCK_LINES`` lines at a time. The first block it does not accept
+    goes, with every line after it, to :func:`_parse_rows`, which writes each
+    error with the file's own line numbers.
+    """
     try:
         with path.open(encoding="utf-8-sig") as lines:
             first = lines.readline()
@@ -294,24 +337,51 @@ def _read_csv(path, check_header) -> tuple[list[str], np.ndarray, np.ndarray]:
             except ValueError as exc:
                 raise DataError(f"{path}: line 1: {exc}") from exc
             bound = np.iinfo(np.int64).max if num_classes is None else num_classes
-            parsed = _parse_rows_vectorised(lines, names, has_ids, bound)
-            if parsed is None:
-                lines.seek(0)
-                lines.readline()
-                parsed = _parse_rows(path, lines, names, has_ids, bound)
+            lineno, rows = 2, 0
+            while True:
+                block, rest = [], lines
+                try:
+                    for line in islice(lines, CSV_BLOCK_LINES):
+                        block.append(line)
+                except UnicodeDecodeError as exc:
+                    # the per-line read meets the bad byte after the lines
+                    # before it, as it does reading the whole file
+                    rest = _raising(exc)
+                else:
+                    if not block:
+                        break
+                    parsed = _parse_rows_vectorised(block, names, has_ids, bound)
+                    if parsed is not None:
+                        rows += parsed[2].size
+                        yield parsed
+                        lineno += len(block)
+                        continue
+                parsed = _parse_rows(path, chain(block, rest), names, has_ids, bound, lineno)
+                rows += parsed[2].size
+                if parsed[2].size:
+                    yield parsed
+                break
+            if not rows:
+                raise DataError(f"{path}: no data rows")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    return parsed
 
 
-def _parse_rows(path: Path, lines, names: list[str], has_ids: bool, bound: int):
-    """Parse the data lines one at a time; the reference reading of the format."""
+def _raising(exc: Exception):
+    """An iterator that raises ``exc`` when it is first advanced."""
+    raise exc
+    yield  # unreachable; makes this function a generator
+
+
+def _parse_rows(path: Path, lines, names: list[str], has_ids: bool, bound: int, start: int = 2):
+    """Parse the data lines one at a time, the first of them line ``start`` of
+    the file; the reference reading of the format. May return no rows."""
     lead = 1 if has_ids else 0
     ids: list[str] = []
     rows = []
     labels = []
     linenos = []
-    for lineno, line in enumerate(lines, start=2):
+    for lineno, line in enumerate(lines, start=start):
         if not line.strip():
             continue
         parts = line.rstrip("\n").split(",")
@@ -330,9 +400,7 @@ def _parse_rows(path: Path, lines, names: list[str], has_ids: bool, bound: int):
             ids.append(parts[0])
         labels.append(label)
         linenos.append(lineno)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    values = np.asarray(rows, dtype=np.float64)
+    values = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(names) - lead - 1)
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise DataError(f"{path}: line {linenos[int(np.argmin(finite))]}: non-finite value")
@@ -340,7 +408,7 @@ def _parse_rows(path: Path, lines, names: list[str], has_ids: bool, bound: int):
 
 
 def _parse_rows_vectorised(lines, names: list[str], has_ids: bool, bound: int):
-    """Parse the data lines in one ``np.loadtxt`` pass, or return None.
+    """Parse a block of data lines in one ``np.loadtxt`` pass, or return None.
 
     Returns what :func:`_parse_rows` returns for input that passes every
     check, and None for anything else, including every input it rejects.

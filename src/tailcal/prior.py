@@ -75,9 +75,26 @@ def _floor_and_normalize(raw: np.ndarray) -> np.ndarray:
     return prob_vector(floored / floored.sum())
 
 
+def column_means(blocks) -> tuple[np.ndarray, int]:
+    """Column means over the rows of a non-empty sequence of posterior
+    matrices, and the row count.
+
+    numpy sums axis 0 of a C-ordered matrix row after row. So summing each
+    block with the running sum stacked on top keeps the bits of
+    ``np.concatenate(blocks).mean(axis=0)``, and one block gives the bits of
+    its own ``mean(axis=0)``.
+    """
+    total, n = None, 0
+    for block in blocks:
+        p = prob_matrix(block)
+        total = p.sum(axis=0) if total is None else np.vstack((total, p)).sum(axis=0)
+        n += p.shape[0]
+    return total / n, n
+
+
 def _mean_posterior(posteriors, kind: str) -> EffectivePrior:
-    p = prob_matrix(posteriors)
-    return EffectivePrior(_floor_and_normalize(p.mean(axis=0)), kind, p.shape[0])
+    means, n = column_means([posteriors])
+    return EffectivePrior(_floor_and_normalize(means), kind, n)
 
 
 def effective_prior_train(posteriors) -> EffectivePrior:
@@ -94,8 +111,9 @@ def pmbar_from_val(posteriors) -> EffectivePrior:
     return _mean_posterior(posteriors, ESTIMATOR_VAL_SIDE)
 
 
-def _reweighted(means: np.ndarray, target_prior, train_prior, samples: int) -> EffectivePrior:
-    """Reweight train-side column means by target/train prior ratios.
+def reweight_means(means: np.ndarray, target_prior, train_prior, samples: int) -> EffectivePrior:
+    """Reweight train-side posterior column means, from ``samples`` rows, by
+    target/train prior ratios.
 
     The finite-sample result need not sum to one before the renormalization,
     which is the consistent projection back to the simplex.
@@ -118,8 +136,8 @@ def pmbar_from_train(train_posteriors, target_prior, train_prior) -> EffectivePr
     Column means are reweighted by target/train prior ratios and
     renormalized.
     """
-    p = prob_matrix(train_posteriors)
-    return _reweighted(p.mean(axis=0), target_prior, train_prior, p.shape[0])
+    means, n = column_means([train_posteriors])
+    return reweight_means(means, target_prior, train_prior, n)
 
 
 def reweight_estimate(
@@ -135,7 +153,7 @@ def reweight_estimate(
         raise UsageError(
             f"reweighting starts from a train-side estimate, got {estimate.estimator!r}"
         )
-    return _reweighted(estimate.probs, target_prior, train_prior, estimate.samples)
+    return reweight_means(estimate.probs, target_prior, train_prior, estimate.samples)
 
 
 def average_estimates(a: EffectivePrior, b: EffectivePrior) -> EffectivePrior:

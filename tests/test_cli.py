@@ -5,6 +5,7 @@ import itertools
 import json
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailcal import adjust, cli, prior
+from tailcal import adjust, cli, dataset, prior
 from tailcal.cli import (
     ToyConfig,
     load_logit_dump,
@@ -867,3 +868,77 @@ def test_any_flag_value_exits_with_a_documented_code(tiny, flag, data):
             code = exc.code
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+# --- memory and size bounds -------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--counts", f"{2**63 - 1},1"],
+     f"--counts: the train split of {2**63} rows of 2 features is too big to allocate"),
+    (["--test-per-class", str(2**62)],
+     f"--test-per-class: the test split of {2**63} rows of 2 features is too big to allocate"),
+    (["--config", "big.json"],
+     f"config big.json: key 'test_per_class': the test split of {2**63} rows of 2 features "
+     "is too big to allocate"),
+], ids=["counts", "test-per-class", "config-test-per-class"])
+def test_gen_data_split_numpy_cannot_allocate_exits_2_naming_it(workdir, capsys, argv, message):
+    # numpy refuses these arrays before allocating; none is attempted
+    (workdir / "big.json").write_text(json.dumps({"test_per_class": 2**62}))
+    assert run_cli("gen-data", *argv, "--out", "x") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (workdir / "x").exists()
+
+
+def test_gen_data_memory_error_at_sampling_exits_2_naming_the_flag(workdir, capsys, monkeypatch):
+    sample = cli.sample_dataset
+
+    def short_of_memory(gmm, counts, rng):
+        if counts.sum() == 6:  # the val split
+            raise MemoryError
+        return sample(gmm, counts, rng)
+
+    monkeypatch.setattr(cli, "sample_dataset", short_of_memory)
+    code = run_cli("gen-data", "--counts", "20,10", "--val-per-class", "3", "--out", "x")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: --val-per-class: the val split of 6 rows of 2 features is too big to allocate\n"
+    )
+
+
+def test_dump_posterior_means_fold_the_blocks_of_the_whole_dump(workdir, monkeypatch):
+    gen = RngStream(31).generator()
+    logits = 4.0 * gen.normal(size=(700, 5))
+    save_logit_dump([f"r{i}" for i in range(700)], logits, np.arange(700) % 5, "t.csv")
+    lines = (workdir / "t.csv").read_text().splitlines(keepends=True)
+    lines.insert(257, "\n")  # a blank line opening the second 256-line block
+    (workdir / "t.csv").write_text("".join(lines))
+    whole = prior.column_means([softmax_rows(load_logit_dump("t.csv")[1])])
+    for block_lines in (256, 3, 1000):
+        monkeypatch.setattr(dataset, "CSV_BLOCK_LINES", block_lines)
+        means, n = cli._dump_posterior_means("t.csv")
+        assert n == 700 and means.tobytes() == whole[0].tobytes()
+
+
+def test_ingest_traced_peak_stays_near_the_eval_logits(workdir):
+    # 20 classes x 5 000 eval rows and a train dump twice as big. The eval
+    # logits, the copy of the adjusted rows and one block stay below 3.5x the
+    # eval logit bytes (2.8x measured). Hashing each input whole and holding
+    # the train dump whole beside its softmax reached 7.9x.
+    gen = RngStream(32).generator()
+    classes = 20
+    for name, rows in (("eval", 5000), ("train", 10000)):
+        labels = gen.integers(0, classes, size=rows)
+        logits = gen.normal(size=(rows, classes))
+        logits[np.arange(rows), labels] += 2.0
+        save_logit_dump([f"img-{i:05d}" for i in range(rows)], logits, labels, f"{name}.csv")
+    (workdir / "counts.json").write_text(json.dumps({"counts": [500] * classes}))
+    tracemalloc.start()
+    try:
+        code = run_cli("ingest-logits", "--logits", "eval.csv", "--train-logits", "train.csv",
+                       "--counts", "counts.json", "--seed", "5", "--out", "ing")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 3.5 * 5000 * classes * 8

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tailcal import dataset
 from tailcal.dataset import (
     GaussianMixtureSpec,
     LabeledDataset,
     LongTailProfile,
     ShiftSpec,
+    _csv_blocks,
     _parse_rows,
     _parse_rows_vectorised,
     _read_csv,
@@ -120,6 +122,12 @@ def test_shifted_counts_backward_reverses_forward():
 def test_shifted_counts_uniform():
     counts = make_shifted_counts([150, 50], ShiftSpec("uniform"))
     assert counts.tolist() == [100, 100]
+
+
+def test_shifted_counts_sum_a_total_beyond_int64_without_wrapping():
+    # the int64 sum of these base counts wraps to -2**63
+    counts = make_shifted_counts([2**62, 2**62], ShiftSpec("uniform"))
+    assert counts.tolist() == [2**62, 2**62]
 
 
 def test_shift_spec_validation():
@@ -369,3 +377,111 @@ def test_vectorised_read_defers_every_fault_to_the_per_line_read(tmp_path_factor
     else:  # 1_0 is a float() literal; a whitespace-only line is blank
         assert fault in ("underscore float", "whitespace-only line")
         assert _same(whole, slow)
+
+
+# --- the block read against the per-line reference ---------------------------
+
+LINE_ENDS = {"LF": "\n", "CRLF": "\r\n", "CR": "\r"}
+
+
+def _reference_read(path, has_ids, bound):
+    """_parse_rows over the whole file: the rows, or the DataError message."""
+    limit = np.iinfo(np.int64).max if bound is None else bound
+    with path.open(encoding="utf-8-sig") as lines:
+        names = lines.readline().rstrip("\n").split(",")
+        try:
+            return _parse_rows(path, lines, names, has_ids, limit)
+        except DataError as exc:
+            return str(exc)
+
+
+def _read_in_blocks(path, has_ids, bound, block_lines):
+    """(_read_csv, the concatenated _csv_blocks) at ``block_lines`` lines a
+    block, each the rows or the DataError message."""
+    check = _check_header_for(has_ids, bound)
+    results = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataset, "CSV_BLOCK_LINES", block_lines)
+        for read in (_read_csv, lambda *args: list(_csv_blocks(*args))):
+            try:
+                results.append(read(path, check))
+            except DataError as exc:
+                results.append(str(exc))
+    blocks = results[1]
+    if not isinstance(blocks, str):
+        assert all(labels.size for _, _, labels in blocks), "an empty block was yielded"
+        results[1] = (
+            [i for ids, _, _ in blocks for i in ids],
+            np.concatenate([values for _, values, _ in blocks]),
+            np.concatenate([labels for _, _, labels in blocks]),
+        )
+    return results
+
+
+@settings(max_examples=150)
+@given(table=csv_tables(), data=st.data())
+def test_block_read_matches_the_per_line_read(tmp_path_factory, table, data):
+    has_ids, bound, header, lines = table
+    # blank and whitespace-only lines anywhere, block edges included
+    for _ in range(data.draw(st.integers(0, 3))):
+        at = data.draw(st.integers(0, len(lines)))
+        lines.insert(at, data.draw(st.sampled_from(["", " ", "\t ", "\u3000"])))
+    # half the tables stay valid, so a block that falls back to the per-line
+    # read after accepted ones must not repeat or drop their rows
+    fault = data.draw(st.one_of(st.none(), st.sampled_from(sorted(FAULTS))))
+    if fault is not None:  # often in a later block than the first
+        at = data.draw(st.sampled_from([i for i, line in enumerate(lines) if line.strip()]))
+        where, text = FAULTS[fault]
+        cells = lines[at].split(",")
+        if where == "line":
+            lines.insert(at, text)
+        elif where == "drop":
+            del cells[-2]
+        elif where == "append":
+            cells.append(text)
+        elif where == "label":
+            cells[-1] = text.format(bound=bound or 2**63 - 1)
+        else:
+            cells[data.draw(st.integers(1 if has_ids else 0, len(cells) - 2))] = text
+        if where != "line":
+            lines[at] = ",".join(cells)
+    end = LINE_ENDS[data.draw(st.sampled_from(sorted(LINE_ENDS)))]
+    text = end.join([header, *lines]) + (end if data.draw(st.booleans()) else "")
+    bom = "\ufeff" if data.draw(st.booleans()) else ""
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    path.write_bytes((bom + text).encode("utf-8"))
+
+    reference = _reference_read(path, has_ids, bound)
+    for got in _read_in_blocks(path, has_ids, bound, data.draw(st.integers(1, 3))):
+        if isinstance(reference, str):
+            assert got == reference  # the same message, naming the same line
+        else:  # every accepted row once, in file order
+            assert _same(got, reference)
+
+
+@pytest.mark.parametrize("bad_line", [True, False])
+def test_a_bad_byte_in_a_block_is_met_after_the_lines_before_it(tmp_path, bad_line):
+    # text mode decodes 8 KiB at a time, so the bad byte at line 250 is met
+    # while the first block is read; the whole-file per-line read meets the
+    # column fault at line 5 first, and so must the block read
+    rows = [f"{i / 7:.40f},{i % 2}" for i in range(300)]
+    if bad_line:
+        rows[3] = "0.5"
+    path = tmp_path / "mixed.csv"
+    path.write_bytes("\n".join(["f0,label", *rows]).encode() + b"\n")
+    raw = bytearray(path.read_bytes())
+    raw[raw.index(rows[248].encode())] = 0xFF
+    path.write_bytes(bytes(raw))
+    message = r"line 5: expected 2 columns, got 1" if bad_line else r"not UTF-8 text"
+    with pytest.raises(DataError, match=message):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_read_csv_sizes_its_arrays_from_the_line_breaks(tmp_path, end):
+    lines = ["f0,label", *(f"{i}.5,{i % 2}" for i in range(7))]
+    path = tmp_path / "rows.csv"
+    path.write_bytes(end.join(lines).encode())  # no final line break
+    assert dataset._line_breaks(path) == 7
+    _, values, labels = _read_csv(path, _check_header_for(False, 2))
+    assert values.base.shape == (7, 1) and labels.tolist() == [0, 1] * 3 + [0]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tailcal.dataset import GaussianMixtureSpec, sample_dataset
+from tailcal.dataset import GaussianMixtureSpec, LabeledDataset, sample_dataset
 from tailcal.errors import DataError, NumericError, UsageError
 from tailcal.model import (
     LinearSoftmaxModel,
@@ -300,6 +300,17 @@ def test_divergence_detection_non_finite(toy_train):
     )
     with pytest.raises(NumericError, match="epoch mean loss .* beyond limit"):
         train(init_linear(2, 2), toy_train, LossSpec(), cfg)
+
+
+def test_divergence_detection_non_finite_loss_at_a_step():
+    # finite logits of +-1e308, each on the wrong class: the loss overflows
+    hostile = LinearSoftmaxModel(np.array([[1e307, 0.0], [-1e307, 0.0]]), np.zeros(2))
+    ds = LabeledDataset(np.array([[10.0, 0.0], [-10.0, 0.0]]), [1, 0], [1, 1])
+    assert np.isfinite(predict_logits(hostile, ds.features)).all()
+    cfg = TrainConfig(learning_rate=0.1, iterations=5, batch_size=2, seed=RngStream(9))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(NumericError, match="non-finite loss at step 0; lower the learning rate"):
+            train(hostile, ds, LossSpec(), cfg)
 
 
 def test_divergence_detection_epoch_limit(toy_train):

@@ -19,6 +19,7 @@ from tailcal.prior import (
     PROB_FLOOR,
     EffectivePrior,
     average_estimates,
+    column_means,
     effective_prior_train,
     load_prior,
     pmbar_from_train,
@@ -84,6 +85,17 @@ def test_column_mean_bounds(rng):
     # renormalization after flooring moves entries by at most ~C * floor
     slack = 4 * PROB_FLOOR
     assert np.all(est.probs >= lo - slack) and np.all(est.probs <= hi + slack)
+
+
+@pytest.mark.parametrize("classes", [2, 10, 100])
+def test_column_means_over_blocks_keep_the_bits_of_the_whole_mean(rng, classes):
+    posts = softmax_rows(3.0 * rng.normal(size=(997, classes)))
+    whole = posts.mean(axis=0)
+    for _ in range(20):
+        cuts = np.sort(rng.choice(np.arange(1, posts.shape[0]), rng.integers(0, 40), replace=False))
+        means, n = column_means(np.split(posts, cuts))
+        assert n == posts.shape[0]
+        assert means.tobytes() == whole.tobytes()
 
 
 def test_flooring_bounded_distortion():

@@ -10,9 +10,11 @@ linear and MLP training, stage-2 CL and FT, estimate-prior with all four
 estimators and with a counts-file target prior, adjust with all four methods,
 eval by both input routes, sweep-alpha, toy-experiment with its default
 worker count and with ``--workers 1``, shift-eval and ingest-logits with a
-train-side dump; one gen-data run reads ``cfg.json``, and one train and one
-ingest-logits run read a dataset and a logit dump with CRLF line endings and
-blank lines; the script writes these three inputs first. It then prints one
+train-side dump; one gen-data run reads ``cfg.json``. One train and two
+ingest-logits runs read a dataset and logit dumps of 700 rows, more than two
+of the reader's 256-line blocks, with blank lines on block boundaries: CRLF
+line endings in ``crlf_data.csv`` and ``crlf_dump.csv``, lone CRs in
+``cr_dump.csv``. The script writes these inputs first. It then prints one
 ``sha256  path`` line per output file and per command's stdout, sorted,
 except ``manifest.json``; each manifest
 contributes its ``config``, ``inputs`` and ``outputs`` objects instead,
@@ -41,14 +43,20 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SEED = "7"
 CONFIG = {"counts": [450, 50], "val_per_class": 20, "test_per_class": 30, "seed": 7}
 CRLF_CLASSES = 3
+CRLF_ROWS = 700
+# Empty lines at these 1-based line numbers of the files: the last line of
+# the first 256-line block after the header and the first line of the third.
+BOUNDARY_BLANKS = (257, 514)
 
 
 def write_crlf_inputs(work: Path) -> None:
-    """Write crlf_data.csv and crlf_dump.csv: CRLF line endings, an empty
-    line after every 40th row and at the end, signed zeros and subnormals."""
+    """Write crlf_data.csv, crlf_dump.csv (CRLF line endings), cr_dump.csv
+    (the dump's lines ended by lone CRs) and cr_counts.json: an empty line
+    after every 40th row, on two block boundaries and at the end, signed
+    zeros and subnormals."""
     rng = random.Random(int(SEED))
     data, dump = ["f0,f1,label"], ["id,logit_0,logit_1,logit_2,label"]
-    for i in range(400):
+    for i in range(CRLF_ROWS):
         label = 0 if i % 5 else 1
         cells = [rng.gauss(1.0 - 2.0 * label, 1.0) for _ in range(2)]
         data.append(",".join(map(repr, cells)) + f",{label}")
@@ -59,8 +67,14 @@ def write_crlf_inputs(work: Path) -> None:
         if i % 40 == 39:
             data.append("")
             dump.append("")
-    for name, lines in (("crlf_data.csv", data), ("crlf_dump.csv", dump)):
-        (work / name).write_bytes(("\r\n".join(lines) + "\r\n\r\n").encode("utf-8"))
+    for lineno in BOUNDARY_BLANKS:
+        data.insert(lineno - 1, "")
+        dump.insert(lineno - 1, "")
+    for name, lines, end in (("crlf_data.csv", data, "\r\n"), ("crlf_dump.csv", dump, "\r\n"),
+                             ("cr_dump.csv", dump, "\r")):
+        (work / name).write_bytes((end.join(lines) + end + end).encode("utf-8"))
+    counts = [len(range(j, CRLF_ROWS, CRLF_CLASSES)) for j in range(CRLF_CLASSES)]
+    (work / "cr_counts.json").write_text(json.dumps({"counts": counts}) + "\n")
 
 
 CHAIN = [
@@ -119,6 +133,8 @@ CHAIN = [
      "--seed", SEED, "--out", "ingest"],
     ["train", "--data", "crlf_data.csv", "--out", "crlf_s1", "--seed", SEED],
     ["ingest-logits", "--logits", "crlf_dump.csv", "--seed", SEED, "--out", "crlf_ingest"],
+    ["ingest-logits", "--logits", "cr_dump.csv", "--train-logits", "crlf_dump.csv",
+     "--counts", "cr_counts.json", "--seed", SEED, "--out", "cr_ingest"],
 ]
 
 
