@@ -52,6 +52,7 @@ from .model import (
     LossSpec,
     ModelProvenance,
     TrainConfig,
+    _loss_shift,
     init_linear,
     init_mlp,
     load_model,
@@ -274,17 +275,11 @@ def _dump_posterior_means(path) -> tuple[np.ndarray, int]:
 
 
 def _train_side_posteriors(model, provenance: ModelProvenance, features) -> np.ndarray:
-    """Posteriors as seen by the training loss.
-
-    For a logit-adjusted model the train-time shift is re-applied from the
-    provenance; for plain CE models these are just the raw posteriors.
-    """
-    logits = predict_logits(model, features)
-    if provenance.loss_kind == "logit-adjusted":
-        if provenance.prior is None:
-            raise UsageError("logit-adjusted provenance lacks its training prior")
-        logits = logits + provenance.alpha * np.log(np.asarray(provenance.prior))
-    return softmax_rows(logits)
+    """Posteriors as seen by the training loss: the train-time shift of the
+    provenance's loss re-applied (zero for a plain CE model)."""
+    return softmax_rows(
+        predict_logits(model, features) + _loss_shift(provenance.loss, model.num_classes)
+    )
 
 
 def _raw_posteriors(model, features) -> np.ndarray:
@@ -347,14 +342,17 @@ def cmd_gen_data(args, run: RunDir) -> dict:
             )
     cfg["seed"] = _master_seed(cfg["seed"])
     classes, dims = int(cfg["classes"]), int(cfg["dims"])
-    means = (
-        _default_means(classes, dims)
-        if cfg["means"] is None
-        else np.asarray(cfg["means"], dtype=np.float64)
+    mixture_too_big = UsageError(  # named by the larger of its two sizes
+        f"{_given_as(args, 'classes' if classes >= dims else 'dims')}: a mixture of "
+        f"{classes} classes in {dims} dims is too big to allocate"
     )
-    sigmas = (
-        np.ones(classes) if cfg["sigmas"] is None else np.asarray(cfg["sigmas"], dtype=np.float64)
-    )
+    if classes * dims * 8 > np.iinfo(np.intp).max:  # numpy refuses it before allocating
+        raise mixture_too_big
+    try:  # GaussianMixtureSpec turns given lists into float64 arrays
+        means = _default_means(classes, dims) if cfg["means"] is None else cfg["means"]
+        sigmas = np.ones(classes) if cfg["sigmas"] is None else cfg["sigmas"]
+    except MemoryError:
+        raise mixture_too_big from None
     gmm = GaussianMixtureSpec(means, sigmas)
     if cfg["counts"] is not None:
         profile = LongTailProfile(classes, kind="explicit", counts=tuple(cfg["counts"]))
@@ -453,9 +451,7 @@ def cmd_train(args, run: RunDir) -> dict:
         else:
             model0 = init_linear(ds.num_classes, ds.dims)
         result = train(model0, ds, loss, train_cfg)
-    provenance = ModelProvenance(
-        stage, loss.kind, loss.prior, loss.alpha, (train_cfg.seed.seed, train_cfg.seed.stream_id)
-    )
+    provenance = ModelProvenance(stage, loss, (train_cfg.seed.seed, train_cfg.seed.stream_id))
 
     model_path = run.output("model.json")
     save_model(result.model, model_path, provenance)
@@ -829,19 +825,18 @@ def shift_eval_rows(
     shifts = [("uniform", 1.0)] + [(d, r) for d in directions for r in ratios]
     rows = []
     for shift_index, (direction, ratio) in enumerate(shifts):
+        counts = make_shifted_counts(base_counts, ShiftSpec(direction, ratio))
+        target = empirical_prior(counts)
+        if provenance.loss.kind == "logit-adjusted":
+            estimate = prior.reweight_means(
+                train_side_estimate.probs, target, freq, train_side_estimate.samples
+            )
+            spec = adjust.spec_from_estimate("p2p-la", estimate, target, alpha)
+        else:
+            spec = adjust.spec_from_estimate("p2p-ce", train_side_estimate, target, alpha)
         accs_raw, accs_adj = [], []
         for t in range(trials):
-            stream = master.child(shift_index * 1009 + t)
-            counts = make_shifted_counts(base_counts, ShiftSpec(direction, ratio))
-            ds = sample_dataset(gmm, counts, stream)
-            target = empirical_prior(counts)
-            if provenance.loss_kind == "logit-adjusted":
-                estimate = prior.reweight_estimate(train_side_estimate, target, freq)
-                spec = adjust.spec_from_estimate("p2p-la", estimate, target, alpha)
-            else:
-                spec = adjust.spec_from_estimate(
-                    "p2p-ce", train_side_estimate, target, alpha
-                )
+            ds = sample_dataset(gmm, counts, master.child(shift_index * 1009 + t))
             z = predict_logits(model, ds.features)
             accs_raw.append(evaluation.top1_accuracy(np.argmax(z, axis=1), ds.labels))
             z_adj = adjust.adjust_logits(z, spec)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import LabeledDataset
-from .errors import DataError, NumericError, UsageError
+from .errors import DataError, NumericError, TailcalError, UsageError
 from .numerics import (
     RngStream,
     as_matrix,
@@ -38,6 +38,13 @@ ACTIVATIONS = ("relu", "tanh")
 STAGE_TWO_MODES = ("CL", "FT")
 
 DIVERGENCE_LIMIT = 1e6
+
+# Each family's parameter names in model_parameters order; they are also the
+# keys of a model file's "params" object.
+PARAM_NAMES = {
+    "linear": ("weights", "biases"),
+    "mlp": ("hidden_weights", "hidden_biases", "head_weights", "head_biases"),
+}
 
 
 @dataclass
@@ -115,8 +122,8 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise UsageError(f"unknown loss kind {self.kind!r}")
-        if self.alpha < 0:
-            raise UsageError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0 <= self.alpha < np.inf:
+            raise UsageError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.kind == "logit-adjusted":
             if self.prior is None:
                 raise UsageError("logit-adjusted loss needs a prior")
@@ -179,6 +186,15 @@ def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
     return 1.0 - t * t
 
 
+def _forward(model: Model, x: np.ndarray):
+    """``(hidden, pre, head)`` for a batch: the linear head's input features,
+    the hidden pre-activation (None for a linear model) and the head."""
+    if isinstance(model, LinearSoftmaxModel):
+        return x, None, model
+    pre = x @ model.hidden_weights.T + model.hidden_biases
+    return _activate(pre, model.activation), pre, model.head
+
+
 def predict_logits(model: Model, features) -> np.ndarray:
     """Per-sample logits, one row per feature row."""
     x = as_matrix(features)
@@ -186,10 +202,8 @@ def predict_logits(model: Model, features) -> np.ndarray:
         raise DataError(
             f"model expects {model.dims}-dim features, got {x.shape[1]}"
         )
-    if isinstance(model, LinearSoftmaxModel):
-        return x @ model.weights.T + model.biases
-    hidden = _activate(x @ model.hidden_weights.T + model.hidden_biases, model.activation)
-    return hidden @ model.head.weights.T + model.head.biases
+    hidden, _, head = _forward(model, x)
+    return hidden @ head.weights.T + head.biases
 
 
 def ce_loss_and_grad(logits, label: int) -> tuple[float, np.ndarray]:
@@ -235,12 +249,7 @@ def model_parameters(model: Model) -> list[np.ndarray]:
     """Live parameter arrays in a fixed order (mutating them edits the model)."""
     if isinstance(model, LinearSoftmaxModel):
         return [model.weights, model.biases]
-    return [
-        model.hidden_weights,
-        model.hidden_biases,
-        model.head.weights,
-        model.head.biases,
-    ]
+    return [model.hidden_weights, model.hidden_biases, *model_parameters(model.head)]
 
 
 def batch_loss_and_grads(
@@ -255,14 +264,8 @@ def batch_loss_and_grads(
     y = np.asarray(labels, dtype=np.int64)
     n = x.shape[0]
     shift = _loss_shift(loss, model.num_classes)
-    if isinstance(model, LinearSoftmaxModel):
-        pre = None
-        hidden = x
-        z = x @ model.weights.T + model.biases + shift
-    else:
-        pre = x @ model.hidden_weights.T + model.hidden_biases
-        hidden = _activate(pre, model.activation)
-        z = hidden @ model.head.weights.T + model.head.biases + shift
+    hidden, pre, head = _forward(model, x)
+    z = hidden @ head.weights.T + head.biases + shift
     lse = log_sum_exp_rows(z)
     # z and g are fresh C-contiguous arrays, so ravel() is a view of each
     true_class = np.arange(n) * model.num_classes + y
@@ -270,15 +273,11 @@ def batch_loss_and_grads(
     g = np.exp(z - lse[:, None])
     g.ravel()[true_class] -= 1.0
     g /= n
-    if isinstance(model, LinearSoftmaxModel):
-        return mean_loss, [g.T @ x, g.sum(axis=0)]
-    d_hidden = (g @ model.head.weights) * _activate_grad(pre, model.activation)
-    return mean_loss, [
-        d_hidden.T @ x,
-        d_hidden.sum(axis=0),
-        g.T @ hidden,
-        g.sum(axis=0),
-    ]
+    grads = [g.T @ hidden, g.sum(axis=0)]
+    if pre is not None:
+        d_hidden = (g @ head.weights) * _activate_grad(pre, model.activation)
+        grads = [d_hidden.T @ x, d_hidden.sum(axis=0)] + grads
+    return mean_loss, grads
 
 
 @dataclass
@@ -388,9 +387,7 @@ class ModelProvenance:
     """How a saved model was produced; consumed by the adjustment pipeline."""
 
     stage: int = 1
-    loss_kind: str = "plain-ce"
-    prior: np.ndarray | None = None
-    alpha: float = 1.0
+    loss: LossSpec = LossSpec()
     seed: tuple[int, int] = (0, 0)
 
 
@@ -409,29 +406,18 @@ def _arch_payload(model: Model) -> dict:
 def save_model(model: Model, path, provenance: ModelProvenance | None = None) -> None:
     """Write the versioned model JSON; parameters round-trip bit-exactly."""
     provenance = provenance or ModelProvenance()
-    if isinstance(model, LinearSoftmaxModel):
-        params = {
-            "weights": model.weights.tolist(),
-            "biases": model.biases.tolist(),
-        }
-    else:
-        params = {
-            "hidden_weights": model.hidden_weights.tolist(),
-            "hidden_biases": model.hidden_biases.tolist(),
-            "head_weights": model.head.weights.tolist(),
-            "head_biases": model.head.biases.tolist(),
-        }
+    loss = provenance.loss
+    arch = _arch_payload(model)
+    names = PARAM_NAMES[arch["family"]]
     payload = {
         "schema": MODEL_SCHEMA_VERSION,
-        "arch": _arch_payload(model),
-        "params": params,
+        "arch": arch,
+        "params": {name: p.tolist() for name, p in zip(names, model_parameters(model))},
         "provenance": {
             "stage": provenance.stage,
-            "loss_kind": provenance.loss_kind,
-            "prior": None
-            if provenance.prior is None
-            else [float(v) for v in provenance.prior],
-            "alpha": provenance.alpha,
+            "loss_kind": loss.kind,
+            "prior": None if loss.prior is None else [float(v) for v in loss.prior],
+            "alpha": loss.alpha,
             "seed": list(provenance.seed),
         },
     }
@@ -451,31 +437,25 @@ def load_model(path) -> tuple[Model, ModelProvenance]:
         )
     try:
         arch = payload["arch"]
-        params = payload["params"]
-        if arch["family"] == "linear":
-            model: Model = LinearSoftmaxModel(
-                np.asarray(params["weights"]), np.asarray(params["biases"])
-            )
-        elif arch["family"] == "mlp":
-            model = MlpModel(
-                np.asarray(params["hidden_weights"]),
-                np.asarray(params["hidden_biases"]),
-                arch["activation"],
-                LinearSoftmaxModel(
-                    np.asarray(params["head_weights"]),
-                    np.asarray(params["head_biases"]),
-                ),
-            )
+        family = arch["family"]
+        if family not in PARAM_NAMES:
+            raise DataError(f"unknown family {family!r}")
+        w = [np.asarray(payload["params"][name]) for name in PARAM_NAMES[family]]
+        if family == "linear":
+            model: Model = LinearSoftmaxModel(*w)
         else:
-            raise DataError(f"{path}: unknown family {arch['family']!r}")
+            model = MlpModel(w[0], w[1], arch["activation"], LinearSoftmaxModel(w[2], w[3]))
         prov = payload["provenance"]
-        provenance = ModelProvenance(
-            stage=int(prov["stage"]),
-            loss_kind=str(prov["loss_kind"]),
-            prior=None if prov["prior"] is None else np.asarray(prov["prior"]),
-            alpha=float(prov["alpha"]),
-            seed=tuple(int(v) for v in prov["seed"]),
+        prior = prov["prior"]
+        loss = LossSpec(
+            str(prov["loss_kind"]),
+            None if prior is None else np.asarray(prior, dtype=np.float64),
+            float(prov["alpha"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        _loss_shift(loss, model.num_classes)  # the prior's length
+        provenance = ModelProvenance(
+            int(prov["stage"]), loss, tuple(int(v) for v in prov["seed"])
+        )
+    except (KeyError, TypeError, ValueError, TailcalError) as exc:
         raise DataError(f"{path}: malformed model file: {exc}") from exc
     return model, provenance

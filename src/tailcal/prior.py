@@ -140,22 +140,6 @@ def pmbar_from_train(train_posteriors, target_prior, train_prior) -> EffectivePr
     return reweight_means(means, target_prior, train_prior, n)
 
 
-def reweight_estimate(
-    estimate: EffectivePrior, target_prior, train_prior
-) -> EffectivePrior:
-    """Turn a train-side estimate into the inference-side marginal.
-
-    Identical to :func:`pmbar_from_train` when the column means are already
-    summarized in ``estimate``; useful when the same training-side estimate
-    is reweighted toward several target priors.
-    """
-    if estimate.estimator != ESTIMATOR_TRAIN_SIDE:
-        raise UsageError(
-            f"reweighting starts from a train-side estimate, got {estimate.estimator!r}"
-        )
-    return reweight_means(estimate.probs, target_prior, train_prior, estimate.samples)
-
-
 def average_estimates(a: EffectivePrior, b: EffectivePrior) -> EffectivePrior:
     """Probability-space mean of two estimates of the val-side marginal."""
     for est in (a, b):

@@ -20,11 +20,21 @@ from tailcal.cli import (
     load_manifest,
     main,
     save_logit_dump,
+    shift_eval_rows,
     toy_workers,
 )
-from tailcal.dataset import load_dataset
+from tailcal.dataset import load_dataset, sample_dataset
 from tailcal.errors import DataError
-from tailcal.model import load_model, predict_logits
+from tailcal.evaluation import top1_accuracy
+from tailcal.model import (
+    LinearSoftmaxModel,
+    LossSpec,
+    MlpModel,
+    ModelProvenance,
+    load_model,
+    predict_logits,
+    save_model,
+)
 from tailcal.numerics import RngStream, softmax_rows
 from tailcal.oracle import bayes_posterior_rows, sample_mixture, toy_mixture
 
@@ -114,6 +124,19 @@ def test_estimate_prior_json_schema(small_run):
     assert loaded.probs.shape == (2,)
 
 
+def test_estimate_prior_val_is_the_mean_raw_posterior_of_the_data(small_run):
+    assert run_cli(
+        "estimate-prior", "--model", "stage1/model.json",
+        "--data", "data/val.csv", "--estimator", "val", "--out", "est_val",
+    ) == 0
+    est = prior.load_prior(small_run / "est_val" / "prior.json")
+    model, _ = load_model(small_run / "stage1" / "model.json")
+    val = load_dataset(small_run / "data" / "val.csv", num_classes=2)
+    expected = softmax_rows(predict_logits(model, val.features)).mean(axis=0)
+    assert est.estimator == "val-side" and est.samples == 600
+    np.testing.assert_allclose(est.probs, expected / expected.sum(), rtol=1e-12)
+
+
 def test_estimate_prior_balanced_symmetric_model_is_near_uniform(workdir):
     assert run_cli(
         "gen-data", "--out", "bal", "--seed", "5",
@@ -171,6 +194,19 @@ def test_adjust_worked_example_through_files(workdir):
         "adjust", "--logits", "dump.csv", "--method", "p2p-ce",
         "--prior", "prior.json", "--alpha", "1.0",
         "--target-prior", "[0.5, 0.5]", "--out", "adj",
+    ) == 0
+    _, logits, labels = load_logit_dump(workdir / "adj" / "adjusted_logits.csv")
+    np.testing.assert_allclose(logits, [[1.412214, 2.609438]], atol=1e-5)
+    assert labels.tolist() == [0]
+
+
+def test_adjust_class_frequency_worked_example_through_files(workdir):
+    # the same correction from counts whose frequency is [0.9, 0.1]
+    save_logit_dump(["a"], np.array([[2.0, 1.0]]), [0], "dump.csv")
+    (workdir / "counts.json").write_text(json.dumps({"counts": [90, 10]}))
+    assert run_cli(
+        "adjust", "--logits", "dump.csv", "--method", "class-frequency",
+        "--counts", "counts.json", "--target-prior", "[0.5, 0.5]", "--out", "adj",
     ) == 0
     _, logits, labels = load_logit_dump(workdir / "adj" / "adjusted_logits.csv")
     np.testing.assert_allclose(logits, [[1.412214, 2.609438]], atol=1e-5)
@@ -494,6 +530,33 @@ def test_shift_eval_uniform_matches_balanced_eval(small_run):
     assert len(rows) == 3  # uniform + forward@5 + backward@5
 
 
+def test_shift_eval_rows_correct_a_logit_adjusted_model_with_p2p_la():
+    # the uniform row against a p2p-la correction built by hand: the
+    # train-side estimate reweighted by target/train-frequency ratios
+    model = LinearSoftmaxModel(np.array([[-1.0, 0.1], [1.0, -0.1]]), np.array([0.5, -0.5]))
+    freq = np.array([0.9, 0.1])
+    provenance = ModelProvenance(2, LossSpec("logit-adjusted", freq, 0.5))
+    estimate = prior.EffectivePrior(np.array([0.7, 0.3]), "train-side", 1000)
+    rows = shift_eval_rows(
+        model, provenance, np.array([900, 100]), estimate, (), (),
+        test_samples=400, trials=2, master=RngStream(9), alpha=0.8,
+    )
+    target = np.array([0.5, 0.5])
+    pmbar = estimate.probs * target / freq
+    pmbar /= pmbar.sum()
+    raw, la, ce = [], [], []
+    for t in range(2):
+        test = sample_dataset(toy_mixture(), [200, 200], RngStream(9).child(t))
+        z = predict_logits(model, test.features)
+        raw.append(top1_accuracy(np.argmax(z, axis=1), test.labels))
+        for accs, est in ((la, pmbar), (ce, estimate.probs)):
+            z_adj = z - 0.8 * np.log(est) + np.log(target)
+            accs.append(top1_accuracy(np.argmax(z_adj, axis=1), test.labels))
+    assert len(rows) == 1 and rows[0]["direction"] == "uniform"
+    assert rows[0]["unadjusted_mean"] == np.mean(raw)
+    assert rows[0]["adjusted_mean"] == np.mean(la) != np.mean(ce)
+
+
 def test_shift_eval_rejects_bad_ratio(small_run, capsys):
     code = run_cli(
         "shift-eval", "--model", "stage1/model.json",
@@ -777,6 +840,53 @@ def test_config_file_with_flag_override(workdir):
     assert val.counts.tolist() == [222, 222]
 
 
+@pytest.mark.parametrize("argv, family, key, value", [
+    (["--schedule", "cosine"], LinearSoftmaxModel, "schedule", "cosine"),
+    (["--arch", "mlp", "--hidden", "4", "--activation", "tanh"], MlpModel, "arch", "mlp"),
+], ids=["cosine", "mlp"])
+def test_train_options_through_main_read_back(small_run, argv, family, key, value):
+    assert run_cli("train", "--data", "data/train.csv", "--out", "opt", "--seed", "77", *argv) == 0
+    assert load_manifest(small_run / "opt" / "manifest.json")["config"][key] == value
+    model, provenance = load_model(small_run / "opt" / "model.json")
+    assert isinstance(model, family) and provenance.loss.kind == "plain-ce"
+    if family is MlpModel:
+        assert model.hidden_weights.shape == (4, 2) and model.activation == "tanh"
+    save_model(model, small_run / "again.json", provenance)
+    assert (small_run / "again.json").read_bytes() == (small_run / "opt" / "model.json").read_bytes()
+    default, _ = load_model(small_run / "stage1" / "model.json")
+    test = load_dataset(small_run / "data" / "test.csv", num_classes=2)
+    assert not np.array_equal(
+        predict_logits(model, test.features), predict_logits(default, test.features)
+    )
+
+
+MALFORMED_LOSSES = {
+    "prior-length": {"loss_kind": "logit-adjusted", "prior": [0.2, 0.3, 0.5]},
+    "null-prior": {"loss_kind": "logit-adjusted", "prior": None},
+    "unknown-kind": {"loss_kind": "banana"},
+    "negative-prior": {"loss_kind": "logit-adjusted", "prior": [1.5, -0.5]},
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["estimate-prior", "--data", "d/train.csv", "--estimator", "train"],
+    ["shift-eval", "--train-data", "d/train.csv", "--trials", "1", "--test-samples", "20"],
+], ids=["estimate-prior", "shift-eval"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_LOSSES))
+def test_malformed_model_loss_exits_3_naming_the_file(workdir, capsys, command, case):
+    assert run_cli("gen-data", "--counts", "20,10", "--val-per-class", "3",
+                   "--test-per-class", "3", "--seed", "1", "--out", "d") == 0
+    save_model(LinearSoftmaxModel(np.eye(2), np.zeros(2)), "bad.json")
+    payload = json.loads((workdir / "bad.json").read_text())
+    payload["provenance"].update(MALFORMED_LOSSES[case])
+    (workdir / "bad.json").write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli(*command, "--model", "bad.json", "--out", "x") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad.json: malformed model file: ")
+    assert "Traceback" not in err
+
+
 def test_train_side_estimator_uses_provenance_shift(workdir):
     assert run_cli(
         "gen-data", "--out", "d", "--seed", "31",
@@ -788,7 +898,7 @@ def test_train_side_estimator_uses_provenance_shift(workdir):
         "--init", "s1/model.json", "--out", "s2", "--seed", "31",
     ) == 0
     model2, prov = load_model(workdir / "s2" / "model.json")
-    assert prov.stage == 2 and prov.loss_kind == "logit-adjusted"
+    assert prov.stage == 2 and prov.loss.kind == "logit-adjusted"
     assert run_cli(
         "estimate-prior", "--model", "s2/model.json", "--data", "d/train.csv",
         "--estimator", "train", "--out", "e2",
@@ -796,7 +906,7 @@ def test_train_side_estimator_uses_provenance_shift(workdir):
     est = prior.load_prior(workdir / "e2" / "prior.json")
     ds = load_dataset(workdir / "d" / "train.csv", num_classes=2)
     shifted = softmax_rows(
-        predict_logits(model2, ds.features) + prov.alpha * np.log(prov.prior)
+        predict_logits(model2, ds.features) + prov.loss.alpha * np.log(prov.loss.prior)
     )
     expected = prior.effective_prior_train(shifted)
     np.testing.assert_allclose(est.probs, expected.probs, atol=1e-12)
@@ -881,13 +991,29 @@ def test_any_flag_value_exits_with_a_documented_code(tiny, flag, data):
     (["--config", "big.json"],
      f"config big.json: key 'test_per_class': the test split of {2**63} rows of 2 features "
      "is too big to allocate"),
-], ids=["counts", "test-per-class", "config-test-per-class"])
+    (["--dims", str(2**62)], f"--dims: a mixture of 2 classes in {2**62} dims is too big to allocate"),
+    (["--classes", str(2**62)],
+     f"--classes: a mixture of {2**62} classes in 2 dims is too big to allocate"),
+], ids=["counts", "test-per-class", "config-test-per-class", "mixture-dims", "mixture-classes"])
 def test_gen_data_split_numpy_cannot_allocate_exits_2_naming_it(workdir, capsys, argv, message):
     # numpy refuses these arrays before allocating; none is attempted
     (workdir / "big.json").write_text(json.dumps({"test_per_class": 2**62}))
     assert run_cli("gen-data", *argv, "--out", "x") == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (workdir / "x").exists()
+
+
+def test_gen_data_memory_error_at_the_mixture_exits_2_naming_the_key(workdir, capsys, monkeypatch):
+    def short_of_memory(classes, dims):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_default_means", short_of_memory)
+    (workdir / "cfg.json").write_text(json.dumps({"classes": 3}))
+    assert run_cli("gen-data", "--config", "cfg.json", "--out", "x") == 2
+    assert capsys.readouterr().err == (
+        "error: config cfg.json: key 'classes': a mixture of 3 classes in 2 dims "
+        "is too big to allocate\n"
+    )
 
 
 def test_gen_data_memory_error_at_sampling_exits_2_naming_the_flag(workdir, capsys, monkeypatch):

@@ -389,12 +389,12 @@ def test_stage2_cl_improves_balanced_accuracy_over_ce(gmm):
 
 def test_save_load_roundtrip_linear(tmp_path, toy_ce_model):
     path = tmp_path / "model.json"
-    provenance = ModelProvenance(stage=1, loss_kind="plain-ce", seed=(1234, 5))
+    provenance = ModelProvenance(stage=1, loss=LossSpec("plain-ce"), seed=(1234, 5))
     save_model(toy_ce_model, path, provenance)
     loaded, prov = load_model(path)
     np.testing.assert_array_equal(loaded.weights, toy_ce_model.weights)
     np.testing.assert_array_equal(loaded.biases, toy_ce_model.biases)
-    assert prov.loss_kind == "plain-ce" and prov.seed == (1234, 5)
+    assert prov.loss.kind == "plain-ce" and prov.seed == (1234, 5)
     x = np.array([[0.3, -0.2], [1.5, 0.7]])
     np.testing.assert_array_equal(
         predict_logits(loaded, x), predict_logits(toy_ce_model, x)
@@ -413,15 +413,15 @@ def test_save_load_roundtrip_mlp(tmp_path):
 def test_stage2_provenance_roundtrip(tmp_path, toy_ce_model):
     prior = np.array([0.9901, 0.0099])
     provenance = ModelProvenance(
-        stage=2, loss_kind="logit-adjusted", prior=prior, alpha=0.75, seed=(9, 9)
+        stage=2, loss=LossSpec("logit-adjusted", prior, alpha=0.75), seed=(9, 9)
     )
     path = tmp_path / "stage2.json"
     save_model(toy_ce_model, path, provenance)
     _, prov = load_model(path)
     assert prov.stage == 2
-    assert prov.loss_kind == "logit-adjusted"
-    assert prov.alpha == 0.75
-    np.testing.assert_array_equal(prov.prior, prior)
+    assert prov.loss.kind == "logit-adjusted"
+    assert prov.loss.alpha == 0.75
+    np.testing.assert_array_equal(prov.loss.prior, prior)
 
 
 def test_load_rejects_truncated_file(tmp_path):

@@ -6,7 +6,8 @@ Run from anywhere:
 
 It runs a small chain of ``python -m tailcal`` processes against the
 ``src/`` tree next to this script: gen-data (2- and 10-class), stage-1
-linear and MLP training, stage-2 CL and FT, estimate-prior with all four
+linear and MLP training, linear training with a cosine schedule, stage-2 CL
+and FT of the linear model, stage-2 CL of the MLP, estimate-prior with all four
 estimators and with a counts-file target prior, adjust with all four methods,
 eval by both input routes, sweep-alpha, toy-experiment with its default
 worker count and with ``--workers 1``, shift-eval and ingest-logits with a
@@ -87,6 +88,10 @@ CHAIN = [
     ["train", "--data", "d2/train.csv", "--out", "s1", "--seed", SEED],
     ["train", "--data", "d10/train.csv", "--out", "m10", "--seed", SEED, "--arch", "mlp",
      "--hidden", "8", "--lr", "0.5", "--iterations", "30", "--batch-size", "256"],
+    ["train", "--data", "d10/train.csv", "--out", "m10cl", "--seed", SEED, "--stage", "2",
+     "--mode", "CL", "--init", "m10/model.json", "--lr", "0.5", "--iterations", "30",
+     "--batch-size", "256"],
+    ["train", "--data", "d2/train.csv", "--out", "s1cos", "--seed", SEED, "--schedule", "cosine"],
     ["train", "--data", "d2/train.csv", "--out", "s2cl", "--seed", SEED, "--stage", "2",
      "--mode", "CL", "--init", "s1/model.json"],
     ["train", "--data", "d2/train.csv", "--out", "s2ft", "--seed", SEED, "--stage", "2",
