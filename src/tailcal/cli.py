@@ -19,9 +19,10 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import get_origin
 
 import numpy as np
 
@@ -134,18 +135,71 @@ def load_manifest(path) -> dict:
     return json.loads(Path(path).read_text())
 
 
-# The type of each config-file key whose default is None.
-NONE_DEFAULT_TYPES = {"means": list, "sigmas": list, "counts": list, "batch_size": int, "seed": int}
+INT64 = np.iinfo(np.int64)
 
 
-def _resolve(args, defaults: dict) -> dict:
-    """Flags beat the --config file, which beats defaults; keys are the defaults'.
+def _option(default, kind, flag: str | None = "", choices=None, help=None):
+    """A row of a command's option table, which is also its --config key: a
+    dataclass field with its default, its ``kind`` (int, float, str,
+    list[float] or list[int]), its flag ("" for the kebab-cased field name,
+    None where the table adds none, as for the shared --seed), its
+    ``choices`` and its help."""
+    return field(default=default, metadata=dict(kind=kind, flag=flag, choices=choices, help=help))
 
-    A config value must have its default's type (an int may stand for a
-    float, a list must hold numbers and ``counts`` integers) and be one of
-    its flag's ``choices``, if it has any; anything else is a usage error.
-    """
-    out = dict(defaults)
+
+def _flag(option) -> str:
+    return option.metadata["flag"] or "--" + option.name.replace("_", "-")
+
+
+def _add_options(parser, table) -> None:
+    for option in table:  # dataclass fields made by _option
+        meta = option.metadata
+        if meta["flag"] is not None:
+            parser.add_argument(
+                _flag(option), dest=option.name, choices=meta["choices"], help=meta["help"],
+                type=_list_of(int, "integers") if meta["kind"] == list[int] else meta["kind"],
+            )
+
+
+def _leaves(value) -> list:
+    return [leaf for v in value for leaf in _leaves(v)] if isinstance(value, list) else [value]
+
+
+def _check(name: str, value, meta) -> None:
+    """A usage error naming ``name`` unless ``value`` is of its option's kind
+    and among its choices, with every integer in it fitting int64 and every
+    float finite. An int may stand for a float but a bool for no number; a
+    list must be one numpy reads as a rectangular array of numbers, and a
+    list[int] must hold integers."""
+    kind, choices, leaves = meta["kind"], meta["choices"], _leaves(value)
+    listed = get_origin(kind) is list
+    numbers = (int, float, bool) if listed else (int, float) if kind is float else (kind,)
+    fits = isinstance(value, list) == listed and all(type(v) in numbers for v in leaves)
+    try:
+        np.shape(value)  # ragged nesting raises
+    except ValueError:
+        fits = False
+    if not fits:
+        raise UsageError(f"{name} must be {kind.__name__}, got {value!r}")
+    if kind == list[int] and not all(type(v) is int for v in value):
+        raise UsageError(f"{name} must hold integers, got {value!r}")
+    if choices is not None and value not in choices:
+        raise UsageError(f"{name} must be one of {', '.join(map(str, choices))}, got {value!r}")
+    if not all(INT64.min <= v <= INT64.max for v in leaves if type(v) is int):
+        raise UsageError(f"{name} must fit in a signed 64-bit integer, got {value!r}")
+    if not all(np.isfinite(v) for v in leaves if type(v) is float):
+        raise UsageError(f"{name} must be finite, got {value!r}")
+
+
+def _resolve(args, options):
+    """The ``options`` dataclass resolved from ``args``, and per key the name
+    of what set it: flags beat the --config file, which beats the defaults.
+    A value from the file is named ``config <file>: key '<k>'``, any other by
+    its flag. Every value given, as a flag or in the file, passes _check."""
+    table = fields(options)
+    values = {option.name: option.default for option in table}
+    names = {option.name: _flag(option) for option in table}
+    given = []
     path = getattr(args, "config", None)
     if path is not None:
         try:
@@ -154,29 +208,13 @@ def _resolve(args, defaults: dict) -> dict:
             raise UsageError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(config, dict):
             raise UsageError(f"config {path} must hold a JSON object")
-        for key in config.keys() & defaults.keys():
-            kind, value = NONE_DEFAULT_TYPES.get(key, type(defaults[key])), config[key]
-            allowed = (int, float) if kind is float else kind
-            try:
-                if isinstance(value, bool) or not isinstance(value, allowed):
-                    raise TypeError
-                if kind is list:
-                    np.asarray(value, dtype=np.float64)
-            except (TypeError, ValueError):
-                raise UsageError(
-                    f"config {path}: key {key!r} must be {kind.__name__}, got {value!r}"
-                ) from None
-            if key == "counts" and not all(type(v) is int for v in value):
-                raise UsageError(f"config {path}: key 'counts' must hold integers, got {value!r}")
-            choices = args.choices.get(key)
-            if choices is not None and value not in choices:
-                raise UsageError(
-                    f"config {path}: key {key!r} must be one of "
-                    f"{', '.join(map(str, choices))}, got {value!r}"
-                )
-            out[key] = value
-    out.update({k: v for k, v in vars(args).items() if k in defaults and v is not None})
-    return out
+        given = [(o, config[o.name], f"config {path}: key {o.name!r}")
+                 for o in table if o.name in config]
+    given += [(o, v, _flag(o)) for o in table if (v := getattr(args, o.name, None)) is not None]
+    for option, value, name in given:
+        _check(name, value, option.metadata)
+        values[option.name], names[option.name] = value, name
+    return options(**values), names
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +244,8 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    if value > INT64.max:
+        raise argparse.ArgumentTypeError(f"expected a signed 64-bit integer, got {text!r}")
     return value
 
 
@@ -290,6 +330,19 @@ def _raw_posteriors(model, features) -> np.ndarray:
 # gen-data
 
 
+def _too_big(name: str, split: str, rows: int, dims: int) -> UsageError:
+    return UsageError(
+        f"{name}: the {split} split of {rows} rows of {dims} features is too big to allocate"
+    )
+
+
+def _check_size(name: str, split: str, rows: int, dims: int) -> None:
+    """Reject a split of ``rows`` x ``dims`` floats numpy refuses: more bytes than
+    an intp counts, halved to leave room for counts that round up."""
+    if rows * max(dims, 1) * 16 > np.iinfo(np.intp).max:
+        raise _too_big(name, split, rows, dims)
+
+
 def _default_means(classes: int, dims: int) -> np.ndarray:
     if classes == 2:
         means = np.zeros((2, dims))
@@ -304,150 +357,119 @@ def _default_means(classes: int, dims: int) -> np.ndarray:
     return means
 
 
-GEN_DEFAULTS = {
-    "classes": 2,
-    "dims": 2,
-    "means": None,
-    "sigmas": None,
-    "profile": "exponential",
-    "max_count": 9901,
-    "imbalance": 100.0,
-    "counts": None,
-    "val_per_class": 1000,
-    "test_per_class": 5000,
-    "shift_direction": "uniform",
-    "shift_ratio": 1.0,
-    "seed": None,
-}
-# gen-data's integer values, each of which sizes or fills an int64 array
-GEN_INT_KEYS = ("classes", "dims", "max_count", "counts", "val_per_class", "test_per_class")
-
-
-def _given_as(args, key: str) -> str:
-    """How a gen-data value is named in an error: by its config key when it
-    came from the config file, else by its flag, which beats the file."""
-    if getattr(args, key) is None and args.config is not None:
-        return f"config {args.config}: key {key!r}"
-    return f"--{key.replace('_', '-')}"
+@dataclass(frozen=True)
+class GenOptions:
+    classes: int = _option(2, int)
+    dims: int = _option(2, int)
+    means: list | None = _option(None, list[float], flag=None)
+    sigmas: list | None = _option(None, list[float], flag=None)
+    profile: str = _option("exponential", str, choices=PROFILE_KINDS)
+    max_count: int = _option(9901, int)
+    imbalance: float = _option(100.0, float)
+    counts: list | None = _option(None, list[int], help="comma-separated explicit per-class counts")
+    val_per_class: int = _option(1000, int)
+    test_per_class: int = _option(5000, int)
+    shift_direction: str = _option("uniform", str, choices=SHIFT_DIRECTIONS)
+    shift_ratio: float = _option(1.0, float)
+    seed: int | None = _option(None, int, flag=None)
 
 
 def cmd_gen_data(args, run: RunDir) -> dict:
-    cfg = _resolve(args, GEN_DEFAULTS)
-    int64 = np.iinfo(np.int64)
-    for key in GEN_INT_KEYS:
-        values = cfg[key] if key == "counts" else [cfg[key]]
-        if values is not None and not all(int64.min <= v <= int64.max for v in values):
-            raise UsageError(
-                f"{_given_as(args, key)} must fit in a signed 64-bit integer, got {cfg[key]!r}"
-            )
-    cfg["seed"] = _master_seed(cfg["seed"])
-    classes, dims = int(cfg["classes"]), int(cfg["dims"])
+    opts, names = _resolve(args, GenOptions)
+    opts = replace(opts, seed=_master_seed(opts.seed))
+    classes, dims = opts.classes, opts.dims
+    for key, least in (("classes", 2), ("dims", 1)):
+        if getattr(opts, key) < least:
+            raise UsageError(f"{names[key]} must be >= {least}, got {getattr(opts, key)}")
     mixture_too_big = UsageError(  # named by the larger of its two sizes
-        f"{_given_as(args, 'classes' if classes >= dims else 'dims')}: a mixture of "
+        f"{names['classes' if classes >= dims else 'dims']}: a mixture of "
         f"{classes} classes in {dims} dims is too big to allocate"
     )
     if classes * dims * 8 > np.iinfo(np.intp).max:  # numpy refuses it before allocating
         raise mixture_too_big
     try:  # GaussianMixtureSpec turns given lists into float64 arrays
-        means = _default_means(classes, dims) if cfg["means"] is None else cfg["means"]
-        sigmas = np.ones(classes) if cfg["sigmas"] is None else cfg["sigmas"]
+        means = _default_means(classes, dims) if opts.means is None else opts.means
+        sigmas = np.ones(classes) if opts.sigmas is None else opts.sigmas
     except MemoryError:
         raise mixture_too_big from None
     gmm = GaussianMixtureSpec(means, sigmas)
-    if cfg["counts"] is not None:
-        profile = LongTailProfile(classes, kind="explicit", counts=tuple(cfg["counts"]))
+    if opts.counts is not None:
+        profile = LongTailProfile(classes, kind="explicit", counts=tuple(opts.counts))
     else:
-        profile = LongTailProfile(
-            classes,
-            max_count=int(cfg["max_count"]),
-            imbalance_factor=float(cfg["imbalance"]),
-            kind=cfg["profile"],
-        )
+        profile = LongTailProfile(classes, max_count=opts.max_count,
+                                  imbalance_factor=float(opts.imbalance), kind=opts.profile)
     train_counts = make_longtail_counts(profile)
-    shift = ShiftSpec(cfg["shift_direction"], float(cfg["shift_ratio"]))
-    base_test = np.full(classes, int(cfg["test_per_class"]))
-    test_counts = make_shifted_counts(base_test, shift)
-    val_counts = np.full(classes, int(cfg["val_per_class"]))
+    shift = ShiftSpec(opts.shift_direction, float(opts.shift_ratio))
+    test_counts = make_shifted_counts(np.full(classes, opts.test_per_class), shift)
+    val_counts = np.full(classes, opts.val_per_class)
 
-    master = RngStream(cfg["seed"])
+    master = RngStream(opts.seed)
     splits = (
-        ("train", train_counts, "max_count" if cfg["counts"] is None else "counts"),
-        ("val", val_counts, "val_per_class"),
-        ("test", test_counts, "test_per_class"),
+        ("train", train_counts, names["max_count" if opts.counts is None else "counts"]),
+        ("val", val_counts, names["val_per_class"]),
+        ("test", test_counts, names["test_per_class"]),
     )
-
-    def too_big(name, counts, key) -> UsageError:
-        return UsageError(
-            f"{_given_as(args, key)}: the {name} split of {sum(counts.tolist())} rows "
-            f"of {gmm.dims} features is too big to allocate"
-        )
-
-    for name, counts, key in splits:  # arrays numpy refuses before allocating
-        if sum(counts.tolist()) * max(gmm.dims, 1) * 8 > np.iinfo(np.intp).max:
-            raise too_big(name, counts, key)
-    for stream, (name, counts, key) in enumerate(splits):  # one split in memory at a time
+    for split, counts, name in splits:
+        _check_size(name, split, sum(counts.tolist()), gmm.dims)
+    for stream, (split, counts, name) in enumerate(splits):  # one split in memory at a time
         try:
             ds = sample_dataset(gmm, counts, master.child(stream))
         except MemoryError:
-            raise too_big(name, counts, key) from None
-        save_dataset(ds, run.output(f"{name}.csv"))
+            raise _too_big(name, split, sum(counts.tolist()), gmm.dims) from None
+        save_dataset(ds, run.output(f"{split}.csv"))
         del ds
     save_counts(train_counts, run.output("counts.json"))
 
     print(f"{'class':>6} {'train':>8} {'val':>8} {'test':>8}")
     for i in range(classes):
         print(f"{i:>6} {train_counts[i]:>8} {val_counts[i]:>8} {test_counts[i]:>8}")
-    return cfg
+    return asdict(opts)
 
 
 # ---------------------------------------------------------------------------
 # train
 
 
-TRAIN_DEFAULTS = {
-    "stage": 1,
-    "mode": "FT",
-    "loss": "ce",
-    "alpha": 1.0,
-    "lr": TOY_LEARNING_RATE,
-    "iterations": TOY_ITERATIONS,
-    "batch_size": None,  # full batch
-    "schedule": TOY_SCHEDULE,
-    "arch": "linear",
-    "hidden": 16,
-    "activation": "relu",
-    "seed": None,
-}
+@dataclass(frozen=True)
+class TrainOptions:
+    stage: int = _option(1, int, choices=(1, 2))
+    mode: str = _option("FT", str, choices=STAGE_TWO_MODES)
+    loss: str = _option("ce", str, choices=("ce", "la"))
+    alpha: float = _option(1.0, float)
+    lr: float = _option(TOY_LEARNING_RATE, float)
+    iterations: int = _option(TOY_ITERATIONS, int)
+    batch_size: int | None = _option(None, int)  # full batch
+    schedule: str = _option(TOY_SCHEDULE, str, choices=SCHEDULES)
+    arch: str = _option("linear", str, choices=("linear", "mlp"))
+    hidden: int = _option(16, int)
+    activation: str = _option("relu", str, choices=ACTIVATIONS)
+    seed: int | None = _option(None, int, flag=None)
 
 
 def cmd_train(args, run: RunDir) -> dict:
-    cfg = _resolve(args, TRAIN_DEFAULTS)
-    cfg["seed"] = _master_seed(cfg["seed"])
-    cfg["data"] = args.data
+    opts, _ = _resolve(args, TrainOptions)
+    opts = replace(opts, seed=_master_seed(opts.seed))
     ds = load_dataset(args.data)
-    seed = RngStream(cfg["seed"])
-    batch = ds.n if cfg["batch_size"] is None else int(cfg["batch_size"])
+    seed = RngStream(opts.seed)
     train_cfg = TrainConfig(
-        learning_rate=float(cfg["lr"]),
-        iterations=int(cfg["iterations"]),
-        batch_size=batch,
+        learning_rate=float(opts.lr),
+        iterations=opts.iterations,
+        batch_size=ds.n if opts.batch_size is None else opts.batch_size,
         seed=seed.child(1),
-        schedule=cfg["schedule"],
+        schedule=opts.schedule,
     )
     freq = empirical_prior(ds.counts)
-    stage, alpha = int(cfg["stage"]), float(cfg["alpha"])
+    stage, alpha = opts.stage, float(opts.alpha)
     if stage == 2 and args.init is None:
         raise UsageError("stage-2 training needs --init with the stage-1 model")
-    la = stage == 2 or cfg["loss"] == "la"  # stage 2 always trains logit-adjusted
+    la = stage == 2 or opts.loss == "la"  # stage 2 always trains logit-adjusted
     loss = LossSpec("logit-adjusted", freq, alpha) if la else LossSpec()
     if stage == 2:
         init_model, _ = load_model(args.init)
-        result = stage2_retrain(init_model, ds, cfg["mode"], train_cfg, freq, alpha)
+        result = stage2_retrain(init_model, ds, opts.mode, train_cfg, freq, alpha)
     else:
-        if cfg["arch"] == "mlp":
-            model0 = init_mlp(
-                ds.num_classes, ds.dims, int(cfg["hidden"]), cfg["activation"], seed.child(0)
-            )
+        if opts.arch == "mlp":
+            model0 = init_mlp(ds.num_classes, ds.dims, opts.hidden, opts.activation, seed.child(0))
         else:
             model0 = init_linear(ds.num_classes, ds.dims)
         result = train(model0, ds, loss, train_cfg)
@@ -460,7 +482,7 @@ def cmd_train(args, run: RunDir) -> dict:
     print(f"trained stage-{stage} model -> {model_path}")
     if result.loss_trace:
         print(f"final epoch mean loss: {result.loss_trace[-1]:.6f}")
-    return cfg
+    return {**asdict(opts), "data": args.data}
 
 
 # ---------------------------------------------------------------------------
@@ -599,18 +621,20 @@ def cmd_eval(args, run: RunDir) -> dict:
 
 @dataclass(frozen=True)
 class ToyConfig:
-    trials: int = 100
-    samples: int = 10000
-    imbalance: float = 100.0
-    test_samples: int = 10000
-    alpha: float = 1.0
-    learning_rate: float = TOY_LEARNING_RATE
-    iterations: int = TOY_ITERATIONS
-    batch_size: int | None = None  # full batch
-    schedule: str = TOY_SCHEDULE
-    seed: int = DEFAULT_SEED
+    trials: int = _option(100, int)
+    samples: int = _option(10000, int)
+    imbalance: float = _option(100.0, float)
+    test_samples: int = _option(10000, int)
+    alpha: float = _option(1.0, float)
+    learning_rate: float = _option(TOY_LEARNING_RATE, float, flag="--lr")
+    iterations: int = _option(TOY_ITERATIONS, int)
+    batch_size: int | None = _option(None, int)  # full batch
+    schedule: str = _option(TOY_SCHEDULE, str, choices=SCHEDULES)
+    seed: int = _option(DEFAULT_SEED, int, flag=None)
 
     def train_counts(self) -> np.ndarray:
+        if self.imbalance < 1:
+            raise UsageError(f"imbalance factor must be >= 1, got {self.imbalance}")
         tail = int(round(self.samples / (self.imbalance + 1.0)))
         if tail < 1:
             raise UsageError("imbalance too large for the sample budget")
@@ -744,11 +768,17 @@ def toy_experiment(cfg: ToyConfig, workers: int | None = None) -> dict:
 
 
 def cmd_toy_experiment(args, run: RunDir) -> dict:
-    flags = _resolve(args, asdict(ToyConfig()))
-    flags["seed"] = _master_seed(args.seed)
-    cfg = ToyConfig(**flags)
+    cfg, names = _resolve(args, ToyConfig)
+    cfg = replace(cfg, seed=_master_seed(args.seed))
+    splits = {"samples": "train", "test_samples": "test"}
+    for key, split in splits.items():
+        _check_size(names[key], split, getattr(cfg, key), 2)
     workers = toy_workers(cfg.trials, args.workers)
-    summary = toy_experiment(cfg, workers)
+    try:
+        summary = toy_experiment(cfg, workers)
+    except MemoryError:  # named by the larger split
+        key = max(splits, key=lambda k: getattr(cfg, k))
+        raise _too_big(names[key], splits[key], getattr(cfg, key), 2) from None
     trial0 = summary.pop("_trial0")
 
     run.output("summary.json").write_text(json.dumps(summary, indent=1) + "\n")
@@ -853,6 +883,7 @@ def shift_eval_rows(
 
 
 def cmd_shift_eval(args, run: RunDir) -> dict:
+    _check_size("--test-samples", "test", args.test_samples, 2)
     model, provenance = load_model(args.model)
     ds_train = load_dataset(args.train_data, num_classes=model.num_classes)
     estimate = prior.effective_prior_train(
@@ -860,18 +891,11 @@ def cmd_shift_eval(args, run: RunDir) -> dict:
     )
     ratios, directions = args.ratios, args.directions  # ShiftSpec validates each
     seed = _master_seed(args.seed)
-    rows = shift_eval_rows(
-        model,
-        provenance,
-        ds_train.counts,
-        estimate,
-        directions,
-        ratios,
-        args.test_samples,
-        args.trials,
-        RngStream(seed),
-        alpha=args.alpha,
-    )
+    try:
+        rows = shift_eval_rows(model, provenance, ds_train.counts, estimate, directions, ratios,
+                               args.test_samples, args.trials, RngStream(seed), alpha=args.alpha)
+    except MemoryError:
+        raise _too_big("--test-samples", "test", args.test_samples, 2) from None
     lines = ["direction,ratio,unadjusted_mean,adjusted_mean"]
     print(f"{'shift':>14} {'unadjusted':>12} {'adjusted':>12}")
     for row in rows:
@@ -1030,44 +1054,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"tailcal {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     # flags that several subcommands share, each declared once
-    out, seed, target, scores = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    out, seed, config, target, scores = (argparse.ArgumentParser(add_help=False) for _ in range(5))
     out.add_argument("--out")
     seed.add_argument("--seed", type=int)
+    config.add_argument("--config")
     target.add_argument("--target-prior", type=_target_prior)
     for flag in ("--logits", "--model", "--data"):
         scores.add_argument(flag)
 
-    p = sub.add_parser("gen-data", parents=[out, seed],
+    p = sub.add_parser("gen-data", parents=[out, seed, config],
                        help="synthesize long-tailed Gaussian-mixture datasets")
-    p.add_argument("--config")
-    p.add_argument("--classes", type=int)
-    p.add_argument("--dims", type=int)
-    p.add_argument("--profile", choices=PROFILE_KINDS)
-    p.add_argument("--max-count", type=int)
-    p.add_argument("--imbalance", type=float)
-    p.add_argument("--counts", type=_list_of(int, "integers"),
-                   help="comma-separated explicit per-class counts")
-    p.add_argument("--val-per-class", type=int)
-    p.add_argument("--test-per-class", type=int)
-    p.add_argument("--shift-direction", choices=SHIFT_DIRECTIONS)
-    p.add_argument("--shift-ratio", type=float)
+    _add_options(p, fields(GenOptions))
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train", parents=[out, seed], help="stage-1 or stage-2 training")
-    p.add_argument("--config")
+    p = sub.add_parser("train", parents=[out, seed, config], help="stage-1 or stage-2 training")
     p.add_argument("--data", required=True)
-    p.add_argument("--stage", type=int, choices=(1, 2))
-    p.add_argument("--mode", choices=STAGE_TWO_MODES)
+    table = fields(TrainOptions)  # --init keeps its place after --stage and --mode
+    _add_options(p, table[:2])
     p.add_argument("--init", help="stage-1 model file for stage-2 runs")
-    p.add_argument("--loss", choices=("ce", "la"))
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--schedule", choices=SCHEDULES)
-    p.add_argument("--arch", choices=("linear", "mlp"))
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--activation", choices=ACTIVATIONS)
+    _add_options(p, table[2:])
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("estimate-prior", parents=[out, target],
@@ -1096,15 +1101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("toy-experiment", parents=[out, seed],
                        help="seeded multi-trial toy comparison")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--imbalance", type=float)
-    p.add_argument("--test-samples", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--lr", type=float, dest="learning_rate")
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--schedule", choices=SCHEDULES)
+    _add_options(p, fields(ToyConfig))
     p.add_argument("--workers", type=_positive_int,
                    help="trial threads (default: the usable CPUs, at most --trials)")
     p.set_defaults(func=cmd_toy_experiment)
@@ -1116,7 +1113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--directions", type=_list_of(str, "names"), default="forward,backward")
     p.add_argument("--ratios", type=_list_of(_finite_float, "numbers"), default="5,10,50")
     p.add_argument("--trials", type=_positive_int, default=20)
-    p.add_argument("--test-samples", type=int, default=10000)
+    p.add_argument("--test-samples", type=_positive_int, default=10000)
     p.add_argument("--alpha", type=float, default=1.0)
     p.set_defaults(func=cmd_shift_eval)
 
@@ -1138,10 +1135,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_list_of(_finite_float, "numbers"),
                    default=prior.DEFAULT_ALPHA_GRID)
     p.set_defaults(func=cmd_sweep_alpha)
-
-    # every subcommand's flag choices, which _resolve also applies to --config values
-    for p in sub.choices.values():
-        p.set_defaults(choices={a.dest: a.choices for a in p._actions if a.choices})
     return parser
 
 

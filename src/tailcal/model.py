@@ -445,6 +445,8 @@ def load_model(path) -> tuple[Model, ModelProvenance]:
             model: Model = LinearSoftmaxModel(*w)
         else:
             model = MlpModel(w[0], w[1], arch["activation"], LinearSoftmaxModel(w[2], w[3]))
+        if arch != (implied := _arch_payload(model)):
+            raise DataError(f"arch {arch} disagrees with the parameters: {implied}")
         prov = payload["provenance"]
         prior = prov["prior"]
         loss = LossSpec(

@@ -3,9 +3,11 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import threading
 import time
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -980,6 +982,44 @@ def test_any_flag_value_exits_with_a_documented_code(tiny, flag, data):
     assert "Traceback" not in err.getvalue()
 
 
+# command -> (its option table, the rest of a command line that reads --config)
+CONFIG_CASES = {"gen-data": (cli.GenOptions, []), "train": (cli.TrainOptions, ["--data", "{train}"])}
+# values no option takes: wrong types, bools, non-finite floats, integers
+# beyond int64, and lists holding them; none is a valid large size
+MALFORMED_VALUES = ["x", "", True, False, None, {}, [[0, 1], [2]], math.nan, math.inf, -math.inf,
+                    2**63, -2**63 - 1, TOO_BIG, [math.nan], [TOO_BIG, 1], ["x"]]
+
+
+@settings(max_examples=200)
+@given(command=st.sampled_from(sorted(CONFIG_CASES)), data=st.data())
+def test_any_malformed_config_value_exits_2_naming_the_key(tiny, command, data):
+    files, outs = tiny
+    options, rest = CONFIG_CASES[command]
+    key = data.draw(st.sampled_from([option.name for option in fields(options)]))
+    value = data.draw(st.sampled_from(MALFORMED_VALUES))
+    run = next(outs)
+    run.mkdir(parents=True)
+    (run / "cfg.json").write_text(json.dumps({key: value}))
+    argv = [command, "--config", str(run / "cfg.json"), *(a.format(**files) for a in rest),
+            "--out", str(run / "x")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code == 2, (argv, value, err.getvalue())
+    assert err.getvalue().startswith(f"error: config {run / 'cfg.json'}: key {key!r} "), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert not (run / "x").exists()
+
+
+def test_a_default_beside_a_config_file_is_named_by_its_flag(workdir):
+    (workdir / "cfg.json").write_text(json.dumps({"classes": 3}))
+    args = cli.build_parser().parse_args(["gen-data", "--config", "cfg.json", "--max-count", "50"])
+    opts, names = cli._resolve(args, cli.GenOptions)
+    assert (opts.classes, opts.dims, opts.max_count) == (3, 2, 50)
+    assert names["classes"] == "config cfg.json: key 'classes'"
+    assert names["dims"] == "--dims" and names["max_count"] == "--max-count"
+
+
 # --- memory and size bounds -------------------------------------------------
 
 
@@ -1029,6 +1069,93 @@ def test_gen_data_memory_error_at_sampling_exits_2_naming_the_flag(workdir, caps
     assert code == 2
     assert capsys.readouterr().err == (
         "error: --val-per-class: the val split of 6 rows of 2 features is too big to allocate\n"
+    )
+
+
+@pytest.mark.parametrize("argv, body, message", [
+    (["gen-data", "--dims", "0"], None, "--dims must be >= 1, got 0"),
+    (["gen-data", "--classes", "1"], None, "--classes must be >= 2, got 1"),
+    (["gen-data", "--config", "cfg.json"], {"classes": 1},
+     "config cfg.json: key 'classes' must be >= 2, got 1"),
+    (["gen-data", "--config", "cfg.json"], {"imbalance": math.nan},
+     "config cfg.json: key 'imbalance' must be finite, got nan"),
+    (["train", "--data", "{train}", "--config", "cfg.json"], {"lr": math.inf},
+     "config cfg.json: key 'lr' must be finite, got inf"),
+    (["train", "--data", "{train}", "--arch", "mlp", "--hidden", str(TOO_BIG)], None,
+     f"--hidden must fit in a signed 64-bit integer, got {TOO_BIG}"),
+    (["toy-experiment", "--imbalance", "nan"], None, "--imbalance must be finite, got nan"),
+    (["toy-experiment", "--samples", str(TOO_BIG)], None,
+     f"--samples must fit in a signed 64-bit integer, got {TOO_BIG}"),
+    (["toy-experiment", "--trials", "1", "--imbalance", "-1"], None,
+     "imbalance factor must be >= 1, got -1.0"),
+    (["toy-experiment", "--trials", "1", "--imbalance", "-0.5"], None,
+     "imbalance factor must be >= 1, got -0.5"),
+    (["toy-experiment", "--samples", str(2**63 - 1)], None,
+     f"--samples: the train split of {2**63 - 1} rows of 2 features is too big to allocate"),
+    (["toy-experiment", "--test-samples", str(2**63 - 1)], None,
+     f"--test-samples: the test split of {2**63 - 1} rows of 2 features is too big to allocate"),
+    (["shift-eval", "--model", "{model}", "--train-data", "{train}", "--test-samples",
+      str(2**63 - 1)], None,
+     f"--test-samples: the test split of {2**63 - 1} rows of 2 features is too big to allocate"),
+], ids=["gen-dims-0", "gen-classes-1", "gen-config-classes-1", "gen-config-imbalance-nan",
+        "train-config-lr-inf", "train-hidden", "toy-imbalance-nan", "toy-samples",
+        "toy-imbalance-minus-1", "toy-imbalance-minus-half", "toy-samples-too-big",
+        "toy-test-samples-too-big", "shift-test-samples-too-big"])
+def test_option_value_a_check_rejects_exits_2_naming_it(workdir, tiny, capsys, argv, body, message):
+    files, _ = tiny
+    (workdir / "cfg.json").write_text(json.dumps(body))
+    assert run_cli(*(a.format(**files) for a in argv), "--out", "x") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (workdir / "x").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-5", str(TOO_BIG)])
+def test_shift_eval_test_samples_must_be_a_positive_int64(tiny, capsys, value):
+    files, outs = tiny
+    with pytest.raises(SystemExit) as exc:
+        main(["shift-eval", "--model", str(files["model"]), "--train-data", str(files["train"]),
+              "--test-samples", value, "--out", str(next(outs))])
+    assert exc.value.code == 2
+    assert "error: argument --test-samples: expected " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["toy-experiment", "--trials", "1", "--samples", "200", "--test-samples", "300"],
+     "--test-samples: the test split of 300 rows of 2 features is too big to allocate"),
+    (["shift-eval", "--model", "{model}", "--train-data", "{train}", "--trials", "1",
+      "--test-samples", "40", "--ratios", "2"],
+     "--test-samples: the test split of 40 rows of 2 features is too big to allocate"),
+], ids=["toy-experiment", "shift-eval"])
+def test_memory_error_while_sampling_exits_2_naming_the_size(
+    tiny, capsys, monkeypatch, argv, message
+):
+    def short_of_memory(gmm, counts, rng):
+        raise MemoryError
+
+    files, outs = tiny
+    monkeypatch.setattr(cli, "sample_dataset", short_of_memory)
+    out = next(outs)
+    assert run_cli(*(a.format(**files) for a in argv), "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_model_arch_that_disagrees_with_its_parameters_exits_3(tiny, capsys):
+    files, outs = tiny
+    out = next(outs)
+    out.mkdir(parents=True)
+    save_model(LinearSoftmaxModel(np.eye(2), np.zeros(2)), out / "bad.json")
+    payload = json.loads((out / "bad.json").read_text())
+    payload["arch"]["classes"] = 7  # over 2 x 2 weights
+    (out / "bad.json").write_text(json.dumps(payload))
+    code = run_cli("estimate-prior", "--model", out / "bad.json", "--data", files["train"],
+                   "--estimator", "train", "--out", out / "x")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {out / 'bad.json'}: malformed model file: arch {{'family': 'linear', "
+        "'classes': 7, 'dims': 2} disagrees with the parameters: {'family': 'linear', "
+        "'classes': 2, 'dims': 2}\n"
     )
 
 

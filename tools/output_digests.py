@@ -11,13 +11,15 @@ and FT of the linear model, stage-2 CL of the MLP, estimate-prior with all four
 estimators and with a counts-file target prior, adjust with all four methods,
 eval by both input routes, sweep-alpha, toy-experiment with its default
 worker count and with ``--workers 1``, shift-eval and ingest-logits with a
-train-side dump; one gen-data run reads ``cfg.json``. One train and two
+train-side dump; one gen-data run reads ``cfg.json`` and one train run
+``train_cfg.json``. One train and two
 ingest-logits runs read a dataset and logit dumps of 700 rows, more than two
 of the reader's 256-line blocks, with blank lines on block boundaries: CRLF
 line endings in ``crlf_data.csv`` and ``crlf_dump.csv``, lone CRs in
 ``cr_dump.csv``. The script writes these inputs first. It then prints one
-``sha256  path`` line per output file and per command's stdout, sorted,
-except ``manifest.json``; each manifest
+``sha256  path`` line per output file, per command's stdout and per
+``--help`` text (``tailcal`` and each subcommand), sorted, except
+``manifest.json``; each manifest
 contributes its ``config``, ``inputs`` and ``outputs`` objects instead,
 because its wall clock and timestamp differ between runs. The two
 toy-experiment runs print the same digests; their manifests differ only in
@@ -43,6 +45,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 SEED = "7"
 CONFIG = {"counts": [450, 50], "val_per_class": 20, "test_per_class": 30, "seed": 7}
+TRAIN_CONFIG = {"lr": 1, "iterations": 40, "batch_size": 500, "schedule": "cosine", "seed": 3}
+SUBCOMMANDS = ("gen-data", "train", "estimate-prior", "adjust", "eval", "toy-experiment",
+               "shift-eval", "ingest-logits", "sweep-alpha")
 CRLF_CLASSES = 3
 CRLF_ROWS = 700
 # Empty lines at these 1-based line numbers of the files: the last line of
@@ -92,6 +97,8 @@ CHAIN = [
      "--mode", "CL", "--init", "m10/model.json", "--lr", "0.5", "--iterations", "30",
      "--batch-size", "256"],
     ["train", "--data", "d2/train.csv", "--out", "s1cos", "--seed", SEED, "--schedule", "cosine"],
+    ["train", "--config", "train_cfg.json", "--data", "d2/train.csv", "--out", "s1cfg",
+     "--iterations", "30"],
     ["train", "--data", "d2/train.csv", "--out", "s2cl", "--seed", SEED, "--stage", "2",
      "--mode", "CL", "--init", "s1/model.json"],
     ["train", "--data", "d2/train.csv", "--out", "s2ft", "--seed", SEED, "--stage", "2",
@@ -148,6 +155,7 @@ def run_chain(work: Path) -> list[str]:
     env.pop("TAILCAL_SEED", None)
     lines = []
     (work / "cfg.json").write_text(json.dumps(CONFIG) + "\n")
+    (work / "train_cfg.json").write_text(json.dumps(TRAIN_CONFIG) + "\n")
     write_crlf_inputs(work)
     for argv in CHAIN:
         proc = subprocess.run(
@@ -159,6 +167,10 @@ def run_chain(work: Path) -> list[str]:
             sys.stderr.write(proc.stderr.decode(errors="replace"))
             raise SystemExit(f"tailcal {' '.join(argv)}: exit {proc.returncode}")
         lines.append(f"{hashlib.sha256(proc.stdout).hexdigest()}  {out}/<stdout>")
+    for command in ("", *SUBCOMMANDS):
+        argv = [sys.executable, "-m", "tailcal", *command.split(), "--help"]
+        proc = subprocess.run(argv, cwd=work, env=env, capture_output=True, check=True)
+        lines.append(f"{hashlib.sha256(proc.stdout).hexdigest()}  <help>/{command or 'tailcal'}")
     for path in sorted(p for p in work.rglob("*") if p.is_file()):
         rel = path.relative_to(work).as_posix()
         if path.name == "manifest.json":
