@@ -67,6 +67,7 @@ from .oracle import bayes_classify, boundary_offset, toy_mixture
 
 DEFAULT_SEED = 20260808
 SEED_ENV_VAR = "TAILCAL_SEED"
+INT64 = np.iinfo(np.int64)
 
 # Toy training defaults: full-batch gradient descent stopped well before
 # convergence. The early stop is what leaves a measurable gap between the
@@ -81,9 +82,16 @@ def _notice(msg: str) -> None:
 
 
 def _master_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    return int(os.environ.get(SEED_ENV_VAR, DEFAULT_SEED))
+    """The --seed value, else $TAILCAL_SEED, else the default; a usage error
+    naming the flag or the variable unless it is an int64 integer."""
+    name, text = ("--seed", value) if value is not None else (
+        SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, DEFAULT_SEED))
+    try:
+        if INT64.min <= (seed := int(text)) <= INT64.max:
+            return seed
+    except ValueError:
+        pass
+    raise UsageError(f"{name} must fit in a signed 64-bit integer, got {text!r}")
 
 
 # Flags that may name a file the command reads. main() hashes each string value
@@ -133,9 +141,6 @@ def write_manifest(
 
 def load_manifest(path) -> dict:
     return json.loads(Path(path).read_text())
-
-
-INT64 = np.iinfo(np.int64)
 
 
 def _option(default, kind, flag: str | None = "", choices=None, help=None):
@@ -227,17 +232,19 @@ def _list_of(convert, what: str):
     def parse(text: str) -> list:
         try:
             return [convert(v.strip()) for v in text.split(",") if v.strip()]
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
 
     return parse
 
 
 def _finite_float(text: str) -> float:
-    value = float(text)
-    if not np.isfinite(value):
-        raise ValueError(text)
-    return value
+    try:
+        if np.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
 def _positive_int(text: str) -> int:
@@ -336,10 +343,14 @@ def _too_big(name: str, split: str, rows: int, dims: int) -> UsageError:
     )
 
 
-def _check_size(name: str, split: str, rows: int, dims: int) -> None:
-    """Reject a split of ``rows`` x ``dims`` floats numpy refuses: more bytes than
+def _fits(rows: int, cols: int) -> bool:
+    """Whether numpy sizes a ``rows`` x ``cols`` float array: no more bytes than
     an intp counts, halved to leave room for counts that round up."""
-    if rows * max(dims, 1) * 16 > np.iinfo(np.intp).max:
+    return rows * max(cols, 1) * 16 <= np.iinfo(np.intp).max
+
+
+def _check_size(name: str, split: str, rows: int, dims: int) -> None:
+    if not _fits(rows, dims):
         raise _too_big(name, split, rows, dims)
 
 
@@ -385,7 +396,7 @@ def cmd_gen_data(args, run: RunDir) -> dict:
         f"{names['classes' if classes >= dims else 'dims']}: a mixture of "
         f"{classes} classes in {dims} dims is too big to allocate"
     )
-    if classes * dims * 8 > np.iinfo(np.intp).max:  # numpy refuses it before allocating
+    if not _fits(classes, dims):  # numpy refuses it before allocating
         raise mixture_too_big
     try:  # GaussianMixtureSpec turns given lists into float64 arrays
         means = _default_means(classes, dims) if opts.means is None else opts.means
@@ -447,7 +458,7 @@ class TrainOptions:
 
 
 def cmd_train(args, run: RunDir) -> dict:
-    opts, _ = _resolve(args, TrainOptions)
+    opts, names = _resolve(args, TrainOptions)
     opts = replace(opts, seed=_master_seed(opts.seed))
     ds = load_dataset(args.data)
     seed = RngStream(opts.seed)
@@ -467,12 +478,18 @@ def cmd_train(args, run: RunDir) -> dict:
     if stage == 2:
         init_model, _ = load_model(args.init)
         result = stage2_retrain(init_model, ds, opts.mode, train_cfg, freq, alpha)
-    else:
-        if opts.arch == "mlp":
+    elif opts.arch == "mlp":  # (rows x hidden) activations, (hidden x dims) weights
+        hidden_too_big = UsageError(f"{names['hidden']}: a hidden layer of {opts.hidden} units "
+                                    f"on {ds.n} rows of {ds.dims} features is too big to allocate")
+        if not _fits(max(ds.n, ds.dims), opts.hidden):
+            raise hidden_too_big
+        try:
             model0 = init_mlp(ds.num_classes, ds.dims, opts.hidden, opts.activation, seed.child(0))
-        else:
-            model0 = init_linear(ds.num_classes, ds.dims)
-        result = train(model0, ds, loss, train_cfg)
+            result = train(model0, ds, loss, train_cfg)
+        except MemoryError:
+            raise hidden_too_big from None
+    else:
+        result = train(init_linear(ds.num_classes, ds.dims), ds, loss, train_cfg)
     provenance = ModelProvenance(stage, loss, (train_cfg.seed.seed, train_cfg.seed.stream_id))
 
     model_path = run.output("model.json")
@@ -543,7 +560,7 @@ def _resolve_alpha(args) -> float | None:
             raise DataError(
                 f"{args.alpha_from_sweep}: not a sweep result: {exc}"
             ) from exc
-    return None if args.alpha is None else float(args.alpha)
+    return args.alpha
 
 
 def _adjustment_from_args(args, num_classes: int) -> adjust.AdjustmentSpec:
@@ -670,6 +687,7 @@ def run_toy_trial(cfg: ToyConfig, trial: int) -> dict:
         "class-freq": adjust.class_frequency_spec(freq, uniform, cfg.alpha),
         "p2p": adjust.spec_from_estimate("p2p-ce", effective, uniform, cfg.alpha),
     }
+    models = {name: adjust.apply_to_linear_model(model, spec) for name, spec in specs.items()}
     logits_test = predict_logits(model, ds_test.features)
     result = {
         "trial": trial,
@@ -682,7 +700,7 @@ def run_toy_trial(cfg: ToyConfig, trial: int) -> dict:
         confusion = evaluation.confusion_matrix(np.argmax(z, axis=1), ds_test.labels, 2)
         achieved = adjust.achieved_prior(softmax_rows(z))
         l1, _ = evaluation.prior_mismatch(achieved, uniform)
-        offset = boundary_offset(adjust.apply_to_linear_model(model, spec), gmm, uniform)
+        offset = boundary_offset(models[name], gmm, uniform)
         result["variants"][name] = {
             "balanced": evaluation.balanced_accuracy(confusion),
             "offset": offset,
@@ -691,9 +709,7 @@ def run_toy_trial(cfg: ToyConfig, trial: int) -> dict:
     bayes_pred = bayes_classify(gmm, uniform, ds_test.features)
     confusion = evaluation.confusion_matrix(bayes_pred, ds_test.labels, 2)
     result["bayes_balanced"] = evaluation.balanced_accuracy(confusion)
-    result["models"] = {
-        name: adjust.apply_to_linear_model(model, spec) for name, spec in specs.items()
-    }
+    result["models"] = models
     return result
 
 
@@ -805,9 +821,7 @@ def cmd_toy_experiment(args, run: RunDir) -> dict:
     )
 
     # a singleton run has no spread to report
-    std_of = (
-        (lambda s: f"{s:8.4f}") if cfg.trials > 1 else (lambda s: f"{'-':>8}")
-    )
+    std_of = (lambda s: f"{s:8.4f}") if cfg.trials > 1 else (lambda s: f"{'-':>8}")
     print(f"{'variant':>12} {'balanced':>10} {'+-std':>8} {'|offset|':>10} {'prior L1':>10}")
     for name in TOY_VARIANTS:
         s = summary["variants"][name]
@@ -884,13 +898,13 @@ def shift_eval_rows(
 
 def cmd_shift_eval(args, run: RunDir) -> dict:
     _check_size("--test-samples", "test", args.test_samples, 2)
+    seed = _master_seed(args.seed)
     model, provenance = load_model(args.model)
     ds_train = load_dataset(args.train_data, num_classes=model.num_classes)
     estimate = prior.effective_prior_train(
         _train_side_posteriors(model, provenance, ds_train.features)
     )
     ratios, directions = args.ratios, args.directions  # ShiftSpec validates each
-    seed = _master_seed(args.seed)
     try:
         rows = shift_eval_rows(model, provenance, ds_train.counts, estimate, directions, ratios,
                                args.test_samples, args.trials, RngStream(seed), alpha=args.alpha)
@@ -979,18 +993,17 @@ def ingest_logits(
 
 
 def cmd_ingest_logits(args, run: RunDir) -> dict:
+    seed = _master_seed(args.seed)
     ids, logits, labels = load_logit_dump(args.logits)
     target = _resolve_target(args.target_prior, logits.shape[1])
     if args.target_prior is None:
         _notice("no --target-prior given; defaulting to uniform")
-    train_means = None
-    train_counts = None
+    train_means = train_counts = None
     if args.train_logits:
         train_means = _dump_posterior_means(args.train_logits)
         if args.counts is None:
             raise UsageError("--train-logits needs --counts metadata")
         train_counts = load_counts(args.counts)
-    seed = _master_seed(args.seed)
     result = ingest_logits(
         ids,
         logits,
@@ -1089,7 +1102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=adjust.METHODS)
     p.add_argument("--prior", help="effective-prior JSON for p2p methods")
     p.add_argument("--counts", help="counts JSON for class-frequency")
-    p.add_argument("--alpha", type=float)
+    p.add_argument("--alpha", type=_finite_float)
     p.add_argument("--alpha-from-sweep", help="chosen_alpha.json from a sweep-alpha run")
     p.set_defaults(func=cmd_adjust)
 
@@ -1114,7 +1127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratios", type=_list_of(_finite_float, "numbers"), default="5,10,50")
     p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--test-samples", type=_positive_int, default=10000)
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=_finite_float, default=1.0)
     p.set_defaults(func=cmd_shift_eval)
 
     p = sub.add_parser("ingest-logits", parents=[out, seed, target],

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -141,9 +141,7 @@ class LabeledDataset:
         if self.labels.shape != (n,):
             raise DataError(f"{n} feature rows but {self.labels.shape} labels")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= c):
-            raise DataError(
-                f"label {int(self.labels.max())} out of range for {c} classes"
-            )
+            raise DataError(f"label {int(self.labels.max())} out of range for {c} classes")
         observed = np.bincount(self.labels, minlength=c)
         if not np.array_equal(observed, self.counts):
             raise DataError(
@@ -184,9 +182,7 @@ class ShiftSpec:
             raise UsageError("uniform shift requires ratio == 1")
 
 
-def sample_dataset(
-    gmm: GaussianMixtureSpec, counts, rng: RngStream
-) -> LabeledDataset:
+def sample_dataset(gmm: GaussianMixtureSpec, counts, rng: RngStream) -> LabeledDataset:
     """Draw counts[i] samples from class i's Gaussian, in seeded random order.
 
     Deterministic given the stream: the same (seed, stream_id) reproduces the
@@ -194,14 +190,11 @@ def sample_dataset(
     """
     counts = np.asarray(counts, dtype=np.int64)
     if counts.shape != (gmm.num_classes,):
-        raise DataError(
-            f"{counts.size} counts for {gmm.num_classes} mixture classes"
-        )
+        raise DataError(f"{counts.size} counts for {gmm.num_classes} mixture classes")
     if np.any(counts < 1):
         raise DataError(f"every class needs >= 1 sample, got {counts.tolist()}")
     gen = rng.generator()
-    blocks = []
-    labels = []
+    blocks, labels = [], []
     for i, n_i in enumerate(counts):
         x = gmm.means[i] + gmm.sigmas[i] * gen.standard_normal((int(n_i), gmm.dims))
         blocks.append(x)
@@ -321,10 +314,11 @@ def _csv_blocks(path: Path, check_header):
     """Yield the rows of a :func:`_read_csv` file as ``(ids, values, labels)``
     blocks in file order, none of them empty.
 
-    After the header, :func:`_parse_rows_vectorised` parses the file
-    ``CSV_BLOCK_LINES`` lines at a time. The first block it does not accept
-    goes, with every line after it, to :func:`_parse_rows`, which writes each
-    error with the file's own line numbers.
+    After the header, the file is parsed ``CSV_BLOCK_LINES`` lines at a time.
+    :func:`_parse_rows_vectorised` parses each block whose label cells are
+    ASCII; a block it does not accept, or with a non-ASCII label cell (numpy
+    reads some non-digit letters as digits), goes alone to :func:`_parse_rows`,
+    which writes each error with the file's own line numbers.
     """
     try:
         with path.open(encoding="utf-8-sig") as lines:
@@ -339,48 +333,39 @@ def _csv_blocks(path: Path, check_header):
             bound = np.iinfo(np.int64).max if num_classes is None else num_classes
             lineno, rows = 2, 0
             while True:
-                block, rest = [], lines
+                block = []
                 try:
                     for line in islice(lines, CSV_BLOCK_LINES):
                         block.append(line)
-                except UnicodeDecodeError as exc:
+                except UnicodeDecodeError:
                     # the per-line read meets the bad byte after the lines
                     # before it, as it does reading the whole file
-                    rest = _raising(exc)
-                else:
-                    if not block:
-                        break
+                    _parse_rows(path, block, names, has_ids, bound, lineno)
+                    raise
+                if not block:
+                    break
+                parsed = None
+                if all(line.rpartition(",")[2].isascii() for line in block):
                     parsed = _parse_rows_vectorised(block, names, has_ids, bound)
-                    if parsed is not None:
-                        rows += parsed[2].size
-                        yield parsed
-                        lineno += len(block)
-                        continue
-                parsed = _parse_rows(path, chain(block, rest), names, has_ids, bound, lineno)
-                rows += parsed[2].size
+                if parsed is None:
+                    parsed = _parse_rows(path, block, names, has_ids, bound, lineno)
+                lineno += len(block)
                 if parsed[2].size:
+                    rows += parsed[2].size
                     yield parsed
-                break
             if not rows:
                 raise DataError(f"{path}: no data rows")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def _raising(exc: Exception):
-    """An iterator that raises ``exc`` when it is first advanced."""
-    raise exc
-    yield  # unreachable; makes this function a generator
-
-
 def _parse_rows(path: Path, lines, names: list[str], has_ids: bool, bound: int, start: int = 2):
     """Parse the data lines one at a time, the first of them line ``start`` of
-    the file; the reference reading of the format. May return no rows."""
+    the file; the reference reading of the format. Each value and label cell
+    is stripped of ``str.isspace`` padding, as ``np.loadtxt`` strips it, before
+    ``float`` or ``int`` reads it. May return no rows."""
     lead = 1 if has_ids else 0
-    ids: list[str] = []
-    rows = []
-    labels = []
-    linenos = []
+    ids, rows, labels, linenos = [], [], [], []
     for lineno, line in enumerate(lines, start=start):
         if not line.strip():
             continue
@@ -390,8 +375,8 @@ def _parse_rows(path: Path, lines, names: list[str], has_ids: bool, bound: int, 
                 f"{path}: line {lineno}: expected {len(names)} columns, got {len(parts)}"
             )
         try:
-            rows.append([float(v) for v in parts[lead:-1]])
-            label = int(parts[-1])
+            rows.append([float(v.strip()) for v in parts[lead:-1]])
+            label = int(parts[-1].strip())
         except ValueError as exc:
             raise DataError(f"{path}: line {lineno}: {exc}") from exc
         if not 0 <= label < bound:
@@ -412,9 +397,9 @@ def _parse_rows_vectorised(lines, names: list[str], has_ids: bool, bound: int):
 
     Returns what :func:`_parse_rows` returns for input that passes every
     check, and None for anything else, including every input it rejects.
-    ``loadtxt`` parses a subset of what ``float`` and ``int`` accept (no
-    ``1_0``, no float-valued labels) to the same values, and it skips only
-    empty lines, so a whitespace-only line fails its column count here.
+    Given ASCII label cells, ``loadtxt`` parses a subset of what stripped cells
+    give ``float`` and ``int`` (no ``1_0``, no float-valued labels) to the same
+    values; it skips only empty lines, so a whitespace-only line fails here.
     """
     width = len(names) - (2 if has_ids else 1)
     fields = [("values", np.float64, (width,)), ("label", np.int64)]

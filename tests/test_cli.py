@@ -815,6 +815,19 @@ def test_logit_dump_errors_name_the_line_after_blank_lines(workdir, capsys):
     assert "inf.csv: line 8: non-finite value" in capsys.readouterr().err
 
 
+def test_a_look_alike_label_in_a_1000_class_dump_exits_3_naming_its_line(workdir, capsys):
+    # numpy's integer parser may read "\u01fe" as class 462; int() rejects it
+    save_logit_dump(["a", "b", "c"], np.zeros((3, 1000)), [0, 1, 2], "dump.csv")
+    lines = (workdir / "dump.csv").read_text().splitlines()
+    lines[2] = lines[2].rpartition(",")[0] + ",\u01fe"
+    (workdir / "dump.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run_cli("eval", "--logits", "dump.csv", "--out", "x") == 3
+    assert capsys.readouterr().err == (
+        "error: dump.csv: line 3: invalid literal for int() with base 10: '\u01fe'\n"
+    )
+    assert not (workdir / "x").exists()
+
+
 def test_master_seed_env_var_default(workdir, monkeypatch):
     args = ["gen-data", "--counts", "450,50", "--val-per-class", "20",
             "--test-per-class", "20"]
@@ -825,6 +838,23 @@ def test_master_seed_env_var_default(workdir, monkeypatch):
     assert (workdir / "via_env" / "train.csv").read_bytes() == (
         workdir / "via_flag" / "train.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("value", ["abc", "", "1.5", str(2**63), str(-2**63 - 1)])
+@pytest.mark.parametrize("command", ["gen-data", "shift-eval"])
+def test_a_seed_from_the_environment_must_be_an_int64_integer(tiny, capsys, monkeypatch,
+                                                              command, value):
+    files, outs = tiny
+    argv = {"gen-data": ["gen-data", "--counts", "20,10"],
+            "shift-eval": ["shift-eval", "--model", str(files["model"]),
+                           "--train-data", str(files["train"])]}[command]
+    monkeypatch.setenv("TAILCAL_SEED", value)
+    out = next(outs)
+    assert run_cli(*argv, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        f"error: TAILCAL_SEED must fit in a signed 64-bit integer, got {value!r}\n"
+    )
+    assert not out.exists()
 
 
 def test_config_file_with_flag_override(workdir):
@@ -955,11 +985,14 @@ FLAG_CASES = {
     "--trials": (["shift-eval", "--model", "{model}", "--train-data", "{train}",
                   "--test-samples", "40", "--ratios", "2"], ["1", "2"]),
     "--batch-size": (["train", "--data", "{train}", "--iterations", "5"], ["16", "80"]),
+    "--alpha": (["adjust", "--logits", "{dump2}", "--method", "p2p-ce", "--prior", "{prior}"],
+                ["0.5", "1"]),
 }
 MALFORMED = ["", ",", "x", "x,y", "5", "-1", "0", "1,2,3", "[0.5,", "[0.5,0.5]", "[]",
              "[1,-1]", "[0, 0]", "{}", "nan", "inf", "1e400", "sideways", "0.2,", "-"]
 # free text only where no value can ask for a large allocation or many threads
-FREE_TEXT = {"--groups", "--target-prior", "--ratios", "--directions", "--grid", "--split"}
+FREE_TEXT = {"--groups", "--target-prior", "--ratios", "--directions", "--grid", "--split",
+             "--alpha"}
 
 
 @settings(max_examples=200)
@@ -1097,10 +1130,23 @@ def test_gen_data_memory_error_at_sampling_exits_2_naming_the_flag(workdir, caps
     (["shift-eval", "--model", "{model}", "--train-data", "{train}", "--test-samples",
       str(2**63 - 1)], None,
      f"--test-samples: the test split of {2**63 - 1} rows of 2 features is too big to allocate"),
+    (["train", "--data", "{train}", "--arch", "mlp", "--hidden", str(2**62)], None,
+     f"--hidden: a hidden layer of {2**62} units on 80 rows of 2 features "
+     "is too big to allocate"),
+    (["train", "--data", "{train}", "--arch", "mlp", "--config", "cfg.json"], {"hidden": 2**60},
+     f"config cfg.json: key 'hidden': a hidden layer of {2**60} units on 80 rows of 2 features "
+     "is too big to allocate"),
+    (["shift-eval", "--model", "{model}", "--train-data", "{train}", "--seed", str(TOO_BIG)], None,
+     f"--seed must fit in a signed 64-bit integer, got {TOO_BIG}"),
+    (["ingest-logits", "--logits", "{dump2}", "--seed", str(-2**63 - 1)], None,
+     f"--seed must fit in a signed 64-bit integer, got {-2**63 - 1}"),
+    (["toy-experiment", "--seed", str(2**63)], None,
+     f"--seed must fit in a signed 64-bit integer, got {2**63}"),
 ], ids=["gen-dims-0", "gen-classes-1", "gen-config-classes-1", "gen-config-imbalance-nan",
         "train-config-lr-inf", "train-hidden", "toy-imbalance-nan", "toy-samples",
         "toy-imbalance-minus-1", "toy-imbalance-minus-half", "toy-samples-too-big",
-        "toy-test-samples-too-big", "shift-test-samples-too-big"])
+        "toy-test-samples-too-big", "shift-test-samples-too-big", "train-hidden-too-big",
+        "train-config-hidden-too-big", "shift-seed", "ingest-seed", "toy-seed"])
 def test_option_value_a_check_rejects_exits_2_naming_it(workdir, tiny, capsys, argv, body, message):
     files, _ = tiny
     (workdir / "cfg.json").write_text(json.dumps(body))
@@ -1117,6 +1163,39 @@ def test_shift_eval_test_samples_must_be_a_positive_int64(tiny, capsys, value):
               "--test-samples", value, "--out", str(next(outs))])
     assert exc.value.code == 2
     assert "error: argument --test-samples: expected " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["adjust", "--logits", "{dump2}", "--method", "p2p-ce", "--prior", "{prior}"],
+    ["shift-eval", "--model", "{model}", "--train-data", "{train}"],
+], ids=["adjust", "shift-eval"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x"])
+def test_alpha_must_be_a_finite_number(tiny, capsys, command, value):
+    files, outs = tiny
+    out = next(outs)
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(**files) for a in command] + [f"--alpha={value}", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument --alpha: expected a finite number, got {value!r}\n" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("stage", ["init_mlp", "train"])
+def test_memory_error_in_a_hidden_layer_exits_2_naming_hidden(tiny, capsys, monkeypatch, stage):
+    def short_of_memory(*args):
+        raise MemoryError
+
+    files, outs = tiny
+    monkeypatch.setattr(cli, stage, short_of_memory)
+    out = next(outs)
+    assert run_cli("train", "--data", files["train"], "--arch", "mlp", "--hidden", "4",
+                   "--out", out) == 2
+    assert capsys.readouterr().err == (
+        "error: --hidden: a hidden layer of 4 units on 80 rows of 2 features "
+        "is too big to allocate\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [

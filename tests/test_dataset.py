@@ -269,6 +269,18 @@ FAULTS = {
     "missing column": ("drop", None),
 }
 
+# Faults that only the block read meets: numpy's integer parser may read a
+# non-ASCII letter as a digit ("\u01fe" as 462), so no such label may reach it.
+BLOCK_FAULTS = {
+    **FAULTS,
+    "look-alike label": ("label", "\u01fe"),
+    "digit and look-alike label": ("label", "1\u01fe"),
+    "Cyrillic look-alike label": ("label", "\u04fe"),
+    "padded bad float": ("value", "\x1c1.0.0\x1f"),
+}
+# ASCII separators, which str.isspace and np.loadtxt both read as padding
+SEPARATORS = "\x1c\x1d\x1e\x1f"
+
 float_cells = st.one_of(
     st.sampled_from(EDGE_FLOATS),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
@@ -422,16 +434,24 @@ def _read_in_blocks(path, has_ids, bound, block_lines):
 @given(table=csv_tables(), data=st.data())
 def test_block_read_matches_the_per_line_read(tmp_path_factory, table, data):
     has_ids, bound, header, lines = table
+    # separators padding value and label cells
+    padding = st.text(st.sampled_from(SEPARATORS), max_size=2)
+    for _ in range(data.draw(st.integers(0, 3))):
+        at = data.draw(st.sampled_from([i for i, line in enumerate(lines) if line]))
+        cells = lines[at].split(",")
+        j = data.draw(st.integers(1 if has_ids else 0, len(cells) - 1))
+        cells[j] = data.draw(padding) + cells[j] + data.draw(padding)
+        lines[at] = ",".join(cells)
     # blank and whitespace-only lines anywhere, block edges included
     for _ in range(data.draw(st.integers(0, 3))):
         at = data.draw(st.integers(0, len(lines)))
         lines.insert(at, data.draw(st.sampled_from(["", " ", "\t ", "\u3000"])))
     # half the tables stay valid, so a block that falls back to the per-line
     # read after accepted ones must not repeat or drop their rows
-    fault = data.draw(st.one_of(st.none(), st.sampled_from(sorted(FAULTS))))
+    fault = data.draw(st.one_of(st.none(), st.sampled_from(sorted(BLOCK_FAULTS))))
     if fault is not None:  # often in a later block than the first
         at = data.draw(st.sampled_from([i for i, line in enumerate(lines) if line.strip()]))
-        where, text = FAULTS[fault]
+        where, text = BLOCK_FAULTS[fault]
         cells = lines[at].split(",")
         if where == "line":
             lines.insert(at, text)
@@ -457,6 +477,30 @@ def test_block_read_matches_the_per_line_read(tmp_path_factory, table, data):
             assert got == reference  # the same message, naming the same line
         else:  # every accepted row once, in file order
             assert _same(got, reference)
+
+
+def test_a_rejected_block_falls_back_alone_and_no_non_ascii_label_reaches_numpy(
+    tmp_path, monkeypatch
+):
+    rows = [f"{i}.5,{i % 2}" for i in range(12)]
+    rows.insert(1, " ")  # whitespace-only: block 1 falls back to the per-line read
+    rows[9] = "8.5,\u0661"  # an Arabic-Indic 1, which int() reads, in block 3
+    path = tmp_path / "rows.csv"
+    path.write_text("\n".join(["f0,label", *rows]) + "\n", encoding="utf-8")
+    blocks = []
+    vectorised = dataset._parse_rows_vectorised
+
+    def spy(lines, *args):
+        blocks.append(list(lines))
+        return vectorised(lines, *args)
+
+    monkeypatch.setattr(dataset, "CSV_BLOCK_LINES", 4)
+    monkeypatch.setattr(dataset, "_parse_rows_vectorised", spy)
+    got = _read_csv(path, _check_header_for(False, 2))
+    assert [block[0] for block in blocks] == ["0.5,0\n", "3.5,1\n", "11.5,1\n"]  # blocks 1, 2, 4
+    assert all(line.rpartition(",")[2].isascii() for block in blocks for line in block)
+    assert _same(got, _reference_read(path, False, 2))
+    assert got[2].tolist() == [i % 2 for i in range(8)] + [1] + [i % 2 for i in range(9, 12)]
 
 
 @pytest.mark.parametrize("bad_line", [True, False])

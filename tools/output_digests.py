@@ -16,7 +16,9 @@ train-side dump; one gen-data run reads ``cfg.json`` and one train run
 ingest-logits runs read a dataset and logit dumps of 700 rows, more than two
 of the reader's 256-line blocks, with blank lines on block boundaries: CRLF
 line endings in ``crlf_data.csv`` and ``crlf_dump.csv``, lone CRs in
-``cr_dump.csv``. The script writes these inputs first. It then prints one
+``cr_dump.csv``. The first block of ``crlf_data.csv`` holds a whitespace-only
+line and a ``1_0`` cell, which ``np.loadtxt`` rejects, so the reader parses
+that block line by line. The script writes these inputs first. It then prints one
 ``sha256  path`` line per output file, per command's stdout and per
 ``--help`` text (``tailcal`` and each subcommand), sorted, except
 ``manifest.json``; each manifest
@@ -59,7 +61,8 @@ def write_crlf_inputs(work: Path) -> None:
     """Write crlf_data.csv, crlf_dump.csv (CRLF line endings), cr_dump.csv
     (the dump's lines ended by lone CRs) and cr_counts.json: an empty line
     after every 40th row, on two block boundaries and at the end, signed
-    zeros and subnormals."""
+    zeros and subnormals; in the data's first block, a ``1_0`` cell at line 6
+    and a whitespace-only line at line 10."""
     rng = random.Random(int(SEED))
     data, dump = ["f0,f1,label"], ["id,logit_0,logit_1,logit_2,label"]
     for i in range(CRLF_ROWS):
@@ -73,6 +76,8 @@ def write_crlf_inputs(work: Path) -> None:
         if i % 40 == 39:
             data.append("")
             dump.append("")
+    data[5] = "1_0," + data[5].split(",", 1)[1]
+    data.insert(9, " \t")
     for lineno in BOUNDARY_BLANKS:
         data.insert(lineno - 1, "")
         dump.insert(lineno - 1, "")
