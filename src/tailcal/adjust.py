@@ -62,8 +62,9 @@ class AdjustmentSpec:
     def __post_init__(self):
         if self.method not in METHODS:
             raise UsageError(f"unknown adjustment method {self.method!r}")
-        if self.alpha < 0:
-            raise UsageError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0 <= self.alpha < np.inf:
+            need = ">= 0" if self.alpha < 0 else "finite"
+            raise UsageError(f"alpha must be {need}, got {self.alpha}")
         if self.method == "none":
             return
         if self.estimated_prior is None or self.target_prior is None:

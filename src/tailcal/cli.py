@@ -19,6 +19,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -42,7 +43,9 @@ from .dataset import (
     save_counts,
     save_dataset,
     _csv_blocks,
+    _forked,
     _read_csv,
+    _usable_cpus,
     _write_csv,
 )
 from .errors import DataError, TailcalError, UsageError
@@ -549,13 +552,14 @@ def cmd_estimate_prior(args, run: RunDir) -> dict:
 
 
 def _resolve_alpha(args) -> float | None:
-    """--alpha wins over --alpha-from-sweep; None means the prior's own."""
+    """The --alpha value, or the alpha of the --alpha-from-sweep file, a finite
+    JSON number >= 0; not both. None means the prior's own."""
     if args.alpha is not None and args.alpha_from_sweep is not None:
         raise UsageError("give either --alpha or --alpha-from-sweep, not both")
     if args.alpha_from_sweep is not None:
         try:
             payload = json.loads(Path(args.alpha_from_sweep).read_text())
-            return float(payload["alpha"])
+            return prior._json_alpha(payload["alpha"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(
                 f"{args.alpha_from_sweep}: not a sweep result: {exc}"
@@ -717,13 +721,7 @@ def toy_workers(trials: int, workers: int | None = None) -> int:
     """The thread count for ``trials`` toy trials: ``workers`` if given, else
     one per usable CPU (the process's affinity mask where the OS has one), at
     most one per trial."""
-    if workers is not None:
-        return workers
-    if hasattr(os, "sched_getaffinity"):
-        usable = len(os.sched_getaffinity(0))
-    else:
-        usable = os.cpu_count() or 1
-    return min(trials, usable)
+    return workers if workers is not None else min(trials, _usable_cpus())
 
 
 def toy_experiment(cfg: ToyConfig, workers: int | None = None) -> dict:
@@ -994,16 +992,19 @@ def ingest_logits(
 
 def cmd_ingest_logits(args, run: RunDir) -> dict:
     seed = _master_seed(args.seed)
-    ids, logits, labels = load_logit_dump(args.logits)
-    target = _resolve_target(args.target_prior, logits.shape[1])
-    if args.target_prior is None:
-        _notice("no --target-prior given; defaulting to uniform")
-    train_means = train_counts = None
-    if args.train_logits:
-        train_means = _dump_posterior_means(args.train_logits)
-        if args.counts is None:
-            raise UsageError("--train-logits needs --counts metadata")
-        train_counts = load_counts(args.counts)
+    # the train dump is folded in a forked child while the eval dump is parsed
+    train_logits = args.train_logits
+    with _forked(_dump_posterior_means, train_logits) if train_logits else nullcontext() as fold:
+        ids, logits, labels = load_logit_dump(args.logits)
+        target = _resolve_target(args.target_prior, logits.shape[1])
+        if args.target_prior is None:
+            _notice("no --target-prior given; defaulting to uniform")
+        train_means = train_counts = None
+        if train_logits:
+            train_means = fold()
+            if args.counts is None:
+                raise UsageError("--train-logits needs --counts metadata")
+            train_counts = load_counts(args.counts)
     result = ingest_logits(
         ids,
         logits,

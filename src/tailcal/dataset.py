@@ -9,7 +9,13 @@ float64 precision.
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import shutil
+import tempfile
+import threading
 import warnings
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from pathlib import Path
@@ -25,6 +31,9 @@ SHIFT_DIRECTIONS = ("forward", "backward", "uniform")
 # Lines per block of a CSV read: a read holds one block's parse beside the
 # arrays it fills.
 CSV_BLOCK_LINES = 256
+
+# Values in a CSV write from which it is split across the usable CPUs.
+CSV_SPLIT_CELLS = 100_000
 
 
 @dataclass(frozen=True)
@@ -244,6 +253,91 @@ def make_shifted_counts(base_counts, shift: ShiftSpec) -> np.ndarray:
     return counts
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has
+    one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_slots() -> int:
+    """How many processes work may be spread over: one per usable CPU, or one
+    without ``os.fork`` or beside other threads, which a fork does not copy."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return _usable_cpus()
+
+
+@contextmanager
+def _forked(fn, *args):
+    """Start ``fn(*args)`` in a forked child and yield ``wait``, which returns
+    its result or raises its exception, as calling ``fn`` there would.
+
+    The child reads the parent's memory through the fork; only the pickled
+    result or exception comes back, through a pipe. It leaves through
+    ``os._exit``, so the stdio buffers and atexit handlers it inherited never
+    run twice. A child not waited for when the block exits is killed; every
+    child is reaped. With fewer than two :func:`_fork_slots`, nothing is
+    forked and ``wait`` calls ``fn`` itself.
+    """
+    if _fork_slots() < 2:
+        yield lambda: fn(*args)
+        return
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read)
+            try:
+                outcome = (True, fn(*args))
+            except BaseException as exc:
+                outcome = (False, exc)
+            with open(write, "wb") as channel:
+                channel.write(pickle.dumps(outcome))
+        finally:
+            os._exit(0)
+    os.close(write)
+    pipe, reaped = open(read, "rb"), False
+
+    def wait():
+        nonlocal reaped
+        with pipe:
+            payload = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        reaped = True
+        if not payload:  # killed, or its outcome did not pickle
+            code = os.waitstatus_to_exitcode(status)
+            raise ChildProcessError(f"{fn.__name__} died in a forked child (exit {code})")
+        ok, value = pickle.loads(payload)
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield wait
+    finally:
+        if not reaped:
+            import signal  # at module level it would cost every start 1 ms
+
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _write_rows(out, values: np.ndarray, labels, ids) -> None:
+    """Write one ``[id,]v0,...,v{K-1},label`` line per row to a text file."""
+    prefixes = repeat("") if ids is None else (f"{i}," for i in ids)
+    for prefix, row, label in zip(prefixes, values, labels):
+        out.write(prefix + ",".join(map(repr, row.tolist())) + f",{int(label)}\n")
+
+
+def _write_part(file, values: np.ndarray, labels, ids) -> None:
+    """:func:`_write_rows` into a binary file, through a text layer of its own."""
+    with open(file.fileno(), "w", encoding="utf-8", closefd=False) as out:
+        _write_rows(out, values, labels, ids)
+
+
 def _write_csv(path, header: list[str], values: np.ndarray, labels, ids=None) -> None:
     """Write the CSV format shared by datasets and logit dumps.
 
@@ -251,12 +345,32 @@ def _write_csv(path, header: list[str], values: np.ndarray, labels, ids=None) ->
     UTF-8. Floats go through ``repr``, the shortest decimal that round-trips
     a float64 exactly. Lines are written one at a time, so the file's text is
     never held in memory whole.
+
+    A write of at least ``CSV_SPLIT_CELLS`` values is split into
+    :func:`_fork_slots` runs of rows, at most one per row. This process
+    writes the first run into the file; a forked child (:func:`_forked`)
+    formats each other run into an unlinked temporary file beside it, and
+    these are appended in order. The bytes are those of a one-process write.
     """
-    prefixes = repeat("") if ids is None else (f"{i}," for i in ids)
-    with open(path, "w", encoding="utf-8") as out:
+    rows = len(values)
+    parts = min(_fork_slots(), rows) if values.size >= CSV_SPLIT_CELLS else 1
+    bounds = [rows * k // parts for k in range(parts + 1)]
+    slices = [
+        (values[lo:hi], islice(labels, lo, hi), None if ids is None else islice(ids, lo, hi))
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    with open(path, "w", encoding="utf-8") as out, ExitStack() as children:
+        spilled = []
+        for part in slices[1:]:
+            file = children.enter_context(tempfile.TemporaryFile(dir=Path(path).parent))
+            spilled.append((file, children.enter_context(_forked(_write_part, file, *part))))
         out.write(",".join(header) + "\n")
-        for prefix, row, label in zip(prefixes, values, labels):
-            out.write(prefix + ",".join(map(repr, row.tolist())) + f",{int(label)}\n")
+        _write_rows(out, *slices[0])
+        out.flush()
+        for file, wait in spilled:
+            wait()
+            file.seek(0)
+            shutil.copyfileobj(file, out.buffer, 1 << 20)
 
 
 def _read_csv(path, check_header) -> tuple[list[str], np.ndarray, np.ndarray]:

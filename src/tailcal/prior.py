@@ -19,6 +19,7 @@ by grid search on held-out accuracy.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -203,6 +204,14 @@ def save_prior(estimate: EffectivePrior, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=1) + "\n")
 
 
+def _json_alpha(value) -> float:
+    """``value`` as an exponent alpha if it is a finite JSON number >= 0 and
+    not a bool; a ValueError otherwise."""
+    if type(value) not in (int, float) or not 0 <= value <= sys.float_info.max:
+        raise ValueError(f"alpha must be a finite number >= 0, got {value!r}")
+    return float(value)
+
+
 def load_prior(path) -> EffectivePrior:
     path = Path(path)
     try:
@@ -211,7 +220,7 @@ def load_prior(path) -> EffectivePrior:
             np.asarray(payload["probs"], dtype=np.float64),
             str(payload["estimator"]),
             int(payload["samples"]),
-            float(payload.get("alpha", 1.0)),
+            _json_alpha(payload.get("alpha", 1.0)),
         )
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: not an effective-prior file: {exc}") from exc

@@ -1,7 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from tailcal import cli, dataset
 from tailcal.dataset import sample_dataset
 from tailcal.model import LossSpec, TrainConfig, init_linear, train
 from tailcal.numerics import RngStream
@@ -41,6 +44,26 @@ def toy_ce_model(toy_train):
         batch_size=toy_train.n, seed=RngStream(1234).child(2), **TOY_TRAIN_CFG
     )
     return train(init_linear(2, 2), toy_train, LossSpec(), cfg).model
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The names of the functions started through ``dataset._forked`` while
+    the test runs. Two fork slots are set, so each runs in a forked child,
+    unless the test sets ``dataset._fork_slots`` again. The test must leave
+    no child unreaped."""
+    started, forked = [], dataset._forked
+
+    def spy(fn, *args):
+        started.append(fn.__name__)
+        return forked(fn, *args)
+
+    monkeypatch.setattr(dataset, "_fork_slots", lambda: 2)
+    monkeypatch.setattr(dataset, "_forked", spy)
+    monkeypatch.setattr(cli, "_forked", spy)
+    yield started
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture()

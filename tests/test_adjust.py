@@ -192,3 +192,11 @@ def test_spec_json_roundtrip(tmp_path):
     none_path = tmp_path / "none.json"
     save_spec(no_adjustment(), none_path)
     assert json.loads(none_path.read_text()) == {"method": "none"}
+
+
+@pytest.mark.parametrize("alpha, need", [
+    (float("nan"), "finite"), (float("inf"), "finite"), (float("-inf"), ">= 0"),
+])
+def test_spec_rejects_a_non_finite_alpha(alpha, need):
+    with pytest.raises(UsageError, match=f"^alpha must be {need}, got {alpha}$"):
+        AdjustmentSpec("p2p-ce", np.array([0.9, 0.1]), "train-side", UNIFORM, alpha)

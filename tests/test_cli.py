@@ -4,6 +4,9 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -1274,3 +1277,92 @@ def test_ingest_traced_peak_stays_near_the_eval_logits(workdir):
         tracemalloc.stop()
     assert code == 0
     assert peak < 3.5 * 5000 * classes * 8
+
+
+def _write_dump(path, rows: int, seed: int, classes: int = 3, bad_line: int | None = None):
+    gen = RngStream(seed).generator()
+    logits = gen.normal(size=(rows, classes))
+    save_logit_dump([f"r{i}" for i in range(rows)], logits, np.arange(rows) % classes, path)
+    if bad_line is not None:
+        lines = Path(path).read_text().splitlines(keepends=True)
+        lines[bad_line - 1] = "r,x" + ",0.5" * (classes - 1) + ",0\n"
+        Path(path).write_text("".join(lines))
+
+
+def _ingest(out):
+    return run_cli("ingest-logits", "--logits", "eval.csv", "--train-logits", "train.csv",
+                   "--counts", "counts.json", "--seed", "9", "--out", out)
+
+
+@pytest.mark.parametrize("bad", ["train", "both"])
+def test_a_bad_dump_fails_alike_with_the_train_fold_forked_or_not(
+    workdir, capsys, monkeypatch, forks, bad
+):
+    _write_dump("eval.csv", 300, 1, bad_line=5 if bad == "both" else None)
+    _write_dump("train.csv", 900, 2, bad_line=700)
+    (workdir / "counts.json").write_text('{"counts": [300, 300, 300]}')
+    outcomes = []
+    for slots in (1, 2):
+        monkeypatch.setattr(dataset, "_fork_slots", lambda: slots)
+        outcomes.append((_ingest(f"out{slots}"), capsys.readouterr().err))
+        assert not (workdir / f"out{slots}").exists()
+    assert forks == ["_dump_posterior_means"] * 2
+    assert outcomes[0] == outcomes[1] == (3, (
+        "error: eval.csv: line 5: could not convert string to float: 'x'\n" if bad == "both" else
+        "notice: no --target-prior given; defaulting to uniform\n"
+        "error: train.csv: line 700: could not convert string to float: 'x'\n"))
+
+
+def test_ingest_forked_leaves_the_outputs_of_one_process_and_no_child_or_file(
+    workdir, monkeypatch, forks
+):
+    _write_dump("eval.csv", 301, 3, classes=4)
+    _write_dump("train.csv", 900, 4, classes=4)
+    (workdir / "counts.json").write_text('{"counts": [400, 250, 150, 100]}')
+    monkeypatch.setattr(dataset, "CSV_SPLIT_CELLS", 1)
+    outputs = {}
+    for slots in (1, 2):
+        monkeypatch.setattr(dataset, "_fork_slots", lambda: slots)
+        assert _ingest(f"out{slots}") == 0
+        files = sorted((workdir / f"out{slots}").iterdir())
+        assert [p.name for p in files] == [
+            "adjusted_logits.csv", "ingest_report.json", "manifest.json", "prior.json"]
+        outputs[slots] = {p.name: p.read_bytes() for p in files if p.name != "manifest.json"}
+    # the fold twice; the adjusted dump's write in two parts, once
+    assert sorted(forks) == ["_dump_posterior_means"] * 2 + ["_write_part"]
+    assert outputs[1] == outputs[2]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    code = ("import sys, tailcal.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout == "[]\n"
+
+
+# each JSON alpha, and the value the message quotes
+ALPHA_VALUES = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf", "1e400": "inf",
+                "true": "True", '"0.5"': "'0.5'", "-1": "-1", "null": "None"}
+
+
+@pytest.mark.parametrize("where", ["sweep", "prior"])
+@pytest.mark.parametrize("alpha", ALPHA_VALUES)
+def test_a_file_alpha_other_than_a_finite_number_of_at_least_0_exits_3_naming_the_file(
+    workdir, capsys, where, alpha
+):
+    _write_dump("d.csv", 20, 5, classes=2)
+    payload = '{"probs": [0.9, 0.1], "estimator": "train-side", "samples": 10%s}'
+    (workdir / "good.json").write_text(payload % "")
+    (workdir / "bad.json").write_text(payload % f', "alpha": {alpha}' if where == "prior"
+                                      else f'{{"alpha": {alpha}}}')
+    files = ["--prior", "bad.json"] if where == "prior" else [
+        "--prior", "good.json", "--alpha-from-sweep", "bad.json"]
+    code = run_cli("adjust", "--logits", "d.csv", "--method", "p2p-ce", *files,
+                   "--target-prior", "uniform", "--out", "x")
+    kind = "an effective-prior file" if where == "prior" else "a sweep result"
+    assert (code, capsys.readouterr().err) == (3, (
+        f"error: bad.json: not {kind}: alpha must be a finite number >= 0, "
+        f"got {ALPHA_VALUES[alpha]}\n"))
+    assert not (workdir / "x").exists()

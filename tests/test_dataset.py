@@ -1,3 +1,7 @@
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -529,3 +533,72 @@ def test_read_csv_sizes_its_arrays_from_the_line_breaks(tmp_path, end):
     assert dataset._line_breaks(path) == 7
     _, values, labels = _read_csv(path, _check_header_for(False, 2))
     assert values.base.shape == (7, 1) and labels.tolist() == [0, 1] * 3 + [0]
+
+
+@pytest.mark.parametrize("rows, cols, slots, split_cells, with_ids, parts", [
+    (dataset.CSV_SPLIT_CELLS - 1, 1, 2, None, True, 1),  # just below: one process
+    (dataset.CSV_SPLIT_CELLS + 1, 1, 2, None, True, 2),  # just above: two parts
+    (dataset.CSV_SPLIT_CELLS + 1, 1, 2, None, False, 2),
+    (7, 3, 3, 1, True, 3),  # an odd row count in three parts
+    (5, 2, 8, 1, False, 5),  # more slots than rows: one row per part
+], ids=["below", "above-ids", "above", "odd-rows", "more-slots-than-rows"])
+def test_a_split_write_has_the_bytes_of_a_one_process_write(
+    tmp_path, monkeypatch, forks, rows, cols, slots, split_cells, with_ids, parts
+):
+    gen = RngStream(61).generator()
+    values = gen.normal(size=(rows, cols)) * 10.0 ** gen.integers(-300, 300, size=(rows, cols))
+    values[0, 0], values[-1, -1] = -0.0, 5e-324
+    labels = gen.integers(0, 5, size=rows)
+    ids = [f"r-{i}-é" for i in range(rows)] if with_ids else None
+    header = (["id"] if with_ids else []) + [f"v{j}" for j in range(cols)] + ["label"]
+    if split_cells is not None:
+        monkeypatch.setattr(dataset, "CSV_SPLIT_CELLS", split_cells)
+    monkeypatch.setattr(dataset, "_fork_slots", lambda: 1)
+    dataset._write_csv(tmp_path / "one.csv", header, values, labels, ids)
+    monkeypatch.setattr(dataset, "_fork_slots", lambda: slots)
+    dataset._write_csv(tmp_path / "split.csv", header, values, labels, ids)
+    assert forks == ["_write_part"] * (parts - 1)
+    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.csv", "split.csv"]
+
+
+def test_a_failing_part_raises_in_the_parent_as_in_one_process(tmp_path, monkeypatch, forks):
+    values, labels = np.ones((7, 2)), [0] * 6 + ["x"]  # the last part's last label
+    monkeypatch.setattr(dataset, "CSV_SPLIT_CELLS", 1)
+    for slots in (1, 3):
+        monkeypatch.setattr(dataset, "_fork_slots", lambda: slots)
+        with pytest.raises(ValueError, match=r"^invalid literal for int\(\) with base 10: 'x'$"):
+            dataset._write_csv(tmp_path / f"{slots}.csv", ["f0", "f1", "label"], values, labels)
+    assert forks == ["_write_part"] * 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["1.csv", "3.csv"]
+
+
+@pytest.mark.parametrize("slots", [1, 2])
+def test_forked_runs_its_function_in_a_child_only_with_two_slots(monkeypatch, forks, slots):
+    monkeypatch.setattr(dataset, "_fork_slots", lambda: slots)
+    with dataset._forked(os.getpid) as wait:
+        assert (wait() != os.getpid()) == (slots == 2)
+    with pytest.raises(DataError, match="^bad$"), dataset._forked(_raise, DataError("bad")) as wait:
+        wait()
+
+
+def _raise(exc):
+    raise exc
+
+
+def test_a_child_still_running_when_the_parent_raises_is_killed_and_reaped(forks):
+    started = time.perf_counter()
+    with pytest.raises(KeyError), dataset._forked(time.sleep, 60):
+        raise KeyError("the parent fails first")
+    assert time.perf_counter() - started < 30
+
+
+def test_fork_slots_are_the_usable_cpus_of_a_one_thread_process(monkeypatch):
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    assert dataset._usable_cpus() == dataset._fork_slots() == 3
+    monkeypatch.setattr(threading, "active_count", lambda: 2)  # a fork copies one thread
+    assert dataset._fork_slots() == 1
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    monkeypatch.delattr(os, "fork")
+    assert dataset._fork_slots() == 1

@@ -18,7 +18,14 @@ of the reader's 256-line blocks, with blank lines on block boundaries: CRLF
 line endings in ``crlf_data.csv`` and ``crlf_dump.csv``, lone CRs in
 ``cr_dump.csv``. The first block of ``crlf_data.csv`` holds a whitespace-only
 line and a ``1_0`` cell, which ``np.loadtxt`` rejects, so the reader parses
-that block line by line. The script writes these inputs first. It then prints one
+that block line by line. Two runs write files of more than the 100 000
+values (``dataset.CSV_SPLIT_CELLS``) from which a write is split across
+the usable CPUs, with odd row counts: gen-data ``dbig`` (train 7 001 x 16
+and test 7 005 x 16 values; val stays below) and ingest-logits
+``big_ingest`` (5 041 adjusted rows of 20 logits), which reads
+``big_dump.csv`` and folds the train-side ``big_train_dump.csv`` in a
+forked child. On a machine with one usable CPU both stay in one process.
+The script writes these inputs first. It then prints one
 ``sha256  path`` line per output file, per command's stdout and per
 ``--help`` text (``tailcal`` and each subcommand), sorted, except
 ``manifest.json``; each manifest
@@ -88,6 +95,26 @@ def write_crlf_inputs(work: Path) -> None:
     (work / "cr_counts.json").write_text(json.dumps({"counts": counts}) + "\n")
 
 
+BIG_CLASSES = 20
+BIG_ROWS = {"big_dump.csv": 6301, "big_train_dump.csv": 4001}  # 6 301 - 1 260 held out
+
+
+def write_big_inputs(work: Path) -> None:
+    """Write big_dump.csv and big_train_dump.csv, 20-class logit dumps whose
+    label column carries a bias, and big_counts.json."""
+    rng = random.Random(int(SEED) + 1)
+    for name, rows in BIG_ROWS.items():
+        lines = ["id," + ",".join(f"logit_{j}" for j in range(BIG_CLASSES)) + ",label"]
+        for i in range(rows):
+            label = i % BIG_CLASSES
+            logits = [rng.gauss(0.0, 2.0) + 3.0 * (j == label) for j in range(BIG_CLASSES)]
+            lines.append(f"{name[:-4]}-{i}," + ",".join(map(repr, logits)) + f",{label}")
+        (work / name).write_text("\n".join(lines) + "\n")
+    counts = [len(range(j, BIG_ROWS["big_train_dump.csv"], BIG_CLASSES))
+              for j in range(BIG_CLASSES)]
+    (work / "big_counts.json").write_text(json.dumps({"counts": counts}) + "\n")
+
+
 CHAIN = [
     ["gen-data", "--out", "d2", "--seed", SEED, "--counts", "1960,40",
      "--val-per-class", "200", "--test-per-class", "300"],
@@ -152,6 +179,10 @@ CHAIN = [
     ["ingest-logits", "--logits", "crlf_dump.csv", "--seed", SEED, "--out", "crlf_ingest"],
     ["ingest-logits", "--logits", "cr_dump.csv", "--train-logits", "crlf_dump.csv",
      "--counts", "cr_counts.json", "--seed", SEED, "--out", "cr_ingest"],
+    ["gen-data", "--out", "dbig", "--seed", SEED, "--classes", "3", "--dims", "16",
+     "--counts", "4001,2000,1000", "--val-per-class", "11", "--test-per-class", "2335"],
+    ["ingest-logits", "--logits", "big_dump.csv", "--train-logits", "big_train_dump.csv",
+     "--counts", "big_counts.json", "--seed", SEED, "--out", "big_ingest"],
 ]
 
 
@@ -162,6 +193,7 @@ def run_chain(work: Path) -> list[str]:
     (work / "cfg.json").write_text(json.dumps(CONFIG) + "\n")
     (work / "train_cfg.json").write_text(json.dumps(TRAIN_CONFIG) + "\n")
     write_crlf_inputs(work)
+    write_big_inputs(work)
     for argv in CHAIN:
         proc = subprocess.run(
             [sys.executable, "-m", "tailcal", *argv],
