@@ -15,7 +15,7 @@ import shutil
 import tempfile
 import threading
 import warnings
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from pathlib import Path
@@ -32,7 +32,7 @@ SHIFT_DIRECTIONS = ("forward", "backward", "uniform")
 # arrays it fills.
 CSV_BLOCK_LINES = 256
 
-# Values in a CSV write from which it is split across the usable CPUs.
+# Values in a CSV write from which it is split in two, across two CPUs.
 CSV_SPLIT_CELLS = 100_000
 
 
@@ -278,14 +278,20 @@ def _forked(fn, *args):
     result or exception comes back, through a pipe. It leaves through
     ``os._exit``, so the stdio buffers and atexit handlers it inherited never
     run twice. A child not waited for when the block exits is killed; every
-    child is reaped. With fewer than two :func:`_fork_slots`, nothing is
-    forked and ``wait`` calls ``fn`` itself.
+    child is reaped. With fewer than two :func:`_fork_slots`, or when the
+    fork fails, nothing is forked and ``wait`` calls ``fn`` itself.
     """
-    if _fork_slots() < 2:
+    pid = None
+    if _fork_slots() > 1:
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # EAGAIN, ENOMEM: the fork is only a speed-up
+            os.close(read)
+            os.close(write)
+    if pid is None:
         yield lambda: fn(*args)
         return
-    read, write = os.pipe()
-    pid = os.fork()
     if pid == 0:
         try:
             os.close(read)
@@ -346,31 +352,28 @@ def _write_csv(path, header: list[str], values: np.ndarray, labels, ids=None) ->
     a float64 exactly. Lines are written one at a time, so the file's text is
     never held in memory whole.
 
-    A write of at least ``CSV_SPLIT_CELLS`` values is split into
-    :func:`_fork_slots` runs of rows, at most one per row. This process
-    writes the first run into the file; a forked child (:func:`_forked`)
-    formats each other run into an unlinked temporary file beside it, and
-    these are appended in order. The bytes are those of a one-process write.
+    A write of at least ``CSV_SPLIT_CELLS`` values and two rows is split in
+    two when there are two :func:`_fork_slots`. This process writes the first
+    half of the rows into the file while a forked child (:func:`_forked`)
+    formats the second half into an unlinked temporary file beside it, which
+    is then appended. The bytes are those of a one-process write.
     """
     rows = len(values)
-    parts = min(_fork_slots(), rows) if values.size >= CSV_SPLIT_CELLS else 1
-    bounds = [rows * k // parts for k in range(parts + 1)]
-    slices = [
-        (values[lo:hi], islice(labels, lo, hi), None if ids is None else islice(ids, lo, hi))
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
-    with open(path, "w", encoding="utf-8") as out, ExitStack() as children:
-        spilled = []
-        for part in slices[1:]:
-            file = children.enter_context(tempfile.TemporaryFile(dir=Path(path).parent))
-            spilled.append((file, children.enter_context(_forked(_write_part, file, *part))))
+    half = rows // 2 if values.size >= CSV_SPLIT_CELLS and _fork_slots() > 1 else 0
+    with open(path, "w", encoding="utf-8") as out:
         out.write(",".join(header) + "\n")
-        _write_rows(out, *slices[0])
-        out.flush()
-        for file, wait in spilled:
+        if half == 0:
+            _write_rows(out, values, labels, ids)
+            return
+        second = (islice(labels, half, None), None if ids is None else islice(ids, half, None))
+        with tempfile.TemporaryFile(dir=Path(path).parent) as spill, \
+                _forked(_write_part, spill, values[half:], *second) as wait:
+            _write_rows(out, values[:half], islice(labels, half),
+                        None if ids is None else islice(ids, half))
+            out.flush()
             wait()
-            file.seek(0)
-            shutil.copyfileobj(file, out.buffer, 1 << 20)
+            spill.seek(0)
+            shutil.copyfileobj(spill, out.buffer, 1 << 20)
 
 
 def _read_csv(path, check_header) -> tuple[list[str], np.ndarray, np.ndarray]:

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import itertools
@@ -1321,16 +1322,22 @@ def test_ingest_forked_leaves_the_outputs_of_one_process_and_no_child_or_file(
     (workdir / "counts.json").write_text('{"counts": [400, 250, 150, 100]}')
     monkeypatch.setattr(dataset, "CSV_SPLIT_CELLS", 1)
     outputs = {}
-    for slots in (1, 2):
+    for run, slots in (("one", 1), ("forked", 2), ("fork-fails", 2)):
         monkeypatch.setattr(dataset, "_fork_slots", lambda: slots)
-        assert _ingest(f"out{slots}") == 0
-        files = sorted((workdir / f"out{slots}").iterdir())
+        if run == "fork-fails":
+            monkeypatch.setattr(os, "fork", _no_fork)
+        assert _ingest(run) == 0
+        files = sorted((workdir / run).iterdir())
         assert [p.name for p in files] == [
             "adjusted_logits.csv", "ingest_report.json", "manifest.json", "prior.json"]
-        outputs[slots] = {p.name: p.read_bytes() for p in files if p.name != "manifest.json"}
-    # the fold twice; the adjusted dump's write in two parts, once
-    assert sorted(forks) == ["_dump_posterior_means"] * 2 + ["_write_part"]
-    assert outputs[1] == outputs[2]
+        outputs[run] = {p.name: p.read_bytes() for p in files if p.name != "manifest.json"}
+    # the fold three times; the adjusted dump's write in two parts, twice
+    assert sorted(forks) == ["_dump_posterior_means"] * 3 + ["_write_part"] * 2
+    assert outputs["one"] == outputs["forked"] == outputs["fork-fails"]
+
+
+def _no_fork():
+    raise OSError(errno.ENOMEM, "Cannot allocate memory")
 
 
 def test_importing_the_cli_loads_no_process_pool():

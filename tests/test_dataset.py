@@ -1,3 +1,4 @@
+import errno
 import os
 import threading
 import time
@@ -539,8 +540,8 @@ def test_read_csv_sizes_its_arrays_from_the_line_breaks(tmp_path, end):
     (dataset.CSV_SPLIT_CELLS - 1, 1, 2, None, True, 1),  # just below: one process
     (dataset.CSV_SPLIT_CELLS + 1, 1, 2, None, True, 2),  # just above: two parts
     (dataset.CSV_SPLIT_CELLS + 1, 1, 2, None, False, 2),
-    (7, 3, 3, 1, True, 3),  # an odd row count in three parts
-    (5, 2, 8, 1, False, 5),  # more slots than rows: one row per part
+    (7, 3, 3, 1, True, 2),  # an odd row count; never more than two parts
+    (1, 2, 8, 1, False, 1),  # more slots than rows: one process
 ], ids=["below", "above-ids", "above", "odd-rows", "more-slots-than-rows"])
 def test_a_split_write_has_the_bytes_of_a_one_process_write(
     tmp_path, monkeypatch, forks, rows, cols, slots, split_cells, with_ids, parts
@@ -569,7 +570,7 @@ def test_a_failing_part_raises_in_the_parent_as_in_one_process(tmp_path, monkeyp
         monkeypatch.setattr(dataset, "_fork_slots", lambda: slots)
         with pytest.raises(ValueError, match=r"^invalid literal for int\(\) with base 10: 'x'$"):
             dataset._write_csv(tmp_path / f"{slots}.csv", ["f0", "f1", "label"], values, labels)
-    assert forks == ["_write_part"] * 2
+    assert forks == ["_write_part"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["1.csv", "3.csv"]
 
 
@@ -584,6 +585,34 @@ def test_forked_runs_its_function_in_a_child_only_with_two_slots(monkeypatch, fo
 
 def _raise(exc):
     raise exc
+
+
+def test_a_failed_fork_leaves_the_work_in_this_process(tmp_path, monkeypatch, forks):
+    pipes, real_pipe = [], os.pipe
+
+    def pipe():
+        pipes.extend(real_pipe())
+        return pipes[-2:]
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    values, labels = np.arange(14.0).reshape(7, 2) / 3, np.arange(7) % 3
+    monkeypatch.setattr(dataset, "CSV_SPLIT_CELLS", 1)
+    monkeypatch.setattr(dataset, "_fork_slots", lambda: 1)
+    dataset._write_csv(tmp_path / "one.csv", ["f0", "f1", "label"], values, labels)
+    monkeypatch.setattr(dataset, "_fork_slots", lambda: 2)
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", no_fork)
+    dataset._write_csv(tmp_path / "split.csv", ["f0", "f1", "label"], values, labels)
+    with dataset._forked(os.getpid) as wait:
+        assert wait() == os.getpid()
+    assert forks == ["_write_part", "getpid"] and len(pipes) == 4
+    for fd in pipes:  # both ends closed again
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.csv", "split.csv"]
 
 
 def test_a_child_still_running_when_the_parent_raises_is_killed_and_reaped(forks):

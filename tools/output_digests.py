@@ -19,8 +19,8 @@ line endings in ``crlf_data.csv`` and ``crlf_dump.csv``, lone CRs in
 ``cr_dump.csv``. The first block of ``crlf_data.csv`` holds a whitespace-only
 line and a ``1_0`` cell, which ``np.loadtxt`` rejects, so the reader parses
 that block line by line. Two runs write files of more than the 100 000
-values (``dataset.CSV_SPLIT_CELLS``) from which a write is split across
-the usable CPUs, with odd row counts: gen-data ``dbig`` (train 7 001 x 16
+values (``dataset.CSV_SPLIT_CELLS``) from which a write is split in two
+across two CPUs, with odd row counts: gen-data ``dbig`` (train 7 001 x 16
 and test 7 005 x 16 values; val stays below) and ingest-logits
 ``big_ingest`` (5 041 adjusted rows of 20 logits), which reads
 ``big_dump.csv`` and folds the train-side ``big_train_dump.csv`` in a
