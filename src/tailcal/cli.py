@@ -18,8 +18,8 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+import warnings
+from contextlib import ExitStack, nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -482,6 +482,8 @@ def cmd_train(args, run: RunDir) -> dict:
         init_model, _ = load_model(args.init)
         result = stage2_retrain(init_model, ds, opts.mode, train_cfg, freq, alpha)
     elif opts.arch == "mlp":  # (rows x hidden) activations, (hidden x dims) weights
+        if opts.hidden < 1:
+            raise UsageError(f"{names['hidden']} must be >= 1, got {opts.hidden}")
         hidden_too_big = UsageError(f"{names['hidden']}: a hidden layer of {opts.hidden} units "
                                     f"on {ds.n} rows of {ds.dims} features is too big to allocate")
         if not _fits(max(ds.n, ds.dims), opts.hidden):
@@ -718,24 +720,61 @@ def run_toy_trial(cfg: ToyConfig, trial: int) -> dict:
 
 
 def toy_workers(trials: int, workers: int | None = None) -> int:
-    """The thread count for ``trials`` toy trials: ``workers`` if given, else
-    one per usable CPU (the process's affinity mask where the OS has one), at
-    most one per trial."""
+    """The process count for ``trials`` toy trials: ``workers`` if given,
+    else one per usable CPU (the process's affinity mask where the OS has
+    one), at most one per trial."""
     return workers if workers is not None else min(trials, _usable_cpus())
 
 
-def toy_experiment(cfg: ToyConfig, workers: int | None = None) -> dict:
-    """Run all trials on a pool of ``workers`` threads and aggregate them in
-    trial order.
+def _toy_part(cfg: ToyConfig, first: int, step: int) -> list[tuple]:
+    """Trials ``first, first + step, ...`` in order, each as ``(trial,
+    result, warnings)``: its result, or the error it raised, and the warnings
+    it emitted under the current filters. The part stops at an error."""
+    done = []
+    with warnings.catch_warnings(record=True) as log:
+        for trial in range(first, cfg.trials, step):
+            start = len(log)
+            try:
+                done.append((trial, run_toy_trial(cfg, trial), log[start:]))
+            except Exception as exc:
+                done.append((trial, exc, log[start:]))
+                break
+    return done
 
-    ``workers`` defaults to :func:`toy_workers`: one thread per usable CPU,
-    at most one per trial. Every trial draws only from its own per-trial
-    stream, so the aggregate has the same bits for any worker count.
+
+def toy_experiment(cfg: ToyConfig, workers: int | None = None) -> dict:
+    """Run all trials in ``workers`` processes and aggregate them in trial
+    order.
+
+    ``workers`` defaults to :func:`toy_workers`: one process per usable CPU,
+    at most one per trial. Part ``p`` of ``k`` runs trials ``p, p + k, ...``;
+    this process runs part 0 and a forked child (:func:`dataset._forked`)
+    each other part, or runs them itself when there is one usable CPU or a
+    fork fails. The trials' warnings are then shown, and the first error
+    raised, in trial order, as one process running the trials in order would.
+    Every trial draws only from its own per-trial stream, so the aggregate
+    has the same bits for any worker count.
     """
     if cfg.trials < 1:
         raise UsageError("need at least one trial")
-    with ThreadPoolExecutor(max_workers=toy_workers(cfg.trials, workers)) as pool:
-        trials = list(pool.map(lambda t: run_toy_trial(cfg, t), range(cfg.trials)))
+    parts = min(cfg.trials, toy_workers(cfg.trials, workers))
+    with ExitStack() as children:
+        waits = [children.enter_context(_forked(_toy_part, cfg, part, parts))
+                 for part in range(1, parts)]
+        done = _toy_part(cfg, 0, parts) + [trial for wait in waits for trial in wait()]
+    # A part stops only at an error, so every trial below the lowest error ran.
+    # A warning is replayed under the name of the module of its file, which
+    # the filters match; warn_explicit drops one whose module is None.
+    trials, registries = [], {}
+    modules = {getattr(m, "__file__", None): name for name, m in list(sys.modules.items())}
+    for _, result, caught in sorted(done, key=lambda trial: trial[0]):
+        for w in caught:
+            module = modules.get(w.filename) or w.filename.removesuffix(".py")
+            registry = registries.setdefault(w.filename, {})
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, module, registry)
+        if isinstance(result, Exception):
+            raise result
+        trials.append(result)
 
     config = asdict(cfg)
     del config["trials"]
@@ -1117,7 +1156,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seeded multi-trial toy comparison")
     _add_options(p, fields(ToyConfig))
     p.add_argument("--workers", type=_positive_int,
-                   help="trial threads (default: the usable CPUs, at most --trials)")
+                   help="trial processes (default: the usable CPUs, at most --trials)")
     p.set_defaults(func=cmd_toy_experiment)
 
     p = sub.add_parser("shift-eval", parents=[out, seed], help="evaluate under shifted test priors")

@@ -39,6 +39,14 @@ STAGE_TWO_MODES = ("CL", "FT")
 
 DIVERGENCE_LIMIT = 1e6
 
+# Up to this many classes the bias gradient adds the rows of the class-major
+# gradient by np.add.accumulate down each class, beyond it by summing axis 0
+# of the row-major copy; both add the rows in order, so the bits agree. At
+# N = 12 000 (2-core x86, numpy 2.4) the accumulate takes 92 us against
+# 258 us at C = 2 and 228 us against 284 us at C = 5, but 369 us against
+# 315 us at C = 8 and 727 us against 394 us at C = 16.
+ACCUMULATE_MAX_COLUMNS = 6
+
 # Each family's parameter names in model_parameters order; they are also the
 # keys of a model file's "params" object.
 PARAM_NAMES = {
@@ -259,23 +267,40 @@ def batch_loss_and_grads(
 
     Labels must lie in [0, C); :func:`train` passes those of a validated
     :class:`LabeledDataset`, so they are not checked again on each step.
+
+    The logits are held class-major (F-ordered), so each elementwise pass
+    runs along the N samples of a class, not along rows of C values. Every
+    result keeps the bits of the row-major form: the GEMMs keep their
+    operand layouts, elementwise ops do not depend on layout, and the bias
+    gradient adds the rows in order, as ``g.sum(axis=0)`` does over a
+    C-ordered ``g``.
     """
     x = as_matrix(features)
     y = np.asarray(labels, dtype=np.int64)
     n = x.shape[0]
     shift = _loss_shift(loss, model.num_classes)
     hidden, pre, head = _forward(model, x)
-    z = hidden @ head.weights.T + head.biases + shift
+    z = np.asfortranarray(hidden @ head.weights.T)
+    z += head.biases
+    z += shift
     lse = log_sum_exp_rows(z)
-    # z and g are fresh C-contiguous arrays, so ravel() is a view of each
-    true_class = np.arange(n) * model.num_classes + y
-    mean_loss = float(np.mean(lse - z.ravel()[true_class]))
-    g = np.exp(z - lse[:, None])
-    g.ravel()[true_class] -= 1.0
+    # z is F-contiguous, so z.T.ravel() is a view: class-major, sample-minor
+    by_class = z.T.ravel()
+    true_class = y * n + np.arange(n)
+    mean_loss = float(np.mean(lse - by_class[true_class]))
+    g = z  # the gradient is built in place of the logits
+    g -= lse[:, None]
+    np.exp(g, out=g)
+    by_class[true_class] -= 1.0
     g /= n
-    grads = [g.T @ hidden, g.sum(axis=0)]
+    rows = np.ascontiguousarray(g)  # the GEMMs' row-major operand
+    if model.num_classes <= ACCUMULATE_MAX_COLUMNS:
+        bias_grad = np.add.accumulate(g, axis=0)[-1]
+    else:
+        bias_grad = rows.sum(axis=0)
+    grads = [rows.T @ hidden, bias_grad]
     if pre is not None:
-        d_hidden = (g @ head.weights) * _activate_grad(pre, model.activation)
+        d_hidden = (rows @ head.weights) * _activate_grad(pre, model.activation)
         grads = [d_hidden.T @ x, d_hidden.sum(axis=0)] + grads
     return mean_loss, grads
 

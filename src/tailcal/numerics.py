@@ -101,17 +101,18 @@ def _row_max(m: np.ndarray) -> np.ndarray:
 
 def _row_sum(e: np.ndarray) -> np.ndarray:
     """The sum of each row of ``e`` as an (N, 1) column, in the bits of
-    ``e.sum(axis=1, keepdims=True)``.
+    ``np.ascontiguousarray(e).sum(axis=1, keepdims=True)`` for every layout.
 
     Two terms add to the same bits in either order, so rows 2 wide are summed
     over their column views: at N = 10 000 (2-core x86, numpy 2.4) that takes
     about 15 us against about 230 us for numpy's reduction. numpy's sum
     starts from +0.0, so the added 0.0 turns a -0.0 sum into +0.0 as it does.
     Three or more terms round differently in another order, so wider rows
-    keep the reduction.
+    keep the reduction over a C-ordered copy: numpy sums a C-ordered row of 8
+    or more terms pairwise, but an F-ordered matrix column by column.
     """
     if e.shape[1] != 2:
-        return e.sum(axis=1, keepdims=True)
+        return np.ascontiguousarray(e).sum(axis=1, keepdims=True)
     s = e[:, 0] + e[:, 1]
     s += 0.0
     return s[:, None]

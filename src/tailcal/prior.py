@@ -33,7 +33,7 @@ from .adjust import (
     ESTIMATOR_VAL_SIDE,
     PMBAR_KINDS,
 )
-from .errors import DataError, NumericError, UsageError
+from .errors import DataError, NumericError, TailcalError, UsageError
 from .numerics import prob_matrix, prob_vector
 
 PROB_FLOOR = 1e-8
@@ -212,6 +212,14 @@ def _json_alpha(value) -> float:
     return float(value)
 
 
+def _json_samples(value) -> int:
+    """``value`` as a sample count if it is a JSON integer >= 1 and not a
+    bool; a ValueError otherwise."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"samples must be an integer >= 1, got {value!r}")
+    return value
+
+
 def load_prior(path) -> EffectivePrior:
     path = Path(path)
     try:
@@ -219,8 +227,8 @@ def load_prior(path) -> EffectivePrior:
         return EffectivePrior(
             np.asarray(payload["probs"], dtype=np.float64),
             str(payload["estimator"]),
-            int(payload["samples"]),
+            _json_samples(payload["samples"]),
             _json_alpha(payload.get("alpha", 1.0)),
         )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, TailcalError) as exc:
         raise DataError(f"{path}: not an effective-prior file: {exc}") from exc

@@ -5,10 +5,10 @@ import io
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
-import threading
 import time
 import tracemalloc
 from dataclasses import fields
@@ -30,7 +30,7 @@ from tailcal.cli import (
     toy_workers,
 )
 from tailcal.dataset import load_dataset, sample_dataset
-from tailcal.errors import DataError
+from tailcal.errors import DataError, NumericError
 from tailcal.evaluation import top1_accuracy
 from tailcal.model import (
     LinearSoftmaxModel,
@@ -493,11 +493,11 @@ def test_toy_workers_default_to_the_usable_cpus_at_most_one_per_trial(
     assert toy_workers(trials, 7) == 7  # --workers pins the count
 
 
-def test_toy_experiment_runs_the_default_count_of_trials_at_once(monkeypatch):
+def test_toy_experiment_runs_the_default_count_of_trials_at_once(monkeypatch, forks):
     """With 3 usable CPUs, 3 trials must all be in flight together: each one
     waits at a 3-party barrier, which breaks if they run fewer at a time."""
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    barrier = threading.Barrier(3, timeout=30)
+    barrier = multiprocessing.Barrier(3, timeout=30)
     run_trial = cli.run_toy_trial
 
     def trial_at_the_barrier(cfg, trial):
@@ -507,10 +507,11 @@ def test_toy_experiment_runs_the_default_count_of_trials_at_once(monkeypatch):
     monkeypatch.setattr(cli, "run_toy_trial", trial_at_the_barrier)
     cfg = ToyConfig(trials=3, samples=200, test_samples=100, iterations=5)
     assert cli.toy_experiment(cfg)["trials"] == 3
+    assert forks == ["_toy_part"] * 2
 
 
 def test_toy_experiment_error_in_a_trial_thread_exits_2(workdir, capsys):
-    """A trial's UsageError is raised on a pool thread; main() still maps it."""
+    """A trial's UsageError is raised in a forked child too; main() still maps it."""
     code = run_cli(
         "toy-experiment", "--trials", "4", "--samples", "10", "--imbalance", "1e9",
         "--out", "toy",
@@ -520,6 +521,103 @@ def test_toy_experiment_error_in_a_trial_thread_exits_2(workdir, capsys):
     assert "imbalance too large" in err
     assert "Traceback" not in err
     assert not (workdir / "toy" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+def test_toy_experiment_raises_the_lowest_failing_trial_for_any_worker_count(
+    workdir, capsys, monkeypatch, forks, workers
+):
+    """Trials 1 and 2 fail in different parts; every worker count reports
+    trial 1, as one process running the trials in order does."""
+    run_trial = cli.run_toy_trial
+
+    def failing_trial(cfg, trial):
+        if trial in (1, 2):
+            raise NumericError(f"trial {trial} diverged")
+        return run_trial(cfg, trial)
+
+    monkeypatch.setattr(cli, "run_toy_trial", failing_trial)
+    code = run_cli(
+        "toy-experiment", "--trials", "4", "--samples", "200", "--test-samples", "100",
+        "--iterations", "5", "--workers", workers, "--out", "toy",
+    )
+    assert code == 4
+    assert capsys.readouterr().err == "error: trial 1 diverged\n"
+    assert forks == ["_toy_part"] * (int(workers) - 1)
+
+
+def test_toy_experiment_keeps_the_trials_of_a_failed_fork_in_this_process(monkeypatch, forks):
+    cfg = ToyConfig(trials=3, samples=200, test_samples=100, iterations=5)
+
+    def summary(workers):
+        result = cli.toy_experiment(cfg, workers)
+        return json.dumps({k: v for k, v in result.items() if k != "_trial0"})
+
+    expected = summary(1)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    assert summary(3) == expected
+    assert forks == ["_toy_part"] * 2
+
+
+WARNING_TRIALS = """
+import os, sys, warnings
+from tailcal import cli
+from tailcal.errors import NumericError
+os.sched_getaffinity = lambda pid: {0, 1}
+
+def trial(cfg, trial):
+    warnings.warn("overflow in a trial", RuntimeWarning)
+    if trial >= 2:
+        raise NumericError(f"trial {trial} diverged")
+
+cli.run_toy_trial = trial
+sys.exit(cli.main(["toy-experiment", "--trials", "4", "--workers", sys.argv[1], "--out", "toy"]))
+"""
+
+
+@pytest.mark.parametrize("script, shown", [
+    (["trials.py"], 1),
+    (["-W", "always::RuntimeWarning:__main__", "trials.py"], 3),
+    (["-c", WARNING_TRIALS], 1),  # a file that is no module's
+], ids=["default", "always-for-the-module", "no-module-file"])
+def test_toy_experiment_stderr_is_that_of_one_process(tmp_path, script, shown):
+    """Each trial warns from one place and trials 2 and 3, in two parts,
+    fail: every worker count shows the warnings of trials 0 to 2 as the
+    filters select them (once by default, each under ``always`` for the
+    script's module) and trial 2's error."""
+    (tmp_path / "trials.py").write_text(WARNING_TRIALS)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("PYTHONWARNINGS", None)
+    stderr = set()
+    for workers in ("1", "2", "3"):
+        done = subprocess.run([sys.executable, *script, workers], cwd=tmp_path,
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 4
+        stderr.add(done.stderr)
+    [err] = stderr
+    assert err.count("RuntimeWarning: overflow in a trial") == shown
+    assert err.endswith("error: trial 2 diverged\n")
+
+
+def test_toy_experiment_kills_its_children_when_this_process_stops(monkeypatch, forks):
+    """An exception that ends this process's own part early (here one that
+    is not an Exception, like KeyboardInterrupt) kills and reaps every child."""
+    parent = os.getpid()
+
+    class Stop(BaseException):
+        pass
+
+    def stuck_trial(cfg, trial):
+        if os.getpid() == parent:
+            raise Stop
+        time.sleep(60)
+
+    monkeypatch.setattr(cli, "run_toy_trial", stuck_trial)
+    start = time.monotonic()
+    with pytest.raises(Stop):
+        cli.toy_experiment(ToyConfig(trials=3), 3)
+    assert time.monotonic() - start < 30
+    assert forks == ["_toy_part"] * 2
 
 
 def test_shift_eval_uniform_matches_balanced_eval(small_run):
@@ -1120,6 +1218,10 @@ def test_gen_data_memory_error_at_sampling_exits_2_naming_the_flag(workdir, caps
      "config cfg.json: key 'lr' must be finite, got inf"),
     (["train", "--data", "{train}", "--arch", "mlp", "--hidden", str(TOO_BIG)], None,
      f"--hidden must fit in a signed 64-bit integer, got {TOO_BIG}"),
+    (["train", "--data", "{train}", "--arch", "mlp", "--hidden", "0"], None,
+     "--hidden must be >= 1, got 0"),
+    (["train", "--data", "{train}", "--arch", "mlp", "--config", "cfg.json"], {"hidden": -3},
+     "config cfg.json: key 'hidden' must be >= 1, got -3"),
     (["toy-experiment", "--imbalance", "nan"], None, "--imbalance must be finite, got nan"),
     (["toy-experiment", "--samples", str(TOO_BIG)], None,
      f"--samples must fit in a signed 64-bit integer, got {TOO_BIG}"),
@@ -1147,7 +1249,8 @@ def test_gen_data_memory_error_at_sampling_exits_2_naming_the_flag(workdir, caps
     (["toy-experiment", "--seed", str(2**63)], None,
      f"--seed must fit in a signed 64-bit integer, got {2**63}"),
 ], ids=["gen-dims-0", "gen-classes-1", "gen-config-classes-1", "gen-config-imbalance-nan",
-        "train-config-lr-inf", "train-hidden", "toy-imbalance-nan", "toy-samples",
+        "train-config-lr-inf", "train-hidden", "train-hidden-0", "train-config-hidden-minus-3",
+        "toy-imbalance-nan", "toy-samples",
         "toy-imbalance-minus-1", "toy-imbalance-minus-half", "toy-samples-too-big",
         "toy-test-samples-too-big", "shift-test-samples-too-big", "train-hidden-too-big",
         "train-config-hidden-too-big", "shift-seed", "ingest-seed", "toy-seed"])
@@ -1341,12 +1444,37 @@ def _no_fork():
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    code = ("import sys, tailcal.cli; "
-            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    pools = "{'multiprocessing', 'concurrent.futures', 'logging', 'queue'}"
+    code = f"import sys, tailcal.cli; print(sorted({pools} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
     assert done.stdout == "[]\n"
+
+
+# a malformed prior.json entry, and the reason the message gives
+PRIOR_ENTRIES = {
+    '"samples": 5.7': "samples must be an integer >= 1, got 5.7",
+    '"samples": true': "samples must be an integer >= 1, got True",
+    '"samples": "12"': "samples must be an integer >= 1, got '12'",
+    '"samples": 0.5': "samples must be an integer >= 1, got 0.5",
+    '"samples": 0': "samples must be an integer >= 1, got 0",
+    '"estimator": "mode"': "unknown estimator tag 'mode'",
+    '"probs": [1.1, -0.1]': "negative probability entry: min=-0.1",
+}
+
+
+@pytest.mark.parametrize("entry", PRIOR_ENTRIES)
+def test_a_malformed_prior_file_exits_3_naming_the_file(workdir, capsys, entry):
+    _write_dump("d.csv", 20, 5, classes=2)
+    payload = {"probs": [0.9, 0.1], "estimator": "train-side", "samples": 10}
+    payload.update(json.loads("{%s}" % entry))
+    (workdir / "bad.json").write_text(json.dumps(payload))
+    code = run_cli("adjust", "--logits", "d.csv", "--method", "p2p-ce", "--prior", "bad.json",
+                   "--target-prior", "uniform", "--out", "x")
+    assert (code, capsys.readouterr().err) == (3, (
+        f"error: bad.json: not an effective-prior file: {PRIOR_ENTRIES[entry]}\n"))
+    assert not (workdir / "x").exists()
 
 
 # each JSON alpha, and the value the message quotes

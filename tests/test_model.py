@@ -195,7 +195,23 @@ def _row_indexed_loss_and_grads(model, x, y, loss):
     return mean_loss, [d_hidden.T @ x, d_hidden.sum(axis=0), g.T @ hidden, g.sum(axis=0)]
 
 
-@pytest.mark.parametrize("c", [2, 10])
+def _assert_kernel_matches_the_row_indexed_form(model, x, y, loss):
+    value, grads = batch_loss_and_grads(model, x, y, loss)
+    ref_value, ref_grads = _row_indexed_loss_and_grads(model, x, y, loss)
+    assert value == ref_value
+    assert len(grads) == len(ref_grads)
+    for g, ref in zip(grads, ref_grads):
+        assert np.array_equal(g, ref)
+
+
+def _loss_of_kind(kind, rng, c):
+    if kind == "plain-ce":
+        return LossSpec()
+    return LossSpec(kind, rng.dirichlet(np.ones(c)), alpha=1.3)
+
+
+# numpy sums a row of 8 or more terms pairwise, so 7, 8 and 9 bracket it
+@pytest.mark.parametrize("c", [2, 3, 7, 8, 9, 10])
 @pytest.mark.parametrize("loss_kind", ["plain-ce", "logit-adjusted"])
 @pytest.mark.parametrize("family", ["linear", "relu", "tanh"])
 def test_batch_loss_and_grads_match_the_row_indexed_form_bit_for_bit(family, loss_kind, c):
@@ -208,16 +224,39 @@ def test_batch_loss_and_grads_match_the_row_indexed_form_bit_for_bit(family, los
             rng.normal(size=(8, d)), rng.normal(size=8), family,
             LinearSoftmaxModel(rng.normal(size=(c, 8)), rng.normal(size=c)),
         )
-    prior = rng.dirichlet(np.ones(c))
-    loss = LossSpec() if loss_kind == "plain-ce" else LossSpec(loss_kind, prior, alpha=1.3)
+    loss = _loss_of_kind(loss_kind, rng, c)
     x = rng.normal(scale=3.0, size=(n, d))
     y = rng.integers(0, c, size=n)
-    value, grads = batch_loss_and_grads(model, x, y, loss)
-    ref_value, ref_grads = _row_indexed_loss_and_grads(model, x, y, loss)
-    assert value == ref_value
-    assert len(grads) == len(ref_grads)
-    for g, ref in zip(grads, ref_grads):
-        assert np.array_equal(g, ref)
+    _assert_kernel_matches_the_row_indexed_form(model, x, y, loss)
+
+
+@pytest.mark.parametrize("loss_kind", ["plain-ce", "logit-adjusted"])
+@pytest.mark.parametrize("c, d, n", [(2, 2, 10_000), (10, 32, 12_408)])
+def test_batch_loss_and_grads_bit_for_bit_at_the_benchmark_shapes(c, d, n, loss_kind):
+    """The toy's full batch and the pipeline's train split: GEMM bits that
+    depend on the operand layout show only at large N."""
+    rng = np.random.default_rng(n)
+    model = LinearSoftmaxModel(rng.normal(size=(c, d)), rng.normal(size=c))
+    x = rng.normal(scale=3.0, size=(n, d))
+    y = rng.integers(0, c, size=n)
+    _assert_kernel_matches_the_row_indexed_form(model, x, y, _loss_of_kind(loss_kind, rng, c))
+
+
+def _row_indexed_train(model, ds, loss, cfg):
+    """train's SGD loop over the row-indexed kernel, gathering by index."""
+    gen, step = cfg.seed.generator(), 0
+    while step < cfg.iterations:
+        perm = gen.permutation(ds.n)
+        for start in range(0, ds.n, cfg.batch_size):
+            if step < cfg.iterations:
+                batch = perm[start : start + cfg.batch_size]
+                _, grads = _row_indexed_loss_and_grads(
+                    model, ds.features[batch], ds.labels[batch], loss
+                )
+                for param, grad in zip(model_parameters(model), grads):
+                    param -= cfg.learning_rate * grad
+                step += 1
+    return model
 
 
 @pytest.mark.parametrize("batch_size", [64, 300])
@@ -225,18 +264,22 @@ def test_train_matches_the_gather_by_index_loop_bit_for_bit(batch_size):
     ds = sample_dataset(separable_gmm(), [250, 50], RngStream(3))
     cfg = small_cfg(iterations=12, batch_size=batch_size, learning_rate=5.0)
     result = train(init_linear(2, 2), ds, LossSpec(), cfg)
-    model, gen, step = init_linear(2, 2), cfg.seed.generator(), 0
-    while step < cfg.iterations:
-        perm = gen.permutation(ds.n)
-        for start in range(0, ds.n, batch_size):
-            if step < cfg.iterations:
-                batch = perm[start : start + batch_size]
-                _, grads = _row_indexed_loss_and_grads(
-                    model, ds.features[batch], ds.labels[batch], LossSpec()
-                )
-                for param, grad in zip(model_parameters(model), grads):
-                    param -= cfg.learning_rate * grad
-                step += 1
+    model = _row_indexed_train(init_linear(2, 2), ds, LossSpec(), cfg)
+    for trained, ref in zip(model_parameters(result.model), model_parameters(model)):
+        assert np.array_equal(trained, ref)
+
+
+def test_full_batch_logit_adjusted_train_at_ten_classes_matches_the_row_indexed_loop():
+    """The pipeline's stage-2 case: full-batch steps at lr 5.0 under the
+    prior-shifted loss, with ten classes."""
+    rng = np.random.default_rng(10)
+    gmm = GaussianMixtureSpec(rng.normal(scale=2.0, size=(10, 32)), np.ones(10))
+    counts = np.round(500 * 0.5 ** np.arange(10)).astype(np.int64) + 5
+    ds = sample_dataset(gmm, counts, RngStream(11))
+    loss = LossSpec("logit-adjusted", counts / counts.sum())
+    cfg = small_cfg(iterations=5, batch_size=ds.n, learning_rate=5.0)
+    result = train(init_linear(10, 32), ds, loss, cfg)
+    model = _row_indexed_train(init_linear(10, 32), ds, loss, cfg)
     for trained, ref in zip(model_parameters(result.model), model_parameters(model)):
         assert np.array_equal(trained, ref)
 

@@ -82,16 +82,27 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 @pytest.mark.parametrize("c", ROW_WIDTHS)
 def test_row_kernels_match_the_row_max_formula_bit_for_bit(c, layout):
     """Both branches of the row max give the bits of m.max(axis=1), and both
-    branches of the row sum the bits of e.sum(axis=1), signed zeros included."""
+    branches of the row sum, for either layout, the bits of e.sum(axis=1)
+    over a C-ordered ``e``, signed zeros included. numpy sums an F-ordered
+    matrix column by column, which rounds otherwise from 8 columns on."""
     m = _hard_rows(c, layout)
     mx = m.max(axis=1, keepdims=True)
-    lse = (mx + np.log(np.exp(m - mx).sum(axis=1, keepdims=True)))[:, 0]
     e = np.exp(m - mx)
-    posts = e / e.sum(axis=1, keepdims=True)
+    row_sums = np.ascontiguousarray(e).sum(axis=1, keepdims=True)
+    lse = (mx + np.log(row_sums))[:, 0]
+    posts = e / row_sums
     for rows in (e, m, -m):
-        assert _same_bits(_row_sum(rows), rows.sum(axis=1, keepdims=True))
+        assert _same_bits(_row_sum(rows), np.ascontiguousarray(rows).sum(axis=1, keepdims=True))
     assert _same_bits(log_sum_exp_rows(m), lse)
     assert _same_bits(softmax_rows(m), posts)
+
+
+@pytest.mark.parametrize("c", ROW_WIDTHS)
+def test_row_kernels_give_the_same_bytes_for_either_layout(c):
+    m = _hard_rows(c, "C")
+    f = np.asfortranarray(m)
+    assert _same_bits(log_sum_exp_rows(f), log_sum_exp_rows(m))
+    assert _same_bits(softmax_rows(f), softmax_rows(m))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

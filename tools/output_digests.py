@@ -10,7 +10,8 @@ linear and MLP training, linear training with a cosine schedule, stage-2 CL
 and FT of the linear model, stage-2 CL of the MLP, estimate-prior with all four
 estimators and with a counts-file target prior, adjust with all four methods,
 eval by both input routes, sweep-alpha, toy-experiment with its default
-worker count and with ``--workers 1``, shift-eval and ingest-logits with a
+worker count, with ``--workers 1`` and with ``--workers 3`` (three parts, so
+on two CPUs more processes than CPUs and an uneven split), shift-eval and ingest-logits with a
 train-side dump; one gen-data run reads ``cfg.json`` and one train run
 ``train_cfg.json``. One train and two
 ingest-logits runs read a dataset and logit dumps of 700 rows, more than two
@@ -30,13 +31,27 @@ The script writes these inputs first. It then prints one
 ``--help`` text (``tailcal`` and each subcommand), sorted, except
 ``manifest.json``; each manifest
 contributes its ``config``, ``inputs`` and ``outputs`` objects instead,
-because its wall clock and timestamp differ between runs. The two
+because its wall clock and timestamp differ between runs. The three
 toy-experiment runs print the same digests; their manifests differ only in
 ``workers``, and the default one records the usable CPUs of the machine.
 
 Two trees produce the same outputs when this script prints the same text
 for both. Paths are relative to the work directory, which defaults to a
 fresh temporary one. Exits 1 if any command fails.
+
+When outputs are meant to move by rounding only, compare them value by
+value instead. Run each tree's copy of this script with its own ``--work``
+directory, then
+
+    python3 tools/output_digests.py --compare WORK_A WORK_B
+
+prints, per output file, the largest relative difference |a - b| / max(|a|,
+|b|) between the numbers at the same place in the two files: ``0`` where
+every number has the same value. The text between the numbers must match;
+a file where it does not, or that only one directory holds, prints
+``differs`` or ``missing``, and the script then exits 1. ``manifest.json``
+files are skipped: their input digests follow from the files compared, and
+their wall clock differs between runs.
 """
 
 from __future__ import annotations
@@ -46,6 +61,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -169,6 +185,8 @@ CHAIN = [
      "--seed", SEED, "--out", "toy"],
     ["toy-experiment", "--trials", "3", "--samples", "2000", "--test-samples", "2000",
      "--seed", SEED, "--workers", "1", "--out", "toy_w1"],
+    ["toy-experiment", "--trials", "3", "--samples", "2000", "--test-samples", "2000",
+     "--seed", SEED, "--workers", "3", "--out", "toy_w3"],
     ["shift-eval", "--model", "s2ft/model.json", "--train-data", "d2/train.csv",
      "--ratios", "5", "--trials", "2", "--test-samples", "1000", "--seed", SEED,
      "--out", "shift"],
@@ -219,10 +237,50 @@ def run_chain(work: Path) -> list[str]:
     return sorted(lines)
 
 
+NUMBER = re.compile(r"-?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def largest_relative_difference(a: str, b: str) -> float | None:
+    """The largest relative difference between the numbers of two texts, or
+    None when the text between them differs."""
+    parts_a, parts_b = NUMBER.split(a), NUMBER.split(b)
+    if parts_a != parts_b:
+        return None
+    largest = 0.0
+    for x, y in zip(map(float, NUMBER.findall(a)), map(float, NUMBER.findall(b))):
+        if x != y:
+            largest = max(largest, abs(x - y) / max(abs(x), abs(y)))
+    return largest
+
+
+def compare(work_a: Path, work_b: Path) -> int:
+    """Print one line per output file of either directory; 1 if any differs
+    in its text or is missing from one, else 0."""
+    def files(work: Path) -> set[str]:
+        return {p.relative_to(work).as_posix() for p in work.rglob("*")
+                if p.is_file() and p.name != "manifest.json"}
+
+    status = 0
+    for rel in sorted(files(work_a) | files(work_b)):
+        a, b = work_a / rel, work_b / rel
+        if not (a.is_file() and b.is_file()):
+            verdict = "missing"
+        else:
+            diff = largest_relative_difference(a.read_text(), b.read_text())
+            verdict = "differs" if diff is None else f"{diff:.3g}"
+        status |= verdict in ("missing", "differs")
+        print(f"{verdict}  {rel}")
+    return status
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--work", help="empty or new directory for the run outputs")
+    parser.add_argument("--compare", nargs=2, metavar=("WORK_A", "WORK_B"),
+                        help="compare two work directories value by value")
     args = parser.parse_args()
+    if args.compare:
+        raise SystemExit(compare(*map(Path, args.compare)))
     if args.work:
         work = Path(args.work)
         work.mkdir(parents=True, exist_ok=True)
