@@ -146,13 +146,14 @@ def load_manifest(path) -> dict:
     return json.loads(Path(path).read_text())
 
 
-def _option(default, kind, flag: str | None = "", choices=None, help=None):
+def _option(default, kind, flag: str | None = "", choices=None, help=None, least=None):
     """A row of a command's option table, which is also its --config key: a
     dataclass field with its default, its ``kind`` (int, float, str,
     list[float] or list[int]), its flag ("" for the kebab-cased field name,
     None where the table adds none, as for the shared --seed), its
-    ``choices`` and its help."""
-    return field(default=default, metadata=dict(kind=kind, flag=flag, choices=choices, help=help))
+    ``choices``, its help and the ``least`` number it may hold."""
+    return field(default=default, metadata=dict(kind=kind, flag=flag, choices=choices, help=help,
+                                                least=least))
 
 
 def _flag(option) -> str:
@@ -175,10 +176,10 @@ def _leaves(value) -> list:
 
 def _check(name: str, value, meta) -> None:
     """A usage error naming ``name`` unless ``value`` is of its option's kind
-    and among its choices, with every integer in it fitting int64 and every
-    float finite. An int may stand for a float but a bool for no number; a
-    list must be one numpy reads as a rectangular array of numbers, and a
-    list[int] must hold integers."""
+    and among its choices, with every integer in it fitting int64, every
+    float finite and every number at least its ``least``. An int may stand
+    for a float but a bool for no number; a list must be one numpy reads as
+    a rectangular array of numbers, and a list[int] must hold integers."""
     kind, choices, leaves = meta["kind"], meta["choices"], _leaves(value)
     listed = get_origin(kind) is list
     numbers = (int, float, bool) if listed else (int, float) if kind is float else (kind,)
@@ -197,6 +198,8 @@ def _check(name: str, value, meta) -> None:
         raise UsageError(f"{name} must fit in a signed 64-bit integer, got {value!r}")
     if not all(np.isfinite(v) for v in leaves if type(v) is float):
         raise UsageError(f"{name} must be finite, got {value!r}")
+    if meta["least"] is not None and not all(v >= meta["least"] for v in leaves):
+        raise UsageError(f"{name} must be >= {meta['least']}, got {value!r}")
 
 
 def _resolve(args, options):
@@ -229,31 +232,42 @@ def _resolve(args, options):
 # flag value types: a malformed value is an argparse usage error (exit 2)
 
 
-def _list_of(convert, what: str):
-    """Comma-separated values, each passed through ``convert``; blanks skipped."""
+def _list_of(convert, what: str, holds=lambda value: True):
+    """Comma-separated values, each passed through ``convert`` and each one
+    ``holds`` is true of; blanks skipped."""
 
     def parse(text: str) -> list:
         try:
-            return [convert(v.strip()) for v in text.split(",") if v.strip()]
+            values = [convert(v.strip()) for v in text.split(",") if v.strip()]
+            if all(map(holds, values)):
+                return values
         except (ValueError, argparse.ArgumentTypeError):
-            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
+            pass
+        raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
 
     return parse
 
 
-def _finite_float(text: str) -> float:
-    try:
-        if np.isfinite(value := float(text)):
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+def _value(convert, what: str, holds):
+    """``convert(text)`` if ``holds`` is true of it, else "expected <what>"."""
+
+    def parse(text: str):
+        try:
+            if holds(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+
+    return parse
+
+
+_finite_float = _value(float, "a finite number", np.isfinite)
+_fraction = _value(float, "a number in (0, 1)", lambda v: 0.0 < v < 1.0)
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    value = _value(int, "an integer >= 1", lambda v: v >= 1)(text)
     if value > INT64.max:
         raise argparse.ArgumentTypeError(f"expected a signed 64-bit integer, got {text!r}")
     return value
@@ -340,21 +354,24 @@ def _raw_posteriors(model, features) -> np.ndarray:
 # gen-data
 
 
-def _too_big(name: str, split: str, rows: int, dims: int) -> UsageError:
-    return UsageError(
-        f"{name}: the {split} split of {rows} rows of {dims} features is too big to allocate"
-    )
+class _allocating:
+    """Guards the allocation of a ``rows`` x ``cols`` float array named
+    ``what``: raises ``UsageError("<what> is too big to allocate")`` when made
+    if numpy cannot size the array (more bytes than an intp counts, halved to
+    leave room for counts that round up), and when a MemoryError leaves the
+    block it guards."""
 
+    def __init__(self, what: str, rows: int, cols: int):
+        self.error = UsageError(f"{what} is too big to allocate")
+        if rows * max(cols, 1) * 16 > np.iinfo(np.intp).max:
+            raise self.error
 
-def _fits(rows: int, cols: int) -> bool:
-    """Whether numpy sizes a ``rows`` x ``cols`` float array: no more bytes than
-    an intp counts, halved to leave room for counts that round up."""
-    return rows * max(cols, 1) * 16 <= np.iinfo(np.intp).max
+    def __enter__(self):
+        return self
 
-
-def _check_size(name: str, split: str, rows: int, dims: int) -> None:
-    if not _fits(rows, dims):
-        raise _too_big(name, split, rows, dims)
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, MemoryError):
+            raise self.error from None
 
 
 def _default_means(classes: int, dims: int) -> np.ndarray:
@@ -373,18 +390,19 @@ def _default_means(classes: int, dims: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GenOptions:
-    classes: int = _option(2, int)
-    dims: int = _option(2, int)
+    classes: int = _option(2, int, least=2)
+    dims: int = _option(2, int, least=1)
     means: list | None = _option(None, list[float], flag=None)
     sigmas: list | None = _option(None, list[float], flag=None)
     profile: str = _option("exponential", str, choices=PROFILE_KINDS)
-    max_count: int = _option(9901, int)
-    imbalance: float = _option(100.0, float)
-    counts: list | None = _option(None, list[int], help="comma-separated explicit per-class counts")
-    val_per_class: int = _option(1000, int)
-    test_per_class: int = _option(5000, int)
+    max_count: int = _option(9901, int, least=1)
+    imbalance: float = _option(100.0, float, least=1)
+    counts: list | None = _option(None, list[int], least=1,
+                                   help="comma-separated explicit per-class counts")
+    val_per_class: int = _option(1000, int, least=1)
+    test_per_class: int = _option(5000, int, least=1)
     shift_direction: str = _option("uniform", str, choices=SHIFT_DIRECTIONS)
-    shift_ratio: float = _option(1.0, float)
+    shift_ratio: float = _option(1.0, float, least=1)
     seed: int | None = _option(None, int, flag=None)
 
 
@@ -392,21 +410,11 @@ def cmd_gen_data(args, run: RunDir) -> dict:
     opts, names = _resolve(args, GenOptions)
     opts = replace(opts, seed=_master_seed(opts.seed))
     classes, dims = opts.classes, opts.dims
-    for key, least in (("classes", 2), ("dims", 1)):
-        if getattr(opts, key) < least:
-            raise UsageError(f"{names[key]} must be >= {least}, got {getattr(opts, key)}")
-    mixture_too_big = UsageError(  # named by the larger of its two sizes
-        f"{names['classes' if classes >= dims else 'dims']}: a mixture of "
-        f"{classes} classes in {dims} dims is too big to allocate"
-    )
-    if not _fits(classes, dims):  # numpy refuses it before allocating
-        raise mixture_too_big
-    try:  # GaussianMixtureSpec turns given lists into float64 arrays
+    with _allocating(f"{names['classes' if classes >= dims else 'dims']}: a mixture of "
+                     f"{classes} classes in {dims} dims", classes, dims):  # named by the larger size
         means = _default_means(classes, dims) if opts.means is None else opts.means
         sigmas = np.ones(classes) if opts.sigmas is None else opts.sigmas
-    except MemoryError:
-        raise mixture_too_big from None
-    gmm = GaussianMixtureSpec(means, sigmas)
+        gmm = GaussianMixtureSpec(means, sigmas)
     if opts.counts is not None:
         profile = LongTailProfile(classes, kind="explicit", counts=tuple(opts.counts))
     else:
@@ -418,18 +426,17 @@ def cmd_gen_data(args, run: RunDir) -> dict:
     val_counts = np.full(classes, opts.val_per_class)
 
     master = RngStream(opts.seed)
-    splits = (
-        ("train", train_counts, names["max_count" if opts.counts is None else "counts"]),
-        ("val", val_counts, names["val_per_class"]),
-        ("test", test_counts, names["test_per_class"]),
-    )
-    for split, counts, name in splits:
-        _check_size(name, split, sum(counts.tolist()), gmm.dims)
-    for stream, (split, counts, name) in enumerate(splits):  # one split in memory at a time
-        try:
+    splits = []  # every split is sized before any is written
+    for split, counts, key in (
+        ("train", train_counts, "max_count" if opts.counts is None else "counts"),
+        ("val", val_counts, "val_per_class"), ("test", test_counts, "test_per_class"),
+    ):
+        rows = sum(counts.tolist())
+        what = f"{names[key]}: the {split} split of {rows} rows of {gmm.dims} features"
+        splits.append((split, counts, _allocating(what, rows, gmm.dims)))
+    for stream, (split, counts, guard) in enumerate(splits):  # one split in memory at a time
+        with guard:
             ds = sample_dataset(gmm, counts, master.child(stream))
-        except MemoryError:
-            raise _too_big(name, split, sum(counts.tolist()), gmm.dims) from None
         save_dataset(ds, run.output(f"{split}.csv"))
         del ds
     save_counts(train_counts, run.output("counts.json"))
@@ -449,13 +456,13 @@ class TrainOptions:
     stage: int = _option(1, int, choices=(1, 2))
     mode: str = _option("FT", str, choices=STAGE_TWO_MODES)
     loss: str = _option("ce", str, choices=("ce", "la"))
-    alpha: float = _option(1.0, float)
+    alpha: float = _option(1.0, float, least=0)
     lr: float = _option(TOY_LEARNING_RATE, float)
-    iterations: int = _option(TOY_ITERATIONS, int)
-    batch_size: int | None = _option(None, int)  # full batch
+    iterations: int = _option(TOY_ITERATIONS, int, least=0)
+    batch_size: int | None = _option(None, int, least=1)  # full batch
     schedule: str = _option(TOY_SCHEDULE, str, choices=SCHEDULES)
     arch: str = _option("linear", str, choices=("linear", "mlp"))
-    hidden: int = _option(16, int)
+    hidden: int = _option(16, int, least=1)
     activation: str = _option("relu", str, choices=ACTIVATIONS)
     seed: int | None = _option(None, int, flag=None)
 
@@ -482,17 +489,10 @@ def cmd_train(args, run: RunDir) -> dict:
         init_model, _ = load_model(args.init)
         result = stage2_retrain(init_model, ds, opts.mode, train_cfg, freq, alpha)
     elif opts.arch == "mlp":  # (rows x hidden) activations, (hidden x dims) weights
-        if opts.hidden < 1:
-            raise UsageError(f"{names['hidden']} must be >= 1, got {opts.hidden}")
-        hidden_too_big = UsageError(f"{names['hidden']}: a hidden layer of {opts.hidden} units "
-                                    f"on {ds.n} rows of {ds.dims} features is too big to allocate")
-        if not _fits(max(ds.n, ds.dims), opts.hidden):
-            raise hidden_too_big
-        try:
+        with _allocating(f"{names['hidden']}: a hidden layer of {opts.hidden} units on {ds.n} "
+                         f"rows of {ds.dims} features", max(ds.n, ds.dims), opts.hidden):
             model0 = init_mlp(ds.num_classes, ds.dims, opts.hidden, opts.activation, seed.child(0))
             result = train(model0, ds, loss, train_cfg)
-        except MemoryError:
-            raise hidden_too_big from None
     else:
         result = train(init_linear(ds.num_classes, ds.dims), ds, loss, train_cfg)
     provenance = ModelProvenance(stage, loss, (train_cfg.seed.seed, train_cfg.seed.stream_id))
@@ -644,23 +644,22 @@ def cmd_eval(args, run: RunDir) -> dict:
 
 @dataclass(frozen=True)
 class ToyConfig:
-    trials: int = _option(100, int)
-    samples: int = _option(10000, int)
-    imbalance: float = _option(100.0, float)
-    test_samples: int = _option(10000, int)
-    alpha: float = _option(1.0, float)
+    trials: int = _option(100, int, least=1)
+    samples: int = _option(10000, int, least=2)
+    imbalance: float = _option(100.0, float, least=1)
+    test_samples: int = _option(10000, int, least=2)
+    alpha: float = _option(1.0, float, least=0)
     learning_rate: float = _option(TOY_LEARNING_RATE, float, flag="--lr")
-    iterations: int = _option(TOY_ITERATIONS, int)
-    batch_size: int | None = _option(None, int)  # full batch
+    iterations: int = _option(TOY_ITERATIONS, int, least=0)
+    batch_size: int | None = _option(None, int, least=1)  # full batch
     schedule: str = _option(TOY_SCHEDULE, str, choices=SCHEDULES)
     seed: int = _option(DEFAULT_SEED, int, flag=None)
 
     def train_counts(self) -> np.ndarray:
-        if self.imbalance < 1:
-            raise UsageError(f"imbalance factor must be >= 1, got {self.imbalance}")
         tail = int(round(self.samples / (self.imbalance + 1.0)))
         if tail < 1:
-            raise UsageError("imbalance too large for the sample budget")
+            raise UsageError(f"--samples {self.samples} at --imbalance {self.imbalance} "
+                             "leaves the tail class no sample")
         return np.array([self.samples - tail, tail], dtype=np.int64)
 
     def test_counts(self) -> np.ndarray:
@@ -823,15 +822,12 @@ def toy_experiment(cfg: ToyConfig, workers: int | None = None) -> dict:
 def cmd_toy_experiment(args, run: RunDir) -> dict:
     cfg, names = _resolve(args, ToyConfig)
     cfg = replace(cfg, seed=_master_seed(args.seed))
-    splits = {"samples": "train", "test_samples": "test"}
-    for key, split in splits.items():
-        _check_size(names[key], split, getattr(cfg, key), 2)
+    splits = {key: _allocating(f"{names[key]}: the {split} split of {getattr(cfg, key)} rows "
+                               "of 2 features", getattr(cfg, key), 2)
+              for key, split in (("samples", "train"), ("test_samples", "test"))}
     workers = toy_workers(cfg.trials, args.workers)
-    try:
+    with splits[max(splits, key=lambda key: getattr(cfg, key))]:  # named by the larger split
         summary = toy_experiment(cfg, workers)
-    except MemoryError:  # named by the larger split
-        key = max(splits, key=lambda k: getattr(cfg, k))
-        raise _too_big(names[key], splits[key], getattr(cfg, key), 2) from None
     trial0 = summary.pop("_trial0")
 
     run.output("summary.json").write_text(json.dumps(summary, indent=1) + "\n")
@@ -934,19 +930,18 @@ def shift_eval_rows(
 
 
 def cmd_shift_eval(args, run: RunDir) -> dict:
-    _check_size("--test-samples", "test", args.test_samples, 2)
+    test_split = _allocating(f"--test-samples: the test split of {args.test_samples} rows of 2 "
+                             "features", args.test_samples, 2)
     seed = _master_seed(args.seed)
     model, provenance = load_model(args.model)
     ds_train = load_dataset(args.train_data, num_classes=model.num_classes)
     estimate = prior.effective_prior_train(
         _train_side_posteriors(model, provenance, ds_train.features)
     )
-    ratios, directions = args.ratios, args.directions  # ShiftSpec validates each
-    try:
+    ratios, directions = args.ratios, args.directions
+    with test_split:
         rows = shift_eval_rows(model, provenance, ds_train.counts, estimate, directions, ratios,
                                args.test_samples, args.trials, RngStream(seed), alpha=args.alpha)
-    except MemoryError:
-        raise _too_big("--test-samples", "test", args.test_samples, 2) from None
     lines = ["direction,ratio,unadjusted_mean,adjusted_mean"]
     print(f"{'shift':>14} {'unadjusted':>12} {'adjusted':>12}")
     for row in rows:
@@ -1163,8 +1158,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--train-data", required=True,
                    help="training CSV for the effective-prior estimate")
-    p.add_argument("--directions", type=_list_of(str, "names"), default="forward,backward")
-    p.add_argument("--ratios", type=_list_of(_finite_float, "numbers"), default="5,10,50")
+    p.add_argument("--directions", default="forward,backward", type=_list_of(
+        str, f"directions among {', '.join(SHIFT_DIRECTIONS)}", SHIFT_DIRECTIONS.__contains__))
+    p.add_argument("--ratios", type=_list_of(_finite_float, "numbers >= 1", lambda r: r >= 1),
+                   default="5,10,50")
     p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--test-samples", type=_positive_int, default=10000)
     p.add_argument("--alpha", type=_finite_float, default=1.0)
@@ -1173,7 +1170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest-logits", parents=[out, seed, target],
                        help="correct an externally produced logit dump")
     p.add_argument("--logits", required=True)
-    p.add_argument("--split", type=float, default=0.2, help="holdout fraction for estimation")
+    p.add_argument("--split", type=_fraction, default=0.2, help="holdout fraction for estimation")
     p.add_argument("--train-logits")
     p.add_argument("--counts", help="training counts JSON for the train-side estimate")
     p.add_argument("--grid", type=_list_of(_finite_float, "numbers"),

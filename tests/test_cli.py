@@ -518,7 +518,7 @@ def test_toy_experiment_error_in_a_trial_thread_exits_2(workdir, capsys):
     )
     assert code == 2
     err = capsys.readouterr().err
-    assert "imbalance too large" in err
+    assert "--samples 10 at --imbalance 1000000000.0 leaves the tail class no sample" in err
     assert "Traceback" not in err
     assert not (workdir / "toy" / "manifest.json").exists()
 
@@ -662,11 +662,14 @@ def test_shift_eval_rows_correct_a_logit_adjusted_model_with_p2p_la():
 
 
 def test_shift_eval_rejects_bad_ratio(small_run, capsys):
-    code = run_cli(
-        "shift-eval", "--model", "stage1/model.json",
-        "--train-data", "data/train.csv", "--ratios", "0.2", "--out", "x",
-    )
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:  # argparse rejects the value
+        run_cli(
+            "shift-eval", "--model", "stage1/model.json",
+            "--train-data", "data/train.csv", "--ratios", "0.2", "--out", "x",
+        )
+    assert exc.value.code == 2
+    assert "argument --ratios: " in capsys.readouterr().err
+    assert not (small_run / "x").exists()
 
 
 def test_manifest_replay_reproduces_outputs(workdir):
@@ -823,22 +826,24 @@ def test_config_value_outside_the_flag_choices_exits_2(small_run, capsys, comman
     assert not (small_run / "x").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["train", "--data", "data/train.csv", "--batch-size", "0"],
-    ["train", "--data", "data/train.csv", "--config", "zero.json"],
-    ["toy-experiment", "--trials", "1", "--samples", "200", "--test-samples", "100",
-     "--batch-size", "0"],
-    ["shift-eval", "--model", "stage1/model.json", "--train-data", "data/train.csv",
-     "--trials", "0"],
-])
-def test_zero_batch_size_or_trials_exits_2(small_run, capsys, argv):
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--data", "data/train.csv", "--batch-size", "0"],
+     "--batch-size must be >= 1, got 0"),
+    (["train", "--data", "data/train.csv", "--config", "zero.json"],
+     "config zero.json: key 'batch_size' must be >= 1, got 0"),
+    (["toy-experiment", "--trials", "1", "--samples", "200", "--test-samples", "100",
+      "--batch-size", "0"], "--batch-size must be >= 1, got 0"),
+    (["shift-eval", "--model", "stage1/model.json", "--train-data", "data/train.csv",
+      "--trials", "0"], "--trials"),
+], ids=["argv0", "argv1", "argv2", "argv3"])
+def test_zero_batch_size_or_trials_exits_2(small_run, capsys, argv, message):
     (small_run / "zero.json").write_text('{"batch_size": 0}')
     try:
         code = run_cli(*argv, "--out", "x")
     except SystemExit as exc:  # argparse rejects the value
         code = exc.code
     assert code == 2
-    assert ("--trials" if argv[0] == "shift-eval" else "batch size") in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (small_run / "x").exists()
 
 
@@ -1226,9 +1231,9 @@ def test_gen_data_memory_error_at_sampling_exits_2_naming_the_flag(workdir, caps
     (["toy-experiment", "--samples", str(TOO_BIG)], None,
      f"--samples must fit in a signed 64-bit integer, got {TOO_BIG}"),
     (["toy-experiment", "--trials", "1", "--imbalance", "-1"], None,
-     "imbalance factor must be >= 1, got -1.0"),
+     "--imbalance must be >= 1, got -1.0"),
     (["toy-experiment", "--trials", "1", "--imbalance", "-0.5"], None,
-     "imbalance factor must be >= 1, got -0.5"),
+     "--imbalance must be >= 1, got -0.5"),
     (["toy-experiment", "--samples", str(2**63 - 1)], None,
      f"--samples: the train split of {2**63 - 1} rows of 2 features is too big to allocate"),
     (["toy-experiment", "--test-samples", str(2**63 - 1)], None,
@@ -1248,12 +1253,42 @@ def test_gen_data_memory_error_at_sampling_exits_2_naming_the_flag(workdir, caps
      f"--seed must fit in a signed 64-bit integer, got {-2**63 - 1}"),
     (["toy-experiment", "--seed", str(2**63)], None,
      f"--seed must fit in a signed 64-bit integer, got {2**63}"),
+    (["gen-data", "--max-count", "0"], None, "--max-count must be >= 1, got 0"),
+    (["gen-data", "--imbalance", "0.5"], None, "--imbalance must be >= 1, got 0.5"),
+    (["gen-data", "--counts", "5,0"], None, "--counts must be >= 1, got [5, 0]"),
+    (["gen-data", "--val-per-class", "0"], None, "--val-per-class must be >= 1, got 0"),
+    (["gen-data", "--test-per-class", "0"], None, "--test-per-class must be >= 1, got 0"),
+    (["gen-data", "--shift-ratio", "0.5"], None, "--shift-ratio must be >= 1, got 0.5"),
+    (["gen-data", "--config", "cfg.json"], {"counts": [5, 0]},
+     "config cfg.json: key 'counts' must be >= 1, got [5, 0]"),
+    (["train", "--data", "{train}", "--alpha", "-1"], None, "--alpha must be >= 0, got -1.0"),
+    (["train", "--data", "{train}", "--iterations", "-1"], None,
+     "--iterations must be >= 0, got -1"),
+    (["train", "--data", "{train}", "--batch-size", "0"], None,
+     "--batch-size must be >= 1, got 0"),
+    (["train", "--data", "{train}", "--hidden", "0"], None, "--hidden must be >= 1, got 0"),
+    (["train", "--data", "{train}", "--config", "cfg.json"], {"iterations": -1},
+     "config cfg.json: key 'iterations' must be >= 0, got -1"),
+    (["toy-experiment", "--trials", "0"], None, "--trials must be >= 1, got 0"),
+    (["toy-experiment", "--samples", "1"], None, "--samples must be >= 2, got 1"),
+    (["toy-experiment", "--test-samples", "1"], None, "--test-samples must be >= 2, got 1"),
+    (["toy-experiment", "--alpha", "-1"], None, "--alpha must be >= 0, got -1.0"),
+    (["toy-experiment", "--iterations", "-1"], None, "--iterations must be >= 0, got -1"),
+    (["toy-experiment", "--batch-size", "0"], None, "--batch-size must be >= 1, got 0"),
+    (["toy-experiment", "--trials", "1", "--samples", "50", "--imbalance", "100"], None,
+     "--samples 50 at --imbalance 100.0 leaves the tail class no sample"),
 ], ids=["gen-dims-0", "gen-classes-1", "gen-config-classes-1", "gen-config-imbalance-nan",
         "train-config-lr-inf", "train-hidden", "train-hidden-0", "train-config-hidden-minus-3",
         "toy-imbalance-nan", "toy-samples",
         "toy-imbalance-minus-1", "toy-imbalance-minus-half", "toy-samples-too-big",
         "toy-test-samples-too-big", "shift-test-samples-too-big", "train-hidden-too-big",
-        "train-config-hidden-too-big", "shift-seed", "ingest-seed", "toy-seed"])
+        "train-config-hidden-too-big", "shift-seed", "ingest-seed", "toy-seed",
+        "gen-max-count-0", "gen-imbalance-half", "gen-counts-zero", "gen-val-per-class-0",
+        "gen-test-per-class-0", "gen-shift-ratio-half", "gen-config-counts-zero",
+        "train-alpha-minus-1-ce", "train-iterations-minus-1", "train-batch-size-0",
+        "train-hidden-0-linear", "train-config-iterations-minus-1", "toy-trials-0",
+        "toy-samples-1", "toy-test-samples-1", "toy-alpha-minus-1", "toy-iterations-minus-1",
+        "toy-batch-size-0", "toy-tail-class-empty"])
 def test_option_value_a_check_rejects_exits_2_naming_it(workdir, tiny, capsys, argv, body, message):
     files, _ = tiny
     (workdir / "cfg.json").write_text(json.dumps(body))
@@ -1262,7 +1297,7 @@ def test_option_value_a_check_rejects_exits_2_naming_it(workdir, tiny, capsys, a
     assert not (workdir / "x").exists()
 
 
-@pytest.mark.parametrize("value", ["0", "-5", str(TOO_BIG)])
+@pytest.mark.parametrize("value", ["0", "-5", str(TOO_BIG), "abc"])
 def test_shift_eval_test_samples_must_be_a_positive_int64(tiny, capsys, value):
     files, outs = tiny
     with pytest.raises(SystemExit) as exc:
@@ -1270,6 +1305,30 @@ def test_shift_eval_test_samples_must_be_a_positive_int64(tiny, capsys, value):
               "--test-samples", value, "--out", str(next(outs))])
     assert exc.value.code == 2
     assert "error: argument --test-samples: expected " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["toy-experiment", "--workers", "abc"],
+     "argument --workers: expected an integer >= 1, got 'abc'"),
+    (["ingest-logits", "--logits", "{dump2}", "--train-logits", "{dump2}", "--split", "1.5"],
+     "argument --split: expected a number in (0, 1), got '1.5'"),
+    (["ingest-logits", "--logits", "{dump2}", "--train-logits", "{dump2}", "--split", "nan"],
+     "argument --split: expected a number in (0, 1), got 'nan'"),
+    (["shift-eval", "--model", "{model}", "--train-data", "{train}", "--ratios", "5,0.5"],
+     "argument --ratios: expected comma-separated numbers >= 1, got '5,0.5'"),
+    (["shift-eval", "--model", "{model}", "--train-data", "{train}", "--directions",
+      "forward,sideways"], "argument --directions: expected comma-separated directions among "
+     "forward, backward, uniform, got 'forward,sideways'"),
+], ids=["toy-workers-abc", "ingest-split-1.5", "ingest-split-nan", "shift-ratio-half",
+        "shift-direction-sideways"])
+def test_flag_value_its_type_rejects_exits_2_before_any_work(tiny, capsys, forks, argv, message):
+    files, outs = tiny
+    out = next(outs)
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(**files) for a in argv] + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"tailcal {argv[0]}: error: {message}\n")
+    assert forks == [] and not out.exists()
 
 
 @pytest.mark.parametrize("command", [
