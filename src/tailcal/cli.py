@@ -228,6 +228,13 @@ def _resolve(args, options):
     return options(**values), names
 
 
+def _check_uniform_ratio(direction_name: str, directions, ratio_name: str, ratios) -> None:
+    """A usage error naming both options if a uniform shift is paired with a
+    ratio other than 1, as :class:`ShiftSpec` would refuse it later."""
+    if "uniform" in _leaves(directions) and any(r != 1 for r in _leaves(ratios)):
+        raise UsageError(f"{ratio_name} must be 1 with {direction_name} uniform, got {ratios!r}")
+
+
 # ---------------------------------------------------------------------------
 # flag value types: a malformed value is an argparse usage error (exit 2)
 
@@ -408,6 +415,8 @@ class GenOptions:
 
 def cmd_gen_data(args, run: RunDir) -> dict:
     opts, names = _resolve(args, GenOptions)
+    _check_uniform_ratio(names["shift_direction"], opts.shift_direction,
+                         names["shift_ratio"], opts.shift_ratio)
     opts = replace(opts, seed=_master_seed(opts.seed))
     classes, dims = opts.classes, opts.dims
     with _allocating(f"{names['classes' if classes >= dims else 'dims']}: a mixture of "
@@ -1165,7 +1174,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--test-samples", type=_positive_int, default=10000)
     p.add_argument("--alpha", type=_finite_float, default=1.0)
-    p.set_defaults(func=cmd_shift_eval)
+    p.set_defaults(func=cmd_shift_eval, check=lambda args: _check_uniform_ratio(
+        "--directions", args.directions, "--ratios", args.ratios))
 
     p = sub.add_parser("ingest-logits", parents=[out, seed, target],
                        help="correct an externally produced logit dump")
@@ -1202,6 +1212,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.time()
     try:
+        if check := getattr(args, "check", None):  # across flags, before any input is read
+            check(args)
         inputs = {
             path: _sha256(path)
             for flag in INPUT_FLAGS

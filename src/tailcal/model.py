@@ -7,7 +7,11 @@ prior-shifted cross-entropy loss, where each logit is offset by
 alpha * log(prior) of its class before the softmax.
 
 Training is plain SGD, single-threaded, and bit-deterministic given the
-config's random stream.
+config's random stream. A two-class linear model steps on its log-odds
+margin, the sigmoid form of its two-logit softmax: one length-N vector in
+place of the N x 2 logits. It agrees with the softmax form to rounding
+(about 1e-13 relative), not bit for bit; every other model keeps the
+softmax step's bits.
 """
 
 from __future__ import annotations
@@ -38,14 +42,6 @@ ACTIVATIONS = ("relu", "tanh")
 STAGE_TWO_MODES = ("CL", "FT")
 
 DIVERGENCE_LIMIT = 1e6
-
-# Up to this many classes the bias gradient adds the rows of the class-major
-# gradient by np.add.accumulate down each class, beyond it by summing axis 0
-# of the row-major copy; both add the rows in order, so the bits agree. At
-# N = 12 000 (2-core x86, numpy 2.4) the accumulate takes 92 us against
-# 258 us at C = 2 and 228 us against 284 us at C = 5, but 369 us against
-# 315 us at C = 8 and 727 us against 394 us at C = 16.
-ACCUMULATE_MAX_COLUMNS = 6
 
 # Each family's parameter names in model_parameters order; they are also the
 # keys of a model file's "params" object.
@@ -265,20 +261,30 @@ def batch_loss_and_grads(
 ) -> tuple[float, list[np.ndarray]]:
     """Mean loss over a batch plus gradients aligned with model_parameters.
 
-    Labels must lie in [0, C); :func:`train` passes those of a validated
-    :class:`LabeledDataset`, so they are not checked again on each step.
-
-    The logits are held class-major (F-ordered), so each elementwise pass
-    runs along the N samples of a class, not along rows of C values. Every
-    result keeps the bits of the row-major form: the GEMMs keep their
-    operand layouts, elementwise ops do not depend on layout, and the bias
-    gradient adds the rows in order, as ``g.sum(axis=0)`` does over a
-    C-ordered ``g``.
+    Labels must lie in [0, C). The features must be finite, which is checked
+    here; :func:`train` steps on a validated :class:`LabeledDataset`, so it
+    checks neither again on each step.
     """
-    x = as_matrix(features)
+    return _loss_and_grads(model, as_matrix(features), labels, loss)
+
+
+def _loss_and_grads(
+    model: Model, x: np.ndarray, labels: np.ndarray, loss: LossSpec
+) -> tuple[float, list[np.ndarray]]:
+    """:func:`batch_loss_and_grads` over finite float64 features ``x``.
+
+    A two-class linear model takes the log-odds step. Otherwise the logits
+    are held class-major (F-ordered), so each elementwise pass runs along
+    the N samples of a class, not along rows of C values. Every result keeps
+    the bits of the row-major form: the GEMMs keep their operand layouts,
+    elementwise ops do not depend on layout, and the bias gradient sums the
+    rows of a C-ordered copy.
+    """
     y = np.asarray(labels, dtype=np.int64)
-    n = x.shape[0]
     shift = _loss_shift(loss, model.num_classes)
+    if isinstance(model, LinearSoftmaxModel) and model.num_classes == 2:
+        return _log_odds_loss_and_grads(model, x, y, shift)
+    n = x.shape[0]
     hidden, pre, head = _forward(model, x)
     z = np.asfortranarray(hidden @ head.weights.T)
     z += head.biases
@@ -294,15 +300,38 @@ def batch_loss_and_grads(
     by_class[true_class] -= 1.0
     g /= n
     rows = np.ascontiguousarray(g)  # the GEMMs' row-major operand
-    if model.num_classes <= ACCUMULATE_MAX_COLUMNS:
-        bias_grad = np.add.accumulate(g, axis=0)[-1]
-    else:
-        bias_grad = rows.sum(axis=0)
-    grads = [rows.T @ hidden, bias_grad]
+    grads = [rows.T @ hidden, rows.sum(axis=0)]
     if pre is not None:
         d_hidden = (rows @ head.weights) * _activate_grad(pre, model.activation)
         grads = [d_hidden.T @ x, d_hidden.sum(axis=0)] + grads
     return mean_loss, grads
+
+
+def _log_odds_loss_and_grads(
+    model: LinearSoftmaxModel, x: np.ndarray, y: np.ndarray, shift: np.ndarray
+) -> tuple[float, list[np.ndarray]]:
+    """The softmax step of a two-class linear model over its one margin.
+
+    Two softmax probabilities are the sigmoid of the margin
+    d = x.(w1 - w0) + (b1 - b0) + (s1 - s0) and its complement, so one
+    length-N vector replaces the N x 2 logits. One e = exp(-|d|) gives both
+    sigmoid(d) and each row's loss softplus(+-d), so nothing overflows. The
+    results match the softmax form to rounding, not bit for bit.
+    """
+    w, b = model.weights, model.biases
+    n = x.shape[0]
+    d = x @ (w[1] - w[0])
+    d += (b[1] - b[0]) + (shift[1] - shift[0])
+    e = np.exp(-np.abs(d))
+    wrong_way = np.where(y == 1, -d, d)  # the margin towards the other class
+    mean_loss = float(np.mean(np.maximum(wrong_way, 0.0) + np.log1p(e)))
+    q = np.where(d >= 0.0, 1.0, e)
+    q /= 1.0 + e  # sigmoid(d)
+    q -= y
+    q /= n
+    weight_grad = q @ x
+    bias_grad = q.sum()
+    return mean_loss, [np.stack((-weight_grad, weight_grad)), np.array([-bias_grad, bias_grad])]
 
 
 @dataclass
@@ -355,7 +384,7 @@ def train(
                 break
             batch = perm[start : start + cfg.batch_size]
             x = np.take(ds.features, batch, axis=0, out=buf[: batch.size], mode="clip")
-            batch_loss, grads = batch_loss_and_grads(model, x, ds.labels[batch], loss)
+            batch_loss, grads = _loss_and_grads(model, x, ds.labels[batch], loss)
             if not np.isfinite(batch_loss):
                 raise NumericError(
                     f"non-finite loss at step {step}; lower the learning rate"

@@ -1277,6 +1277,12 @@ def test_gen_data_memory_error_at_sampling_exits_2_naming_the_flag(workdir, caps
     (["toy-experiment", "--batch-size", "0"], None, "--batch-size must be >= 1, got 0"),
     (["toy-experiment", "--trials", "1", "--samples", "50", "--imbalance", "100"], None,
      "--samples 50 at --imbalance 100.0 leaves the tail class no sample"),
+    (["gen-data", "--shift-direction", "uniform", "--shift-ratio", "2"], None,
+     "--shift-ratio must be 1 with --shift-direction uniform, got 2.0"),
+    # files that do not exist: the check runs before any input is hashed or read
+    (["shift-eval", "--model", "absent.json", "--train-data", "absent.csv", "--directions",
+      "forward,uniform"], None,
+     "--ratios must be 1 with --directions uniform, got [5.0, 10.0, 50.0]"),
 ], ids=["gen-dims-0", "gen-classes-1", "gen-config-classes-1", "gen-config-imbalance-nan",
         "train-config-lr-inf", "train-hidden", "train-hidden-0", "train-config-hidden-minus-3",
         "toy-imbalance-nan", "toy-samples",
@@ -1288,7 +1294,8 @@ def test_gen_data_memory_error_at_sampling_exits_2_naming_the_flag(workdir, caps
         "train-alpha-minus-1-ce", "train-iterations-minus-1", "train-batch-size-0",
         "train-hidden-0-linear", "train-config-iterations-minus-1", "toy-trials-0",
         "toy-samples-1", "toy-test-samples-1", "toy-alpha-minus-1", "toy-iterations-minus-1",
-        "toy-batch-size-0", "toy-tail-class-empty"])
+        "toy-batch-size-0", "toy-tail-class-empty", "gen-uniform-shift-ratio-2",
+        "shift-uniform-default-ratios"])
 def test_option_value_a_check_rejects_exits_2_naming_it(workdir, tiny, capsys, argv, body, message):
     files, _ = tiny
     (workdir / "cfg.json").write_text(json.dumps(body))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,9 +127,10 @@ def _assign_params(model, flat):
 
 
 @pytest.mark.parametrize("loss_kind", ["plain-ce", "logit-adjusted"])
-@pytest.mark.parametrize("family", ["linear", "mlp"])
+@pytest.mark.parametrize("family", ["linear", "mlp", "two-class-linear"])
 def test_gradients_match_central_differences(family, loss_kind, rng):
-    prior = np.array([0.7, 0.2, 0.1])
+    c = 2 if family == "two-class-linear" else 3
+    prior = np.array([0.7, 0.3]) if c == 2 else np.array([0.7, 0.2, 0.1])
     loss = (
         LossSpec()
         if loss_kind == "plain-ce"
@@ -136,8 +138,8 @@ def test_gradients_match_central_differences(family, loss_kind, rng):
     )
     step = 1e-5
     for case in range(25):
-        if family == "linear":
-            model = LinearSoftmaxModel(rng.normal(size=(3, 4)), rng.normal(size=3))
+        if family != "mlp":
+            model = LinearSoftmaxModel(rng.normal(size=(c, 4)), rng.normal(size=c))
         else:
             model = MlpModel(
                 rng.normal(size=(5, 4)),
@@ -146,7 +148,7 @@ def test_gradients_match_central_differences(family, loss_kind, rng):
                 LinearSoftmaxModel(rng.normal(size=(3, 5)), rng.normal(size=3)),
             )
         x = rng.normal(size=(1, 4))
-        y = np.array([case % 3])
+        y = np.array([case % c])
         _, grads = batch_loss_and_grads(model, x, y, loss)
         analytic = np.concatenate([g.ravel() for g in grads])
         flat = _flat_params(model)
@@ -166,10 +168,14 @@ def test_gradients_match_central_differences(family, loss_kind, rng):
         assert rel < 1e-5
 
 
+def _shift_of(loss, c):
+    return loss.alpha * np.log(loss.prior) if loss.kind == "logit-adjusted" else np.zeros(c)
+
+
 def _row_indexed_loss_and_grads(model, x, y, loss):
-    """batch_loss_and_grads written with m.max(axis=1) and z[rows, y]."""
+    """The softmax step written with m.max(axis=1) and z[rows, y]."""
     c = model.num_classes
-    shift = loss.alpha * np.log(loss.prior) if loss.kind == "logit-adjusted" else np.zeros(c)
+    shift = _shift_of(loss, c)
     if isinstance(model, LinearSoftmaxModel):
         hidden = x
         z = x @ model.weights.T + model.biases + shift
@@ -195,9 +201,33 @@ def _row_indexed_loss_and_grads(model, x, y, loss):
     return mean_loss, [d_hidden.T @ x, d_hidden.sum(axis=0), g.T @ hidden, g.sum(axis=0)]
 
 
+def _row_indexed_log_odds_loss_and_grads(model, x, y, loss):
+    """The two-class linear step over the margin d, each row's loss and
+    sigmoid picked by label and by sign from stacked columns."""
+    shift = _shift_of(loss, 2)
+    w, b = model.weights, model.biases
+    n = x.shape[0]
+    rows = np.arange(n)
+    d = x @ (w[1] - w[0]) + ((b[1] - b[0]) + (shift[1] - shift[0]))
+    e = np.exp(-np.abs(d))
+    towards_the_other_class = np.stack([d, -d], axis=1)[rows, y]
+    mean_loss = float(np.mean(np.maximum(towards_the_other_class, 0.0) + np.log1p(e)))
+    sigmoid = np.stack([e, np.ones(n)], axis=1)[rows, (d >= 0.0).astype(np.int64)] / (1.0 + e)
+    q = (sigmoid - y) / n
+    weight_grad, bias_grad = q @ x, q.sum()
+    return mean_loss, [np.array([-weight_grad, weight_grad]), np.array([-bias_grad, bias_grad])]
+
+
+def _reference_loss_and_grads(model, x, y, loss):
+    """The row-indexed form of the step that the kernel takes for this model."""
+    if isinstance(model, LinearSoftmaxModel) and model.num_classes == 2:
+        return _row_indexed_log_odds_loss_and_grads(model, x, y, loss)
+    return _row_indexed_loss_and_grads(model, x, y, loss)
+
+
 def _assert_kernel_matches_the_row_indexed_form(model, x, y, loss):
     value, grads = batch_loss_and_grads(model, x, y, loss)
-    ref_value, ref_grads = _row_indexed_loss_and_grads(model, x, y, loss)
+    ref_value, ref_grads = _reference_loss_and_grads(model, x, y, loss)
     assert value == ref_value
     assert len(grads) == len(ref_grads)
     for g, ref in zip(grads, ref_grads):
@@ -242,15 +272,63 @@ def test_batch_loss_and_grads_bit_for_bit_at_the_benchmark_shapes(c, d, n, loss_
     _assert_kernel_matches_the_row_indexed_form(model, x, y, _loss_of_kind(loss_kind, rng, c))
 
 
+@pytest.mark.parametrize("loss_kind", ["plain-ce", "logit-adjusted"])
+def test_two_class_log_odds_step_matches_its_reference_on_one_row_batches(loss_kind):
+    """In a long batch an ulp of a small sigmoid vanishes below the last bit
+    of the summed gradient; a one-row gradient is q * x, which keeps it."""
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        model = LinearSoftmaxModel(rng.normal(size=(2, 3)), rng.normal(size=2))
+        x = rng.normal(scale=3.0, size=(1, 3))
+        y = rng.integers(0, 2, size=1)
+        _assert_kernel_matches_the_row_indexed_form(model, x, y, _loss_of_kind(loss_kind, rng, 2))
+
+
+@pytest.mark.parametrize("scale", [1.0, 30.0, 300.0])
+@pytest.mark.parametrize("loss_kind", ["plain-ce", "logit-adjusted"])
+def test_two_class_log_odds_step_agrees_with_the_softmax_form(loss_kind, scale):
+    """The log-odds step reorders the softmax arithmetic, so it keeps its
+    value to rounding, out to logits of a few hundred."""
+    rng = np.random.default_rng(int(scale))
+    d, n = 6, 257
+    for _ in range(20):
+        model = LinearSoftmaxModel(
+            rng.normal(scale=scale / 3, size=(2, d)), rng.normal(scale=scale, size=2)
+        )
+        loss = _loss_of_kind(loss_kind, rng, 2)
+        x = rng.normal(size=(n, d))
+        y = rng.integers(0, 2, size=n)
+        value, grads = batch_loss_and_grads(model, x, y, loss)
+        ref_value, ref_grads = _row_indexed_loss_and_grads(model, x, y, loss)
+        assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+        for g, ref in zip(grads, ref_grads, strict=True):
+            assert g.shape == ref.shape
+            assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_two_class_log_odds_step_is_finite_at_margins_of_800():
+    """exp(800) overflows, so a sigmoid or softplus that takes exp(-d) for
+    every d would not hold here."""
+    model = LinearSoftmaxModel(np.array([[0.0, 0.0], [1.0, 0.0]]), np.zeros(2))
+    x = np.array([[800.0, 0.0], [-800.0, 0.0], [800.0, 0.0], [-800.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, grads = batch_loss_and_grads(model, x, np.array([0, 0, 1, 1]), LossSpec())
+    # rows 0 and 3 sit 800 towards the wrong class, rows 1 and 2 as far right
+    assert value == 400.0
+    assert np.array_equal(grads[0], [[-400.0, 0.0], [400.0, 0.0]])
+    assert np.array_equal(grads[1], [0.0, 0.0])
+
+
 def _row_indexed_train(model, ds, loss, cfg):
-    """train's SGD loop over the row-indexed kernel, gathering by index."""
+    """train's SGD loop over the row-indexed references, gathering by index."""
     gen, step = cfg.seed.generator(), 0
     while step < cfg.iterations:
         perm = gen.permutation(ds.n)
         for start in range(0, ds.n, cfg.batch_size):
             if step < cfg.iterations:
                 batch = perm[start : start + cfg.batch_size]
-                _, grads = _row_indexed_loss_and_grads(
+                _, grads = _reference_loss_and_grads(
                     model, ds.features[batch], ds.labels[batch], loss
                 )
                 for param, grad in zip(model_parameters(model), grads):
