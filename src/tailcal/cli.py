@@ -228,6 +228,12 @@ def _resolve(args, options):
     return options(**values), names
 
 
+def _refuse(refused: bool, message: str) -> None:
+    """A usage error with ``message`` if ``refused``."""
+    if refused:
+        raise UsageError(message)
+
+
 def _check_uniform_ratio(direction_name: str, directions, ratio_name: str, ratios) -> None:
     """A usage error naming both options if a uniform shift is paired with a
     ratio other than 1, as :class:`ShiftSpec` would refuse it later."""
@@ -479,6 +485,9 @@ class TrainOptions:
 def cmd_train(args, run: RunDir) -> dict:
     opts, names = _resolve(args, TrainOptions)
     opts = replace(opts, seed=_master_seed(opts.seed))
+    # --stage may come from --config, so this check waits for _resolve
+    _refuse(opts.stage == 2 and args.init is None,
+             "stage-2 training needs --init with the stage-1 model")
     ds = load_dataset(args.data)
     seed = RngStream(opts.seed)
     train_cfg = TrainConfig(
@@ -490,8 +499,6 @@ def cmd_train(args, run: RunDir) -> dict:
     )
     freq = empirical_prior(ds.counts)
     stage, alpha = opts.stage, float(opts.alpha)
-    if stage == 2 and args.init is None:
-        raise UsageError("stage-2 training needs --init with the stage-1 model")
     la = stage == 2 or opts.loss == "la"  # stage 2 always trains logit-adjusted
     loss = LossSpec("logit-adjusted", freq, alpha) if la else LossSpec()
     if stage == 2:
@@ -540,8 +547,6 @@ def cmd_estimate_prior(args, run: RunDir) -> dict:
             _train_side_posteriors(model, provenance, ds.features), target, freq
         )
     else:  # averaged
-        if args.train_data is None:
-            raise UsageError("--estimator averaged needs --train-data plus --data (val)")
         ds_train = load_dataset(args.train_data, num_classes=model.num_classes)
         freq = empirical_prior(ds_train.counts)
         est_val = prior.pmbar_from_val(_raw_posteriors(model, ds.features))
@@ -562,11 +567,21 @@ def cmd_estimate_prior(args, run: RunDir) -> dict:
 # adjust
 
 
+def _check_adjust(args) -> None:
+    """The flags that adjust's --method needs, and no alpha given twice."""
+    if args.method == "none":
+        return
+    _refuse(args.alpha is not None and args.alpha_from_sweep is not None,
+             "give either --alpha or --alpha-from-sweep, not both")
+    if args.method == "class-frequency":
+        _refuse(args.counts is None, "--method class-frequency needs --counts")
+    else:
+        _refuse(args.prior is None, f"--method {args.method} needs --prior")
+
+
 def _resolve_alpha(args) -> float | None:
     """The --alpha value, or the alpha of the --alpha-from-sweep file, a finite
-    JSON number >= 0; not both. None means the prior's own."""
-    if args.alpha is not None and args.alpha_from_sweep is not None:
-        raise UsageError("give either --alpha or --alpha-from-sweep, not both")
+    JSON number >= 0. None means the prior's own."""
     if args.alpha_from_sweep is not None:
         try:
             payload = json.loads(Path(args.alpha_from_sweep).read_text())
@@ -586,12 +601,8 @@ def _adjustment_from_args(args, num_classes: int) -> adjust.AdjustmentSpec:
         return adjust.no_adjustment()
     alpha = _resolve_alpha(args)
     if args.method == "class-frequency":
-        if args.counts is None:
-            raise UsageError("--method class-frequency needs --counts")
         freq = empirical_prior(load_counts(args.counts))
         return adjust.class_frequency_spec(freq, target, 1.0 if alpha is None else alpha)
-    if args.prior is None:
-        raise UsageError(f"--method {args.method} needs --prior")
     estimate = prior.load_prior(args.prior)
     return adjust.spec_from_estimate(args.method, estimate, target, alpha)
 
@@ -943,6 +954,9 @@ def cmd_shift_eval(args, run: RunDir) -> dict:
                              "features", args.test_samples, 2)
     seed = _master_seed(args.seed)
     model, provenance = load_model(args.model)
+    _refuse(model.num_classes != 2 or model.dims != 2,
+             f"--model {args.model}: shift-eval samples the two-class toy mixture in 2 "
+             f"features, but the model has {model.num_classes} classes over {model.dims} features")
     ds_train = load_dataset(args.train_data, num_classes=model.num_classes)
     estimate = prior.effective_prior_train(
         _train_side_posteriors(model, provenance, ds_train.features)
@@ -1045,8 +1059,6 @@ def cmd_ingest_logits(args, run: RunDir) -> dict:
         train_means = train_counts = None
         if train_logits:
             train_means = fold()
-            if args.counts is None:
-                raise UsageError("--train-logits needs --counts metadata")
             train_counts = load_counts(args.counts)
     result = ingest_logits(
         ids,
@@ -1139,7 +1151,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimator", required=True,
                    choices=("train", "val", "train-reweighted", "averaged"))
     p.add_argument("--train-data")
-    p.set_defaults(func=cmd_estimate_prior)
+    p.set_defaults(func=cmd_estimate_prior, check=lambda args: _refuse(
+        args.estimator == "averaged" and args.train_data is None,
+        "--estimator averaged needs --train-data plus --data (val)"))
 
     p = sub.add_parser("adjust", parents=[out, target, scores],
                        help="apply a post-hoc prior correction")
@@ -1148,7 +1162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", help="counts JSON for class-frequency")
     p.add_argument("--alpha", type=_finite_float)
     p.add_argument("--alpha-from-sweep", help="chosen_alpha.json from a sweep-alpha run")
-    p.set_defaults(func=cmd_adjust)
+    p.set_defaults(func=cmd_adjust, check=_check_adjust)
 
     p = sub.add_parser("eval", parents=[out, target, scores],
                        help="evaluate a logit dump or model on data")
@@ -1185,7 +1199,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", help="training counts JSON for the train-side estimate")
     p.add_argument("--grid", type=_list_of(_finite_float, "numbers"),
                    default=prior.DEFAULT_ALPHA_GRID, help="comma-separated alpha grid")
-    p.set_defaults(func=cmd_ingest_logits)
+    p.set_defaults(func=cmd_ingest_logits, check=lambda args: _refuse(
+        bool(args.train_logits) and args.counts is None,
+        "--train-logits needs --counts metadata"))
 
     p = sub.add_parser("sweep-alpha", parents=[out, target, scores],
                        help="grid-search the estimate exponent")

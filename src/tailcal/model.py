@@ -273,12 +273,8 @@ def _loss_and_grads(
 ) -> tuple[float, list[np.ndarray]]:
     """:func:`batch_loss_and_grads` over finite float64 features ``x``.
 
-    A two-class linear model takes the log-odds step. Otherwise the logits
-    are held class-major (F-ordered), so each elementwise pass runs along
-    the N samples of a class, not along rows of C values. Every result keeps
-    the bits of the row-major form: the GEMMs keep their operand layouts,
-    elementwise ops do not depend on layout, and the bias gradient sums the
-    rows of a C-ordered copy.
+    A two-class linear model takes the log-odds step, every other model the
+    softmax step, whose gradient is built in place of its logits.
     """
     y = np.asarray(labels, dtype=np.int64)
     shift = _loss_shift(loss, model.num_classes)
@@ -286,23 +282,21 @@ def _loss_and_grads(
         return _log_odds_loss_and_grads(model, x, y, shift)
     n = x.shape[0]
     hidden, pre, head = _forward(model, x)
-    z = np.asfortranarray(hidden @ head.weights.T)
+    z = hidden @ head.weights.T
     z += head.biases
     z += shift
     lse = log_sum_exp_rows(z)
-    # z is F-contiguous, so z.T.ravel() is a view: class-major, sample-minor
-    by_class = z.T.ravel()
-    true_class = y * n + np.arange(n)
-    mean_loss = float(np.mean(lse - by_class[true_class]))
+    # z is a fresh C-ordered array, so z.ravel() is a view: writes through it reach z
+    flat, true_class = z.ravel(), np.arange(n) * model.num_classes + y
+    mean_loss = float(np.mean(lse - flat[true_class]))
     g = z  # the gradient is built in place of the logits
     g -= lse[:, None]
     np.exp(g, out=g)
-    by_class[true_class] -= 1.0
+    flat[true_class] -= 1.0
     g /= n
-    rows = np.ascontiguousarray(g)  # the GEMMs' row-major operand
-    grads = [rows.T @ hidden, rows.sum(axis=0)]
+    grads = [g.T @ hidden, g.sum(axis=0)]
     if pre is not None:
-        d_hidden = (rows @ head.weights) * _activate_grad(pre, model.activation)
+        d_hidden = (g @ head.weights) * _activate_grad(pre, model.activation)
         grads = [d_hidden.T @ x, d_hidden.sum(axis=0)] + grads
     return mean_loss, grads
 

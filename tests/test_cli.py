@@ -1304,6 +1304,80 @@ def test_option_value_a_check_rejects_exits_2_naming_it(workdir, tiny, capsys, a
     assert not (workdir / "x").exists()
 
 
+def _spy_on_input_readers(monkeypatch) -> list[str]:
+    """Wrap every reader of a dataset, logit dump or model file, and the fork
+    that folds a --train-logits dump, so that each call is listed."""
+    called = []
+    for module, name in ((dataset, "_read_csv"), (dataset, "_csv_blocks"), (cli, "_read_csv"),
+                         (cli, "_csv_blocks"), (cli, "load_model"), (cli, "_forked")):
+        def spy(*args, _name=name, _real=getattr(module, name), **kwargs):
+            called.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+    return called
+
+
+STAGE_2_NEEDS_INIT = "stage-2 training needs --init with the stage-1 model"
+
+
+@pytest.mark.parametrize("argv, body, message", [
+    (["train", "--data", "{train}", "--stage", "2"], None, STAGE_2_NEEDS_INIT),
+    (["train", "--data", "{train}", "--config", "cfg.json"], {"stage": 2}, STAGE_2_NEEDS_INIT),
+    (["estimate-prior", "--model", "{model}", "--data", "{train}", "--estimator", "averaged"],
+     None, "--estimator averaged needs --train-data plus --data (val)"),
+    (["adjust", "--logits", "{dump2}", "--method", "class-frequency"], None,
+     "--method class-frequency needs --counts"),
+    (["adjust", "--model", "{model}", "--data", "{train}", "--method", "class-frequency"], None,
+     "--method class-frequency needs --counts"),
+    (["adjust", "--logits", "{dump2}", "--method", "p2p-ce"], None,
+     "--method p2p-ce needs --prior"),
+    (["adjust", "--model", "{model}", "--data", "{train}", "--method", "p2p-la"], None,
+     "--method p2p-la needs --prior"),
+    # the notice about the missing --target-prior is not printed either
+    (["ingest-logits", "--logits", "{dump2}", "--train-logits", "{dump2}"], None,
+     "--train-logits needs --counts metadata"),
+    # files that do not exist: the check runs before any input is hashed
+    (["adjust", "--logits", "{dump2}", "--method", "p2p-ce", "--alpha", "1",
+      "--alpha-from-sweep", "absent_sweep.json", "--prior", "absent.json"], None,
+     "give either --alpha or --alpha-from-sweep, not both"),
+], ids=["train-stage-2", "train-config-stage-2", "estimate-averaged", "adjust-cf-logits",
+        "adjust-cf-model", "adjust-p2p-ce", "adjust-p2p-la", "ingest-train-logits",
+        "adjust-alpha-twice"])
+def test_a_flag_a_command_needs_exits_2_before_any_input_is_parsed(
+    workdir, tiny, monkeypatch, capsys, argv, body, message
+):
+    files, _ = tiny
+    (workdir / "cfg.json").write_text(json.dumps(body))
+    called = _spy_on_input_readers(monkeypatch)
+    assert run_cli(*(a.format(**files) for a in argv), "--out", "x") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert called == []
+    assert not (workdir / "x").exists()
+
+
+def test_adjust_method_none_takes_both_alpha_flags(workdir, tiny):
+    files, _ = tiny
+    (workdir / "sweep.json").write_text('{"alpha": 0.5}')
+    assert run_cli("adjust", "--logits", files["dump2"], "--method", "none", "--alpha", "1",
+                   "--alpha-from-sweep", "sweep.json", "--out", "x") == 0
+
+
+@pytest.mark.parametrize("classes, dims", [(3, 2), (2, 3)])
+def test_shift_eval_refuses_a_model_off_the_toy_mixture_before_reading_train_data(
+    workdir, tiny, monkeypatch, capsys, classes, dims
+):
+    files, _ = tiny
+    save_model(LinearSoftmaxModel(np.zeros((classes, dims)), np.zeros(classes)), "off.json")
+    called = _spy_on_input_readers(monkeypatch)
+    code = run_cli("shift-eval", "--model", "off.json", "--train-data", files["train"],
+                   "--trials", "1", "--out", "x")
+    assert (code, capsys.readouterr().err) == (2, (
+        "error: --model off.json: shift-eval samples the two-class toy mixture in 2 features, "
+        f"but the model has {classes} classes over {dims} features\n"))
+    assert called == ["load_model"]
+    assert not (workdir / "x").exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-5", str(TOO_BIG), "abc"])
 def test_shift_eval_test_samples_must_be_a_positive_int64(tiny, capsys, value):
     files, outs = tiny

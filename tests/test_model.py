@@ -240,8 +240,10 @@ def _loss_of_kind(kind, rng, c):
     return LossSpec(kind, rng.dirichlet(np.ones(c)), alpha=1.3)
 
 
-# numpy sums a row of 8 or more terms pairwise, so 7, 8 and 9 bracket it
-@pytest.mark.parametrize("c", [2, 3, 7, 8, 9, 10])
+# numpy sums a row of 8 or more terms pairwise, so 7, 8 and 9 bracket it;
+# 17 is the narrowest row whose max numerics._row_max takes by m.max(axis=1)
+# (FOLD_MAX_COLUMNS + 1), and 100 the class count of the ingest workload
+@pytest.mark.parametrize("c", [2, 3, 7, 8, 9, 10, 17, 100])
 @pytest.mark.parametrize("loss_kind", ["plain-ce", "logit-adjusted"])
 @pytest.mark.parametrize("family", ["linear", "relu", "tanh"])
 def test_batch_loss_and_grads_match_the_row_indexed_form_bit_for_bit(family, loss_kind, c):

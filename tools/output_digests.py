@@ -7,7 +7,9 @@ Run from anywhere:
 It runs a small chain of ``python -m tailcal`` processes against the
 ``src/`` tree next to this script: gen-data (2- and 10-class), stage-1
 linear and MLP training, linear training with a cosine schedule, stage-2 CL
-and FT of the linear model, stage-2 CL of the MLP, estimate-prior with all four
+and FT of the linear model, stage-2 CL of the MLP, full-batch linear training
+on the 10-class data and a stage-2 FT from it (the linear softmax step, which
+two-class linear models skip for their log-odds step), estimate-prior with all four
 estimators and with a counts-file target prior, adjust with all four methods,
 eval by both input routes, sweep-alpha, toy-experiment with its default
 worker count, with ``--workers 1`` and with ``--workers 3`` (three parts, so
@@ -144,6 +146,10 @@ CHAIN = [
     ["train", "--data", "d10/train.csv", "--out", "m10cl", "--seed", SEED, "--stage", "2",
      "--mode", "CL", "--init", "m10/model.json", "--lr", "0.5", "--iterations", "30",
      "--batch-size", "256"],
+    ["train", "--data", "d10/train.csv", "--out", "l10", "--seed", SEED, "--lr", "0.5",
+     "--iterations", "30"],
+    ["train", "--data", "d10/train.csv", "--out", "l10ft", "--seed", SEED, "--stage", "2",
+     "--mode", "FT", "--init", "l10/model.json", "--lr", "0.5", "--iterations", "30"],
     ["train", "--data", "d2/train.csv", "--out", "s1cos", "--seed", SEED, "--schedule", "cosine"],
     ["train", "--config", "train_cfg.json", "--data", "d2/train.csv", "--out", "s1cfg",
      "--iterations", "30"],
