@@ -276,6 +276,7 @@ def _value(convert, what: str, holds):
 
 
 _finite_float = _value(float, "a finite number", np.isfinite)
+_alpha = _value(_finite_float, "a number >= 0", lambda v: v >= 0)
 _fraction = _value(float, "a number in (0, 1)", lambda v: 0.0 < v < 1.0)
 
 
@@ -567,8 +568,16 @@ def cmd_estimate_prior(args, run: RunDir) -> dict:
 # adjust
 
 
+def _check_scores(args) -> None:
+    """The flags from which adjust, eval and sweep-alpha read scores."""
+    _refuse(not (args.logits or args.model and args.data),
+             f"{args.command} needs --logits, or --model with --data")
+
+
 def _check_adjust(args) -> None:
-    """The flags that adjust's --method needs, and no alpha given twice."""
+    """adjust's scores flags, the flags its --method needs, and no alpha
+    given twice."""
+    _check_scores(args)
     if args.method == "none":
         return
     _refuse(args.alpha is not None and args.alpha_from_sweep is not None,
@@ -611,11 +620,9 @@ def _load_scores(args) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Row ids, logits and labels from --logits, or from --model run on --data."""
     if args.logits:
         return load_logit_dump(args.logits)
-    if args.model and args.data:
-        model, _ = load_model(args.model)
-        ds = load_dataset(args.data, num_classes=model.num_classes)
-        return [str(i) for i in range(ds.n)], predict_logits(model, ds.features), ds.labels
-    raise UsageError(f"{args.command} needs --logits, or --model with --data")
+    model, _ = load_model(args.model)
+    ds = load_dataset(args.data, num_classes=model.num_classes)
+    return [str(i) for i in range(ds.n)], predict_logits(model, ds.features), ds.labels
 
 
 def cmd_adjust(args, run: RunDir) -> dict:
@@ -896,6 +903,24 @@ def cmd_toy_experiment(args, run: RunDir) -> dict:
 # shift-eval
 
 
+def _shifts(directions, ratios) -> list[tuple[str, float]]:
+    """The shifts shift-eval scores: uniform, then each direction at each ratio."""
+    return [("uniform", 1.0)] + [(d, r) for d in directions for r in ratios]
+
+
+def _check_shift_eval(args) -> None:
+    """A uniform shift only at ratio 1, and a --test-samples whose test set
+    keeps a sample of each class under every shift."""
+    _check_uniform_ratio("--directions", args.directions, "--ratios", args.ratios)
+    base_counts = np.full(2, args.test_samples // 2)
+    for direction, ratio in _shifts(args.directions, args.ratios):
+        try:
+            make_shifted_counts(base_counts, ShiftSpec(direction, ratio))
+        except UsageError as exc:
+            raise UsageError(f"--test-samples {args.test_samples} under the {direction} shift "
+                             f"at ratio {ratio:g}: {exc}") from exc
+
+
 def shift_eval_rows(
     model,
     provenance: ModelProvenance,
@@ -919,9 +944,8 @@ def shift_eval_rows(
     gmm = toy_mixture()
     freq = empirical_prior(train_counts)
     base_counts = np.full(2, test_samples // 2)
-    shifts = [("uniform", 1.0)] + [(d, r) for d in directions for r in ratios]
     rows = []
-    for shift_index, (direction, ratio) in enumerate(shifts):
+    for shift_index, (direction, ratio) in enumerate(_shifts(directions, ratios)):
         counts = make_shifted_counts(base_counts, ShiftSpec(direction, ratio))
         target = empirical_prior(counts)
         if provenance.loss.kind == "logit-adjusted":
@@ -1047,6 +1071,13 @@ def ingest_logits(
     }
 
 
+def _check_ingest(args) -> None:
+    """The --counts that a --train-logits dump needs, and an alpha grid."""
+    _refuse(bool(args.train_logits) and args.counts is None,
+             "--train-logits needs --counts metadata")
+    _refuse(not args.grid, "--grid lists no alpha")
+
+
 def cmd_ingest_logits(args, run: RunDir) -> dict:
     seed = _master_seed(args.seed)
     # the train dump is folded in a forked child while the eval dump is parsed
@@ -1091,6 +1122,12 @@ def cmd_ingest_logits(args, run: RunDir) -> dict:
 
 # ---------------------------------------------------------------------------
 # sweep-alpha
+
+
+def _check_sweep_alpha(args) -> None:
+    """sweep-alpha's scores flags and an alpha grid."""
+    _check_scores(args)
+    _refuse(not args.grid, "--grid lists no alpha")
 
 
 def cmd_sweep_alpha(args, run: RunDir) -> dict:
@@ -1160,7 +1197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=adjust.METHODS)
     p.add_argument("--prior", help="effective-prior JSON for p2p methods")
     p.add_argument("--counts", help="counts JSON for class-frequency")
-    p.add_argument("--alpha", type=_finite_float)
+    p.add_argument("--alpha", type=_alpha)
     p.add_argument("--alpha-from-sweep", help="chosen_alpha.json from a sweep-alpha run")
     p.set_defaults(func=cmd_adjust, check=_check_adjust)
 
@@ -1168,7 +1205,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="evaluate a logit dump or model on data")
     p.add_argument("--train-counts")
     p.add_argument("--groups", type=_group_thresholds, help="many_min,few_max thresholds")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, check=_check_scores)
 
     p = sub.add_parser("toy-experiment", parents=[out, seed],
                        help="seeded multi-trial toy comparison")
@@ -1187,9 +1224,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="5,10,50")
     p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--test-samples", type=_positive_int, default=10000)
-    p.add_argument("--alpha", type=_finite_float, default=1.0)
-    p.set_defaults(func=cmd_shift_eval, check=lambda args: _check_uniform_ratio(
-        "--directions", args.directions, "--ratios", args.ratios))
+    p.add_argument("--alpha", type=_alpha, default=1.0)
+    p.set_defaults(func=cmd_shift_eval, check=_check_shift_eval)
 
     p = sub.add_parser("ingest-logits", parents=[out, seed, target],
                        help="correct an externally produced logit dump")
@@ -1197,20 +1233,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", type=_fraction, default=0.2, help="holdout fraction for estimation")
     p.add_argument("--train-logits")
     p.add_argument("--counts", help="training counts JSON for the train-side estimate")
-    p.add_argument("--grid", type=_list_of(_finite_float, "numbers"),
+    p.add_argument("--grid", type=_list_of(_alpha, "numbers >= 0"),
                    default=prior.DEFAULT_ALPHA_GRID, help="comma-separated alpha grid")
-    p.set_defaults(func=cmd_ingest_logits, check=lambda args: _refuse(
-        bool(args.train_logits) and args.counts is None,
-        "--train-logits needs --counts metadata"))
+    p.set_defaults(func=cmd_ingest_logits, check=_check_ingest)
 
     p = sub.add_parser("sweep-alpha", parents=[out, target, scores],
                        help="grid-search the estimate exponent")
     p.add_argument("--prior", required=True)
     p.add_argument("--method", default="p2p-ce",
                    choices=tuple(m for m in adjust.METHODS if m != "none"))
-    p.add_argument("--grid", type=_list_of(_finite_float, "numbers"),
+    p.add_argument("--grid", type=_list_of(_alpha, "numbers >= 0"),
                    default=prior.DEFAULT_ALPHA_GRID)
-    p.set_defaults(func=cmd_sweep_alpha)
+    p.set_defaults(func=cmd_sweep_alpha, check=_check_sweep_alpha)
     return parser
 
 

@@ -1,10 +1,11 @@
 """Small softmax classifiers and their two-stage training loop.
 
 Stage 1 is plain cross-entropy with instance-balanced sampling (a uniform
-reshuffle of the full dataset each epoch). Stage 2 retrains either the
-classifier head only (CL, backbone frozen) or the whole model (FT) under the
+reshuffle of the full dataset each epoch). Stage 2 trains under the
 prior-shifted cross-entropy loss, where each logit is offset by
-alpha * log(prior) of its class before the softmax.
+alpha * log(prior) of its class before the softmax: either a new head on
+the features of the frozen stage-1 backbone, computed once (CL), or the
+whole model (FT).
 
 Training is plain SGD, single-threaded, and bit-deterministic given the
 config's random stream. A two-class linear model steps on its log-odds
@@ -340,16 +341,9 @@ def _learning_rate(cfg: TrainConfig, step: int) -> float:
     return cfg.learning_rate
 
 
-def train(
-    model: Model,
-    ds: LabeledDataset,
-    loss: LossSpec,
-    cfg: TrainConfig,
-    trainable: list[bool] | None = None,
-) -> TrainResult:
+def train(model: Model, ds: LabeledDataset, loss: LossSpec, cfg: TrainConfig) -> TrainResult:
     """Mini-batch SGD with seeded shuffling; deterministic given cfg.seed.
 
-    ``trainable`` masks entries of model_parameters (all True by default).
     Returns the trained model and the per-epoch mean loss trace. Aborts with
     NumericError when the loss goes non-finite or beyond 1e6.
     """
@@ -357,11 +351,7 @@ def train(
         raise UsageError(f"batch size {cfg.batch_size} exceeds dataset size {ds.n}")
     model = model.copy()
     params = model_parameters(model)
-    if trainable is None:
-        trainable = [True] * len(params)
     result = TrainResult(model)
-    if cfg.iterations == 0:
-        return result
     gen = cfg.seed.generator()
     # One gather buffer for every step: a fresh batch-sized array per step
     # makes the allocator hand memory back to the OS and fault it in again.
@@ -384,9 +374,8 @@ def train(
                     f"non-finite loss at step {step}; lower the learning rate"
                 )
             lr = _learning_rate(cfg, step)
-            for param, grad, live in zip(params, grads, trainable):
-                if live:
-                    param -= lr * grad
+            for param, grad in zip(params, grads):
+                param -= lr * grad
             epoch_loss += batch_loss * batch.size
             epoch_samples += batch.size
             step += 1
@@ -409,25 +398,28 @@ def stage2_retrain(
 ) -> TrainResult:
     """Second training stage under the prior-shifted loss.
 
-    CL re-initializes the head (zero scheme) and freezes everything else;
-    FT updates all parameters starting from the stage-1 values.
+    CL trains a new zero-initialized head on the features of the frozen
+    stage-1 backbone, computed once for the whole dataset, and puts it on a
+    copy of the stage-1 model; FT updates all parameters starting from the
+    stage-1 values.
     """
     if mode not in STAGE_TWO_MODES:
         raise UsageError(f"unknown stage-2 mode {mode!r}")
     loss = LossSpec("logit-adjusted", prob_vector(prior), alpha)
+    if mode == "FT":
+        return train(stage1_model, ds, loss, cfg)
+    if isinstance(stage1_model, LinearSoftmaxModel):
+        warnings.warn(
+            "CL on a pure linear model degenerates to a full retrain",
+            stacklevel=2,
+        )
+        return train(init_linear(stage1_model.num_classes, stage1_model.dims), ds, loss, cfg)
+    features, _, head = _forward(stage1_model, ds.features)
+    result = train(init_linear(head.num_classes, head.dims),
+                   LabeledDataset(features, ds.labels, ds.counts), loss, cfg)
     model = stage1_model.copy()
-    trainable = None
-    if mode == "CL":
-        if isinstance(model, LinearSoftmaxModel):
-            warnings.warn(
-                "CL on a pure linear model degenerates to a full retrain",
-                stacklevel=2,
-            )
-            model = init_linear(model.num_classes, model.dims)
-        else:
-            model.head = init_linear(model.num_classes, model.head.dims)
-            trainable = [False, False, True, True]
-    return train(model, ds, loss, cfg, trainable=trainable)
+    model.head = result.model
+    return TrainResult(model, result.loss_trace)
 
 
 @dataclass(frozen=True)

@@ -1009,7 +1009,8 @@ MALFORMED_LOSSES = {
 
 @pytest.mark.parametrize("command", [
     ["estimate-prior", "--data", "d/train.csv", "--estimator", "train"],
-    ["shift-eval", "--train-data", "d/train.csv", "--trials", "1", "--test-samples", "20"],
+    ["shift-eval", "--train-data", "d/train.csv", "--trials", "1", "--test-samples", "20",
+     "--ratios", "5"],
 ], ids=["estimate-prior", "shift-eval"])
 @pytest.mark.parametrize("case", sorted(MALFORMED_LOSSES))
 def test_malformed_model_loss_exits_3_naming_the_file(workdir, capsys, command, case):
@@ -1304,12 +1305,14 @@ def test_option_value_a_check_rejects_exits_2_naming_it(workdir, tiny, capsys, a
     assert not (workdir / "x").exists()
 
 
-def _spy_on_input_readers(monkeypatch) -> list[str]:
+def _spy_on_input_readers(monkeypatch, hashes=False) -> list[str]:
     """Wrap every reader of a dataset, logit dump or model file, and the fork
-    that folds a --train-logits dump, so that each call is listed."""
+    that folds a --train-logits dump, so that each call is listed; with
+    ``hashes``, the hash of an input file as well."""
     called = []
-    for module, name in ((dataset, "_read_csv"), (dataset, "_csv_blocks"), (cli, "_read_csv"),
-                         (cli, "_csv_blocks"), (cli, "load_model"), (cli, "_forked")):
+    spied = ((dataset, "_read_csv"), (dataset, "_csv_blocks"), (cli, "_read_csv"),
+             (cli, "_csv_blocks"), (cli, "load_model"), (cli, "_forked"))
+    for module, name in spied + (((cli, "_sha256"),) if hashes else ()):
         def spy(*args, _name=name, _real=getattr(module, name), **kwargs):
             called.append(_name)
             return _real(*args, **kwargs)
@@ -1349,6 +1352,34 @@ def test_a_flag_a_command_needs_exits_2_before_any_input_is_parsed(
     files, _ = tiny
     (workdir / "cfg.json").write_text(json.dumps(body))
     called = _spy_on_input_readers(monkeypatch)
+    assert run_cli(*(a.format(**files) for a in argv), "--out", "x") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert called == []
+    assert not (workdir / "x").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep-alpha", "--prior", "absent.json"],
+     "sweep-alpha needs --logits, or --model with --data"),
+    (["eval", "--model", "absent.json"], "eval needs --logits, or --model with --data"),
+    (["adjust", "--data", "{train}", "--method", "none"],
+     "adjust needs --logits, or --model with --data"),
+    (["sweep-alpha", "--prior", "{prior}", "--logits", "{dump2}", "--grid", ","],
+     "--grid lists no alpha"),
+    (["ingest-logits", "--logits", "{dump2}", "--grid", ","], "--grid lists no alpha"),
+    (["shift-eval", "--model", "{model}", "--train-data", "{train}", "--test-samples", "1"],
+     "--test-samples 1 under the uniform shift at ratio 1: shift produces a zero count "
+     "(counts=[0, 0]); lower the ratio or enlarge the base total"),
+    (["shift-eval", "--model", "{model}", "--train-data", "{train}", "--test-samples", "3"],
+     "--test-samples 3 under the forward shift at ratio 5: shift produces a zero count "
+     "(counts=[2, 0]); lower the ratio or enlarge the base total"),
+], ids=["sweep-alpha-scores", "eval-scores", "adjust-scores", "sweep-alpha-empty-grid",
+        "ingest-empty-grid", "shift-test-samples-1", "shift-test-samples-3"])
+def test_a_check_hook_refuses_exits_2_before_any_input_is_hashed(
+    workdir, tiny, monkeypatch, capsys, argv, message
+):
+    files, _ = tiny
+    called = _spy_on_input_readers(monkeypatch, hashes=True)
     assert run_cli(*(a.format(**files) for a in argv), "--out", "x") == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert called == []
@@ -1400,16 +1431,28 @@ def test_shift_eval_test_samples_must_be_a_positive_int64(tiny, capsys, value):
     (["shift-eval", "--model", "{model}", "--train-data", "{train}", "--directions",
       "forward,sideways"], "argument --directions: expected comma-separated directions among "
      "forward, backward, uniform, got 'forward,sideways'"),
+    (["adjust", "--model", "{model}", "--data", "{train}", "--method", "p2p-ce", "--prior",
+      "{prior}", "--alpha", "-1"], "argument --alpha: expected a number >= 0, got '-1'"),
+    (["shift-eval", "--model", "{model}", "--train-data", "{train}", "--alpha", "-1"],
+     "argument --alpha: expected a number >= 0, got '-1'"),
+    (["sweep-alpha", "--prior", "{prior}", "--logits", "{dump2}", "--grid=-1,0"],
+     "argument --grid: expected comma-separated numbers >= 0, got '-1,0'"),
+    (["ingest-logits", "--logits", "{dump2}", "--grid=-1"],
+     "argument --grid: expected comma-separated numbers >= 0, got '-1'"),
 ], ids=["toy-workers-abc", "ingest-split-1.5", "ingest-split-nan", "shift-ratio-half",
-        "shift-direction-sideways"])
-def test_flag_value_its_type_rejects_exits_2_before_any_work(tiny, capsys, forks, argv, message):
+        "shift-direction-sideways", "adjust-alpha-minus-1", "shift-alpha-minus-1",
+        "sweep-alpha-grid-minus-1", "ingest-grid-minus-1"])
+def test_flag_value_its_type_rejects_exits_2_before_any_work(
+    tiny, capsys, forks, monkeypatch, argv, message
+):
     files, outs = tiny
     out = next(outs)
+    called = _spy_on_input_readers(monkeypatch, hashes=True)
     with pytest.raises(SystemExit) as exc:
         main([a.format(**files) for a in argv] + ["--out", str(out)])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(f"tailcal {argv[0]}: error: {message}\n")
-    assert forks == [] and not out.exists()
+    assert forks == [] and called == [] and not out.exists()
 
 
 @pytest.mark.parametrize("command", [

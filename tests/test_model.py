@@ -4,9 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+from tailcal import model as model_module
 from tailcal.dataset import GaussianMixtureSpec, LabeledDataset, sample_dataset
 from tailcal.errors import DataError, NumericError, UsageError
 from tailcal.model import (
+    ACTIVATIONS,
     LinearSoftmaxModel,
     LossSpec,
     MlpModel,
@@ -482,6 +484,77 @@ def test_stage2_cl_on_linear_model_warns(toy_train):
     stage1 = train(init_linear(2, 2), toy_train, LossSpec(), small_cfg(seed=25)).model
     with pytest.warns(UserWarning, match="full retrain"):
         stage2_retrain(stage1, toy_train, "CL", small_cfg(seed=26), [0.9901, 0.0099])
+
+
+def _masked_head_train(stage1, ds, loss, cfg):
+    """CL as a masked run of the whole MLP: at each step its forward and
+    backward pass on the gathered rows, then an update of the zero head only.
+    Returns the model and the epoch mean loss trace."""
+    model = stage1.copy()
+    model.head = init_linear(model.num_classes, model.head.dims)
+    head_params = model_parameters(model)[2:]
+    gen, step, trace = cfg.seed.generator(), 0, []
+    while step < cfg.iterations:
+        perm = gen.permutation(ds.n)
+        epoch_loss, epoch_samples = 0.0, 0
+        for start in range(0, ds.n, cfg.batch_size):
+            if step < cfg.iterations:
+                batch = perm[start : start + cfg.batch_size]
+                value, grads = batch_loss_and_grads(
+                    model, ds.features[batch], ds.labels[batch], loss
+                )
+                for param, grad in zip(head_params, grads[2:]):
+                    param -= cfg.learning_rate * grad
+                epoch_loss += value * batch.size
+                epoch_samples += batch.size
+                step += 1
+        trace.append(epoch_loss / epoch_samples)
+    return model, trace
+
+
+def _relative_difference(a, b):
+    return np.max(np.abs(np.subtract(a, b))) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("batch_size", [None, 64])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("c", [2, 3, 10])
+def test_stage2_cl_matches_the_masked_full_model_loop(c, activation, batch_size):
+    """Bit for bit wherever the head takes the softmax step; a two-class head
+    takes the log-odds step, which agrees to rounding."""
+    rng = np.random.default_rng(40 + c)
+    d, hidden = 5, 7
+    gmm = GaussianMixtureSpec(rng.normal(scale=2.0, size=(c, d)), np.ones(c))
+    counts = np.round(200 * 0.6 ** np.arange(c)).astype(np.int64) + 5
+    ds = sample_dataset(gmm, counts, RngStream(41))
+    stage1 = init_mlp(c, d, hidden, activation, RngStream(42))
+    prior = counts / counts.sum()
+    cfg = small_cfg(iterations=15, batch_size=batch_size or ds.n)
+    result = stage2_retrain(stage1, ds, "CL", cfg, prior, alpha=0.8)
+    ref, ref_trace = _masked_head_train(stage1, ds, LossSpec("logit-adjusted", prior, 0.8), cfg)
+    for trained, frozen in zip(model_parameters(result.model)[:2], model_parameters(stage1)[:2]):
+        assert np.array_equal(trained, frozen)
+    pairs = [(result.model.head.weights, ref.head.weights),
+             (result.model.head.biases, ref.head.biases), (result.loss_trace, ref_trace)]
+    for trained, expected in pairs:
+        if c == 2:
+            assert _relative_difference(trained, expected) <= 1e-11
+        else:
+            assert np.array_equal(trained, expected)
+
+
+def test_stage2_cl_computes_the_stage1_features_once(toy_train, monkeypatch):
+    """One hidden-layer pass over the whole dataset, not one per step, and
+    no gradient for the frozen layer."""
+    calls = []
+    for name in ("_activate", "_activate_grad"):
+        def spy(z, kind, _name=name, _real=getattr(model_module, name)):
+            calls.append((_name, z.shape))
+            return _real(z, kind)
+        monkeypatch.setattr(model_module, name, spy)
+    stage1 = init_mlp(2, 2, hidden=4, activation="tanh", rng=RngStream(30))
+    stage2_retrain(stage1, toy_train, "CL", small_cfg(seed=31, iterations=20), [0.99, 0.01])
+    assert calls == [("_activate", (toy_train.n, 4))]
 
 
 def test_stage2_cl_improves_balanced_accuracy_over_ce(gmm):

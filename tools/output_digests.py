@@ -7,7 +7,8 @@ Run from anywhere:
 It runs a small chain of ``python -m tailcal`` processes against the
 ``src/`` tree next to this script: gen-data (2- and 10-class), stage-1
 linear and MLP training, linear training with a cosine schedule, stage-2 CL
-and FT of the linear model, stage-2 CL of the MLP, full-batch linear training
+and FT of the linear model, stage-2 CL of the 10-class MLP and of a 2-class
+one (whose new head is a two-class linear model), full-batch linear training
 on the 10-class data and a stage-2 FT from it (the linear softmax step, which
 two-class linear models skip for their log-odds step), estimate-prior with all four
 estimators and with a counts-file target prior, adjust with all four methods,
@@ -145,6 +146,11 @@ CHAIN = [
      "--hidden", "8", "--lr", "0.5", "--iterations", "30", "--batch-size", "256"],
     ["train", "--data", "d10/train.csv", "--out", "m10cl", "--seed", SEED, "--stage", "2",
      "--mode", "CL", "--init", "m10/model.json", "--lr", "0.5", "--iterations", "30",
+     "--batch-size", "256"],
+    ["train", "--data", "d2/train.csv", "--out", "m2", "--seed", SEED, "--arch", "mlp",
+     "--hidden", "8", "--lr", "0.5", "--iterations", "30", "--batch-size", "256"],
+    ["train", "--data", "d2/train.csv", "--out", "m2cl", "--seed", SEED, "--stage", "2",
+     "--mode", "CL", "--init", "m2/model.json", "--lr", "0.5", "--iterations", "30",
      "--batch-size", "256"],
     ["train", "--data", "d10/train.csv", "--out", "l10", "--seed", SEED, "--lr", "0.5",
      "--iterations", "30"],
