@@ -393,8 +393,6 @@ def _default_means(classes: int, dims: int) -> np.ndarray:
         means = np.zeros((2, dims))
         means[0, 0], means[1, 0] = -1.0, 1.0
         return means
-    if dims < 2:
-        raise UsageError("default means for >2 classes need at least 2 dims")
     angles = 2.0 * np.pi * np.arange(classes) / classes
     means = np.zeros((classes, dims))
     means[:, 0] = 2.0 * np.cos(angles)
@@ -426,6 +424,8 @@ def cmd_gen_data(args, run: RunDir) -> dict:
                          names["shift_ratio"], opts.shift_ratio)
     opts = replace(opts, seed=_master_seed(opts.seed))
     classes, dims = opts.classes, opts.dims
+    _refuse(opts.means is None and classes > 2 and dims < 2,  # the default means span 2 dims
+            f"{names['dims']} must be >= 2 for the default means of {classes} classes, got {dims}")
     with _allocating(f"{names['classes' if classes >= dims else 'dims']}: a mixture of "
                      f"{classes} classes in {dims} dims", classes, dims):  # named by the larger size
         means = _default_means(classes, dims) if opts.means is None else opts.means
@@ -504,6 +504,10 @@ def cmd_train(args, run: RunDir) -> dict:
     loss = LossSpec("logit-adjusted", freq, alpha) if la else LossSpec()
     if stage == 2:
         init_model, _ = load_model(args.init)
+        fits = [f"{m.num_classes} classes over {m.dims} features" for m in (init_model, ds)]
+        if fits[0] != fits[1]:  # before any training step
+            raise DataError(f"--init {args.init} has {fits[0]}, "
+                            f"but --data {args.data} has {fits[1]}")
         result = stage2_retrain(init_model, ds, opts.mode, train_cfg, freq, alpha)
     elif opts.arch == "mlp":  # (rows x hidden) activations, (hidden x dims) weights
         with _allocating(f"{names['hidden']}: a hidden layer of {opts.hidden} units on {ds.n} "

@@ -8,7 +8,7 @@ from tailcal import cli, dataset
 from tailcal.dataset import sample_dataset
 from tailcal.model import LossSpec, TrainConfig, init_linear, train
 from tailcal.numerics import RngStream
-from tailcal.oracle import TOY_TRAIN_COUNTS, toy_mixture
+from tailcal.oracle import toy_mixture
 
 settings.register_profile(
     "suite",
@@ -29,7 +29,7 @@ def gmm():
 
 @pytest.fixture(scope="session")
 def toy_train(gmm):
-    return sample_dataset(gmm, TOY_TRAIN_COUNTS, RngStream(1234).child(0))
+    return sample_dataset(gmm, tuple(cli.ToyConfig().train_counts()), RngStream(1234).child(0))
 
 
 @pytest.fixture(scope="session")

@@ -92,6 +92,30 @@ def test_train_stage2_requires_init(small_run, capsys):
     assert "--init" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode, arch, classes, dims", [
+    ("FT", "linear", 2, 3), ("CL", "mlp", 2, 3), ("FT", "linear", 3, 2),
+], ids=["ft-linear-dims", "cl-mlp-dims", "ft-linear-classes"])
+def test_train_stage2_init_that_does_not_fit_the_data_exits_3_naming_both(
+    workdir, capsys, monkeypatch, mode, arch, classes, dims
+):
+    counts = ",".join(["20"] * classes)
+    assert run_cli("gen-data", "--out", "d", "--classes", classes, "--dims", dims, "--counts",
+                   counts, "--val-per-class", "2", "--test-per-class", "2", "--seed", "1") == 0
+    assert run_cli("gen-data", "--out", "d2", "--counts", "20,20", "--val-per-class", "2",
+                   "--test-per-class", "2", "--seed", "1") == 0
+    assert run_cli("train", "--data", "d2/train.csv", "--arch", arch, "--hidden", "3",
+                   "--iterations", "2", "--out", "m", "--seed", "1") == 0
+    capsys.readouterr()
+    steps = []
+    monkeypatch.setattr(cli, "stage2_retrain", lambda *args: steps.append(args))
+    code = run_cli("train", "--data", "d/train.csv", "--stage", "2", "--mode", mode,
+                   "--init", "m/model.json", "--out", "x")
+    assert (code, capsys.readouterr().err) == (3, (
+        "error: --init m/model.json has 2 classes over 2 features, but --data d/train.csv "
+        f"has {classes} classes over {dims} features\n"))
+    assert steps == [] and not (workdir / "x").exists()
+
+
 def test_train_is_deterministic(small_run):
     for out in ("repeat1", "repeat2"):
         assert run_cli(
@@ -1152,6 +1176,39 @@ def test_any_malformed_config_value_exits_2_naming_the_key(tiny, command, data):
     assert not (run / "x").exists()
 
 
+@pytest.mark.parametrize("command", sorted(CONFIG_CASES))
+def test_a_config_file_that_is_not_json_exits_2_naming_it(tiny, capsys, command):
+    files, outs = tiny
+    run = next(outs)
+    run.mkdir(parents=True)
+    (run / "cfg.json").write_text("classes = 3\n")
+    rest = [a.format(**files) for a in CONFIG_CASES[command][1]]
+    assert main([command, "--config", str(run / "cfg.json"), *rest, "--out", str(run / "x")]) == 2
+    assert capsys.readouterr().err == (f"error: cannot read config {run / 'cfg.json'}: "
+                                       "Expecting value: line 1 column 1 (char 0)\n")
+    assert not (run / "x").exists()
+
+
+@pytest.mark.parametrize("classes, dims", [(3, 2), (10, 32)])
+def test_default_means_of_more_than_two_classes_lie_on_a_circle_of_radius_2(classes, dims):
+    means = cli._default_means(classes, dims)
+    assert means.shape == (classes, dims)
+    np.testing.assert_allclose(np.hypot(means[:, 0], means[:, 1]), 2.0, rtol=1e-15)
+    assert not means[:, 2:].any()
+    assert len({tuple(np.round(m, 12)) for m in means}) == classes
+
+
+def test_a_run_without_out_writes_runs_stamp_digest(workdir):
+    argv = ["gen-data", "--counts", "30,10", "--val-per-class", "2", "--test-per-class", "2",
+            "--seed", "1"]
+    assert main(argv) == 0
+    (run,) = (workdir / "runs").iterdir()
+    stamp, digest = run.name.rsplit("-", 1)
+    assert digest == hashlib.sha256(json.dumps(argv).encode()).hexdigest()[:8]
+    time.strptime(stamp, "%Y%m%d-%H%M%S")
+    assert load_manifest(run / "manifest.json")["argv"] == argv
+
+
 def test_a_default_beside_a_config_file_is_named_by_its_flag(workdir):
     (workdir / "cfg.json").write_text(json.dumps({"classes": 3}))
     args = cli.build_parser().parse_args(["gen-data", "--config", "cfg.json", "--max-count", "50"])
@@ -1280,6 +1337,11 @@ def test_gen_data_memory_error_at_sampling_exits_2_naming_the_flag(workdir, caps
      "--samples 50 at --imbalance 100.0 leaves the tail class no sample"),
     (["gen-data", "--shift-direction", "uniform", "--shift-ratio", "2"], None,
      "--shift-ratio must be 1 with --shift-direction uniform, got 2.0"),
+    (["gen-data", "--classes", "3", "--dims", "1"], None,
+     "--dims must be >= 2 for the default means of 3 classes, got 1"),
+    (["gen-data", "--config", "cfg.json"], {"classes": 3, "dims": 1},
+     "config cfg.json: key 'dims' must be >= 2 for the default means of 3 classes, got 1"),
+    (["gen-data", "--config", "cfg.json"], [1, 2], "config cfg.json must hold a JSON object"),
     # files that do not exist: the check runs before any input is hashed or read
     (["shift-eval", "--model", "absent.json", "--train-data", "absent.csv", "--directions",
       "forward,uniform"], None,
@@ -1296,6 +1358,7 @@ def test_gen_data_memory_error_at_sampling_exits_2_naming_the_flag(workdir, caps
         "train-hidden-0-linear", "train-config-iterations-minus-1", "toy-trials-0",
         "toy-samples-1", "toy-test-samples-1", "toy-alpha-minus-1", "toy-iterations-minus-1",
         "toy-batch-size-0", "toy-tail-class-empty", "gen-uniform-shift-ratio-2",
+        "gen-dims-1-default-means", "gen-config-dims-1-default-means", "gen-config-list",
         "shift-uniform-default-ratios"])
 def test_option_value_a_check_rejects_exits_2_naming_it(workdir, tiny, capsys, argv, body, message):
     files, _ = tiny
@@ -1439,9 +1502,12 @@ def test_shift_eval_test_samples_must_be_a_positive_int64(tiny, capsys, value):
      "argument --grid: expected comma-separated numbers >= 0, got '-1,0'"),
     (["ingest-logits", "--logits", "{dump2}", "--grid=-1"],
      "argument --grid: expected comma-separated numbers >= 0, got '-1'"),
+    (["eval", "--logits", "{dump2}", "--target-prior", "[0.5, -1]"],
+     "argument --target-prior: not a probability list: '[0.5, -1]': "
+     "negative probability entry: min=-1.0"),
 ], ids=["toy-workers-abc", "ingest-split-1.5", "ingest-split-nan", "shift-ratio-half",
         "shift-direction-sideways", "adjust-alpha-minus-1", "shift-alpha-minus-1",
-        "sweep-alpha-grid-minus-1", "ingest-grid-minus-1"])
+        "sweep-alpha-grid-minus-1", "ingest-grid-minus-1", "eval-target-prior-negative"])
 def test_flag_value_its_type_rejects_exits_2_before_any_work(
     tiny, capsys, forks, monkeypatch, argv, message
 ):
@@ -1626,9 +1692,10 @@ def _no_fork():
     raise OSError(errno.ENOMEM, "Cannot allocate memory")
 
 
-def test_importing_the_cli_loads_no_process_pool():
-    pools = "{'multiprocessing', 'concurrent.futures', 'logging', 'queue'}"
-    code = f"import sys, tailcal.cli; print(sorted({pools} & set(sys.modules)))"
+def test_importing_the_cli_loads_none_of_the_lazily_imported_modules():
+    # process pools, and the quadrature that only the oracle's callers need
+    lazy = "{'multiprocessing', 'concurrent.futures', 'logging', 'queue', 'numpy.polynomial'}"
+    code = f"import sys, tailcal.cli; print(sorted({lazy} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)

@@ -5,8 +5,8 @@ import pytest
 
 from tailcal.dataset import GaussianMixtureSpec
 from tailcal.errors import DataError, UsageError
-from tailcal.model import LinearSoftmaxModel, init_linear, init_mlp
-from tailcal.numerics import RngStream, prob_vector
+from tailcal.model import LinearSoftmaxModel, init_linear, init_mlp, predict_logits
+from tailcal.numerics import RngStream, prob_vector, softmax_rows
 from tailcal.oracle import (
     bayes_classify,
     bayes_posterior_rows,
@@ -86,34 +86,42 @@ def test_posterior_prior_consistency(gmm):
 
 
 def test_oracle_effective_prior_zero_model_is_uniform(gmm):
-    est = oracle_effective_prior(init_linear(2, 2), gmm, [0.9, 0.1], 2000, RngStream(3))
-    np.testing.assert_allclose(est, [0.5, 0.5], atol=1e-12)
+    est = oracle_effective_prior(init_linear(2, 2), gmm, [0.9, 0.1])
+    np.testing.assert_array_equal(est, [0.5, 0.5])
 
 
-def test_oracle_effective_prior_stream_agreement(gmm):
-    model = bayes_equivalent_model(gmm, [0.9, 0.1])
-    n = 40000
-    a = oracle_effective_prior(model, gmm, [0.5, 0.5], n, RngStream(101, 1))
-    b = oracle_effective_prior(model, gmm, [0.5, 0.5], n, RngStream(101, 2))
-    assert np.abs(a - b).sum() < 3 / math.sqrt(n)
+@pytest.mark.parametrize("sigmas", [(1.0, 1.0), (1.0, 2.0)])
+def test_oracle_effective_prior_matches_a_million_draws(gmm, toy_ce_model, sigmas):
+    mixture = GaussianMixtureSpec(gmm.means, np.array(sigmas))
+    n = 1_000_000
+    features, _ = sample_mixture(mixture, [0.5, 0.5], n, RngStream(7001, 3))
+    sampled = softmax_rows(predict_logits(toy_ce_model, features)).mean(axis=0)
+    exact = oracle_effective_prior(toy_ce_model, mixture, [0.5, 0.5])
+    assert np.abs(exact - sampled).sum() < 3 / math.sqrt(n)
 
 
-def test_oracle_effective_prior_needs_draws(gmm):
-    with pytest.raises(DataError, match="need >= 1000 draws"):
-        oracle_effective_prior(init_linear(2, 2), gmm, [0.5, 0.5], 10, RngStream(1))
+def test_oracle_effective_prior_rejects_unsupported_models(gmm):
+    mlp = init_mlp(2, 2, hidden=3, activation="relu", rng=RngStream(1))
+    with pytest.raises(UsageError, match="effective prior requires a linear model"):
+        oracle_effective_prior(mlp, gmm, [0.5, 0.5])
+    three = GaussianMixtureSpec(np.zeros((3, 2)) + np.eye(3, 2), np.ones(3))
+    with pytest.raises(UsageError, match="effective prior requires exactly 2 classes"):
+        oracle_effective_prior(init_linear(3, 2), three, [1 / 3] * 3)
+    with pytest.raises(DataError, match="model has 3 features, mixture has 2 dims"):
+        oracle_effective_prior(init_linear(2, 3), gmm, [0.5, 0.5])
+    with pytest.raises(DataError, match="prior length must match the number of classes"):
+        oracle_effective_prior(init_linear(2, 2), gmm, [0.5, 0.3, 0.2])
 
 
 def test_oracle_vs_train_side_estimator(gmm, toy_ce_model, toy_train):
-    from tailcal.numerics import softmax_rows
-    from tailcal.model import predict_logits
     from tailcal.prior import effective_prior_train
 
     train_prior = np.array([0.9901, 0.0099])
-    mc = oracle_effective_prior(toy_ce_model, gmm, train_prior, 100000, RngStream(7000, 9))
+    exact = oracle_effective_prior(toy_ce_model, gmm, train_prior)
     sample_est = effective_prior_train(
         softmax_rows(predict_logits(toy_ce_model, toy_train.features))
     )
-    assert np.abs(mc - sample_est.probs).sum() < 0.03
+    assert np.abs(exact - sample_est.probs).sum() < 0.03
 
 
 def test_boundary_offset_zero_for_bayes_model(gmm):
@@ -141,19 +149,20 @@ def test_boundary_offset_unequal_sigmas_crossing():
         np.array([[-1.0, 0.0], [1.0, 0.0]]), np.array([1.0, 2.0])
     )
     prior = np.array([0.6, 0.4])
-    # model whose boundary sits exactly at the Bayes crossing on the axis
-    from tailcal.oracle import _axis_crossing_bayes
-
-    t_star = _axis_crossing_bayes(gmm, prior)
-    x_star = np.array([-1.0 + t_star, 0.0])
-    post = bayes_posterior_rows(gmm, prior, [x_star])[0]
+    # On the axis at x0 = t - 1 the log odds log p0 N0 - log p1 N1 are
+    # a t^2 + b t + c with these coefficients (2 dims, means 2 apart); the
+    # Bayes crossing is the root nearest the midpoint t = 1.
+    a = 0.5 * (1 / 4 - 1)
+    b = -2 / 4
+    c = math.log(0.6 / 0.4) + 2 * math.log(2) + 0.5 * 4 / 4
+    roots = np.roots([a, b, c])
+    t_star = float(roots[np.argmin(np.abs(roots - 1.0))])
+    post = bayes_posterior_rows(gmm, prior, [[-1.0 + t_star, 0.0]])[0]
     assert post[0] == pytest.approx(post[1], abs=1e-10)
-    model = LinearSoftmaxModel(
-        np.array([[-1.0, 0.0], [1.0, 0.0]]),
-        np.array([float(-1.0 + t_star), -float(-1.0 + t_star)]),
-    )
-    # model log-odds vanish at x0 = t_star - 1 by construction
-    assert boundary_offset(model, gmm, prior) == pytest.approx(0.0, abs=1e-10)
+    # the Bayes boundary is curved, so no offset of a linear one is defined
+    model = LinearSoftmaxModel(np.array([[-1.0, 0.0], [1.0, 0.0]]), np.zeros(2))
+    with pytest.raises(UsageError, match="boundary offset requires equal class sigmas"):
+        boundary_offset(model, gmm, prior)
 
 
 def test_boundary_offset_rejects_unsupported_models(gmm):

@@ -13,8 +13,8 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "tailcal"
 
-# The Monte-Carlo reference for a model's effective prior: no command needs
-# it, but the unit tests check the estimators in prior.py against it.
+# The exact effective prior of a two-class linear model: no command calls it
+# yet, but the unit tests check the estimators in prior.py against it.
 ALLOWED = {("oracle", "oracle_effective_prior")}
 
 
