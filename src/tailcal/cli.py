@@ -15,15 +15,17 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import operator
 import os
 import sys
 import time
 import warnings
 from contextlib import ExitStack, nullcontext
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
-from typing import get_origin
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -67,6 +69,7 @@ from .model import (
 )
 from .numerics import RngStream, prob_vector, softmax_rows
 from .oracle import bayes_classify, boundary_offset, toy_mixture
+from .prior import DEFAULT_ALPHA_GRID  # a table row named prior hides the module
 
 DEFAULT_SEED = 20260808
 SEED_ENV_VAR = "TAILCAL_SEED"
@@ -84,17 +87,16 @@ def _notice(msg: str) -> None:
     print(f"notice: {msg}", file=sys.stderr)
 
 
-def _master_seed(value) -> int:
-    """The --seed value, else $TAILCAL_SEED, else the default; a usage error
-    naming the flag or the variable unless it is an int64 integer."""
-    name, text = ("--seed", value) if value is not None else (
-        SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, DEFAULT_SEED))
+def _master_seed() -> int:
+    """$TAILCAL_SEED, else the default; a usage error naming the variable
+    unless it is an int64 integer."""
+    text = os.environ.get(SEED_ENV_VAR, DEFAULT_SEED)
     try:
         if INT64.min <= (seed := int(text)) <= INT64.max:
             return seed
     except ValueError:
         pass
-    raise UsageError(f"{name} must fit in a signed 64-bit integer, got {text!r}")
+    raise UsageError(f"{SEED_ENV_VAR} must fit in a signed 64-bit integer, got {text!r}")
 
 
 # Flags that may name a file the command reads. main() hashes each string value
@@ -146,27 +148,48 @@ def load_manifest(path) -> dict:
     return json.loads(Path(path).read_text())
 
 
-def _option(default, kind, flag: str | None = "", choices=None, help=None, least=None):
-    """A row of a command's option table, which is also its --config key: a
-    dataclass field with its default, its ``kind`` (int, float, str,
-    list[float] or list[int]), its flag ("" for the kebab-cased field name,
-    None where the table adds none, as for the shared --seed), its
-    ``choices``, its help and the ``least`` number it may hold."""
-    return field(default=default, metadata=dict(kind=kind, flag=flag, choices=choices, help=help,
-                                                least=least))
+def _option(default, kind, flag: str | None = "", choices=None, help=None, least=None,
+            above=None, below=None, needs=None, required=False, key=True):
+    """A row of a command's option table, also its --config key unless ``key``
+    is False: a dataclass field with its default, its ``kind`` (int, float,
+    str, a list of one, or a parser of a flag's text), its flag ("" for the
+    kebab-cased name, None where the table adds none, as for the shared
+    --seed), the ``choices`` of each entry, its help, whether it is
+    ``required``, its bounds (>= ``least``, > ``above``, < ``below``) and what
+    it ``needs``: a row any value needs, or a dict from a value to its row."""
+    meta = dict(kind=kind, flag=flag, choices=choices, help=help, least=least, above=above,
+                below=below, needs=needs, required=required, key=key)
+    return field(default_factory=lambda: default, metadata=meta)  # also takes a list default
+
+
+_table = dataclass(frozen=True, eq=False, repr=False)  # no __eq__, __repr__ to make at start
 
 
 def _flag(option) -> str:
     return option.metadata["flag"] or "--" + option.name.replace("_", "-")
 
 
+def _list_of(convert):
+    """Comma-separated values, each passed through ``convert``; blanks skipped."""
+
+    def parse(text: str) -> list:
+        return [convert(v.strip()) for v in text.split(",") if v.strip()]
+
+    parse.__name__ = f"comma-separated {convert.__name__}"  # "invalid <name> value: ..."
+    return parse
+
+
+LIST_PARSERS = {kind: _list_of(get_args(kind)[0]) for kind in (list[int], list[float], list[str])}
+
+
 def _add_options(parser, table) -> None:
     for option in table:  # dataclass fields made by _option
         meta = option.metadata
         if meta["flag"] is not None:
-            parser.add_argument(
-                _flag(option), dest=option.name, choices=meta["choices"], help=meta["help"],
-                type=_list_of(int, "integers") if meta["kind"] == list[int] else meta["kind"],
+            parser.add_argument(  # argparse would test a whole list against the choices
+                _flag(option), dest=option.name, help=meta["help"], required=meta["required"],
+                choices=None if meta["kind"] in LIST_PARSERS else meta["choices"],
+                type=LIST_PARSERS.get(meta["kind"], meta["kind"]),
             )
 
 
@@ -175,40 +198,48 @@ def _leaves(value) -> list:
 
 
 def _check(name: str, value, meta) -> None:
-    """A usage error naming ``name`` unless ``value`` is of its option's kind
-    and among its choices, with every integer in it fitting int64, every
-    float finite and every number at least its ``least``. An int may stand
-    for a float but a bool for no number; a list must be one numpy reads as
-    a rectangular array of numbers, and a list[int] must hold integers."""
+    """A usage error naming ``name`` unless ``value`` is of its option's kind,
+    holds an entry if it is a list, and is among its choices, with every
+    integer in it fitting int64, every float finite and every number within
+    its bounds. An int may stand for a float but a bool for no number, and a
+    list must be one numpy reads as a rectangular array. A parser's value,
+    which argparse made, is taken as it is."""
     kind, choices, leaves = meta["kind"], meta["choices"], _leaves(value)
     listed = get_origin(kind) is list
-    numbers = (int, float, bool) if listed else (int, float) if kind is float else (kind,)
-    fits = isinstance(value, list) == listed and all(type(v) in numbers for v in leaves)
+    if not (listed or isinstance(kind, type)):
+        return
+    entry = get_args(kind)[0] if listed else kind
+    allowed = (int, float) if entry is float else (entry,)
+    fits = isinstance(value, list) == listed and all(type(v) in allowed for v in leaves)
     try:
         np.shape(value)  # ragged nesting raises
     except ValueError:
         fits = False
     if not fits:
-        raise UsageError(f"{name} must be {kind.__name__}, got {value!r}")
-    if kind == list[int] and not all(type(v) is int for v in value):
-        raise UsageError(f"{name} must hold integers, got {value!r}")
-    if choices is not None and value not in choices:
+        raise UsageError(f"{name} must be {kind if listed else kind.__name__}, got {value!r}")
+    if listed and not leaves:
+        raise UsageError(f"{name} must not be empty, got {value!r}")
+    if choices is not None and not all(v in choices for v in leaves):
         raise UsageError(f"{name} must be one of {', '.join(map(str, choices))}, got {value!r}")
     if not all(INT64.min <= v <= INT64.max for v in leaves if type(v) is int):
         raise UsageError(f"{name} must fit in a signed 64-bit integer, got {value!r}")
     if not all(np.isfinite(v) for v in leaves if type(v) is float):
         raise UsageError(f"{name} must be finite, got {value!r}")
-    if meta["least"] is not None and not all(v >= meta["least"] for v in leaves):
-        raise UsageError(f"{name} must be >= {meta['least']}, got {value!r}")
+    for word, holds, key in ((">=", operator.ge, "least"), (">", operator.gt, "above"),
+                             ("<", operator.lt, "below")):
+        limit = meta[key]
+        if limit is not None and not all(holds(v, limit) for v in leaves):
+            raise UsageError(f"{name} must be {word} {limit}, got {value!r}")
 
 
 def _resolve(args, options):
     """The ``options`` dataclass resolved from ``args``, and per key the name
     of what set it: flags beat the --config file, which beats the defaults.
     A value from the file is named ``config <file>: key '<k>'``, any other by
-    its flag. Every value given, as a flag or in the file, passes _check."""
+    its flag, and a seed not given is _master_seed's. Every value given, as a
+    flag or in the file, passes _check; then a value that needs a row left
+    unset is a usage error naming both."""
     table = fields(options)
-    values = {option.name: option.default for option in table}
     names = {option.name: _flag(option) for option in table}
     given = []
     path = getattr(args, "config", None)
@@ -220,12 +251,21 @@ def _resolve(args, options):
         if not isinstance(config, dict):
             raise UsageError(f"config {path} must hold a JSON object")
         given = [(o, config[o.name], f"config {path}: key {o.name!r}")
-                 for o in table if o.name in config]
+                 for o in table if o.metadata["key"] and o.name in config]
     given += [(o, v, _flag(o)) for o in table if (v := getattr(args, o.name, None)) is not None]
+    values = {}
     for option, value, name in given:
         _check(name, value, option.metadata)
         values[option.name], names[option.name] = value, name
-    return options(**values), names
+    if "seed" in names and "seed" not in values:  # a seed not given comes from the environment
+        values["seed"] = _master_seed()
+    opts = options(**values)
+    for option in table:
+        value, needs = getattr(opts, option.name), option.metadata["needs"]
+        need = needs.get(value) if isinstance(needs, dict) else value is not None and needs
+        if need and getattr(opts, need) is None:
+            raise UsageError(f"{names[option.name]} {value} needs --{need.replace('_', '-')}")
+    return opts, names
 
 
 def _refuse(refused: bool, message: str) -> None:
@@ -242,49 +282,7 @@ def _check_uniform_ratio(direction_name: str, directions, ratio_name: str, ratio
 
 
 # ---------------------------------------------------------------------------
-# flag value types: a malformed value is an argparse usage error (exit 2)
-
-
-def _list_of(convert, what: str, holds=lambda value: True):
-    """Comma-separated values, each passed through ``convert`` and each one
-    ``holds`` is true of; blanks skipped."""
-
-    def parse(text: str) -> list:
-        try:
-            values = [convert(v.strip()) for v in text.split(",") if v.strip()]
-            if all(map(holds, values)):
-                return values
-        except (ValueError, argparse.ArgumentTypeError):
-            pass
-        raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
-
-    return parse
-
-
-def _value(convert, what: str, holds):
-    """``convert(text)`` if ``holds`` is true of it, else "expected <what>"."""
-
-    def parse(text: str):
-        try:
-            if holds(value := convert(text)):
-                return value
-        except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
-
-    return parse
-
-
-_finite_float = _value(float, "a finite number", np.isfinite)
-_alpha = _value(_finite_float, "a number >= 0", lambda v: v >= 0)
-_fraction = _value(float, "a number in (0, 1)", lambda v: 0.0 < v < 1.0)
-
-
-def _positive_int(text: str) -> int:
-    value = _value(int, "an integer >= 1", lambda v: v >= 1)(text)
-    if value > INT64.max:
-        raise argparse.ArgumentTypeError(f"expected a signed 64-bit integer, got {text!r}")
-    return value
+# flag value formats: text that does not parse is an argparse usage error (exit 2)
 
 
 def _group_thresholds(text: str) -> evaluation.GroupThresholds:
@@ -400,7 +398,7 @@ def _default_means(classes: int, dims: int) -> np.ndarray:
     return means
 
 
-@dataclass(frozen=True)
+@_table
 class GenOptions:
     classes: int = _option(2, int, least=2)
     dims: int = _option(2, int, least=1)
@@ -418,14 +416,15 @@ class GenOptions:
     seed: int | None = _option(None, int, flag=None)
 
 
-def cmd_gen_data(args, run: RunDir) -> dict:
-    opts, names = _resolve(args, GenOptions)
+def cmd_gen_data(opts: GenOptions, names: dict, run: RunDir) -> dict:
     _check_uniform_ratio(names["shift_direction"], opts.shift_direction,
                          names["shift_ratio"], opts.shift_ratio)
-    opts = replace(opts, seed=_master_seed(opts.seed))
     classes, dims = opts.classes, opts.dims
     _refuse(opts.means is None and classes > 2 and dims < 2,  # the default means span 2 dims
             f"{names['dims']} must be >= 2 for the default means of {classes} classes, got {dims}")
+    _refuse(opts.counts is not None and len(opts.counts) != classes,
+            f"{names['counts']} lists {len(opts.counts or ())} counts, "
+            f"but {names['classes']} is {classes}")
     with _allocating(f"{names['classes' if classes >= dims else 'dims']}: a mixture of "
                      f"{classes} classes in {dims} dims", classes, dims):  # named by the larger size
         means = _default_means(classes, dims) if opts.means is None else opts.means
@@ -467,13 +466,15 @@ def cmd_gen_data(args, run: RunDir) -> dict:
 # train
 
 
-@dataclass(frozen=True)
+@_table
 class TrainOptions:
-    stage: int = _option(1, int, choices=(1, 2))
+    data: str = _option(None, str, required=True, key=False)
+    stage: int = _option(1, int, choices=(1, 2), needs={2: "init"})
     mode: str = _option("FT", str, choices=STAGE_TWO_MODES)
+    init: str | None = _option(None, str, help="stage-1 model file for stage-2 runs", key=False)
     loss: str = _option("ce", str, choices=("ce", "la"))
     alpha: float = _option(1.0, float, least=0)
-    lr: float = _option(TOY_LEARNING_RATE, float)
+    lr: float = _option(TOY_LEARNING_RATE, float, above=0)
     iterations: int = _option(TOY_ITERATIONS, int, least=0)
     batch_size: int | None = _option(None, int, least=1)  # full batch
     schedule: str = _option(TOY_SCHEDULE, str, choices=SCHEDULES)
@@ -483,13 +484,11 @@ class TrainOptions:
     seed: int | None = _option(None, int, flag=None)
 
 
-def cmd_train(args, run: RunDir) -> dict:
-    opts, names = _resolve(args, TrainOptions)
-    opts = replace(opts, seed=_master_seed(opts.seed))
-    # --stage may come from --config, so this check waits for _resolve
-    _refuse(opts.stage == 2 and args.init is None,
-             "stage-2 training needs --init with the stage-1 model")
-    ds = load_dataset(args.data)
+def cmd_train(opts: TrainOptions, names: dict, run: RunDir) -> dict:
+    ds = load_dataset(opts.data)
+    _refuse(opts.batch_size is not None and opts.batch_size > ds.n,
+            f"{names['batch_size']} {opts.batch_size} exceeds the {ds.n} rows of --data "
+            f"{opts.data}")
     seed = RngStream(opts.seed)
     train_cfg = TrainConfig(
         learning_rate=float(opts.lr),
@@ -503,11 +502,11 @@ def cmd_train(args, run: RunDir) -> dict:
     la = stage == 2 or opts.loss == "la"  # stage 2 always trains logit-adjusted
     loss = LossSpec("logit-adjusted", freq, alpha) if la else LossSpec()
     if stage == 2:
-        init_model, _ = load_model(args.init)
+        init_model, _ = load_model(opts.init)
         fits = [f"{m.num_classes} classes over {m.dims} features" for m in (init_model, ds)]
         if fits[0] != fits[1]:  # before any training step
-            raise DataError(f"--init {args.init} has {fits[0]}, "
-                            f"but --data {args.data} has {fits[1]}")
+            raise DataError(f"--init {opts.init} has {fits[0]}, "
+                            f"but --data {opts.data} has {fits[1]}")
         result = stage2_retrain(init_model, ds, opts.mode, train_cfg, freq, alpha)
     elif opts.arch == "mlp":  # (rows x hidden) activations, (hidden x dims) weights
         with _allocating(f"{names['hidden']}: a hidden layer of {opts.hidden} units on {ds.n} "
@@ -525,34 +524,43 @@ def cmd_train(args, run: RunDir) -> dict:
     print(f"trained stage-{stage} model -> {model_path}")
     if result.loss_trace:
         print(f"final epoch mean loss: {result.loss_trace[-1]:.6f}")
-    return {**asdict(opts), "data": args.data}
+    return {key: value for key, value in asdict(opts).items() if key != "init"}
 
 
 # ---------------------------------------------------------------------------
 # estimate-prior
 
 
-def cmd_estimate_prior(args, run: RunDir) -> dict:
-    model, provenance = load_model(args.model)
-    ds = load_dataset(args.data, num_classes=model.num_classes)
-    target = _resolve_target(args.target_prior, model.num_classes)
-    if args.target_prior is None and args.estimator in ("train-reweighted", "averaged"):
+@_table
+class EstimateOptions:
+    target_prior: str | np.ndarray | None = _option(None, _target_prior)
+    model: str = _option(None, str, required=True)
+    data: str = _option(None, str, required=True)
+    estimator: str = _option(None, str, choices=("train", "val", "train-reweighted", "averaged"),
+                             required=True, needs={"averaged": "train_data"})
+    train_data: str | None = _option(None, str)
+
+
+def cmd_estimate_prior(opts: EstimateOptions, names: dict, run: RunDir) -> dict:
+    model, provenance = load_model(opts.model)
+    ds = load_dataset(opts.data, num_classes=model.num_classes)
+    target = _resolve_target(opts.target_prior, model.num_classes)
+    if opts.target_prior is None and opts.estimator in ("train-reweighted", "averaged"):
         _notice("no --target-prior given; defaulting to uniform")
 
-    estimator = args.estimator
     freq = empirical_prior(ds.counts)
-    if estimator == "train":
+    if opts.estimator == "train":
         estimate = prior.effective_prior_train(
             _train_side_posteriors(model, provenance, ds.features)
         )
-    elif estimator == "val":
+    elif opts.estimator == "val":
         estimate = prior.pmbar_from_val(_raw_posteriors(model, ds.features))
-    elif estimator == "train-reweighted":
+    elif opts.estimator == "train-reweighted":
         estimate = prior.pmbar_from_train(
             _train_side_posteriors(model, provenance, ds.features), target, freq
         )
     else:  # averaged
-        ds_train = load_dataset(args.train_data, num_classes=model.num_classes)
+        ds_train = load_dataset(opts.train_data, num_classes=model.num_classes)
         freq = empirical_prior(ds_train.counts)
         est_val = prior.pmbar_from_val(_raw_posteriors(model, ds.features))
         est_train = prior.pmbar_from_train(
@@ -565,73 +573,85 @@ def cmd_estimate_prior(args, run: RunDir) -> dict:
     for i, (f, e) in enumerate(zip(freq, estimate.probs)):
         print(f"{i:>6} {f:>12.6f} {e:>12.6f}")
     print(f"estimator: {estimate.estimator}  samples: {estimate.samples}")
-    return {"estimator": estimator, "target_prior": [float(v) for v in target]}
+    return {"estimator": opts.estimator, "target_prior": [float(v) for v in target]}
 
 
 # ---------------------------------------------------------------------------
 # adjust
 
 
-def _check_scores(args) -> None:
+@_table
+class ScoresOptions:  # the rows with which adjust, eval and sweep-alpha name their scores
+    target_prior: str | np.ndarray | None = _option(None, _target_prior)
+    logits: str | None = _option(None, str)
+    model: str | None = _option(None, str)
+    data: str | None = _option(None, str)
+
+
+def _check_scores(command: str, opts: ScoresOptions) -> None:
     """The flags from which adjust, eval and sweep-alpha read scores."""
-    _refuse(not (args.logits or args.model and args.data),
-             f"{args.command} needs --logits, or --model with --data")
+    _refuse(not (opts.logits or opts.model and opts.data),
+            f"{command} needs --logits, or --model with --data")
 
 
-def _check_adjust(args) -> None:
-    """adjust's scores flags, the flags its --method needs, and no alpha
-    given twice."""
-    _check_scores(args)
-    if args.method == "none":
-        return
-    _refuse(args.alpha is not None and args.alpha_from_sweep is not None,
-             "give either --alpha or --alpha-from-sweep, not both")
-    if args.method == "class-frequency":
-        _refuse(args.counts is None, "--method class-frequency needs --counts")
-    else:
-        _refuse(args.prior is None, f"--method {args.method} needs --prior")
+@_table
+class AdjustOptions(ScoresOptions):
+    method: str = _option(None, str, choices=adjust.METHODS, required=True, needs={
+        "class-frequency": "counts", "p2p-ce": "prior", "p2p-la": "prior"})
+    prior: str | None = _option(None, str, help="effective-prior JSON for p2p methods")
+    counts: str | None = _option(None, str, help="counts JSON for class-frequency")
+    alpha: float | None = _option(None, float, least=0)
+    alpha_from_sweep: str | None = _option(None, str,
+                                           help="chosen_alpha.json from a sweep-alpha run")
 
 
-def _resolve_alpha(args) -> float | None:
+def _check_adjust(opts: AdjustOptions) -> None:
+    """adjust's scores flags, and no alpha given twice unless --method is none."""
+    _check_scores("adjust", opts)
+    _refuse(opts.method != "none" and opts.alpha is not None and opts.alpha_from_sweep is not None,
+            "give either --alpha or --alpha-from-sweep, not both")
+
+
+def _resolve_alpha(opts: AdjustOptions) -> float | None:
     """The --alpha value, or the alpha of the --alpha-from-sweep file, a finite
     JSON number >= 0. None means the prior's own."""
-    if args.alpha_from_sweep is not None:
+    if opts.alpha_from_sweep is not None:
         try:
-            payload = json.loads(Path(args.alpha_from_sweep).read_text())
+            payload = json.loads(Path(opts.alpha_from_sweep).read_text())
             return prior._json_alpha(payload["alpha"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(
-                f"{args.alpha_from_sweep}: not a sweep result: {exc}"
+                f"{opts.alpha_from_sweep}: not a sweep result: {exc}"
             ) from exc
-    return args.alpha
+    return opts.alpha
 
 
-def _adjustment_from_args(args, num_classes: int) -> adjust.AdjustmentSpec:
-    target = _resolve_target(args.target_prior, num_classes)
-    if args.target_prior is None and args.method != "none":
+def _adjustment(opts: AdjustOptions, num_classes: int) -> adjust.AdjustmentSpec:
+    target = _resolve_target(opts.target_prior, num_classes)
+    if opts.target_prior is None and opts.method != "none":
         _notice("no --target-prior given; defaulting to uniform")
-    if args.method == "none":
+    if opts.method == "none":
         return adjust.no_adjustment()
-    alpha = _resolve_alpha(args)
-    if args.method == "class-frequency":
-        freq = empirical_prior(load_counts(args.counts))
+    alpha = _resolve_alpha(opts)
+    if opts.method == "class-frequency":
+        freq = empirical_prior(load_counts(opts.counts))
         return adjust.class_frequency_spec(freq, target, 1.0 if alpha is None else alpha)
-    estimate = prior.load_prior(args.prior)
-    return adjust.spec_from_estimate(args.method, estimate, target, alpha)
+    estimate = prior.load_prior(opts.prior)
+    return adjust.spec_from_estimate(opts.method, estimate, target, alpha)
 
 
-def _load_scores(args) -> tuple[list[str], np.ndarray, np.ndarray]:
+def _load_scores(opts: ScoresOptions) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Row ids, logits and labels from --logits, or from --model run on --data."""
-    if args.logits:
-        return load_logit_dump(args.logits)
-    model, _ = load_model(args.model)
-    ds = load_dataset(args.data, num_classes=model.num_classes)
+    if opts.logits:
+        return load_logit_dump(opts.logits)
+    model, _ = load_model(opts.model)
+    ds = load_dataset(opts.data, num_classes=model.num_classes)
     return [str(i) for i in range(ds.n)], predict_logits(model, ds.features), ds.labels
 
 
-def cmd_adjust(args, run: RunDir) -> dict:
-    ids, logits, labels = _load_scores(args)
-    spec = _adjustment_from_args(args, logits.shape[1])
+def cmd_adjust(opts: AdjustOptions, names: dict, run: RunDir) -> dict:
+    ids, logits, labels = _load_scores(opts)
+    spec = _adjustment(opts, logits.shape[1])
     adjusted = adjust.adjust_logits(logits, spec)
 
     save_logit_dump(ids, adjusted, labels, run.output("adjusted_logits.csv"))
@@ -640,27 +660,34 @@ def cmd_adjust(args, run: RunDir) -> dict:
     acc_after = evaluation.top1_accuracy(np.argmax(adjusted, axis=1), labels)
     print(f"top-1 before adjustment: {acc_before:.4f}")
     print(f"top-1 after adjustment:  {acc_after:.4f}")
-    return {"method": args.method, "spec": spec.to_json()}
+    return {"method": opts.method, "spec": spec.to_json()}
 
 
 # ---------------------------------------------------------------------------
 # eval
 
 
-def cmd_eval(args, run: RunDir) -> dict:
-    _, logits, labels = _load_scores(args)
+@_table
+class EvalOptions(ScoresOptions):
+    train_counts: str | None = _option(None, str)
+    groups: evaluation.GroupThresholds | None = _option(None, _group_thresholds,
+                                                        help="many_min,few_max thresholds")
+
+
+def cmd_eval(opts: EvalOptions, names: dict, run: RunDir) -> dict:
+    _, logits, labels = _load_scores(opts)
     provenance = (
-        {"logits": args.logits} if args.logits else {"model": args.model, "data": args.data}
+        {"logits": opts.logits} if opts.logits else {"model": opts.model, "data": opts.data}
     )
-    target = _resolve_target(args.target_prior, logits.shape[1])
-    train_counts = load_counts(args.train_counts) if args.train_counts else None
+    target = _resolve_target(opts.target_prior, logits.shape[1])
+    train_counts = load_counts(opts.train_counts) if opts.train_counts else None
     report = evaluation.build_report(
         np.argmax(logits, axis=1),
         labels,
         softmax_rows(logits),
         target,
         train_counts=train_counts,
-        thresholds=args.groups,
+        thresholds=opts.groups,
         provenance=provenance,
     )
     for fmt, name in (("json", "report.json"), ("csv", "report.csv"), ("table-text", "report.txt")):
@@ -680,7 +707,7 @@ class ToyConfig:
     imbalance: float = _option(100.0, float, least=1)
     test_samples: int = _option(10000, int, least=2)
     alpha: float = _option(1.0, float, least=0)
-    learning_rate: float = _option(TOY_LEARNING_RATE, float, flag="--lr")
+    learning_rate: float = _option(TOY_LEARNING_RATE, float, flag="--lr", above=0)
     iterations: int = _option(TOY_ITERATIONS, int, least=0)
     batch_size: int | None = _option(None, int, least=1)  # full batch
     schedule: str = _option(TOY_SCHEDULE, str, choices=SCHEDULES)
@@ -850,13 +877,20 @@ def toy_experiment(cfg: ToyConfig, workers: int | None = None) -> dict:
     return summary
 
 
-def cmd_toy_experiment(args, run: RunDir) -> dict:
-    cfg, names = _resolve(args, ToyConfig)
-    cfg = replace(cfg, seed=_master_seed(args.seed))
+@_table
+class ToyOptions(ToyConfig):
+    workers: int | None = _option(None, int, least=1, help="trial processes (default: the "
+                                  "usable CPUs, at most --trials)")
+
+
+def cmd_toy_experiment(opts: ToyOptions, names: dict, run: RunDir) -> dict:
+    cfg = ToyConfig(**{f.name: getattr(opts, f.name) for f in fields(ToyConfig)})
+    _refuse(cfg.batch_size is not None and cfg.batch_size > cfg.samples,
+            f"{names['batch_size']} {cfg.batch_size} exceeds {names['samples']} {cfg.samples}")
     splits = {key: _allocating(f"{names[key]}: the {split} split of {getattr(cfg, key)} rows "
                                "of 2 features", getattr(cfg, key), 2)
               for key, split in (("samples", "train"), ("test_samples", "test"))}
-    workers = toy_workers(cfg.trials, args.workers)
+    workers = toy_workers(cfg.trials, opts.workers)
     with splits[max(splits, key=lambda key: getattr(cfg, key))]:  # named by the larger split
         summary = toy_experiment(cfg, workers)
     trial0 = summary.pop("_trial0")
@@ -912,16 +946,29 @@ def _shifts(directions, ratios) -> list[tuple[str, float]]:
     return [("uniform", 1.0)] + [(d, r) for d in directions for r in ratios]
 
 
-def _check_shift_eval(args) -> None:
+@_table
+class ShiftOptions:
+    model: str = _option(None, str, required=True)
+    train_data: str = _option(None, str, required=True,
+                              help="training CSV for the effective-prior estimate")
+    directions: list[str] = _option(["forward", "backward"], list[str], choices=SHIFT_DIRECTIONS)
+    ratios: list[float] = _option([5.0, 10.0, 50.0], list[float], least=1)
+    trials: int = _option(20, int, least=1)
+    test_samples: int = _option(10000, int, least=1)
+    alpha: float = _option(1.0, float, least=0)
+    seed: int | None = _option(None, int, flag=None)
+
+
+def _check_shift_eval(opts: ShiftOptions) -> None:
     """A uniform shift only at ratio 1, and a --test-samples whose test set
     keeps a sample of each class under every shift."""
-    _check_uniform_ratio("--directions", args.directions, "--ratios", args.ratios)
-    base_counts = np.full(2, args.test_samples // 2)
-    for direction, ratio in _shifts(args.directions, args.ratios):
+    _check_uniform_ratio("--directions", opts.directions, "--ratios", opts.ratios)
+    base_counts = np.full(2, opts.test_samples // 2)
+    for direction, ratio in _shifts(opts.directions, opts.ratios):
         try:
             make_shifted_counts(base_counts, ShiftSpec(direction, ratio))
         except UsageError as exc:
-            raise UsageError(f"--test-samples {args.test_samples} under the {direction} shift "
+            raise UsageError(f"--test-samples {opts.test_samples} under the {direction} shift "
                              f"at ratio {ratio:g}: {exc}") from exc
 
 
@@ -977,22 +1024,21 @@ def shift_eval_rows(
     return rows
 
 
-def cmd_shift_eval(args, run: RunDir) -> dict:
-    test_split = _allocating(f"--test-samples: the test split of {args.test_samples} rows of 2 "
-                             "features", args.test_samples, 2)
-    seed = _master_seed(args.seed)
-    model, provenance = load_model(args.model)
+def cmd_shift_eval(opts: ShiftOptions, names: dict, run: RunDir) -> dict:
+    test_split = _allocating(f"--test-samples: the test split of {opts.test_samples} rows of 2 "
+                             "features", opts.test_samples, 2)
+    model, provenance = load_model(opts.model)
     _refuse(model.num_classes != 2 or model.dims != 2,
-             f"--model {args.model}: shift-eval samples the two-class toy mixture in 2 "
-             f"features, but the model has {model.num_classes} classes over {model.dims} features")
-    ds_train = load_dataset(args.train_data, num_classes=model.num_classes)
+            f"--model {opts.model}: shift-eval samples the two-class toy mixture in 2 "
+            f"features, but the model has {model.num_classes} classes over {model.dims} features")
+    ds_train = load_dataset(opts.train_data, num_classes=model.num_classes)
     estimate = prior.effective_prior_train(
         _train_side_posteriors(model, provenance, ds_train.features)
     )
-    ratios, directions = args.ratios, args.directions
     with test_split:
-        rows = shift_eval_rows(model, provenance, ds_train.counts, estimate, directions, ratios,
-                               args.test_samples, args.trials, RngStream(seed), alpha=args.alpha)
+        rows = shift_eval_rows(model, provenance, ds_train.counts, estimate, opts.directions,
+                               opts.ratios, opts.test_samples, opts.trials, RngStream(opts.seed),
+                               alpha=opts.alpha)
     lines = ["direction,ratio,unadjusted_mean,adjusted_mean"]
     print(f"{'shift':>14} {'unadjusted':>12} {'adjusted':>12}")
     for row in rows:
@@ -1003,7 +1049,8 @@ def cmd_shift_eval(args, run: RunDir) -> dict:
         label = f"{row['direction']}@{row['ratio']:g}"
         print(f"{label:>14} {row['unadjusted_mean']:>12.4f} {row['adjusted_mean']:>12.4f}")
     run.output("shift_eval.csv").write_text("\n".join(lines) + "\n")
-    return {"ratios": ratios, "directions": directions, "trials": args.trials, "seed": seed}
+    return {"ratios": opts.ratios, "directions": opts.directions, "trials": opts.trials,
+            "seed": opts.seed}
 
 
 # ---------------------------------------------------------------------------
@@ -1075,34 +1122,39 @@ def ingest_logits(
     }
 
 
-def _check_ingest(args) -> None:
-    """The --counts that a --train-logits dump needs, and an alpha grid."""
-    _refuse(bool(args.train_logits) and args.counts is None,
-             "--train-logits needs --counts metadata")
-    _refuse(not args.grid, "--grid lists no alpha")
+@_table
+class IngestOptions:
+    target_prior: str | np.ndarray | None = _option(None, _target_prior)
+    logits: str = _option(None, str, required=True)
+    split: float = _option(0.2, float, above=0, below=1, help="holdout fraction for estimation")
+    train_logits: str | None = _option(None, str, needs="counts")
+    counts: str | None = _option(None, str,
+                                 help="training counts JSON for the train-side estimate")
+    grid: list[float] = _option(DEFAULT_ALPHA_GRID, list[float], least=0,
+                                help="comma-separated alpha grid")
+    seed: int | None = _option(None, int, flag=None)
 
 
-def cmd_ingest_logits(args, run: RunDir) -> dict:
-    seed = _master_seed(args.seed)
+def cmd_ingest_logits(opts: IngestOptions, names: dict, run: RunDir) -> dict:
     # the train dump is folded in a forked child while the eval dump is parsed
-    train_logits = args.train_logits
+    train_logits = opts.train_logits
     with _forked(_dump_posterior_means, train_logits) if train_logits else nullcontext() as fold:
-        ids, logits, labels = load_logit_dump(args.logits)
-        target = _resolve_target(args.target_prior, logits.shape[1])
-        if args.target_prior is None:
+        ids, logits, labels = load_logit_dump(opts.logits)
+        target = _resolve_target(opts.target_prior, logits.shape[1])
+        if opts.target_prior is None:
             _notice("no --target-prior given; defaulting to uniform")
         train_means = train_counts = None
         if train_logits:
             train_means = fold()
-            train_counts = load_counts(args.counts)
+            train_counts = load_counts(opts.counts)
     result = ingest_logits(
         ids,
         logits,
         labels,
-        args.split,
-        RngStream(seed).child(17),
+        opts.split,
+        RngStream(opts.seed).child(17),
         target,
-        args.grid,
+        opts.grid,
         train_means=train_means,
         train_counts=train_counts,
     )
@@ -1121,25 +1173,26 @@ def cmd_ingest_logits(args, run: RunDir) -> dict:
     print(f"holdout split: {result['val_size']} rows; tuned alpha = {result['alpha']:g}")
     print(f"top-1 before: {result['top1_before']:.4f}  after: {result['top1_after']:.4f}  "
           f"delta: {report['delta']:+.4f}")
-    return {"split": args.split, "alpha": result["alpha"], "seed": seed}
+    return {"split": opts.split, "alpha": result["alpha"], "seed": opts.seed}
 
 
 # ---------------------------------------------------------------------------
 # sweep-alpha
 
 
-def _check_sweep_alpha(args) -> None:
-    """sweep-alpha's scores flags and an alpha grid."""
-    _check_scores(args)
-    _refuse(not args.grid, "--grid lists no alpha")
+@_table
+class SweepOptions(ScoresOptions):
+    prior: str = _option(None, str, required=True)
+    method: str = _option("p2p-ce", str, choices=tuple(m for m in adjust.METHODS if m != "none"))
+    grid: list[float] = _option(DEFAULT_ALPHA_GRID, list[float], least=0)
 
 
-def cmd_sweep_alpha(args, run: RunDir) -> dict:
-    estimate = prior.load_prior(args.prior)
-    _, logits, labels = _load_scores(args)
-    target = _resolve_target(args.target_prior, logits.shape[1])
+def cmd_sweep_alpha(opts: SweepOptions, names: dict, run: RunDir) -> dict:
+    estimate = prior.load_prior(opts.prior)
+    _, logits, labels = _load_scores(opts)
+    target = _resolve_target(opts.target_prior, logits.shape[1])
     alpha, curve = prior.tune_alpha_on_logits(
-        logits, labels, args.method, estimate, args.grid, target
+        logits, labels, opts.method, estimate, opts.grid, target
     )
     run.output("alpha_curve.csv").write_text(
         "\n".join(["alpha,holdout_accuracy"] + [f"{a!r},{acc!r}" for a, acc in curve]) + "\n"
@@ -1148,7 +1201,7 @@ def cmd_sweep_alpha(args, run: RunDir) -> dict:
     for a, acc in curve:
         print(f"alpha={a:g}: accuracy={acc:.4f}")
     print(f"chosen alpha: {alpha:g}")
-    return {"method": args.method}
+    return {"method": opts.method}
 
 
 # ---------------------------------------------------------------------------
@@ -1164,91 +1217,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"tailcal {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     # flags that several subcommands share, each declared once
-    out, seed, config, target, scores = (argparse.ArgumentParser(add_help=False) for _ in range(5))
+    out, seed, config = (argparse.ArgumentParser(add_help=False) for _ in range(3))
     out.add_argument("--out")
     seed.add_argument("--seed", type=int)
     config.add_argument("--config")
-    target.add_argument("--target-prior", type=_target_prior)
-    for flag in ("--logits", "--model", "--data"):
-        scores.add_argument(flag)
-
-    p = sub.add_parser("gen-data", parents=[out, seed, config],
-                       help="synthesize long-tailed Gaussian-mixture datasets")
-    _add_options(p, fields(GenOptions))
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("train", parents=[out, seed, config], help="stage-1 or stage-2 training")
-    p.add_argument("--data", required=True)
-    table = fields(TrainOptions)  # --init keeps its place after --stage and --mode
-    _add_options(p, table[:2])
-    p.add_argument("--init", help="stage-1 model file for stage-2 runs")
-    _add_options(p, table[2:])
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("estimate-prior", parents=[out, target],
-                       help="estimate the effective prior of a model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--estimator", required=True,
-                   choices=("train", "val", "train-reweighted", "averaged"))
-    p.add_argument("--train-data")
-    p.set_defaults(func=cmd_estimate_prior, check=lambda args: _refuse(
-        args.estimator == "averaged" and args.train_data is None,
-        "--estimator averaged needs --train-data plus --data (val)"))
-
-    p = sub.add_parser("adjust", parents=[out, target, scores],
-                       help="apply a post-hoc prior correction")
-    p.add_argument("--method", required=True, choices=adjust.METHODS)
-    p.add_argument("--prior", help="effective-prior JSON for p2p methods")
-    p.add_argument("--counts", help="counts JSON for class-frequency")
-    p.add_argument("--alpha", type=_alpha)
-    p.add_argument("--alpha-from-sweep", help="chosen_alpha.json from a sweep-alpha run")
-    p.set_defaults(func=cmd_adjust, check=_check_adjust)
-
-    p = sub.add_parser("eval", parents=[out, target, scores],
-                       help="evaluate a logit dump or model on data")
-    p.add_argument("--train-counts")
-    p.add_argument("--groups", type=_group_thresholds, help="many_min,few_max thresholds")
-    p.set_defaults(func=cmd_eval, check=_check_scores)
-
-    p = sub.add_parser("toy-experiment", parents=[out, seed],
-                       help="seeded multi-trial toy comparison")
-    _add_options(p, fields(ToyConfig))
-    p.add_argument("--workers", type=_positive_int,
-                   help="trial processes (default: the usable CPUs, at most --trials)")
-    p.set_defaults(func=cmd_toy_experiment)
-
-    p = sub.add_parser("shift-eval", parents=[out, seed], help="evaluate under shifted test priors")
-    p.add_argument("--model", required=True)
-    p.add_argument("--train-data", required=True,
-                   help="training CSV for the effective-prior estimate")
-    p.add_argument("--directions", default="forward,backward", type=_list_of(
-        str, f"directions among {', '.join(SHIFT_DIRECTIONS)}", SHIFT_DIRECTIONS.__contains__))
-    p.add_argument("--ratios", type=_list_of(_finite_float, "numbers >= 1", lambda r: r >= 1),
-                   default="5,10,50")
-    p.add_argument("--trials", type=_positive_int, default=20)
-    p.add_argument("--test-samples", type=_positive_int, default=10000)
-    p.add_argument("--alpha", type=_alpha, default=1.0)
-    p.set_defaults(func=cmd_shift_eval, check=_check_shift_eval)
-
-    p = sub.add_parser("ingest-logits", parents=[out, seed, target],
-                       help="correct an externally produced logit dump")
-    p.add_argument("--logits", required=True)
-    p.add_argument("--split", type=_fraction, default=0.2, help="holdout fraction for estimation")
-    p.add_argument("--train-logits")
-    p.add_argument("--counts", help="training counts JSON for the train-side estimate")
-    p.add_argument("--grid", type=_list_of(_alpha, "numbers >= 0"),
-                   default=prior.DEFAULT_ALPHA_GRID, help="comma-separated alpha grid")
-    p.set_defaults(func=cmd_ingest_logits, check=_check_ingest)
-
-    p = sub.add_parser("sweep-alpha", parents=[out, target, scores],
-                       help="grid-search the estimate exponent")
-    p.add_argument("--prior", required=True)
-    p.add_argument("--method", default="p2p-ce",
-                   choices=tuple(m for m in adjust.METHODS if m != "none"))
-    p.add_argument("--grid", type=_list_of(_alpha, "numbers >= 0"),
-                   default=prior.DEFAULT_ALPHA_GRID)
-    p.set_defaults(func=cmd_sweep_alpha, check=_check_sweep_alpha)
+    for name, parents, options, func, check, help in (
+        ("gen-data", [out, seed, config], GenOptions, cmd_gen_data, None,
+         "synthesize long-tailed Gaussian-mixture datasets"),
+        ("train", [out, seed, config], TrainOptions, cmd_train, None,
+         "stage-1 or stage-2 training"),
+        ("estimate-prior", [out], EstimateOptions, cmd_estimate_prior, None,
+         "estimate the effective prior of a model"),
+        ("adjust", [out], AdjustOptions, cmd_adjust, _check_adjust,
+         "apply a post-hoc prior correction"),
+        ("eval", [out], EvalOptions, cmd_eval, partial(_check_scores, "eval"),
+         "evaluate a logit dump or model on data"),
+        ("toy-experiment", [out, seed], ToyOptions, cmd_toy_experiment, None,
+         "seeded multi-trial toy comparison"),
+        ("shift-eval", [out, seed], ShiftOptions, cmd_shift_eval, _check_shift_eval,
+         "evaluate under shifted test priors"),
+        ("ingest-logits", [out, seed], IngestOptions, cmd_ingest_logits, None,
+         "correct an externally produced logit dump"),
+        ("sweep-alpha", [out], SweepOptions, cmd_sweep_alpha,
+         partial(_check_scores, "sweep-alpha"), "grid-search the estimate exponent"),
+    ):
+        p = sub.add_parser(name, parents=parents, help=help)
+        _add_options(p, fields(options))
+        p.set_defaults(func=func, options=options, check=check)
     return parser
 
 
@@ -1266,8 +1261,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.time()
     try:
-        if check := getattr(args, "check", None):  # across flags, before any input is read
-            check(args)
+        opts, names = _resolve(args, args.options)  # before any input is hashed or read
+        if args.check:  # the rules across flags that compute something
+            args.check(opts)
         inputs = {
             path: _sha256(path)
             for flag in INPUT_FLAGS
@@ -1280,7 +1276,7 @@ def main(argv=None) -> int:
             stamp = datetime.now(timezone.utc).strftime("%Y%m%d-%H%M%S")
             digest = hashlib.sha256(json.dumps(argv).encode()).hexdigest()[:8]
             run = RunDir(Path("runs") / f"{stamp}-{digest}")
-        config = args.func(args, run)
+        config = args.func(opts, names, run)
         write_manifest(run, args.command, argv, config, inputs, started)
         return 0
     except TailcalError as exc:

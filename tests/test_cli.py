@@ -685,17 +685,6 @@ def test_shift_eval_rows_correct_a_logit_adjusted_model_with_p2p_la():
     assert rows[0]["adjusted_mean"] == np.mean(la) != np.mean(ce)
 
 
-def test_shift_eval_rejects_bad_ratio(small_run, capsys):
-    with pytest.raises(SystemExit) as exc:  # argparse rejects the value
-        run_cli(
-            "shift-eval", "--model", "stage1/model.json",
-            "--train-data", "data/train.csv", "--ratios", "0.2", "--out", "x",
-        )
-    assert exc.value.code == 2
-    assert "argument --ratios: " in capsys.readouterr().err
-    assert not (small_run / "x").exists()
-
-
 def test_manifest_replay_reproduces_outputs(workdir):
     args = ["gen-data", "--seed", "13", "--counts", "900,100",
             "--val-per-class", "50", "--test-per-class", "50"]
@@ -1117,6 +1106,7 @@ FLAG_CASES = {
     "--trials": (["shift-eval", "--model", "{model}", "--train-data", "{train}",
                   "--test-samples", "40", "--ratios", "2"], ["1", "2"]),
     "--batch-size": (["train", "--data", "{train}", "--iterations", "5"], ["16", "80"]),
+    "--lr": (["train", "--data", "{train}", "--iterations", "5"], ["0.5", "5"]),
     "--alpha": (["adjust", "--logits", "{dump2}", "--method", "p2p-ce", "--prior", "{prior}"],
                 ["0.5", "1"]),
 }
@@ -1124,7 +1114,7 @@ MALFORMED = ["", ",", "x", "x,y", "5", "-1", "0", "1,2,3", "[0.5,", "[0.5,0.5]",
              "[1,-1]", "[0, 0]", "{}", "nan", "inf", "1e400", "sideways", "0.2,", "-"]
 # free text only where no value can ask for a large allocation or many threads
 FREE_TEXT = {"--groups", "--target-prior", "--ratios", "--directions", "--grid", "--split",
-             "--alpha"}
+             "--alpha", "--lr"}
 
 
 @settings(max_examples=200)
@@ -1160,7 +1150,7 @@ MALFORMED_VALUES = ["x", "", True, False, None, {}, [[0, 1], [2]], math.nan, mat
 def test_any_malformed_config_value_exits_2_naming_the_key(tiny, command, data):
     files, outs = tiny
     options, rest = CONFIG_CASES[command]
-    key = data.draw(st.sampled_from([option.name for option in fields(options)]))
+    key = data.draw(st.sampled_from([o.name for o in fields(options) if o.metadata["key"]]))
     value = data.draw(st.sampled_from(MALFORMED_VALUES))
     run = next(outs)
     run.mkdir(parents=True)
@@ -1346,6 +1336,64 @@ def test_gen_data_memory_error_at_sampling_exits_2_naming_the_flag(workdir, caps
     (["shift-eval", "--model", "absent.json", "--train-data", "absent.csv", "--directions",
       "forward,uniform"], None,
      "--ratios must be 1 with --directions uniform, got [5.0, 10.0, 50.0]"),
+    (["train", "--data", "{train}", "--lr", "0"], None, "--lr must be > 0, got 0.0"),
+    (["train", "--data", "{train}", "--lr", "-1"], None, "--lr must be > 0, got -1.0"),
+    (["train", "--data", "{train}", "--config", "cfg.json"], {"lr": 0},
+     "config cfg.json: key 'lr' must be > 0, got 0"),
+    (["toy-experiment", "--lr", "0"], None, "--lr must be > 0, got 0.0"),
+    (["train", "--data", "{train}", "--batch-size", "999999"], None,
+     "--batch-size 999999 exceeds the 80 rows of --data {train}"),
+    (["toy-experiment", "--samples", "100", "--batch-size", "500"], None,
+     "--batch-size 500 exceeds --samples 100"),
+    (["gen-data", "--counts", "5,6,7"], None, "--counts lists 3 counts, but --classes is 2"),
+    (["gen-data", "--config", "cfg.json"], {"counts": [5, 6, 7]},
+     "config cfg.json: key 'counts' lists 3 counts, but --classes is 2"),
+    (["toy-experiment", "--workers", "abc"], None, "argument --workers: invalid int value: 'abc'"),
+    (["toy-experiment", "--workers", "0"], None, "--workers must be >= 1, got 0"),
+    (["ingest-logits", "--logits", "{dump2}", "--train-logits", "{dump2}", "--split", "1.5"],
+     None, "--split must be < 1, got 1.5"),
+    (["ingest-logits", "--logits", "{dump2}", "--train-logits", "{dump2}", "--split", "nan"],
+     None, "--split must be finite, got nan"),
+    (["ingest-logits", "--logits", "{dump2}", "--split", "0"], None, "--split must be > 0, got 0.0"),
+    (["shift-eval", "--model", "{model}", "--train-data", "{train}", "--ratios", "5,0.5"], None,
+     "--ratios must be >= 1, got [5.0, 0.5]"),
+    (["shift-eval", "--model", "{model}", "--train-data", "{train}", "--ratios", "0.2"], None,
+     "--ratios must be >= 1, got [0.2]"),
+    (["shift-eval", "--model", "{model}", "--train-data", "{train}", "--ratios", ","], None,
+     "--ratios must not be empty, got []"),
+    (["shift-eval", "--model", "{model}", "--train-data", "{train}", "--directions",
+      "forward,sideways"], None,
+     "--directions must be one of forward, backward, uniform, got ['forward', 'sideways']"),
+    (["shift-eval", "--model", "{model}", "--train-data", "{train}", "--directions", ","], None,
+     "--directions must not be empty, got []"),
+    (["adjust", "--model", "{model}", "--data", "{train}", "--method", "p2p-ce", "--prior",
+      "{prior}", "--alpha", "-1"], None, "--alpha must be >= 0, got -1.0"),
+    (["shift-eval", "--model", "{model}", "--train-data", "{train}", "--alpha", "-1"], None,
+     "--alpha must be >= 0, got -1.0"),
+    (["sweep-alpha", "--prior", "{prior}", "--logits", "{dump2}", "--grid=-1,0"], None,
+     "--grid must be >= 0, got [-1.0, 0.0]"),
+    (["ingest-logits", "--logits", "{dump2}", "--grid=-1"], None, "--grid must be >= 0, got [-1.0]"),
+    (["sweep-alpha", "--prior", "{prior}", "--logits", "{dump2}", "--grid", ","], None,
+     "--grid must not be empty, got []"),
+    (["ingest-logits", "--logits", "{dump2}", "--grid", ","], None,
+     "--grid must not be empty, got []"),
+    (["eval", "--logits", "{dump2}", "--target-prior", "[0.5, -1]"], None,
+     "argument --target-prior: not a probability list: '[0.5, -1]': "
+     "negative probability entry: min=-1.0"),
+    *[([*command, f"--alpha={value}"], None, message)
+      for command in (["adjust", "--logits", "{dump2}", "--method", "p2p-ce", "--prior", "{prior}"],
+                      ["shift-eval", "--model", "{model}", "--train-data", "{train}"])
+      for value, message in (("nan", "--alpha must be finite, got nan"),
+                             ("inf", "--alpha must be finite, got inf"),
+                             ("-inf", "--alpha must be finite, got -inf"),
+                             ("x", "argument --alpha: invalid float value: 'x'"))],
+    *[(["shift-eval", "--model", "{model}", "--train-data", "{train}", "--test-samples", value],
+       None, message)
+      for value, message in (("0", "--test-samples must be >= 1, got 0"),
+                             ("-5", "--test-samples must be >= 1, got -5"),
+                             (str(TOO_BIG), "--test-samples must fit in a signed 64-bit integer, "
+                                            f"got {TOO_BIG}"),
+                             ("abc", "argument --test-samples: invalid int value: 'abc'"))],
 ], ids=["gen-dims-0", "gen-classes-1", "gen-config-classes-1", "gen-config-imbalance-nan",
         "train-config-lr-inf", "train-hidden", "train-hidden-0", "train-config-hidden-minus-3",
         "toy-imbalance-nan", "toy-samples",
@@ -1359,13 +1407,40 @@ def test_gen_data_memory_error_at_sampling_exits_2_naming_the_flag(workdir, caps
         "toy-samples-1", "toy-test-samples-1", "toy-alpha-minus-1", "toy-iterations-minus-1",
         "toy-batch-size-0", "toy-tail-class-empty", "gen-uniform-shift-ratio-2",
         "gen-dims-1-default-means", "gen-config-dims-1-default-means", "gen-config-list",
-        "shift-uniform-default-ratios"])
-def test_option_value_a_check_rejects_exits_2_naming_it(workdir, tiny, capsys, argv, body, message):
+        "shift-uniform-default-ratios", "train-lr-0", "train-lr-minus-1", "train-config-lr-0",
+        "toy-lr-0", "train-batch-size-above-rows", "toy-batch-size-above-samples",
+        "gen-counts-length", "gen-config-counts-length", "toy-workers-abc", "toy-workers-0",
+        "ingest-split-1.5", "ingest-split-nan", "ingest-split-0", "shift-ratio-half",
+        "shift-ratio-0.2", "shift-ratios-empty", "shift-direction-sideways",
+        "shift-directions-empty", "adjust-alpha-minus-1", "shift-alpha-minus-1",
+        "sweep-alpha-grid-minus-1", "ingest-grid-minus-1", "sweep-alpha-empty-grid",
+        "ingest-empty-grid", "eval-target-prior-negative",
+        *[f"{command}-alpha-{value}" for command in ("adjust", "shift-eval")
+          for value in ("nan", "inf", "-inf", "x")],
+        *[f"shift-test-samples-{value}" for value in ("0", "minus-5", "beyond-int64", "abc")]])
+def test_option_value_a_check_rejects_exits_2_naming_it(
+    workdir, tiny, monkeypatch, capsys, request, argv, body, message
+):
     files, _ = tiny
     (workdir / "cfg.json").write_text(json.dumps(body))
-    assert run_cli(*(a.format(**files) for a in argv), "--out", "x") == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    called = _spy_on_input_readers(monkeypatch, hashes=True)
+    argv = [a.format(**files) for a in argv]
+    try:
+        code, prog = run_cli(*argv, "--out", "x"), ""
+    except SystemExit as exc:  # argparse: text that does not parse, below the usage lines
+        code, prog = exc.code, f"tailcal {argv[0]}: "
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert lines[-1] == f"{prog}error: {message.format(**files)}" and (prog or len(lines) == 1)
+    assert (called == []) != (request.node.callspec.id in AFTER_INPUT)
     assert not (workdir / "x").exists()
+
+
+# rows refused only once an input is hashed or read: the sizes a command checks
+# itself, and the gen-data checks that follow the hashing of its --config file
+AFTER_INPUT = {"train-hidden-too-big", "train-config-hidden-too-big", "shift-test-samples-too-big",
+               "train-batch-size-above-rows", "gen-config-dims-1-default-means",
+               "gen-config-counts-length"}
 
 
 def _spy_on_input_readers(monkeypatch, hashes=False) -> list[str]:
@@ -1383,14 +1458,12 @@ def _spy_on_input_readers(monkeypatch, hashes=False) -> list[str]:
     return called
 
 
-STAGE_2_NEEDS_INIT = "stage-2 training needs --init with the stage-1 model"
-
-
 @pytest.mark.parametrize("argv, body, message", [
-    (["train", "--data", "{train}", "--stage", "2"], None, STAGE_2_NEEDS_INIT),
-    (["train", "--data", "{train}", "--config", "cfg.json"], {"stage": 2}, STAGE_2_NEEDS_INIT),
+    (["train", "--data", "{train}", "--stage", "2"], None, "--stage 2 needs --init"),
+    (["train", "--data", "{train}", "--config", "cfg.json"], {"stage": 2},
+     "config cfg.json: key 'stage' 2 needs --init"),
     (["estimate-prior", "--model", "{model}", "--data", "{train}", "--estimator", "averaged"],
-     None, "--estimator averaged needs --train-data plus --data (val)"),
+     None, "--estimator averaged needs --train-data"),
     (["adjust", "--logits", "{dump2}", "--method", "class-frequency"], None,
      "--method class-frequency needs --counts"),
     (["adjust", "--model", "{model}", "--data", "{train}", "--method", "class-frequency"], None,
@@ -1401,7 +1474,7 @@ STAGE_2_NEEDS_INIT = "stage-2 training needs --init with the stage-1 model"
      "--method p2p-la needs --prior"),
     # the notice about the missing --target-prior is not printed either
     (["ingest-logits", "--logits", "{dump2}", "--train-logits", "{dump2}"], None,
-     "--train-logits needs --counts metadata"),
+     "--train-logits {dump2} needs --counts"),
     # files that do not exist: the check runs before any input is hashed
     (["adjust", "--logits", "{dump2}", "--method", "p2p-ce", "--alpha", "1",
       "--alpha-from-sweep", "absent_sweep.json", "--prior", "absent.json"], None,
@@ -1414,9 +1487,9 @@ def test_a_flag_a_command_needs_exits_2_before_any_input_is_parsed(
 ):
     files, _ = tiny
     (workdir / "cfg.json").write_text(json.dumps(body))
-    called = _spy_on_input_readers(monkeypatch)
+    called = _spy_on_input_readers(monkeypatch, hashes=True)
     assert run_cli(*(a.format(**files) for a in argv), "--out", "x") == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(**files)}\n"
     assert called == []
     assert not (workdir / "x").exists()
 
@@ -1427,17 +1500,14 @@ def test_a_flag_a_command_needs_exits_2_before_any_input_is_parsed(
     (["eval", "--model", "absent.json"], "eval needs --logits, or --model with --data"),
     (["adjust", "--data", "{train}", "--method", "none"],
      "adjust needs --logits, or --model with --data"),
-    (["sweep-alpha", "--prior", "{prior}", "--logits", "{dump2}", "--grid", ","],
-     "--grid lists no alpha"),
-    (["ingest-logits", "--logits", "{dump2}", "--grid", ","], "--grid lists no alpha"),
     (["shift-eval", "--model", "{model}", "--train-data", "{train}", "--test-samples", "1"],
      "--test-samples 1 under the uniform shift at ratio 1: shift produces a zero count "
      "(counts=[0, 0]); lower the ratio or enlarge the base total"),
     (["shift-eval", "--model", "{model}", "--train-data", "{train}", "--test-samples", "3"],
      "--test-samples 3 under the forward shift at ratio 5: shift produces a zero count "
      "(counts=[2, 0]); lower the ratio or enlarge the base total"),
-], ids=["sweep-alpha-scores", "eval-scores", "adjust-scores", "sweep-alpha-empty-grid",
-        "ingest-empty-grid", "shift-test-samples-1", "shift-test-samples-3"])
+], ids=["sweep-alpha-scores", "eval-scores", "adjust-scores", "shift-test-samples-1",
+        "shift-test-samples-3"])
 def test_a_check_hook_refuses_exits_2_before_any_input_is_hashed(
     workdir, tiny, monkeypatch, capsys, argv, message
 ):
@@ -1470,71 +1540,6 @@ def test_shift_eval_refuses_a_model_off_the_toy_mixture_before_reading_train_dat
         f"but the model has {classes} classes over {dims} features\n"))
     assert called == ["load_model"]
     assert not (workdir / "x").exists()
-
-
-@pytest.mark.parametrize("value", ["0", "-5", str(TOO_BIG), "abc"])
-def test_shift_eval_test_samples_must_be_a_positive_int64(tiny, capsys, value):
-    files, outs = tiny
-    with pytest.raises(SystemExit) as exc:
-        main(["shift-eval", "--model", str(files["model"]), "--train-data", str(files["train"]),
-              "--test-samples", value, "--out", str(next(outs))])
-    assert exc.value.code == 2
-    assert "error: argument --test-samples: expected " in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("argv, message", [
-    (["toy-experiment", "--workers", "abc"],
-     "argument --workers: expected an integer >= 1, got 'abc'"),
-    (["ingest-logits", "--logits", "{dump2}", "--train-logits", "{dump2}", "--split", "1.5"],
-     "argument --split: expected a number in (0, 1), got '1.5'"),
-    (["ingest-logits", "--logits", "{dump2}", "--train-logits", "{dump2}", "--split", "nan"],
-     "argument --split: expected a number in (0, 1), got 'nan'"),
-    (["shift-eval", "--model", "{model}", "--train-data", "{train}", "--ratios", "5,0.5"],
-     "argument --ratios: expected comma-separated numbers >= 1, got '5,0.5'"),
-    (["shift-eval", "--model", "{model}", "--train-data", "{train}", "--directions",
-      "forward,sideways"], "argument --directions: expected comma-separated directions among "
-     "forward, backward, uniform, got 'forward,sideways'"),
-    (["adjust", "--model", "{model}", "--data", "{train}", "--method", "p2p-ce", "--prior",
-      "{prior}", "--alpha", "-1"], "argument --alpha: expected a number >= 0, got '-1'"),
-    (["shift-eval", "--model", "{model}", "--train-data", "{train}", "--alpha", "-1"],
-     "argument --alpha: expected a number >= 0, got '-1'"),
-    (["sweep-alpha", "--prior", "{prior}", "--logits", "{dump2}", "--grid=-1,0"],
-     "argument --grid: expected comma-separated numbers >= 0, got '-1,0'"),
-    (["ingest-logits", "--logits", "{dump2}", "--grid=-1"],
-     "argument --grid: expected comma-separated numbers >= 0, got '-1'"),
-    (["eval", "--logits", "{dump2}", "--target-prior", "[0.5, -1]"],
-     "argument --target-prior: not a probability list: '[0.5, -1]': "
-     "negative probability entry: min=-1.0"),
-], ids=["toy-workers-abc", "ingest-split-1.5", "ingest-split-nan", "shift-ratio-half",
-        "shift-direction-sideways", "adjust-alpha-minus-1", "shift-alpha-minus-1",
-        "sweep-alpha-grid-minus-1", "ingest-grid-minus-1", "eval-target-prior-negative"])
-def test_flag_value_its_type_rejects_exits_2_before_any_work(
-    tiny, capsys, forks, monkeypatch, argv, message
-):
-    files, outs = tiny
-    out = next(outs)
-    called = _spy_on_input_readers(monkeypatch, hashes=True)
-    with pytest.raises(SystemExit) as exc:
-        main([a.format(**files) for a in argv] + ["--out", str(out)])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.endswith(f"tailcal {argv[0]}: error: {message}\n")
-    assert forks == [] and called == [] and not out.exists()
-
-
-@pytest.mark.parametrize("command", [
-    ["adjust", "--logits", "{dump2}", "--method", "p2p-ce", "--prior", "{prior}"],
-    ["shift-eval", "--model", "{model}", "--train-data", "{train}"],
-], ids=["adjust", "shift-eval"])
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x"])
-def test_alpha_must_be_a_finite_number(tiny, capsys, command, value):
-    files, outs = tiny
-    out = next(outs)
-    with pytest.raises(SystemExit) as exc:
-        main([a.format(**files) for a in command] + [f"--alpha={value}", "--out", str(out)])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert f"error: argument --alpha: expected a finite number, got {value!r}\n" in err
-    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("stage", ["init_mlp", "train"])

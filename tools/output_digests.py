@@ -34,7 +34,11 @@ The script writes these inputs first. It then prints one
 ``--help`` text (``tailcal`` and each subcommand), sorted, except
 ``manifest.json``; each manifest
 contributes its ``config``, ``inputs`` and ``outputs`` objects instead,
-because its wall clock and timestamp differ between runs. The three
+because its wall clock and timestamp differ between runs. It also runs a
+fixed list of command lines that a check refuses (``REFUSED``: per command,
+one case of each kind of check it makes on its flags, none asking for a large
+size or many workers) and prints one ``sha256  <refused>/<case> exit <code>``
+line per case, the digest of its stderr, so a changed message shows. The three
 toy-experiment runs print the same digests; their manifests differ only in
 ``workers``, and the default one records the usable CPUs of the machine.
 
@@ -216,6 +220,67 @@ CHAIN = [
 ]
 
 
+# Each case names files that do not exist: its check runs before any input is read.
+SCORES = ["--logits", "absent.csv"]
+SHIFT = ["shift-eval", "--model", "absent.json", "--train-data", "absent.csv"]
+REFUSED = {
+    "gen-data-kind": ["gen-data", "--classes", "x"],
+    "gen-data-bound": ["gen-data", "--classes", "1"],
+    "gen-data-empty-list": ["gen-data", "--counts", ","],
+    "gen-data-counts-length": ["gen-data", "--counts", "5,6,7"],
+    "gen-data-config-key": ["gen-data", "--config", "refused_gen.json"],
+    "train-kind": ["train", "--data", "absent.csv", "--iterations", "x"],
+    "train-bound": ["train", "--data", "absent.csv", "--alpha", "-1"],
+    "train-strict-bound": ["train", "--data", "absent.csv", "--lr", "0"],
+    "train-requirement": ["train", "--data", "absent.csv", "--stage", "2"],
+    "train-config-key": ["train", "--data", "absent.csv", "--config", "refused_train.json"],
+    "estimate-prior-kind": ["estimate-prior", "--model", "absent.json", "--data", "absent.csv",
+                            "--estimator", "mean"],
+    "estimate-prior-requirement": ["estimate-prior", "--model", "absent.json", "--data",
+                                   "absent.csv", "--estimator", "averaged"],
+    "adjust-kind": ["adjust", *SCORES, "--method", "p2p-ce", "--prior", "absent.json",
+                    "--alpha", "x"],
+    "adjust-bound": ["adjust", *SCORES, "--method", "p2p-ce", "--prior", "absent.json",
+                     "--alpha=-1"],
+    "adjust-requirement": ["adjust", *SCORES, "--method", "p2p-ce"],
+    "eval-kind": ["eval", *SCORES, "--groups", "x"],
+    "eval-requirement": ["eval", "--model", "absent.json"],
+    "toy-experiment-kind": ["toy-experiment", "--trials", "x"],
+    "toy-experiment-bound": ["toy-experiment", "--trials", "0"],
+    "toy-experiment-strict-bound": ["toy-experiment", "--lr", "0"],
+    "toy-experiment-batch-size": ["toy-experiment", "--samples", "100", "--batch-size", "500"],
+    "shift-eval-kind": [*SHIFT, "--ratios", "x"],
+    "shift-eval-bound": [*SHIFT, "--ratios", "0.5"],
+    "shift-eval-empty-list": [*SHIFT, "--directions", ","],
+    "ingest-logits-kind": ["ingest-logits", *SCORES, "--split", "x"],
+    "ingest-logits-bound": ["ingest-logits", *SCORES, "--grid=-1"],
+    "ingest-logits-strict-bound": ["ingest-logits", *SCORES, "--split", "1"],
+    "ingest-logits-empty-list": ["ingest-logits", *SCORES, "--grid", ","],
+    "ingest-logits-requirement": ["ingest-logits", *SCORES, "--train-logits", "absent.csv"],
+    "sweep-alpha-kind": ["sweep-alpha", "--prior", "absent.json", *SCORES, "--grid", "x"],
+    "sweep-alpha-bound": ["sweep-alpha", "--prior", "absent.json", *SCORES, "--grid=-1"],
+    "sweep-alpha-empty-list": ["sweep-alpha", "--prior", "absent.json", *SCORES, "--grid", ","],
+    "sweep-alpha-requirement": ["sweep-alpha", "--prior", "absent.json"],
+}
+REFUSED_CONFIGS = {"refused_gen.json": {"classes": 1}, "refused_train.json": {"lr": 0}}
+
+
+def run_refused(work: Path, env: dict) -> list[str]:
+    """One ``sha256  <refused>/<case> exit <code>`` line per REFUSED case;
+    the config files the cases read are removed again."""
+    for name, config in REFUSED_CONFIGS.items():
+        (work / name).write_text(json.dumps(config) + "\n")
+    lines = []
+    for case, argv in REFUSED.items():
+        proc = subprocess.run([sys.executable, "-m", "tailcal", *argv, "--out", "refused"],
+                              cwd=work, env=env, capture_output=True)
+        lines.append(f"{hashlib.sha256(proc.stderr).hexdigest()}  <refused>/{case} "
+                     f"exit {proc.returncode}")
+    for name in REFUSED_CONFIGS:
+        (work / name).unlink()
+    return lines
+
+
 def run_chain(work: Path) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("TAILCAL_SEED", None)
@@ -234,6 +299,7 @@ def run_chain(work: Path) -> list[str]:
             sys.stderr.write(proc.stderr.decode(errors="replace"))
             raise SystemExit(f"tailcal {' '.join(argv)}: exit {proc.returncode}")
         lines.append(f"{hashlib.sha256(proc.stdout).hexdigest()}  {out}/<stdout>")
+    lines += run_refused(work, env)
     for command in ("", *SUBCOMMANDS):
         argv = [sys.executable, "-m", "tailcal", *command.split(), "--help"]
         proc = subprocess.run(argv, cwd=work, env=env, capture_output=True, check=True)
