@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, NumericError, UsageError
+from .errors import DataError, UsageError
 from .model import LinearSoftmaxModel
 from .numerics import as_matrix, prob_matrix, prob_vector
 
@@ -73,8 +73,6 @@ class AdjustmentSpec:
         target = prob_vector(self.target_prior)
         if estimated.shape != target.shape:
             raise DataError("estimated and target priors must have equal length")
-        if np.any(estimated <= 0):
-            raise NumericError("estimated prior must be strictly positive")
         allowed = _METHOD_COMPAT[self.method]
         if self.prior_kind not in allowed:
             raise UsageError(
@@ -179,12 +177,8 @@ def apply_to_linear_model(model: LinearSoftmaxModel, spec: AdjustmentSpec) -> Li
     a bias shift; the returned model scores samples identically to adjusting
     its logits after the fact.
     """
-    if not isinstance(model, LinearSoftmaxModel):
-        raise UsageError("only linear models can absorb an adjustment")
     out = model.copy()
     if spec.method != "none":
-        if out.num_classes != spec.estimated_prior.shape[0]:
-            raise DataError("model classes vs adjustment classes mismatch")
         out.biases = out.biases + _log_shift(spec)
     return out
 

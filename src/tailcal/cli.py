@@ -425,6 +425,12 @@ def cmd_gen_data(opts: GenOptions, names: dict, run: RunDir) -> dict:
     _refuse(opts.counts is not None and len(opts.counts) != classes,
             f"{names['counts']} lists {len(opts.counts or ())} counts, "
             f"but {names['classes']} is {classes}")
+    _refuse(opts.means is not None and np.shape(opts.means) != (classes, dims),
+            f"{names['means']} has shape {np.shape(opts.means)}, but {names['classes']} is "
+            f"{classes} and {names['dims']} is {dims}")
+    _refuse(opts.sigmas is not None and np.shape(opts.sigmas) != (classes,),
+            f"{names['sigmas']} has shape {np.shape(opts.sigmas)}, but {names['classes']} is "
+            f"{classes}")
     with _allocating(f"{names['classes' if classes >= dims else 'dims']}: a mixture of "
                      f"{classes} classes in {dims} dims", classes, dims):  # named by the larger size
         means = _default_means(classes, dims) if opts.means is None else opts.means
@@ -594,6 +600,14 @@ def _check_scores(command: str, opts: ScoresOptions) -> None:
             f"{command} needs --logits, or --model with --data")
 
 
+def _check_classes(name: str, count: int, opts, classes: int) -> None:
+    """A data error unless the ``count`` classes ``name`` lists are the
+    ``classes`` of the scores from the --logits, else the --model, of ``opts``."""
+    if count != classes:
+        scores = f"--logits {opts.logits}" if opts.logits else f"--model {opts.model}"
+        raise DataError(f"{name} lists {count} classes, but {scores} has {classes}")
+
+
 @_table
 class AdjustOptions(ScoresOptions):
     method: str = _option(None, str, choices=adjust.METHODS, required=True, needs={
@@ -634,9 +648,12 @@ def _adjustment(opts: AdjustOptions, num_classes: int) -> adjust.AdjustmentSpec:
         return adjust.no_adjustment()
     alpha = _resolve_alpha(opts)
     if opts.method == "class-frequency":
-        freq = empirical_prior(load_counts(opts.counts))
-        return adjust.class_frequency_spec(freq, target, 1.0 if alpha is None else alpha)
+        counts = load_counts(opts.counts)
+        _check_classes(f"--counts {opts.counts}", counts.size, opts, num_classes)
+        return adjust.class_frequency_spec(empirical_prior(counts), target,
+                                           1.0 if alpha is None else alpha)
     estimate = prior.load_prior(opts.prior)
+    _check_classes(f"--prior {opts.prior}", estimate.probs.size, opts, num_classes)
     return adjust.spec_from_estimate(opts.method, estimate, target, alpha)
 
 
@@ -680,7 +697,11 @@ def cmd_eval(opts: EvalOptions, names: dict, run: RunDir) -> dict:
         {"logits": opts.logits} if opts.logits else {"model": opts.model, "data": opts.data}
     )
     target = _resolve_target(opts.target_prior, logits.shape[1])
-    train_counts = load_counts(opts.train_counts) if opts.train_counts else None
+    train_counts = None
+    if opts.train_counts:
+        train_counts = load_counts(opts.train_counts)
+        _check_classes(f"--train-counts {opts.train_counts}", train_counts.size, opts,
+                       logits.shape[1])
     report = evaluation.build_report(
         np.argmax(logits, axis=1),
         labels,
@@ -708,7 +729,7 @@ class ToyConfig:
     test_samples: int = _option(10000, int, least=2)
     alpha: float = _option(1.0, float, least=0)
     learning_rate: float = _option(TOY_LEARNING_RATE, float, flag="--lr", above=0)
-    iterations: int = _option(TOY_ITERATIONS, int, least=0)
+    iterations: int = _option(TOY_ITERATIONS, int, least=1)  # an untrained model has no boundary
     batch_size: int | None = _option(None, int, least=1)  # full batch
     schedule: str = _option(TOY_SCHEDULE, str, choices=SCHEDULES)
     seed: int = _option(DEFAULT_SEED, int, flag=None)
@@ -1072,31 +1093,25 @@ def ingest_logits(
     held-out split, and adjust the remaining rows.
 
     ``train_means`` is ``(column means, row count)`` of a train-side dump's
-    posteriors, as :func:`_dump_posterior_means` reads them.
+    posteriors, as :func:`_dump_posterior_means` reads them, and
+    ``train_counts`` its class counts; both have one entry per logit column.
     """
-    n, c = logits.shape
+    n = logits.shape[0]
     if not 0.0 < val_frac < 1.0:
         raise UsageError(f"val fraction must be in (0, 1), got {val_frac}")
     n_val = max(1, int(round(n * val_frac)))
-    if n_val >= n:
-        raise UsageError("holdout split leaves no rows to adjust")
+    if n_val >= n:  # n_val is at most n
+        raise UsageError(f"--split {val_frac} holds out all {n} rows of --logits, "
+                         "leaving none to adjust")
     perm = master.generator().permutation(n)
     val_idx, rest_idx = perm[:n_val], perm[n_val:]
 
     val = logits[val_idx]
     estimate = prior.pmbar_from_val(softmax_rows(val))
     if train_means is not None:
-        if train_counts is None:
-            raise UsageError("train-side dump needs --counts metadata")
-        counts = np.asarray(train_counts, dtype=np.int64)
-        if counts.shape[0] != c:
-            raise DataError(
-                f"counts metadata lists {counts.shape[0]} classes, dump has {c}"
-            )
         means, samples = train_means
-        if means.shape[0] != c:
-            raise DataError(f"train dump has {means.shape[0]} classes, eval dump has {c}")
-        est_train = prior.reweight_means(means, target_prior, empirical_prior(counts), samples)
+        est_train = prior.reweight_means(means, target_prior, empirical_prior(train_counts),
+                                         samples)
         estimate = prior.average_estimates(estimate, est_train)
 
     alpha, curve = prior.tune_alpha_on_logits(
@@ -1147,6 +1162,9 @@ def cmd_ingest_logits(opts: IngestOptions, names: dict, run: RunDir) -> dict:
         if train_logits:
             train_means = fold()
             train_counts = load_counts(opts.counts)
+            _check_classes(f"--counts {opts.counts}", train_counts.size, opts, logits.shape[1])
+            _check_classes(f"--train-logits {train_logits}", train_means[0].size, opts,
+                           logits.shape[1])
     result = ingest_logits(
         ids,
         logits,
@@ -1190,6 +1208,7 @@ class SweepOptions(ScoresOptions):
 def cmd_sweep_alpha(opts: SweepOptions, names: dict, run: RunDir) -> dict:
     estimate = prior.load_prior(opts.prior)
     _, logits, labels = _load_scores(opts)
+    _check_classes(f"--prior {opts.prior}", estimate.probs.size, opts, logits.shape[1])
     target = _resolve_target(opts.target_prior, logits.shape[1])
     alpha, curve = prior.tune_alpha_on_logits(
         logits, labels, opts.method, estimate, opts.grid, target

@@ -46,12 +46,6 @@ class GaussianMixtureSpec:
     def __post_init__(self):
         means = as_matrix(self.means)
         sigmas = np.asarray(self.sigmas, dtype=np.float64)
-        if means.shape[0] < 2:
-            raise DataError("mixture needs >= 2 classes")
-        if sigmas.shape != (means.shape[0],):
-            raise DataError(
-                f"sigmas shape {sigmas.shape} does not match {means.shape[0]} classes"
-            )
         if not np.all(np.isfinite(sigmas)) or np.any(sigmas <= 0):
             raise DataError("class sigmas must be finite and positive")
         object.__setattr__(self, "means", means)
@@ -83,20 +77,13 @@ class LongTailProfile:
     counts: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        if self.kind not in PROFILE_KINDS:
-            raise UsageError(f"unknown profile kind {self.kind!r}")
         if self.num_classes < 2:
             raise UsageError(f"need >= 2 classes, got {self.num_classes}")
         if self.kind == "explicit":
             if len(self.counts) != self.num_classes:
                 raise UsageError("explicit profile needs one count per class")
-        else:
-            if self.max_count < 1:
-                raise UsageError(f"max_count must be >= 1, got {self.max_count}")
-            if self.imbalance_factor < 1:
-                raise UsageError(
-                    f"imbalance factor must be >= 1, got {self.imbalance_factor}"
-                )
+        elif self.imbalance_factor < 1:
+            raise UsageError(f"imbalance factor must be >= 1, got {self.imbalance_factor}")
 
 
 def _round_half_even(values: np.ndarray) -> np.ndarray:
@@ -146,9 +133,7 @@ class LabeledDataset:
         self.features = as_matrix(self.features)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.counts = np.asarray(self.counts, dtype=np.int64)
-        n, c = self.features.shape[0], self.counts.shape[0]
-        if self.labels.shape != (n,):
-            raise DataError(f"{n} feature rows but {self.labels.shape} labels")
+        c = self.counts.shape[0]
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= c):
             raise DataError(f"label {int(self.labels.max())} out of range for {c} classes")
         observed = np.bincount(self.labels, minlength=c)

@@ -83,8 +83,6 @@ def group_accuracy(per_class, train_counts, thresholds: GroupThresholds) -> dict
     """Mean accuracy within each count bucket; empty buckets are absent."""
     acc = np.asarray(per_class, dtype=np.float64)
     counts = np.asarray(train_counts, dtype=np.int64)
-    if acc.shape != counts.shape:
-        raise DataError("one training count per class accuracy required")
     groups: dict[str, list[float]] = {}
     for a, n in zip(acc, counts):
         if np.isnan(a):
@@ -101,8 +99,6 @@ def prior_mismatch(achieved, target) -> tuple[float, float]:
     """
     a = prob_vector(achieved)
     t = prob_vector(target)
-    if a.shape != t.shape:
-        raise DataError("achieved and target priors must have equal length")
     l1 = float(np.abs(a - t).sum())
     bad = (t == 0) & (a > 0)
     if np.any(bad):
@@ -238,12 +234,8 @@ def export_boundary_data(named_models, gmm: GaussianMixtureSpec, bayes_prior, pa
 
     Each (name, linear model) pair contributes one series of 41 points over
     [-4, 4]; the Bayes line under ``bayes_prior`` is appended as series
-    ``bayes``. 2-D two-class settings only.
+    ``bayes``. 2-D two-class settings with equal class sigmas only.
     """
-    if gmm.dims != 2 or gmm.num_classes != 2:
-        raise UsageError("boundary export needs a 2-D, 2-class setting")
-    if abs(gmm.sigmas[0] - gmm.sigmas[1]) > 1e-12:
-        raise UsageError("boundary export needs equal class sigmas")
     spans = np.linspace(-4.0, 4.0, 41)
     lines = ["series,x0,x1"]
     for name, model in named_models:
@@ -274,8 +266,6 @@ def export_prior_bars(freq_prior, effective_prior, train_counts, path) -> None:
     freq = prob_vector(freq_prior)
     eff = prob_vector(effective_prior)
     counts = np.asarray(train_counts, dtype=np.int64)
-    if freq.shape != eff.shape or counts.shape != freq.shape:
-        raise DataError("priors and counts must have one entry per class")
     bucket = GroupThresholds().bucket
     lines = ["class,freq_prior,effective_prior,group"]
     for i, (f, e, n) in enumerate(zip(freq, eff, counts)):

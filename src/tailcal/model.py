@@ -170,8 +170,6 @@ def init_mlp(
     num_classes: int, dims: int, hidden: int, activation: str, rng: RngStream
 ) -> MlpModel:
     """Hidden weights uniform in [-1/sqrt(D), 1/sqrt(D)]; zero head."""
-    if hidden < 1:
-        raise UsageError("hidden width must be >= 1")
     gen = rng.generator()
     bound = 1.0 / np.sqrt(dims)
     w1 = gen.uniform(-bound, bound, size=(hidden, dims))

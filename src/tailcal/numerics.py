@@ -75,7 +75,7 @@ def prob_matrix(values) -> np.ndarray:
     bad = np.abs(sums - 1.0) > SIMPLEX_ATOL
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise NumericError(f"row {i} sums to {sums[i]!r}, not 1 within {SIMPLEX_ATOL}")
+        raise NumericError(f"row {i} sums to {float(sums[i])!r}, not 1 within {SIMPLEX_ATOL}")
     return m
 
 

@@ -126,8 +126,6 @@ def boundary_offset(model: Model, gmm: GaussianMixtureSpec, prior) -> float:
     p = prob_vector(prior)
     delta = gmm.means[1] - gmm.means[0]
     m = float(np.linalg.norm(delta))
-    if m == 0.0:
-        raise UsageError("coincident class means have no boundary axis")
     # both crossings are measured along the axis from class 0's mean
     dw = model.weights[0] - model.weights[1]
     slope = float(dw @ (delta / m))

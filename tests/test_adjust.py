@@ -65,6 +65,10 @@ def test_adjust_alpha_zero_uniform_target_only_shifts():
 def test_method_none_returns_input_unchanged():
     z = np.array([[0.3, -0.7], [2.0, 2.0]])
     np.testing.assert_array_equal(adjust_logits(z, no_adjustment()), z)
+    p = np.array([[0.6, 0.4], [0.0, 1.0]])
+    out = adjust_posteriors(p, no_adjustment()).matrix
+    np.testing.assert_array_equal(out, p)
+    assert out is not p
 
 
 def test_adjust_posteriors_worked_example():

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -42,7 +43,7 @@ from tailcal.model import (
     save_model,
 )
 from tailcal.numerics import RngStream, softmax_rows
-from tailcal.oracle import bayes_posterior_rows, sample_mixture, toy_mixture
+from tailcal.oracle import toy_mixture
 
 
 @pytest.fixture()
@@ -75,6 +76,15 @@ def test_gen_data_rejects_degenerate_configs(workdir, capsys):
     assert "error" in capsys.readouterr().err
     assert run_cli("gen-data", "--out", "x", "--max-count", "10", "--imbalance", "1000") != 0
     assert "error" in capsys.readouterr().err
+
+
+def test_gen_data_takes_means_that_fit_classes_and_dims_from_its_config(workdir):
+    (workdir / "cfg.json").write_text(json.dumps(
+        {"means": [[0, 0, 0], [2, 0, 0]], "sigmas": [1, 0.5], "dims": 3}))
+    assert run_cli("gen-data", "--config", "cfg.json", "--counts", "20,10", "--val-per-class",
+                   "2", "--test-per-class", "2", "--out", "d") == 0
+    assert (workdir / "d" / "train.csv").read_text().startswith("f0,f1,f2,label\n")
+    assert load_manifest(workdir / "d" / "manifest.json")["config"]["dims"] == 3
 
 
 def test_gen_data_writes_expected_files(small_run):
@@ -281,6 +291,16 @@ def test_eval_emits_all_formats(small_run):
         assert column in table
 
 
+def test_eval_leaves_a_class_absent_from_the_labels_out_of_every_mean(workdir):
+    logits = np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0], [2.0, 0.0, 0.0]])
+    save_logit_dump(["a", "b", "c", "d"], logits, [0, 1, 0, 1], "d.csv")  # no label 2
+    assert run_cli("eval", "--logits", "d.csv", "--out", "x") == 0
+    report = json.loads((workdir / "x" / "report.json").read_text())
+    assert report["per_class_accuracy"] == [0.5, 0.5, None]
+    assert report["balanced_accuracy"] == 0.5
+    assert report["group_accuracy"] == {"few": 0.5}
+
+
 def test_eval_rejects_missing_label_column(workdir, capsys):
     (workdir / "broken.csv").write_text("id,logit_0,logit_1\nr0,0.5,0.4\n")
     code = run_cli("eval", "--logits", "broken.csv", "--out", "x")
@@ -367,21 +387,6 @@ def test_ingest_rejects_missing_label_column(workdir, capsys):
     (workdir / "nolabel.csv").write_text("id,logit_0,logit_1\nr0,0.5,0.4\n")
     code = run_cli("ingest-logits", "--logits", "nolabel.csv", "--out", "x")
     assert code == 3
-
-
-def test_ingest_rejects_class_mismatch_counts(workdir, capsys):
-    gmm = toy_mixture()
-    x, y = sample_mixture(gmm, [0.5, 0.5], 200, RngStream(1))
-    posts = bayes_posterior_rows(gmm, [0.7, 0.3], x)
-    save_logit_dump([str(i) for i in range(200)], np.log(posts), y, "d.csv")
-    save_logit_dump([str(i) for i in range(200)], np.log(posts), y, "t.csv")
-    (workdir / "c3.json").write_text('{"counts": [100, 50, 50]}')
-    code = run_cli(
-        "ingest-logits", "--logits", "d.csv", "--train-logits", "t.csv",
-        "--counts", "c3.json", "--out", "x",
-    )
-    assert code == 3
-    assert "classes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("body", [
@@ -581,6 +586,32 @@ def test_toy_experiment_keeps_the_trials_of_a_failed_fork_in_this_process(monkey
     monkeypatch.setattr(os, "fork", _no_fork)
     assert summary(3) == expected
     assert forks == ["_toy_part"] * 2
+
+
+def test_toy_experiment_shows_the_warnings_of_real_trials_once_for_any_worker_count(
+    workdir, capsys, monkeypatch, forks
+):
+    """Every trial overflows in its first steps and fails: each worker count
+    shows the same warnings, each once, then the error of trial 0."""
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    monkeypatch.setattr(warnings, "showwarning", show)  # pytest records them instead
+    shown = []
+    for workers in ("1", "2"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            assert run_cli("toy-experiment", "--trials", "3", "--lr", "1.7e308", "--samples",
+                           "200", "--test-samples", "200", "--workers", workers,
+                           "--out", f"toy{workers}") == 4
+        shown.append(capsys.readouterr().err)
+    assert shown[0] == shown[1]
+    lines = shown[0].splitlines()
+    warned = [line for line in lines if ": RuntimeWarning: " in line]
+    assert warned and len(warned) == len(set(warned))
+    assert lines[-1] == "error: non-finite loss at step 1; lower the learning rate"
+    assert forks == ["_toy_part"]
 
 
 WARNING_TRIALS = """
@@ -1017,6 +1048,8 @@ MALFORMED_LOSSES = {
     "null-prior": {"loss_kind": "logit-adjusted", "prior": None},
     "unknown-kind": {"loss_kind": "banana"},
     "negative-prior": {"loss_kind": "logit-adjusted", "prior": [1.5, -0.5]},
+    "zero-prior-entry": {"loss_kind": "logit-adjusted", "prior": [1.0, 0.0]},
+    "negative-alpha": {"alpha": -1},
 }
 
 
@@ -1038,6 +1071,37 @@ def test_malformed_model_loss_exits_3_naming_the_file(workdir, capsys, command, 
     err = capsys.readouterr().err
     assert err.startswith("error: bad.json: malformed model file: ")
     assert "Traceback" not in err
+
+
+# per edit of a model file: the family it starts from, the edit, and the
+# reason the message gives
+MALFORMED_MODELS = {
+    "linear-bias-count": ("linear", lambda p: p["params"].update(biases=[0.0] * 3),
+                          "one bias per class required"),
+    "unknown-family": ("linear", lambda p: p["arch"].update(family="tree"),
+                       "unknown family 'tree'"),
+    "mlp-activation": ("mlp", lambda p: p["arch"].update(activation="sigmoid"),
+                       "unknown activation 'sigmoid'"),
+    "mlp-hidden-bias-count": ("mlp", lambda p: p["params"].update(hidden_biases=[0.0]),
+                              "one hidden bias per hidden unit required"),
+    "mlp-head-width": ("mlp", lambda p: p["params"].update(head_weights=[[0.0], [0.0]]),
+                       "head input width must equal hidden width"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_MODELS)
+def test_a_malformed_model_file_exits_3_naming_the_file(workdir, tiny, capsys, case):
+    files, _ = tiny
+    family, edit, message = MALFORMED_MODELS[case]
+    head = LinearSoftmaxModel(np.eye(2), np.zeros(2))
+    save_model(head if family == "linear" else MlpModel(np.eye(2), np.zeros(2), "relu", head),
+               "bad.json")
+    payload = json.loads((workdir / "bad.json").read_text())
+    edit(payload)
+    (workdir / "bad.json").write_text(json.dumps(payload))
+    assert run_cli("eval", "--model", "bad.json", "--data", files["train"], "--out", "x") == 3
+    assert capsys.readouterr().err == f"error: bad.json: malformed model file: {message}\n"
+    assert not (workdir / "x").exists()
 
 
 def test_train_side_estimator_uses_provenance_shift(workdir):
@@ -1321,7 +1385,7 @@ def test_gen_data_memory_error_at_sampling_exits_2_naming_the_flag(workdir, caps
     (["toy-experiment", "--samples", "1"], None, "--samples must be >= 2, got 1"),
     (["toy-experiment", "--test-samples", "1"], None, "--test-samples must be >= 2, got 1"),
     (["toy-experiment", "--alpha", "-1"], None, "--alpha must be >= 0, got -1.0"),
-    (["toy-experiment", "--iterations", "-1"], None, "--iterations must be >= 0, got -1"),
+    (["toy-experiment", "--iterations", "-1"], None, "--iterations must be >= 1, got -1"),
     (["toy-experiment", "--batch-size", "0"], None, "--batch-size must be >= 1, got 0"),
     (["toy-experiment", "--trials", "1", "--samples", "50", "--imbalance", "100"], None,
      "--samples 50 at --imbalance 100.0 leaves the tail class no sample"),
@@ -1380,6 +1444,19 @@ def test_gen_data_memory_error_at_sampling_exits_2_naming_the_flag(workdir, caps
     (["eval", "--logits", "{dump2}", "--target-prior", "[0.5, -1]"], None,
      "argument --target-prior: not a probability list: '[0.5, -1]': "
      "negative probability entry: min=-1.0"),
+    (["toy-experiment", "--iterations", "0"], None, "--iterations must be >= 1, got 0"),
+    (["gen-data", "--config", "cfg.json"], {"means": [[0, 0]]},
+     "config cfg.json: key 'means' has shape (1, 2), but --classes is 2 and --dims is 2"),
+    (["gen-data", "--config", "cfg.json"], {"classes": 3, "means": [[0, 0], [1, 0]]},
+     "config cfg.json: key 'means' has shape (2, 2), but config cfg.json: key 'classes' is 3 "
+     "and --dims is 2"),
+    (["gen-data", "--config", "cfg.json"], {"means": [[0, 0], [1, 0]], "dims": 3},
+     "config cfg.json: key 'means' has shape (2, 2), but --classes is 2 and config cfg.json: "
+     "key 'dims' is 3"),
+    (["gen-data", "--config", "cfg.json"], {"means": [[0, 0, 0], [1, 0, 0]]},
+     "config cfg.json: key 'means' has shape (2, 3), but --classes is 2 and --dims is 2"),
+    (["gen-data", "--config", "cfg.json"], {"sigmas": [1, 1, 1]},
+     "config cfg.json: key 'sigmas' has shape (3,), but --classes is 2"),
     *[([*command, f"--alpha={value}"], None, message)
       for command in (["adjust", "--logits", "{dump2}", "--method", "p2p-ce", "--prior", "{prior}"],
                       ["shift-eval", "--model", "{model}", "--train-data", "{train}"])
@@ -1414,7 +1491,9 @@ def test_gen_data_memory_error_at_sampling_exits_2_naming_the_flag(workdir, caps
         "shift-ratio-0.2", "shift-ratios-empty", "shift-direction-sideways",
         "shift-directions-empty", "adjust-alpha-minus-1", "shift-alpha-minus-1",
         "sweep-alpha-grid-minus-1", "ingest-grid-minus-1", "sweep-alpha-empty-grid",
-        "ingest-empty-grid", "eval-target-prior-negative",
+        "ingest-empty-grid", "eval-target-prior-negative", "toy-iterations-0",
+        "gen-config-means-1-class", "gen-config-means-2-of-3-classes", "gen-config-means-2-dims",
+        "gen-config-means-3-dims", "gen-config-sigmas-3",
         *[f"{command}-alpha-{value}" for command in ("adjust", "shift-eval")
           for value in ("nan", "inf", "-inf", "x")],
         *[f"shift-test-samples-{value}" for value in ("0", "minus-5", "beyond-int64", "abc")]])
@@ -1440,7 +1519,9 @@ def test_option_value_a_check_rejects_exits_2_naming_it(
 # itself, and the gen-data checks that follow the hashing of its --config file
 AFTER_INPUT = {"train-hidden-too-big", "train-config-hidden-too-big", "shift-test-samples-too-big",
                "train-batch-size-above-rows", "gen-config-dims-1-default-means",
-               "gen-config-counts-length"}
+               "gen-config-counts-length", "gen-config-means-1-class",
+               "gen-config-means-2-of-3-classes", "gen-config-means-2-dims",
+               "gen-config-means-3-dims", "gen-config-sigmas-3"}
 
 
 def _spy_on_input_readers(monkeypatch, hashes=False) -> list[str]:
@@ -1516,6 +1597,49 @@ def test_a_check_hook_refuses_exits_2_before_any_input_is_hashed(
     assert run_cli(*(a.format(**files) for a in argv), "--out", "x") == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert called == []
+    assert not (workdir / "x").exists()
+
+
+# files that a row below reads
+UNFIT_FILES = {
+    "p3.json": {"probs": [0.5, 0.3, 0.2], "estimator": "train-side", "samples": 9},
+    "c3.json": {"counts": [5, 3, 2]},
+    "c2.json": {"counts": [5, 3]},
+    "c1.json": {"counts": [5]},
+}
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["adjust", "--logits", "{dump2}", "--method", "p2p-ce", "--prior", "p3.json"], 3,
+     "--prior p3.json lists 3 classes, but --logits {dump2} has 2"),
+    (["adjust", "--model", "{model}", "--data", "{train}", "--method", "p2p-ce", "--prior",
+      "p3.json"], 3, "--prior p3.json lists 3 classes, but --model {model} has 2"),
+    (["adjust", "--logits", "{dump2}", "--method", "class-frequency", "--counts", "c3.json"], 3,
+     "--counts c3.json lists 3 classes, but --logits {dump2} has 2"),
+    (["sweep-alpha", "--logits", "{dump2}", "--prior", "p3.json"], 3,
+     "--prior p3.json lists 3 classes, but --logits {dump2} has 2"),
+    (["eval", "--logits", "{dump2}", "--train-counts", "c3.json"], 3,
+     "--train-counts c3.json lists 3 classes, but --logits {dump2} has 2"),
+    (["ingest-logits", "--logits", "{dump2}", "--train-logits", "{dump3}", "--counts",
+      "c2.json"], 3, "--train-logits {dump3} lists 3 classes, but --logits {dump2} has 2"),
+    (["ingest-logits", "--logits", "{dump2}", "--train-logits", "{dump2}", "--counts",
+      "c3.json"], 3, "--counts c3.json lists 3 classes, but --logits {dump2} has 2"),
+    (["ingest-logits", "--logits", "{dump2}", "--split", "0.99"], 2,
+     "--split 0.99 holds out all 30 rows of --logits, leaving none to adjust"),
+    (["adjust", "--logits", "{dump2}", "--method", "class-frequency", "--counts", "c1.json"], 3,
+     "c1.json: counts must list >= 2 classes"),
+    (["train", "--data", "nolabel.csv"], 3, "nolabel.csv: line 1: expected header 'f0,...,label'"),
+], ids=["adjust-prior-logits", "adjust-prior-model", "adjust-counts", "sweep-alpha-prior",
+        "eval-train-counts", "ingest-train-logits", "ingest-counts", "ingest-split",
+        "counts-one-class", "dataset-no-label"])
+def test_an_input_that_does_not_fit_exits_naming_it(workdir, tiny, capsys, argv, code, message):
+    files, _ = tiny
+    for name, body in UNFIT_FILES.items():
+        (workdir / name).write_text(json.dumps(body))
+    (workdir / "nolabel.csv").write_text("f0,f1\n0.5,1.5\n")
+    target = [] if argv[0] in ("train", "sweep-alpha", "eval") else ["--target-prior", "uniform"]
+    assert run_cli(*(a.format(**files) for a in argv), *target, "--out", "x") == code
+    assert capsys.readouterr().err == f"error: {message.format(**files)}\n"
     assert not (workdir / "x").exists()
 
 
@@ -1716,6 +1840,7 @@ PRIOR_ENTRIES = {
     '"samples": 0': "samples must be an integer >= 1, got 0",
     '"estimator": "mode"': "unknown estimator tag 'mode'",
     '"probs": [1.1, -0.1]': "negative probability entry: min=-0.1",
+    '"probs": [1.0, 0.0]': "effective prior entries must be strictly positive",
 }
 
 

@@ -622,6 +622,27 @@ def test_a_child_still_running_when_the_parent_raises_is_killed_and_reaped(forks
     assert time.perf_counter() - started < 30
 
 
+def test_a_child_that_dies_raises_in_the_parent_naming_its_function(forks):
+    parent = os.getpid()
+
+    def die():
+        assert os.getpid() != parent  # never end this process
+        os._exit(7)
+
+    with pytest.raises(ChildProcessError, match=r"^die died in a forked child \(exit 7\)$"), \
+            dataset._forked(die) as wait:
+        wait()
+    assert forks == ["die"]
+
+
+def test_usable_cpus_without_an_affinity_mask_are_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert dataset._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # the count is unknown
+    assert dataset._usable_cpus() == 1
+
+
 def test_fork_slots_are_the_usable_cpus_of_a_one_thread_process(monkeypatch):
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(threading, "active_count", lambda: 1)

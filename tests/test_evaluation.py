@@ -169,6 +169,15 @@ def test_boundary_export_coincident_for_bayes_weights(tmp_path, gmm):
     np.testing.assert_allclose(model_pts, bayes_pts, atol=1e-9)
 
 
+def test_boundary_export_steps_along_x0_for_a_flat_line(tmp_path, gmm):
+    model = LinearSoftmaxModel([[0.0, 1.0], [0.0, -1.0]], [0.5, 0.0])  # x1 = -0.25
+    export_boundary_data([("m", model)], gmm, [0.5, 0.5], tmp_path / "b.csv")
+    rows = [line.split(",") for line in (tmp_path / "b.csv").read_text().splitlines()]
+    points = np.array([[float(x0), float(x1)] for name, x0, x1 in rows if name == "m"])
+    np.testing.assert_array_equal(points[:, 0], np.linspace(-4.0, 4.0, 41))
+    assert set(points[:, 1]) == {-0.25}
+
+
 def test_boundary_export_rejects_bad_inputs(tmp_path, gmm):
     mlp = init_mlp(2, 2, hidden=3, activation="relu", rng=RngStream(4))
     with pytest.raises(UsageError, match="series 'm' is not a 2-class linear model"):

@@ -15,18 +15,23 @@ suite: the ``tests/`` directory next to this script, with ``-q
 all of that, so ``tests/test_oracle.py -q`` traces one file's tests.
 
 Lines count as executable when the compiled module maps bytecode to them,
-so blank lines, comments and docstrings are never listed. Only this process
-is traced: the work of a child started by ``dataset._forked`` (split CSV
-writes, the train-dump fold of ``ingest-logits``, toy-experiment trials),
-or of a test's ``python -m tailcal`` subprocess, is recorded in a child
-whose records are lost, so the lines only such a child runs are listed as
-never run. Tracing makes the suite several times slower.
+so blank lines, comments and docstrings are never listed. A child forked by
+``dataset._forked`` (split CSV writes, the train-dump fold of
+``ingest-logits``, toy-experiment trials) keeps tracing, and sends the lines
+it has run back with its result: the tool wraps ``_forked`` in ``dataset``
+and ``cli``, and the child pickles its line set as it pickles its result or
+exception. So the child's part of ``_forked`` reads as run, up to its
+``os._exit``. On a machine with one usable CPU nothing forks, and that part
+is listed as never run. A test's ``python -m tailcal`` subprocess is not
+traced, so lines that only such a subprocess runs are listed as never run.
+Tracing makes the suite several times slower.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -67,11 +72,62 @@ def traced_run(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
+        from tailcal import cli, dataset  # traced: its module-level lines run here
+
+        dataset._forked = cli._forked = _merging(dataset._forked, seen)
         code = pytest.main(pytest_args)
     finally:
         sys.settrace(None)
         threading.settrace(None)
     return int(code), seen
+
+
+class _Lines:
+    """Pickles as a copy of ``seen`` at the time it is pickled: in a forked
+    child, the lines the child has run when it sends its outcome back."""
+
+    def __init__(self, seen: dict[str, set[int]]):
+        self.seen = seen
+
+    def __reduce__(self):
+        return dict, ({name: set(lines) for name, lines in self.seen.items()},)
+
+
+def _merging(forked, seen: dict[str, set[int]]):
+    """``forked`` with each child's lines merged into ``seen`` when it is
+    waited for. The child returns ``(result, lines)``, or raises its
+    exception with the lines attached; run in this process, the lines are
+    ``seen`` itself, and nothing is merged."""
+
+    def merge(lines) -> None:
+        if isinstance(lines, dict):
+            for name, numbers in lines.items():
+                seen.setdefault(name, set()).update(numbers)
+
+    @contextmanager
+    def merging(fn, *args):
+        def child(*args):
+            try:
+                return fn(*args), _Lines(seen)
+            except BaseException as exc:
+                exc.traced_lines = _Lines(seen)
+                raise
+
+        child.__name__ = fn.__name__  # as a child that dies is named
+
+        def wait_merged():
+            try:
+                result, lines = wait()
+            except BaseException as exc:
+                merge(exc.__dict__.pop("traced_lines", None))
+                raise
+            merge(lines)
+            return result
+
+        with forked(child, *args) as wait:
+            yield wait_merged
+
+    return merging
 
 
 def main(argv=None) -> int:

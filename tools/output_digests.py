@@ -229,6 +229,7 @@ REFUSED = {
     "gen-data-empty-list": ["gen-data", "--counts", ","],
     "gen-data-counts-length": ["gen-data", "--counts", "5,6,7"],
     "gen-data-config-key": ["gen-data", "--config", "refused_gen.json"],
+    "gen-data-config-means": ["gen-data", "--config", "refused_means.json"],
     "train-kind": ["train", "--data", "absent.csv", "--iterations", "x"],
     "train-bound": ["train", "--data", "absent.csv", "--alpha", "-1"],
     "train-strict-bound": ["train", "--data", "absent.csv", "--lr", "0"],
@@ -248,6 +249,7 @@ REFUSED = {
     "toy-experiment-kind": ["toy-experiment", "--trials", "x"],
     "toy-experiment-bound": ["toy-experiment", "--trials", "0"],
     "toy-experiment-strict-bound": ["toy-experiment", "--lr", "0"],
+    "toy-experiment-iterations": ["toy-experiment", "--iterations", "0"],
     "toy-experiment-batch-size": ["toy-experiment", "--samples", "100", "--batch-size", "500"],
     "shift-eval-kind": [*SHIFT, "--ratios", "x"],
     "shift-eval-bound": [*SHIFT, "--ratios", "0.5"],
@@ -262,7 +264,8 @@ REFUSED = {
     "sweep-alpha-empty-list": ["sweep-alpha", "--prior", "absent.json", *SCORES, "--grid", ","],
     "sweep-alpha-requirement": ["sweep-alpha", "--prior", "absent.json"],
 }
-REFUSED_CONFIGS = {"refused_gen.json": {"classes": 1}, "refused_train.json": {"lr": 0}}
+REFUSED_CONFIGS = {"refused_gen.json": {"classes": 1}, "refused_means.json": {"means": [[0, 0]]},
+                   "refused_train.json": {"lr": 0}}
 
 
 def run_refused(work: Path, env: dict) -> list[str]:
