@@ -34,7 +34,6 @@ from .dataset import (
     PROFILE_KINDS,
     SHIFT_DIRECTIONS,
     GaussianMixtureSpec,
-    LongTailProfile,
     ShiftSpec,
     empirical_prior,
     load_counts,
@@ -305,16 +304,19 @@ def _target_prior(text: str):
         raise argparse.ArgumentTypeError(f"not a probability list: {text!r}: {exc}")
 
 
-def _resolve_target(value, num_classes: int) -> np.ndarray:
-    """The --target-prior value for ``num_classes`` classes; None is uniform."""
+def _resolve_target(opts, num_classes: int) -> np.ndarray:
+    """The --target-prior of ``opts`` for scores of ``num_classes`` classes;
+    None is uniform. A counts file is checked by :func:`_check_classes`."""
+    value = opts.target_prior
     if value is None or isinstance(value, str) and value == "uniform":
         return np.full(num_classes, 1.0 / num_classes)
-    target = empirical_prior(load_counts(value)) if isinstance(value, str) else value
-    if target.shape != (num_classes,):
-        raise UsageError(
-            f"--target-prior lists {target.shape[0]} classes, the scores have {num_classes}"
-        )
-    return target
+    if isinstance(value, str):
+        counts = load_counts(value)
+        _check_classes(f"--target-prior {value}", counts.size, opts, num_classes)
+        return empirical_prior(counts)
+    _refuse(value.shape != (num_classes,),
+            f"--target-prior lists {value.shape[0]} classes, the scores have {num_classes}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +364,17 @@ def _raw_posteriors(model, features) -> np.ndarray:
     return softmax_rows(predict_logits(model, features))
 
 
+def _load_for(model, opts, name: str, path: str):
+    """The dataset at ``path``, given as ``name``, for ``model`` read from the
+    --model of ``opts``: its labels below the model's class count, and a data
+    error naming both files unless its features are as many as the model's."""
+    ds = load_dataset(path, num_classes=model.num_classes)
+    if ds.dims != model.dims:
+        raise DataError(f"{name} {path} has {ds.dims} features, but --model {opts.model} "
+                        f"expects {model.dims}")
+    return ds
+
+
 # ---------------------------------------------------------------------------
 # gen-data
 
@@ -403,8 +416,9 @@ class GenOptions:
     classes: int = _option(2, int, least=2)
     dims: int = _option(2, int, least=1)
     means: list | None = _option(None, list[float], flag=None)
-    sigmas: list | None = _option(None, list[float], flag=None)
-    profile: str = _option("exponential", str, choices=PROFILE_KINDS)
+    sigmas: list | None = _option(None, list[float], flag=None, above=0)
+    profile: str = _option("exponential", str, choices=(*PROFILE_KINDS, "explicit"),
+                           needs={"explicit": "counts"})
     max_count: int = _option(9901, int, least=1)
     imbalance: float = _option(100.0, float, least=1)
     counts: list | None = _option(None, list[int], least=1,
@@ -436,12 +450,9 @@ def cmd_gen_data(opts: GenOptions, names: dict, run: RunDir) -> dict:
         means = _default_means(classes, dims) if opts.means is None else opts.means
         sigmas = np.ones(classes) if opts.sigmas is None else opts.sigmas
         gmm = GaussianMixtureSpec(means, sigmas)
-    if opts.counts is not None:
-        profile = LongTailProfile(classes, kind="explicit", counts=tuple(opts.counts))
-    else:
-        profile = LongTailProfile(classes, max_count=opts.max_count,
-                                  imbalance_factor=float(opts.imbalance), kind=opts.profile)
-    train_counts = make_longtail_counts(profile)
+    train_counts = (np.array(opts.counts) if opts.counts is not None else
+                    make_longtail_counts(classes, opts.max_count, float(opts.imbalance),
+                                         opts.profile))
     shift = ShiftSpec(opts.shift_direction, float(opts.shift_ratio))
     test_counts = make_shifted_counts(np.full(classes, opts.test_per_class), shift)
     val_counts = np.full(classes, opts.val_per_class)
@@ -549,8 +560,8 @@ class EstimateOptions:
 
 def cmd_estimate_prior(opts: EstimateOptions, names: dict, run: RunDir) -> dict:
     model, provenance = load_model(opts.model)
-    ds = load_dataset(opts.data, num_classes=model.num_classes)
-    target = _resolve_target(opts.target_prior, model.num_classes)
+    ds = _load_for(model, opts, "--data", opts.data)
+    target = _resolve_target(opts, model.num_classes)
     if opts.target_prior is None and opts.estimator in ("train-reweighted", "averaged"):
         _notice("no --target-prior given; defaulting to uniform")
 
@@ -566,7 +577,7 @@ def cmd_estimate_prior(opts: EstimateOptions, names: dict, run: RunDir) -> dict:
             _train_side_posteriors(model, provenance, ds.features), target, freq
         )
     else:  # averaged
-        ds_train = load_dataset(opts.train_data, num_classes=model.num_classes)
+        ds_train = _load_for(model, opts, "--train-data", opts.train_data)
         freq = empirical_prior(ds_train.counts)
         est_val = prior.pmbar_from_val(_raw_posteriors(model, ds.features))
         est_train = prior.pmbar_from_train(
@@ -604,7 +615,8 @@ def _check_classes(name: str, count: int, opts, classes: int) -> None:
     """A data error unless the ``count`` classes ``name`` lists are the
     ``classes`` of the scores from the --logits, else the --model, of ``opts``."""
     if count != classes:
-        scores = f"--logits {opts.logits}" if opts.logits else f"--model {opts.model}"
+        logits = getattr(opts, "logits", None)  # estimate-prior has only --model
+        scores = f"--logits {logits}" if logits else f"--model {opts.model}"
         raise DataError(f"{name} lists {count} classes, but {scores} has {classes}")
 
 
@@ -641,7 +653,7 @@ def _resolve_alpha(opts: AdjustOptions) -> float | None:
 
 
 def _adjustment(opts: AdjustOptions, num_classes: int) -> adjust.AdjustmentSpec:
-    target = _resolve_target(opts.target_prior, num_classes)
+    target = _resolve_target(opts, num_classes)
     if opts.target_prior is None and opts.method != "none":
         _notice("no --target-prior given; defaulting to uniform")
     if opts.method == "none":
@@ -662,7 +674,7 @@ def _load_scores(opts: ScoresOptions) -> tuple[list[str], np.ndarray, np.ndarray
     if opts.logits:
         return load_logit_dump(opts.logits)
     model, _ = load_model(opts.model)
-    ds = load_dataset(opts.data, num_classes=model.num_classes)
+    ds = _load_for(model, opts, "--data", opts.data)
     return [str(i) for i in range(ds.n)], predict_logits(model, ds.features), ds.labels
 
 
@@ -696,7 +708,7 @@ def cmd_eval(opts: EvalOptions, names: dict, run: RunDir) -> dict:
     provenance = (
         {"logits": opts.logits} if opts.logits else {"model": opts.model, "data": opts.data}
     )
-    target = _resolve_target(opts.target_prior, logits.shape[1])
+    target = _resolve_target(opts, logits.shape[1])
     train_counts = None
     if opts.train_counts:
         train_counts = load_counts(opts.train_counts)
@@ -908,6 +920,7 @@ def cmd_toy_experiment(opts: ToyOptions, names: dict, run: RunDir) -> dict:
     cfg = ToyConfig(**{f.name: getattr(opts, f.name) for f in fields(ToyConfig)})
     _refuse(cfg.batch_size is not None and cfg.batch_size > cfg.samples,
             f"{names['batch_size']} {cfg.batch_size} exceeds {names['samples']} {cfg.samples}")
+    train_counts = cfg.train_counts()  # refuses an empty tail class before any trial starts
     splits = {key: _allocating(f"{names[key]}: the {split} split of {getattr(cfg, key)} rows "
                                "of 2 features", getattr(cfg, key), 2)
               for key, split in (("samples", "train"), ("test_samples", "test"))}
@@ -935,7 +948,7 @@ def cmd_toy_experiment(opts: ToyOptions, names: dict, run: RunDir) -> dict:
         run.output("boundary_trial0.csv"),
     )
     evaluation.export_prior_bars(
-        trial0["freq_prior"], trial0["effective_prior"], cfg.train_counts(),
+        trial0["freq_prior"], trial0["effective_prior"], train_counts,
         run.output("prior_bars_trial0.csv"),
     )
 
@@ -1052,7 +1065,7 @@ def cmd_shift_eval(opts: ShiftOptions, names: dict, run: RunDir) -> dict:
     _refuse(model.num_classes != 2 or model.dims != 2,
             f"--model {opts.model}: shift-eval samples the two-class toy mixture in 2 "
             f"features, but the model has {model.num_classes} classes over {model.dims} features")
-    ds_train = load_dataset(opts.train_data, num_classes=model.num_classes)
+    ds_train = _load_for(model, opts, "--train-data", opts.train_data)
     estimate = prior.effective_prior_train(
         _train_side_posteriors(model, provenance, ds_train.features)
     )
@@ -1125,7 +1138,6 @@ def ingest_logits(
     after = evaluation.top1_accuracy(np.argmax(adjusted, axis=1), labels[rest_idx])
     return {
         "estimate": estimate.with_alpha(alpha),
-        "spec": spec,
         "alpha": alpha,
         "curve": curve,
         "val_size": int(n_val),
@@ -1155,7 +1167,7 @@ def cmd_ingest_logits(opts: IngestOptions, names: dict, run: RunDir) -> dict:
     train_logits = opts.train_logits
     with _forked(_dump_posterior_means, train_logits) if train_logits else nullcontext() as fold:
         ids, logits, labels = load_logit_dump(opts.logits)
-        target = _resolve_target(opts.target_prior, logits.shape[1])
+        target = _resolve_target(opts, logits.shape[1])
         if opts.target_prior is None:
             _notice("no --target-prior given; defaulting to uniform")
         train_means = train_counts = None
@@ -1209,7 +1221,7 @@ def cmd_sweep_alpha(opts: SweepOptions, names: dict, run: RunDir) -> dict:
     estimate = prior.load_prior(opts.prior)
     _, logits, labels = _load_scores(opts)
     _check_classes(f"--prior {opts.prior}", estimate.probs.size, opts, logits.shape[1])
-    target = _resolve_target(opts.target_prior, logits.shape[1])
+    target = _resolve_target(opts, logits.shape[1])
     alpha, curve = prior.tune_alpha_on_logits(
         logits, labels, opts.method, estimate, opts.grid, target
     )

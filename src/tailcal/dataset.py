@@ -16,7 +16,7 @@ import tempfile
 import threading
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice, repeat
 from pathlib import Path
 
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DataError, NumericError, UsageError
 from .numerics import RngStream, as_matrix, prob_vector
 
-PROFILE_KINDS = ("exponential", "step", "explicit")
+PROFILE_KINDS = ("exponential", "step")
 SHIFT_DIRECTIONS = ("forward", "backward", "uniform")
 
 # Lines per block of a CSV read: a read holds one block's parse beside the
@@ -60,32 +60,6 @@ class GaussianMixtureSpec:
         return self.means.shape[1]
 
 
-@dataclass(frozen=True)
-class LongTailProfile:
-    """Shape of the per-class training counts.
-
-    ``exponential`` decays counts geometrically from ``max_count`` down to
-    ``max_count / imbalance_factor``; ``step`` gives the head half of the
-    classes ``max_count`` each and the tail half the minimum; ``explicit``
-    uses ``counts`` verbatim.
-    """
-
-    num_classes: int
-    max_count: int = 0
-    imbalance_factor: float = 1.0
-    kind: str = "exponential"
-    counts: tuple[int, ...] = field(default=())
-
-    def __post_init__(self):
-        if self.num_classes < 2:
-            raise UsageError(f"need >= 2 classes, got {self.num_classes}")
-        if self.kind == "explicit":
-            if len(self.counts) != self.num_classes:
-                raise UsageError("explicit profile needs one count per class")
-        elif self.imbalance_factor < 1:
-            raise UsageError(f"imbalance factor must be >= 1, got {self.imbalance_factor}")
-
-
 def _round_half_even(values: np.ndarray) -> np.ndarray:
     # np.rint rounds half to even, the documented convention here.
     rounded = np.rint(values)
@@ -94,25 +68,29 @@ def _round_half_even(values: np.ndarray) -> np.ndarray:
     return rounded.astype(np.int64)
 
 
-def make_longtail_counts(profile: LongTailProfile) -> np.ndarray:
-    """Per-class counts for a long-tail profile, head class first.
+def make_longtail_counts(
+    num_classes: int, max_count: int, imbalance_factor: float, kind: str = "exponential"
+) -> np.ndarray:
+    """Per-class training counts of a long-tail profile, head class first.
 
-    Exponential decay: counts[i] = round(max_count * IF**(-i / (C - 1))),
-    so counts[0] == max_count and counts[C-1] == round(max_count / IF).
+    ``exponential`` decays counts geometrically from ``max_count`` down to
+    ``max_count / imbalance_factor``: counts[i] = round(max_count * IF**(-i /
+    (C - 1))), so counts[0] == max_count and counts[C-1] == round(max_count /
+    IF). ``step`` gives the head half of the classes ``max_count`` each and the
+    tail half round(max_count / IF).
     """
-    c = profile.num_classes
-    if profile.kind == "explicit":
-        counts = np.asarray(profile.counts, dtype=np.int64)
-    elif profile.kind == "exponential":
+    c = num_classes
+    if c < 2:
+        raise UsageError(f"need >= 2 classes, got {c}")
+    if imbalance_factor < 1:
+        raise UsageError(f"imbalance factor must be >= 1, got {imbalance_factor}")
+    if kind == "exponential":
         i = np.arange(c, dtype=np.float64)
-        raw = profile.max_count * profile.imbalance_factor ** (-i / (c - 1))
-        counts = _round_half_even(raw)
+        counts = _round_half_even(max_count * imbalance_factor ** (-i / (c - 1)))
     else:  # step
         head = c - c // 2
-        tail_count = _round_half_even(
-            np.array([profile.max_count / profile.imbalance_factor])
-        )[0]
-        counts = np.array([profile.max_count] * head + [tail_count] * (c - head))
+        tail_count = _round_half_even(np.array([max_count / imbalance_factor]))[0]
+        counts = np.array([max_count] * head + [tail_count] * (c - head))
     if np.any(counts < 1):
         raise UsageError(
             f"profile produces a zero count (counts={counts.tolist()}); "

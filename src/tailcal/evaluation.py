@@ -6,7 +6,7 @@ of decision-boundary and prior-bar figure data.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -108,21 +108,6 @@ def prior_mismatch(achieved, target) -> tuple[float, float]:
     return l1, kl
 
 
-@dataclass
-class EvalReport:
-    """Everything one evaluation produces, ready for JSON/CSV/table output."""
-
-    top1: float
-    balanced: float
-    per_class: np.ndarray
-    groups: dict
-    confusion: np.ndarray
-    achieved_prior: np.ndarray
-    prior_l1: float
-    prior_kl: float
-    provenance: dict = field(default_factory=dict)
-
-
 def build_report(
     predictions,
     truth,
@@ -131,83 +116,57 @@ def build_report(
     train_counts=None,
     thresholds: GroupThresholds | None = None,
     provenance: dict | None = None,
-) -> EvalReport:
-    """Assemble the full report for one prediction set."""
+) -> dict:
+    """The report of one prediction set, as ``report.json`` holds it; a
+    class absent from ``truth`` has accuracy None."""
     target = prob_vector(target_prior)
-    num_classes = target.shape[0]
-    confusion = confusion_matrix(predictions, truth, num_classes)
+    confusion = confusion_matrix(predictions, truth, target.shape[0])
     per_class = per_class_accuracy(confusion)
-    thresholds = thresholds or GroupThresholds()
-    counts = (
-        np.asarray(train_counts, dtype=np.int64)
-        if train_counts is not None
-        else confusion.sum(axis=1)
-    )
+    counts = confusion.sum(axis=1) if train_counts is None else train_counts
     achieved = achieved_prior(posteriors)
     l1, kl = prior_mismatch(achieved, target)
-    return EvalReport(
-        top1=top1_accuracy(predictions, truth),
-        balanced=balanced_accuracy(confusion),
-        per_class=per_class,
-        groups=group_accuracy(per_class, counts, thresholds),
-        confusion=confusion,
-        achieved_prior=achieved,
-        prior_l1=l1,
-        prior_kl=kl,
-        provenance=provenance or {},
-    )
-
-
-def report_to_json(report: EvalReport) -> dict:
     return {
         "schema": REPORT_SCHEMA_VERSION,
-        "top1": report.top1,
-        "balanced_accuracy": report.balanced,
-        "per_class_accuracy": [
-            None if np.isnan(v) else float(v) for v in report.per_class
-        ],
-        "group_accuracy": report.groups,
-        "confusion": report.confusion.tolist(),
-        "achieved_prior": [float(v) for v in report.achieved_prior],
-        "prior_l1": report.prior_l1,
-        "prior_kl": report.prior_kl,
-        "provenance": report.provenance,
+        "top1": top1_accuracy(predictions, truth),
+        "balanced_accuracy": balanced_accuracy(confusion),
+        "per_class_accuracy": [None if np.isnan(v) else float(v) for v in per_class],
+        "group_accuracy": group_accuracy(per_class, counts, thresholds or GroupThresholds()),
+        "confusion": confusion.tolist(),
+        "achieved_prior": [float(v) for v in achieved],
+        "prior_l1": l1,
+        "prior_kl": kl,
+        "provenance": provenance or {},
     }
 
 
-def _report_csv_lines(report: EvalReport) -> list[str]:
+def _report_csv_lines(report: dict) -> list[str]:
     lines = ["row,class,value"]
-    for i, v in enumerate(report.per_class):
-        lines.append(f"class_accuracy,{i},{'' if np.isnan(v) else repr(float(v))}")
-    lines.append(f"summary,top1,{report.top1!r}")
-    lines.append(f"summary,balanced,{report.balanced!r}")
-    for name in GROUP_NAMES:
-        if name in report.groups:
-            lines.append(f"summary,{name},{report.groups[name]!r}")
-    lines.append(f"summary,prior_l1,{report.prior_l1!r}")
-    lines.append(f"summary,prior_kl,{report.prior_kl!r}")
-    return lines
+    for i, v in enumerate(report["per_class_accuracy"]):
+        lines.append(f"class_accuracy,{i},{'' if v is None else repr(v)}")
+    groups = report["group_accuracy"]
+    summary = [("top1", report["top1"]), ("balanced", report["balanced_accuracy"]),
+               *((name, groups[name]) for name in GROUP_NAMES if name in groups),
+               ("prior_l1", report["prior_l1"]), ("prior_kl", report["prior_kl"])]
+    return lines + [f"summary,{name},{value!r}" for name, value in summary]
 
 
-def _report_table(report: EvalReport) -> str:
-    cells = [
-        f"{100 * report.groups[name]:.2f}" if name in report.groups else "-"
-        for name in GROUP_NAMES
-    ]
+def _report_table(report: dict) -> str:
+    groups = report["group_accuracy"]
+    cells = [f"{100 * groups[name]:.2f}" if name in groups else "-" for name in GROUP_NAMES]
     header = f"{'Many':>8} {'Medium':>8} {'Few':>8} {'All':>8}"
-    row = " ".join(f"{c:>8}" for c in cells) + f" {100 * report.top1:>8.2f}"
+    row = " ".join(f"{c:>8}" for c in cells) + f" {100 * report['top1']:>8.2f}"
     extra = (
-        f"balanced accuracy: {100 * report.balanced:.2f}\n"
-        f"achieved prior L1: {report.prior_l1:.4f}  KL: {report.prior_kl:.6f}"
+        f"balanced accuracy: {100 * report['balanced_accuracy']:.2f}\n"
+        f"achieved prior L1: {report['prior_l1']:.4f}  KL: {report['prior_kl']:.6f}"
     )
     return f"{header}\n{row}\n{extra}\n"
 
 
-def emit_report(report: EvalReport, fmt: str, path) -> None:
-    """Write the report as json (canonical), csv, or table-text."""
+def emit_report(report: dict, fmt: str, path) -> None:
+    """Write a :func:`build_report` dict as json (canonical), csv, or table-text."""
     path = Path(path)
     if fmt == "json":
-        path.write_text(json.dumps(report_to_json(report), indent=1) + "\n")
+        path.write_text(json.dumps(report, indent=1) + "\n")
     elif fmt == "csv":
         path.write_text("\n".join(_report_csv_lines(report)) + "\n")
     elif fmt == "table-text":

@@ -466,13 +466,11 @@ def load_model(path) -> tuple[Model, ModelProvenance]:
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8 text
         raise DataError(f"{path}: not a model file: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("schema") != MODEL_SCHEMA_VERSION:
-        raise DataError(
-            f"{path}: unsupported schema {payload.get('schema')!r}, "
-            f"expected {MODEL_SCHEMA_VERSION}"
-        )
+    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if schema != MODEL_SCHEMA_VERSION:
+        raise DataError(f"{path}: unsupported schema {schema!r}, expected {MODEL_SCHEMA_VERSION}")
     try:
         arch = payload["arch"]
         family = arch["family"]

@@ -87,6 +87,17 @@ def test_gen_data_takes_means_that_fit_classes_and_dims_from_its_config(workdir)
     assert load_manifest(workdir / "d" / "manifest.json")["config"]["dims"] == 3
 
 
+@pytest.mark.parametrize("argv, counts", [
+    (["--profile", "step", "--max-count", "100", "--imbalance", "10"], [100, 100, 10, 10]),
+    (["--profile", "explicit", "--counts", "30,20,10,5"], [30, 20, 10, 5]),
+], ids=["step", "explicit"])
+def test_gen_data_profile_sets_the_train_counts(workdir, argv, counts):
+    assert run_cli("gen-data", "--classes", "4", *argv, "--val-per-class", "1",
+                   "--test-per-class", "1", "--out", "d") == 0
+    assert json.loads((workdir / "d" / "counts.json").read_text()) == {"counts": counts}
+    assert load_dataset(workdir / "d" / "train.csv").counts.tolist() == counts
+
+
 def test_gen_data_writes_expected_files(small_run):
     for name in ("train.csv", "val.csv", "test.csv", "counts.json", "manifest.json"):
         assert (small_run / "data" / name).exists()
@@ -124,6 +135,26 @@ def test_train_stage2_init_that_does_not_fit_the_data_exits_3_naming_both(
         "error: --init m/model.json has 2 classes over 2 features, but --data d/train.csv "
         f"has {classes} classes over {dims} features\n"))
     assert steps == [] and not (workdir / "x").exists()
+
+
+@pytest.mark.parametrize("arch", ["linear", "mlp"])
+def test_train_stage2_cl_trains_a_new_head_under_the_shifted_loss(workdir, recwarn, arch):
+    assert run_cli("gen-data", "--out", "d", "--counts", "40,10", "--val-per-class", "2",
+                   "--test-per-class", "2", "--seed", "1") == 0
+    assert run_cli("train", "--data", "d/train.csv", "--arch", arch, "--hidden", "3",
+                   "--iterations", "5", "--out", "s1", "--seed", "1") == 0
+    assert run_cli("train", "--data", "d/train.csv", "--stage", "2", "--mode", "CL", "--init",
+                   "s1/model.json", "--iterations", "5", "--out", "s2", "--seed", "1") == 0
+    (stage1, _), (stage2, provenance) = (load_model(f"{s}/model.json") for s in ("s1", "s2"))
+    assert (provenance.stage, provenance.loss.kind) == (2, "logit-adjusted")
+    cl_warnings = [w for w in recwarn if "CL on a pure linear model" in str(w.message)]
+    if arch == "linear":  # nothing to freeze: a new linear model trained from zero
+        assert len(cl_warnings) == 1 and isinstance(stage2, LinearSoftmaxModel)
+    else:
+        assert cl_warnings == []
+        np.testing.assert_array_equal(stage2.hidden_weights, stage1.hidden_weights)
+        np.testing.assert_array_equal(stage2.hidden_biases, stage1.hidden_biases)
+        assert not np.array_equal(stage2.head.weights, stage1.head.weights)
 
 
 def test_train_is_deterministic(small_run):
@@ -539,17 +570,13 @@ def test_toy_experiment_runs_the_default_count_of_trials_at_once(monkeypatch, fo
     assert forks == ["_toy_part"] * 2
 
 
-def test_toy_experiment_error_in_a_trial_thread_exits_2(workdir, capsys):
-    """A trial's UsageError is raised in a forked child too; main() still maps it."""
-    code = run_cli(
-        "toy-experiment", "--trials", "4", "--samples", "10", "--imbalance", "1e9",
-        "--out", "toy",
-    )
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "--samples 10 at --imbalance 1000000000.0 leaves the tail class no sample" in err
-    assert "Traceback" not in err
-    assert not (workdir / "toy" / "manifest.json").exists()
+def test_toy_experiment_refuses_an_empty_tail_class_before_it_forks(workdir, capsys, forks):
+    code = run_cli("toy-experiment", "--samples", "50", "--trials", "4", "--workers", "2",
+                   "--out", "toy")
+    assert (code, capsys.readouterr().err) == (
+        2, "error: --samples 50 at --imbalance 100.0 leaves the tail class no sample\n")
+    assert forks == []
+    assert not (workdir / "toy").exists()
 
 
 @pytest.mark.parametrize("workers", ["1", "2", "3"])
@@ -927,9 +954,9 @@ def test_pipeline_files_match_in_process(small_run):
     np.testing.assert_allclose(file_logits, in_proc_logits, atol=1e-12)
     np.testing.assert_array_equal(file_labels, test_ds.labels)
 
-    from tailcal.evaluation import build_report, report_to_json
+    from tailcal.evaluation import build_report
 
-    in_proc_report = build_report(
+    in_proc = build_report(
         np.argmax(in_proc_logits, axis=1),
         test_ds.labels,
         softmax_rows(in_proc_logits),
@@ -937,7 +964,6 @@ def test_pipeline_files_match_in_process(small_run):
         train_counts=train_ds.counts,
     )
     file_report = json.loads((small_run / "evp" / "report.json").read_text())
-    in_proc = report_to_json(in_proc_report)
     for key in ("top1", "balanced_accuracy", "prior_l1"):
         assert file_report[key] == pytest.approx(in_proc[key], abs=1e-12)
     np.testing.assert_allclose(
@@ -1457,6 +1483,13 @@ def test_gen_data_memory_error_at_sampling_exits_2_naming_the_flag(workdir, caps
      "config cfg.json: key 'means' has shape (2, 3), but --classes is 2 and --dims is 2"),
     (["gen-data", "--config", "cfg.json"], {"sigmas": [1, 1, 1]},
      "config cfg.json: key 'sigmas' has shape (3,), but --classes is 2"),
+    (["gen-data", "--config", "cfg.json"], {"sigmas": [1, -1]},
+     "config cfg.json: key 'sigmas' must be > 0, got [1, -1]"),
+    (["gen-data", "--config", "cfg.json"], {"sigmas": [1, 0]},
+     "config cfg.json: key 'sigmas' must be > 0, got [1, 0]"),
+    (["eval", "--logits", "{dump2}", "--groups", "5,10"], None,
+     "argument --groups: expected many_min,few_max, got '5,10': "
+     "need many_min > few_max >= 1, got (5, 10)"),
     *[([*command, f"--alpha={value}"], None, message)
       for command in (["adjust", "--logits", "{dump2}", "--method", "p2p-ce", "--prior", "{prior}"],
                       ["shift-eval", "--model", "{model}", "--train-data", "{train}"])
@@ -1493,7 +1526,8 @@ def test_gen_data_memory_error_at_sampling_exits_2_naming_the_flag(workdir, caps
         "sweep-alpha-grid-minus-1", "ingest-grid-minus-1", "sweep-alpha-empty-grid",
         "ingest-empty-grid", "eval-target-prior-negative", "toy-iterations-0",
         "gen-config-means-1-class", "gen-config-means-2-of-3-classes", "gen-config-means-2-dims",
-        "gen-config-means-3-dims", "gen-config-sigmas-3",
+        "gen-config-means-3-dims", "gen-config-sigmas-3", "gen-config-sigmas-minus-1",
+        "gen-config-sigmas-0", "eval-groups-many-below-few",
         *[f"{command}-alpha-{value}" for command in ("adjust", "shift-eval")
           for value in ("nan", "inf", "-inf", "x")],
         *[f"shift-test-samples-{value}" for value in ("0", "minus-5", "beyond-int64", "abc")]])
@@ -1541,6 +1575,9 @@ def _spy_on_input_readers(monkeypatch, hashes=False) -> list[str]:
 
 @pytest.mark.parametrize("argv, body, message", [
     (["train", "--data", "{train}", "--stage", "2"], None, "--stage 2 needs --init"),
+    (["gen-data", "--profile", "explicit"], None, "--profile explicit needs --counts"),
+    (["gen-data", "--config", "cfg.json"], {"profile": "explicit"},
+     "config cfg.json: key 'profile' explicit needs --counts"),
     (["train", "--data", "{train}", "--config", "cfg.json"], {"stage": 2},
      "config cfg.json: key 'stage' 2 needs --init"),
     (["estimate-prior", "--model", "{model}", "--data", "{train}", "--estimator", "averaged"],
@@ -1560,7 +1597,8 @@ def _spy_on_input_readers(monkeypatch, hashes=False) -> list[str]:
     (["adjust", "--logits", "{dump2}", "--method", "p2p-ce", "--alpha", "1",
       "--alpha-from-sweep", "absent_sweep.json", "--prior", "absent.json"], None,
      "give either --alpha or --alpha-from-sweep, not both"),
-], ids=["train-stage-2", "train-config-stage-2", "estimate-averaged", "adjust-cf-logits",
+], ids=["train-stage-2", "gen-profile-explicit", "gen-config-profile-explicit",
+        "train-config-stage-2", "estimate-averaged", "adjust-cf-logits",
         "adjust-cf-model", "adjust-p2p-ce", "adjust-p2p-la", "ingest-train-logits",
         "adjust-alpha-twice"])
 def test_a_flag_a_command_needs_exits_2_before_any_input_is_parsed(
@@ -1629,17 +1667,66 @@ UNFIT_FILES = {
     (["adjust", "--logits", "{dump2}", "--method", "class-frequency", "--counts", "c1.json"], 3,
      "c1.json: counts must list >= 2 classes"),
     (["train", "--data", "nolabel.csv"], 3, "nolabel.csv: line 1: expected header 'f0,...,label'"),
+    (["eval", "--logits", "{dump2}", "--target-prior", "c3.json"], 3,
+     "--target-prior c3.json lists 3 classes, but --logits {dump2} has 2"),
+    (["estimate-prior", "--model", "{model}", "--data", "{train}", "--estimator",
+      "train-reweighted", "--target-prior", "c3.json"], 3,
+     "--target-prior c3.json lists 3 classes, but --model {model} has 2"),
+    (["eval", "--logits", "{dump2}", "--target-prior", "[1, 2, 3]"], 2,
+     "--target-prior lists 3 classes, the scores have 2"),
+    (["eval", "--model", "{model}", "--data", "wide.csv"], 3,
+     "--data wide.csv has 3 features, but --model {model} expects 2"),
+    (["adjust", "--model", "{model}", "--data", "wide.csv", "--method", "none"], 3,
+     "--data wide.csv has 3 features, but --model {model} expects 2"),
+    (["sweep-alpha", "--model", "{model}", "--data", "wide.csv", "--prior", "{prior}"], 3,
+     "--data wide.csv has 3 features, but --model {model} expects 2"),
+    (["estimate-prior", "--model", "{model}", "--data", "wide.csv", "--estimator", "train"], 3,
+     "--data wide.csv has 3 features, but --model {model} expects 2"),
+    (["estimate-prior", "--model", "{model}", "--data", "{train}", "--train-data", "wide.csv",
+      "--estimator", "averaged"], 3,
+     "--train-data wide.csv has 3 features, but --model {model} expects 2"),
+    (["shift-eval", "--model", "{model}", "--train-data", "wide.csv"], 3,
+     "--train-data wide.csv has 3 features, but --model {model} expects 2"),
+    (["eval", "--model", "text.json", "--data", "{train}"], 3,
+     "text.json: not a model file: Expecting value: line 1 column 1 (char 0)"),
+    (["eval", "--model", "latin1.json", "--data", "{train}"], 3,
+     "latin1.json: not a model file: 'utf-8' codec can't decode byte 0xff in position 0: "
+     "invalid start byte"),
+    (["eval", "--model", "c2.json", "--data", "{train}"], 3,
+     "c2.json: unsupported schema None, expected 1"),
+    (["eval", "--model", "list.json", "--data", "{train}"], 3,
+     "list.json: unsupported schema None, expected 1"),
 ], ids=["adjust-prior-logits", "adjust-prior-model", "adjust-counts", "sweep-alpha-prior",
         "eval-train-counts", "ingest-train-logits", "ingest-counts", "ingest-split",
-        "counts-one-class", "dataset-no-label"])
+        "counts-one-class", "dataset-no-label", "eval-target-prior-counts",
+        "estimate-target-prior-counts", "eval-target-prior-list", "eval-data-width",
+        "adjust-data-width", "sweep-alpha-data-width", "estimate-data-width",
+        "estimate-train-data-width", "shift-train-data-width", "model-not-json",
+        "model-not-utf8", "model-no-schema", "model-json-list"])
 def test_an_input_that_does_not_fit_exits_naming_it(workdir, tiny, capsys, argv, code, message):
     files, _ = tiny
     for name, body in UNFIT_FILES.items():
         (workdir / name).write_text(json.dumps(body))
     (workdir / "nolabel.csv").write_text("f0,f1\n0.5,1.5\n")
-    target = [] if argv[0] in ("train", "sweep-alpha", "eval") else ["--target-prior", "uniform"]
+    (workdir / "wide.csv").write_text("f0,f1,f2,label\n0.5,1.5,2.5,0\n0.5,1.5,2.5,1\n")
+    (workdir / "text.json").write_text("model\n")
+    (workdir / "latin1.json").write_bytes(b"\xff\n")
+    (workdir / "list.json").write_text("[1]\n")
+    # a target prior silences the notice of the commands that default it
+    defaults = argv[0] in ("adjust", "ingest-logits", "estimate-prior")
+    target = ["--target-prior", "uniform"] if defaults and "--target-prior" not in argv else []
     assert run_cli(*(a.format(**files) for a in argv), *target, "--out", "x") == code
     assert capsys.readouterr().err == f"error: {message.format(**files)}\n"
+    assert not (workdir / "x").exists()
+
+
+def test_eval_target_prior_zero_where_the_scores_put_mass_exits_4(workdir, tiny, capsys):
+    files, _ = tiny
+    assert run_cli("eval", "--logits", files["dump2"], "--target-prior", "[1, 0]",
+                   "--out", "x") == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: KL undefined: achieved mass [")
+    assert err.endswith("] on zero-target classes\n")
     assert not (workdir / "x").exists()
 
 

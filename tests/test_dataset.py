@@ -12,7 +12,6 @@ from tailcal import dataset
 from tailcal.dataset import (
     GaussianMixtureSpec,
     LabeledDataset,
-    LongTailProfile,
     ShiftSpec,
     _csv_blocks,
     _parse_rows,
@@ -32,13 +31,13 @@ from tailcal.numerics import RngStream, prob_vector
 
 
 def test_two_class_split_matches_documented_alternative():
-    counts = make_longtail_counts(LongTailProfile(2, max_count=9900, imbalance_factor=99))
+    counts = make_longtail_counts(2, 9900, 99)
     assert counts.tolist() == [9900, 100]
     assert counts.sum() == 10000
 
 
 def test_exponential_profile_ten_classes():
-    counts = make_longtail_counts(LongTailProfile(10, max_count=5000, imbalance_factor=100))
+    counts = make_longtail_counts(10, 5000, 100)
     # frozen from round(5000 * 100 ** (-i / 9)) evaluated directly
     expected = [round(5000 * 100 ** (-i / 9)) for i in range(10)]
     assert counts.tolist() == expected
@@ -48,34 +47,30 @@ def test_exponential_profile_ten_classes():
 
 
 def test_balanced_profile():
-    counts = make_longtail_counts(LongTailProfile(3, max_count=10, imbalance_factor=1))
+    counts = make_longtail_counts(3, 10, 1)
     assert counts.tolist() == [10, 10, 10]
 
 
 def test_step_profile():
-    counts = make_longtail_counts(
-        LongTailProfile(4, max_count=100, imbalance_factor=10, kind="step")
-    )
+    counts = make_longtail_counts(4, 100, 10, "step")
     assert counts.tolist() == [100, 100, 10, 10]
 
 
 def test_profile_rejects_zero_counts():
     with pytest.raises(UsageError, match="profile produces a zero count"):
-        make_longtail_counts(LongTailProfile(2, max_count=10, imbalance_factor=100))
+        make_longtail_counts(2, 10, 100)
 
 
 def test_profile_rejects_bad_parameters():
     with pytest.raises(UsageError, match="need >= 2 classes, got 1"):
-        LongTailProfile(1, max_count=10)
-    with pytest.raises(UsageError, match="imbalance factor must be >= 1"):
-        LongTailProfile(2, max_count=10, imbalance_factor=0.5)
-    with pytest.raises(UsageError, match="explicit profile needs one count per class"):
-        LongTailProfile(2, kind="explicit", counts=(5,))
+        make_longtail_counts(1, 10, 1)
+    for kind in ("exponential", "step"):
+        with pytest.raises(UsageError, match="imbalance factor must be >= 1"):
+            make_longtail_counts(2, 10, 0.5, kind)
 
 
 def test_imbalance_factor_roundtrip():
-    profile = LongTailProfile(5, max_count=6000, imbalance_factor=12)
-    counts = make_longtail_counts(profile)
+    counts = make_longtail_counts(5, 6000, 12)
     assert counts.max() / counts.min() == pytest.approx(12, rel=0.02)
 
 

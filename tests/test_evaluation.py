@@ -16,7 +16,6 @@ from tailcal.evaluation import (
     group_accuracy,
     per_class_accuracy,
     prior_mismatch,
-    report_to_json,
     top1_accuracy,
 )
 from tailcal.model import LinearSoftmaxModel, init_mlp
@@ -121,13 +120,13 @@ def test_report_json_roundtrip(tmp_path):
     report = _tiny_report()
     path = tmp_path / "report.json"
     emit_report(report, "json", path)
-    written = json.loads(path.read_text())
-    assert written == report_to_json(report)
-    assert (written["top1"], written["balanced_accuracy"]) == (report.top1, report.balanced)
-    assert written["confusion"] == report.confusion.tolist()
-    assert written["achieved_prior"] == report.achieved_prior.tolist()
-    assert written["group_accuracy"] == report.groups
-    assert written["provenance"] == report.provenance
+    assert json.loads(path.read_text()) == report
+    assert (report["schema"], report["top1"], report["balanced_accuracy"]) == (1, 5 / 6, 0.875)
+    assert report["per_class_accuracy"] == [0.75, 1.0]
+    assert report["group_accuracy"] == {"many": 0.75, "few": 1.0}
+    assert report["confusion"] == [[3, 1], [0, 2]]
+    assert report["achieved_prior"] == pytest.approx([0.5, 0.5])
+    assert report["provenance"] == {"model": "m.json"}
 
 
 def test_report_csv_row_count(tmp_path):
@@ -136,7 +135,7 @@ def test_report_csv_row_count(tmp_path):
     emit_report(report, "csv", path)
     lines = path.read_text().strip().splitlines()
     # header + per-class rows + summary block
-    assert len(lines) == 1 + 2 + 4 + len(report.groups)
+    assert len(lines) == 1 + 2 + 4 + len(report["group_accuracy"])
 
 
 def test_report_table_columns(tmp_path):

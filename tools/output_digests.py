@@ -37,8 +37,9 @@ contributes its ``config``, ``inputs`` and ``outputs`` objects instead,
 because its wall clock and timestamp differ between runs. It also runs a
 fixed list of command lines that a check refuses (``REFUSED``: per command,
 one case of each kind of check it makes on its flags, none asking for a large
-size or many workers) and prints one ``sha256  <refused>/<case> exit <code>``
-line per case, the digest of its stderr, so a changed message shows. The three
+size or many workers, and a counts file that does not fit the scores) and
+prints one ``sha256  <refused>/<case> exit <code>`` line per case, the digest
+of its stderr, so a changed message shows. The three
 toy-experiment runs print the same digests; their manifests differ only in
 ``workers``, and the default one records the usable CPUs of the machine.
 
@@ -220,7 +221,8 @@ CHAIN = [
 ]
 
 
-# Each case names files that do not exist: its check runs before any input is read.
+# Each case but the last names files that do not exist: its check runs before any
+# input is read. The last reads a 2-class dump and a 10-class counts file of the chain.
 SCORES = ["--logits", "absent.csv"]
 SHIFT = ["shift-eval", "--model", "absent.json", "--train-data", "absent.csv"]
 REFUSED = {
@@ -230,6 +232,8 @@ REFUSED = {
     "gen-data-counts-length": ["gen-data", "--counts", "5,6,7"],
     "gen-data-config-key": ["gen-data", "--config", "refused_gen.json"],
     "gen-data-config-means": ["gen-data", "--config", "refused_means.json"],
+    "gen-data-config-sigmas": ["gen-data", "--config", "refused_sigmas.json"],
+    "gen-data-requirement": ["gen-data", "--profile", "explicit"],
     "train-kind": ["train", "--data", "absent.csv", "--iterations", "x"],
     "train-bound": ["train", "--data", "absent.csv", "--alpha", "-1"],
     "train-strict-bound": ["train", "--data", "absent.csv", "--lr", "0"],
@@ -263,9 +267,11 @@ REFUSED = {
     "sweep-alpha-bound": ["sweep-alpha", "--prior", "absent.json", *SCORES, "--grid=-1"],
     "sweep-alpha-empty-list": ["sweep-alpha", "--prior", "absent.json", *SCORES, "--grid", ","],
     "sweep-alpha-requirement": ["sweep-alpha", "--prior", "absent.json"],
+    "eval-target-prior-classes": ["eval", "--logits", "adj_none/adjusted_logits.csv",
+                                  "--target-prior", "d10/counts.json"],
 }
 REFUSED_CONFIGS = {"refused_gen.json": {"classes": 1}, "refused_means.json": {"means": [[0, 0]]},
-                   "refused_train.json": {"lr": 0}}
+                   "refused_sigmas.json": {"sigmas": [1, -1]}, "refused_train.json": {"lr": 0}}
 
 
 def run_refused(work: Path, env: dict) -> list[str]:
