@@ -13,6 +13,7 @@ as ``error: <message>`` and returns its ``exit_code``; an OSError exits 3.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import operator
@@ -46,10 +47,11 @@ from .dataset import (
     _csv_blocks,
     _forked,
     _read_csv,
+    _sha256,
     _usable_cpus,
     _write_csv,
 )
-from .errors import DataError, TailcalError, UsageError
+from .errors import DataError, NumericError, TailcalError, UsageError
 from .model import (
     ACTIVATIONS,
     SCHEDULES,
@@ -304,9 +306,11 @@ def _target_prior(text: str):
         raise argparse.ArgumentTypeError(f"not a probability list: {text!r}: {exc}")
 
 
-def _resolve_target(opts, num_classes: int) -> np.ndarray:
+def _resolve_target(opts, num_classes: int, positive: bool = False) -> np.ndarray:
     """The --target-prior of ``opts`` for scores of ``num_classes`` classes;
-    None is uniform. A counts file is checked by :func:`_check_classes`."""
+    None is uniform. A counts file is checked by :func:`_check_classes`. With
+    ``positive``, for a correction that adds the target's log, a zero entry
+    is a numeric error naming its class."""
     value = opts.target_prior
     if value is None or isinstance(value, str) and value == "uniform":
         return np.full(num_classes, 1.0 / num_classes)
@@ -316,6 +320,9 @@ def _resolve_target(opts, num_classes: int) -> np.ndarray:
         return empirical_prior(counts)
     _refuse(value.shape != (num_classes,),
             f"--target-prior lists {value.shape[0]} classes, the scores have {num_classes}")
+    if positive and not value.all():  # only a list can hold a zero
+        raise NumericError(f"--target-prior gives class {int(np.argmin(value))} probability 0; "
+                           "the correction would add log 0 = -inf to its logits")
     return value
 
 
@@ -323,10 +330,11 @@ def _resolve_target(opts, num_classes: int) -> np.ndarray:
 # logit dumps: header id,logit_0,...,logit_{C-1},label
 
 
-def save_logit_dump(ids, logits, labels, path) -> None:
+def save_logit_dump(ids, logits, labels, path) -> Path | None:
+    """Write the dump CSV and its binary twin; returns the twin's path, or None."""
     logits = np.asarray(logits, dtype=np.float64)
     header = ["id"] + [f"logit_{j}" for j in range(logits.shape[1])] + ["label"]
-    _write_csv(path, header, logits, labels, ids)
+    return _write_csv(path, header, logits, labels, ids)
 
 
 def _check_dump_header(names: list[str]) -> tuple[bool, int]:
@@ -469,7 +477,8 @@ def cmd_gen_data(opts: GenOptions, names: dict, run: RunDir) -> dict:
     for stream, (split, counts, guard) in enumerate(splits):  # one split in memory at a time
         with guard:
             ds = sample_dataset(gmm, counts, master.child(stream))
-        save_dataset(ds, run.output(f"{split}.csv"))
+        if twin := save_dataset(ds, run.output(f"{split}.csv")):
+            run.output(twin.name)
         del ds
     save_counts(train_counts, run.output("counts.json"))
 
@@ -653,7 +662,7 @@ def _resolve_alpha(opts: AdjustOptions) -> float | None:
 
 
 def _adjustment(opts: AdjustOptions, num_classes: int) -> adjust.AdjustmentSpec:
-    target = _resolve_target(opts, num_classes)
+    target = _resolve_target(opts, num_classes, positive=opts.method != "none")
     if opts.target_prior is None and opts.method != "none":
         _notice("no --target-prior given; defaulting to uniform")
     if opts.method == "none":
@@ -683,7 +692,8 @@ def cmd_adjust(opts: AdjustOptions, names: dict, run: RunDir) -> dict:
     spec = _adjustment(opts, logits.shape[1])
     adjusted = adjust.adjust_logits(logits, spec)
 
-    save_logit_dump(ids, adjusted, labels, run.output("adjusted_logits.csv"))
+    if twin := save_logit_dump(ids, adjusted, labels, run.output("adjusted_logits.csv")):
+        run.output(twin.name)
     adjust.save_spec(spec, run.output("adjustment.json"))
     acc_before = evaluation.top1_accuracy(np.argmax(logits, axis=1), labels)
     acc_after = evaluation.top1_accuracy(np.argmax(adjusted, axis=1), labels)
@@ -810,10 +820,11 @@ def run_toy_trial(cfg: ToyConfig, trial: int) -> dict:
 
 
 def toy_workers(trials: int, workers: int | None = None) -> int:
-    """The process count for ``trials`` toy trials: ``workers`` if given,
-    else one per usable CPU (the process's affinity mask where the OS has
-    one), at most one per trial."""
-    return workers if workers is not None else min(trials, _usable_cpus())
+    """The process count for ``trials`` toy trials: ``workers``, by default
+    one per usable CPU (the process's affinity mask where the OS has one),
+    at most one per usable CPU and one per trial."""
+    most = min(trials, _usable_cpus())
+    return most if workers is None else min(workers, most)
 
 
 def _toy_part(cfg: ToyConfig, first: int, step: int) -> list[tuple]:
@@ -833,21 +844,22 @@ def _toy_part(cfg: ToyConfig, first: int, step: int) -> list[tuple]:
 
 
 def toy_experiment(cfg: ToyConfig, workers: int | None = None) -> dict:
-    """Run all trials in ``workers`` processes and aggregate them in trial
-    order.
+    """Run all trials in :func:`toy_workers` processes and aggregate them in
+    trial order.
 
-    ``workers`` defaults to :func:`toy_workers`: one process per usable CPU,
-    at most one per trial. Part ``p`` of ``k`` runs trials ``p, p + k, ...``;
-    this process runs part 0 and a forked child (:func:`dataset._forked`)
-    each other part, or runs them itself when there is one usable CPU or a
-    fork fails. The trials' warnings are then shown, and the first error
-    raised, in trial order, as one process running the trials in order would.
+    That is one process per usable CPU by default, and never more than the
+    usable CPUs, the trials or ``workers``. Part ``p`` of ``k`` runs trials
+    ``p, p + k, ...``; this process runs part 0 and a forked child
+    (:func:`dataset._forked`) each other part, or runs them itself when there
+    is one usable CPU or a fork fails. The trials' warnings are then shown,
+    and the first error raised, in trial order, as one process running the
+    trials in order would.
     Every trial draws only from its own per-trial stream, so the aggregate
     has the same bits for any worker count.
     """
     if cfg.trials < 1:
         raise UsageError("need at least one trial")
-    parts = min(cfg.trials, toy_workers(cfg.trials, workers))
+    parts = toy_workers(cfg.trials, workers)
     with ExitStack() as children:
         waits = [children.enter_context(_forked(_toy_part, cfg, part, parts))
                  for part in range(1, parts)]
@@ -912,8 +924,8 @@ def toy_experiment(cfg: ToyConfig, workers: int | None = None) -> dict:
 
 @_table
 class ToyOptions(ToyConfig):
-    workers: int | None = _option(None, int, least=1, help="trial processes (default: the "
-                                  "usable CPUs, at most --trials)")
+    workers: int | None = _option(None, int, least=1, help="trial processes, capped at the "
+                                  "usable CPUs and at --trials (default: that cap)")
 
 
 def cmd_toy_experiment(opts: ToyOptions, names: dict, run: RunDir) -> dict:
@@ -1167,7 +1179,7 @@ def cmd_ingest_logits(opts: IngestOptions, names: dict, run: RunDir) -> dict:
     train_logits = opts.train_logits
     with _forked(_dump_posterior_means, train_logits) if train_logits else nullcontext() as fold:
         ids, logits, labels = load_logit_dump(opts.logits)
-        target = _resolve_target(opts, logits.shape[1])
+        target = _resolve_target(opts, logits.shape[1], positive=True)
         if opts.target_prior is None:
             _notice("no --target-prior given; defaulting to uniform")
         train_means = train_counts = None
@@ -1190,7 +1202,9 @@ def cmd_ingest_logits(opts: IngestOptions, names: dict, run: RunDir) -> dict:
     )
     prior.save_prior(result["estimate"], run.output("prior.json"))
     dump = run.output("adjusted_logits.csv")
-    save_logit_dump(result["rest_ids"], result["adjusted_logits"], result["rest_labels"], dump)
+    if twin := save_logit_dump(result["rest_ids"], result["adjusted_logits"],
+                               result["rest_labels"], dump):
+        run.output(twin.name)
     report = {
         "val_size": result["val_size"],
         "alpha": result["alpha"],
@@ -1221,7 +1235,7 @@ def cmd_sweep_alpha(opts: SweepOptions, names: dict, run: RunDir) -> dict:
     estimate = prior.load_prior(opts.prior)
     _, logits, labels = _load_scores(opts)
     _check_classes(f"--prior {opts.prior}", estimate.probs.size, opts, logits.shape[1])
-    target = _resolve_target(opts, logits.shape[1])
+    target = _resolve_target(opts, logits.shape[1], positive=True)
     alpha, curve = prior.tune_alpha_on_logits(
         logits, labels, opts.method, estimate, opts.grid, target
     )
@@ -1278,15 +1292,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sha256(path) -> str:
-    """The hex SHA-256 digest of a file, read 1 MiB at a time."""
-    digest = hashlib.sha256()
-    with Path(path).open("rb") as raw:
-        while block := raw.read(1 << 20):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
@@ -1296,7 +1301,7 @@ def main(argv=None) -> int:
         if args.check:  # the rules across flags that compute something
             args.check(opts)
         inputs = {
-            path: _sha256(path)
+            path: _sha256(path).hex()
             for flag in INPUT_FLAGS
             if isinstance(path := getattr(args, flag, None), str)
             and not (flag == "target_prior" and path == "uniform")
@@ -1319,4 +1324,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    # Frozen objects are out of the collector's reach, so shutdown does not
+    # traverse them; finalizers, atexit handlers and stream flushes still run.
+    # Not in main(): an in-process caller would keep every object alive.
+    gc.freeze()
+    sys.exit(code)

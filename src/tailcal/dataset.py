@@ -3,11 +3,13 @@
 Generates class-conditional isotropic Gaussian samples under a long-tail
 count profile, computes the empirical class prior, builds test-time
 shifted label distributions, and round-trips datasets through CSV at full
-float64 precision.
+float64 precision. Each CSV written here gets a binary twin beside it, which
+a later read of the unchanged CSV loads instead of parsing it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pickle
@@ -307,8 +309,9 @@ def _write_part(file, values: np.ndarray, labels, ids) -> None:
         _write_rows(out, values, labels, ids)
 
 
-def _write_csv(path, header: list[str], values: np.ndarray, labels, ids=None) -> None:
-    """Write the CSV format shared by datasets and logit dumps.
+def _write_csv(path, header: list[str], values: np.ndarray, labels, ids=None) -> Path | None:
+    """Write the CSV format shared by datasets and logit dumps, then its
+    binary twin (:func:`_write_twin`); returns the twin's path, or None.
 
     ``header`` first, then one ``[id,]v0,...,v{K-1},label`` line per row, in
     UTF-8. Floats go through ``repr``, the shortest decimal that round-trips
@@ -321,22 +324,104 @@ def _write_csv(path, header: list[str], values: np.ndarray, labels, ids=None) ->
     formats the second half into an unlinked temporary file beside it, which
     is then appended. The bytes are those of a one-process write.
     """
+    path = Path(path)
     rows = len(values)
     half = rows // 2 if values.size >= CSV_SPLIT_CELLS and _fork_slots() > 1 else 0
     with open(path, "w", encoding="utf-8") as out:
         out.write(",".join(header) + "\n")
         if half == 0:
             _write_rows(out, values, labels, ids)
-            return
-        second = (islice(labels, half, None), None if ids is None else islice(ids, half, None))
-        with tempfile.TemporaryFile(dir=Path(path).parent) as spill, \
-                _forked(_write_part, spill, values[half:], *second) as wait:
-            _write_rows(out, values[:half], islice(labels, half),
-                        None if ids is None else islice(ids, half))
-            out.flush()
-            wait()
-            spill.seek(0)
-            shutil.copyfileobj(spill, out.buffer, 1 << 20)
+        else:
+            second = (islice(labels, half, None),
+                      None if ids is None else islice(ids, half, None))
+            with tempfile.TemporaryFile(dir=path.parent) as spill, \
+                    _forked(_write_part, spill, values[half:], *second) as wait:
+                _write_rows(out, values[:half], islice(labels, half),
+                            None if ids is None else islice(ids, half))
+                out.flush()
+                wait()
+                spill.seek(0)
+                shutil.copyfileobj(spill, out.buffer, 1 << 20)
+    return _write_twin(path, values, labels, ids)
+
+
+def _twin_path(path: Path) -> Path:
+    """Where the binary twin of the CSV at ``path`` lives: ``<name>.npy``."""
+    return path.with_name(path.name + ".npy")
+
+
+def _sha256(path) -> bytes:
+    """The SHA-256 digest of a file's bytes, read 64 KiB at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as raw:
+        while block := raw.read(1 << 16):
+            digest.update(block)
+    return digest.digest()
+
+
+def _write_twin(path: Path, values: np.ndarray, labels, ids) -> Path | None:
+    """Write the binary twin of the CSV just written at ``path`` from the
+    rows written into it, and return the twin's path.
+
+    The twin is one ``.npy`` file of consecutive ``np.save`` arrays: the
+    CSV's SHA-256 digest (32 uint8), the float64 values in C order, the int64
+    labels and, with ``ids``, the ids as a numpy str array, each the text
+    written for it. There is no twin (None, and nothing written) for ids
+    holding ``,``, a line break or NUL, which the CSV or a str array cannot
+    carry, nor for ids that a str array, which pads each to the longest,
+    would hold in more than twice their total length.
+    """
+    if ids is not None:
+        ids = [f"{i}" for i in ids]  # the text _write_rows wrote
+        text = "".join(ids)
+        if (len(ids) != len(values) or any(c in text for c in ",\r\n\0")
+                or max(map(len, ids), default=0) * len(ids) > 2 * len(text)):
+            return None
+    labels = np.asarray(labels)
+    if labels.dtype != np.int64:  # written through int()
+        try:
+            labels = np.fromiter(map(int, labels), np.int64, len(labels))
+        except OverflowError:  # beyond int64, where a parse refuses the CSV as well
+            return None
+    twin = _twin_path(path)
+    with open(twin, "wb") as out:
+        np.save(out, np.frombuffer(_sha256(path), np.uint8))
+        np.save(out, np.ascontiguousarray(values, dtype=np.float64))
+        np.save(out, labels)
+        if ids is not None:
+            np.save(out, np.array(ids, dtype=str))
+    return twin
+
+
+def _load_twin(path: Path, names: list[str], has_ids: bool, bound: int):
+    """``(ids, values, labels)`` from the binary twin of the CSV at ``path``
+    (:func:`_write_twin`), whose header ``names`` passed its check: what a
+    parse of the CSV returns, or None.
+
+    None when there is no twin, when its digest is not that of the CSV's
+    bytes as they are now, when it is truncated or unreadable, and when its
+    arrays fail a check a parse applies: their dtypes, values ``(rows,
+    width)`` in C order with the width the header gives, one label and id per
+    row and at least one row, finite values, and labels in ``[0, bound)``.
+    The CSV is hashed only when a twin exists.
+    """
+    try:  # read_array, unlike np.load, reads an .npy array and nothing else
+        with _twin_path(path).open("rb") as twin:
+            digest = np.lib.format.read_array(twin, allow_pickle=False)
+            if digest.dtype != np.uint8 or digest.tobytes() != _sha256(path):
+                return None
+            values, labels, *ids = (np.lib.format.read_array(twin, allow_pickle=False)
+                                    for _ in range(3 if has_ids else 2))
+    except (OSError, ValueError, MemoryError):  # MemoryError: a shape no file holds
+        return None
+    rows = len(labels) if labels.ndim == 1 else 0
+    width = len(names) - (2 if has_ids else 1)
+    if not (rows and labels.dtype == np.int64 and values.dtype == np.float64
+            and values.shape == (rows, width) and values.flags.c_contiguous
+            and all(i.dtype.kind == "U" and i.shape == (rows,) for i in ids)
+            and labels.min() >= 0 and labels.max() < bound and np.isfinite(values).all()):
+        return None
+    return ids[0].tolist() if has_ids else [], values, labels
 
 
 def _read_csv(path, check_header) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -354,23 +439,29 @@ def _read_csv(path, check_header) -> tuple[list[str], np.ndarray, np.ndarray]:
     and the line. Returns ``(ids, values, labels)``; ``ids`` is empty without
     an id column.
 
-    The rows arrive from :func:`_csv_blocks` a block at a time and are copied
-    into arrays sized from the file's line breaks, so the values are held once.
+    Once the header has passed its check, a binary twin bound to the CSV's
+    bytes (:func:`_load_twin`) is loaded in place of the rows. Otherwise the
+    rows arrive from :func:`_csv_rows` a block at a time and are copied into
+    arrays sized from the file's line breaks, so the values are held once.
     """
     path = Path(path)
-    capacity = _line_breaks(path)  # the header is a line, so rows <= breaks
-    ids: list[str] = []
-    values = labels = None
-    n = 0
-    for block_ids, block_values, block_labels in _csv_blocks(path, check_header):
-        if values is None:
-            values = np.empty((capacity, block_values.shape[1]))
-            labels = np.empty(capacity, dtype=np.int64)
-        end = n + block_labels.size
-        values[n:end] = block_values
-        labels[n:end] = block_labels
-        ids += block_ids
-        n = end
+    with _csv_text(path, check_header) as (lines, header):
+        twin = _load_twin(path, *header)
+        if twin is not None:
+            return twin
+        capacity = _line_breaks(path)  # the header is a line, so rows <= breaks
+        ids: list[str] = []
+        values = labels = None
+        n = 0
+        for block_ids, block_values, block_labels in _csv_rows(path, lines, *header):
+            if values is None:
+                values = np.empty((capacity, block_values.shape[1]))
+                labels = np.empty(capacity, dtype=np.int64)
+            end = n + block_labels.size
+            values[n:end] = block_values
+            labels[n:end] = block_labels
+            ids += block_ids
+            n = end
     return ids, values[:n], labels[:n]
 
 
@@ -390,16 +481,13 @@ def _line_breaks(path: Path) -> int:
     return breaks
 
 
-def _csv_blocks(path: Path, check_header):
-    """Yield the rows of a :func:`_read_csv` file as ``(ids, values, labels)``
-    blocks in file order, none of them empty.
-
-    After the header, the file is parsed ``CSV_BLOCK_LINES`` lines at a time.
-    :func:`_parse_rows_vectorised` parses each block whose label cells are
-    ASCII; a block it does not accept, or with a non-ASCII label cell (numpy
-    reads some non-digit letters as digits), goes alone to :func:`_parse_rows`,
-    which writes each error with the file's own line numbers.
-    """
+@contextmanager
+def _csv_text(path: Path, check_header):
+    """Open a :func:`_read_csv` file as text and check its header line with
+    ``check_header``; yields the open lines, at the first data line, and
+    ``(names, has_ids, bound)``. A byte that is not UTF-8, met here or
+    while the caller reads the lines, raises :class:`DataError` naming the
+    file."""
     try:
         with path.open(encoding="utf-8-sig") as lines:
             first = lines.readline()
@@ -411,32 +499,52 @@ def _csv_blocks(path: Path, check_header):
             except ValueError as exc:
                 raise DataError(f"{path}: line 1: {exc}") from exc
             bound = np.iinfo(np.int64).max if num_classes is None else num_classes
-            lineno, rows = 2, 0
-            while True:
-                block = []
-                try:
-                    for line in islice(lines, CSV_BLOCK_LINES):
-                        block.append(line)
-                except UnicodeDecodeError:
-                    # the per-line read meets the bad byte after the lines
-                    # before it, as it does reading the whole file
-                    _parse_rows(path, block, names, has_ids, bound, lineno)
-                    raise
-                if not block:
-                    break
-                parsed = None
-                if all(line.rpartition(",")[2].isascii() for line in block):
-                    parsed = _parse_rows_vectorised(block, names, has_ids, bound)
-                if parsed is None:
-                    parsed = _parse_rows(path, block, names, has_ids, bound, lineno)
-                lineno += len(block)
-                if parsed[2].size:
-                    rows += parsed[2].size
-                    yield parsed
-            if not rows:
-                raise DataError(f"{path}: no data rows")
+            yield lines, (names, has_ids, bound)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _csv_blocks(path: Path, check_header):
+    """Yield the rows of a :func:`_read_csv` file as ``(ids, values, labels)``
+    blocks in file order, none of them empty. A binary twin is never read."""
+    with _csv_text(path, check_header) as (lines, header):
+        yield from _csv_rows(path, lines, *header)
+
+
+def _csv_rows(path: Path, lines, names: list[str], has_ids: bool, bound: int):
+    """Yield the data ``lines`` of a :func:`_read_csv` file as
+    :func:`_csv_blocks` does.
+
+    The lines are parsed ``CSV_BLOCK_LINES`` at a time.
+    :func:`_parse_rows_vectorised` parses each block whose label cells are
+    ASCII; a block it does not accept, or with a non-ASCII label cell (numpy
+    reads some non-digit letters as digits), goes alone to :func:`_parse_rows`,
+    which writes each error with the file's own line numbers.
+    """
+    lineno, rows = 2, 0
+    while True:
+        block = []
+        try:
+            for line in islice(lines, CSV_BLOCK_LINES):
+                block.append(line)
+        except UnicodeDecodeError:
+            # the per-line read meets the bad byte after the lines before it,
+            # as it does reading the whole file
+            _parse_rows(path, block, names, has_ids, bound, lineno)
+            raise
+        if not block:
+            break
+        parsed = None
+        if all(line.rpartition(",")[2].isascii() for line in block):
+            parsed = _parse_rows_vectorised(block, names, has_ids, bound)
+        if parsed is None:
+            parsed = _parse_rows(path, block, names, has_ids, bound, lineno)
+        lineno += len(block)
+        if parsed[2].size:
+            rows += parsed[2].size
+            yield parsed
+    if not rows:
+        raise DataError(f"{path}: no data rows")
 
 
 def _parse_rows(path: Path, lines, names: list[str], has_ids: bool, bound: int, start: int = 2):
@@ -506,10 +614,11 @@ def _parse_rows_vectorised(lines, names: list[str], has_ids: bool, bound: int):
     return table["id"].tolist() if has_ids else [], values, labels
 
 
-def save_dataset(ds: LabeledDataset, path) -> None:
-    """Write ``f0,...,f{D-1},label`` CSV; lossless float64 round-trip."""
+def save_dataset(ds: LabeledDataset, path) -> Path | None:
+    """Write ``f0,...,f{D-1},label`` CSV, a lossless float64 round-trip, and
+    its binary twin; returns the twin's path, or None."""
     header = [f"f{j}" for j in range(ds.dims)] + ["label"]
-    _write_csv(path, header, ds.features, ds.labels)
+    return _write_csv(path, header, ds.features, ds.labels)
 
 
 def load_dataset(path, num_classes: int | None = None) -> LabeledDataset:

@@ -519,7 +519,8 @@ def test_toy_experiment_single_trial(workdir, capsys):
     assert len(bars) == 3
 
 
-def test_toy_experiment_worker_invariance(workdir, capsys):
+def test_toy_experiment_worker_invariance(workdir, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)  # --workers 3 is not capped
     args = ["toy-experiment", "--trials", "6", "--samples", "2000",
             "--test-samples", "1000", "--seed", "9"]
     runs = {"w1": ["--workers", "1"], "w3": ["--workers", "3"], "default": []}
@@ -550,7 +551,17 @@ def test_toy_workers_default_to_the_usable_cpus_at_most_one_per_trial(
 ):
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     assert toy_workers(trials) == expected
-    assert toy_workers(trials, 7) == 7  # --workers pins the count
+    assert toy_workers(trials, 7) == expected  # --workers is capped alike
+    assert toy_workers(trials, 1) == 1
+
+
+def test_toy_experiment_caps_workers_at_the_usable_cpus(workdir, monkeypatch, forks):
+    # 4 trials: a cap that did not hold would still fork no more than 3 children
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    assert run_cli("toy-experiment", "--trials", "4", "--samples", "200", "--test-samples",
+                   "100", "--iterations", "5", "--workers", "500", "--out", "toy") == 0
+    assert forks == ["_toy_part"]
+    assert load_manifest(workdir / "toy" / "manifest.json")["config"]["workers"] == 2
 
 
 def test_toy_experiment_runs_the_default_count_of_trials_at_once(monkeypatch, forks):
@@ -593,6 +604,7 @@ def test_toy_experiment_raises_the_lowest_failing_trial_for_any_worker_count(
         return run_trial(cfg, trial)
 
     monkeypatch.setattr(cli, "run_toy_trial", failing_trial)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
     code = run_cli(
         "toy-experiment", "--trials", "4", "--samples", "200", "--test-samples", "100",
         "--iterations", "5", "--workers", workers, "--out", "toy",
@@ -610,6 +622,7 @@ def test_toy_experiment_keeps_the_trials_of_a_failed_fork_in_this_process(monkey
         return json.dumps({k: v for k, v in result.items() if k != "_trial0"})
 
     expected = summary(1)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(os, "fork", _no_fork)
     assert summary(3) == expected
     assert forks == ["_toy_part"] * 2
@@ -695,6 +708,7 @@ def test_toy_experiment_kills_its_children_when_this_process_stops(monkeypatch, 
         time.sleep(60)
 
     monkeypatch.setattr(cli, "run_toy_trial", stuck_trial)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
     start = time.monotonic()
     with pytest.raises(Stop):
         cli.toy_experiment(ToyConfig(trials=3), 3)
@@ -823,7 +837,8 @@ def test_failed_run_in_a_reused_out_leaves_no_manifest(workdir, monkeypatch):
             "--out", "d"]
     assert run_cli(*argv) == 0
     assert sorted(p.name for p in (workdir / "d").iterdir()) == [
-        "counts.json", "manifest.json", "test.csv", "train.csv", "val.csv"
+        "counts.json", "manifest.json", "test.csv", "test.csv.npy", "train.csv",
+        "train.csv.npy", "val.csv", "val.csv.npy",
     ]
 
     def full_disk(counts, path):
@@ -1696,13 +1711,26 @@ UNFIT_FILES = {
      "c2.json: unsupported schema None, expected 1"),
     (["eval", "--model", "list.json", "--data", "{train}"], 3,
      "list.json: unsupported schema None, expected 1"),
+    (["adjust", "--logits", "{dump2}", "--method", "p2p-la", "--prior", "{prior}",
+      "--target-prior", "[1, 0]"], 4,
+     "--target-prior gives class 1 probability 0; the correction would add log 0 = -inf to "
+     "its logits"),
+    (["sweep-alpha", "--logits", "{dump2}", "--prior", "{prior}", "--method", "p2p-la",
+      "--target-prior", "[0, 1]"], 4,
+     "--target-prior gives class 0 probability 0; the correction would add log 0 = -inf to "
+     "its logits"),
+    (["ingest-logits", "--logits", "{dump2}", "--target-prior", "[1, 0]"], 4,
+     "--target-prior gives class 1 probability 0; the correction would add log 0 = -inf to "
+     "its logits"),
 ], ids=["adjust-prior-logits", "adjust-prior-model", "adjust-counts", "sweep-alpha-prior",
         "eval-train-counts", "ingest-train-logits", "ingest-counts", "ingest-split",
         "counts-one-class", "dataset-no-label", "eval-target-prior-counts",
         "estimate-target-prior-counts", "eval-target-prior-list", "eval-data-width",
         "adjust-data-width", "sweep-alpha-data-width", "estimate-data-width",
         "estimate-train-data-width", "shift-train-data-width", "model-not-json",
-        "model-not-utf8", "model-no-schema", "model-json-list"])
+        "model-not-utf8", "model-no-schema", "model-json-list", "adjust-target-prior-zero",
+        "sweep-alpha-target-prior-zero", "ingest-target-prior-zero"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's "divide by zero" among them
 def test_an_input_that_does_not_fit_exits_naming_it(workdir, tiny, capsys, argv, code, message):
     files, _ = tiny
     for name, body in UNFIT_FILES.items():
@@ -1896,8 +1924,8 @@ def test_ingest_forked_leaves_the_outputs_of_one_process_and_no_child_or_file(
             monkeypatch.setattr(os, "fork", _no_fork)
         assert _ingest(run) == 0
         files = sorted((workdir / run).iterdir())
-        assert [p.name for p in files] == [
-            "adjusted_logits.csv", "ingest_report.json", "manifest.json", "prior.json"]
+        assert [p.name for p in files] == ["adjusted_logits.csv", "adjusted_logits.csv.npy",
+                                           "ingest_report.json", "manifest.json", "prior.json"]
         outputs[run] = {p.name: p.read_bytes() for p in files if p.name != "manifest.json"}
     # the fold three times; the adjusted dump's write in two parts, twice
     assert sorted(forks) == ["_dump_posterior_means"] * 3 + ["_write_part"] * 2
@@ -1906,6 +1934,15 @@ def test_ingest_forked_leaves_the_outputs_of_one_process_and_no_child_or_file(
 
 def _no_fork():
     raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+
+def test_entry_freezes_the_objects_after_main_returns_and_exits_with_its_code(monkeypatch):
+    events = []
+    monkeypatch.setattr(cli, "main", lambda: events.append("main") or 3)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(sys, "exit", lambda code: events.append(("exit", code)))
+    cli.entry()
+    assert events == ["main", "freeze", ("exit", 3)]
 
 
 def test_importing_the_cli_loads_none_of_the_lazily_imported_modules():

@@ -1,14 +1,17 @@
 import errno
+import hashlib
 import os
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailcal import dataset
+from tailcal import cli, dataset
+from tailcal.cli import load_logit_dump, save_logit_dump
 from tailcal.dataset import (
     GaussianMixtureSpec,
     LabeledDataset,
@@ -531,6 +534,194 @@ def test_read_csv_sizes_its_arrays_from_the_line_breaks(tmp_path, end):
     assert values.base.shape == (7, 1) and labels.tolist() == [0, 1] * 3 + [0]
 
 
+# --- the binary twin against a parse of its CSV ------------------------------
+
+twin_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# ids a str array holds in at most twice their length: 3 or 4 characters each
+twin_ids = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters=",\r\n\0"),
+    min_size=3, max_size=4,
+)
+
+
+def _twin(path: Path) -> Path:
+    return path.with_name(path.name + ".npy")
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_a_twin_loads_the_bits_a_parse_of_its_csv_returns(tmp_path_factory, data):
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 3))
+    cells = data.draw(st.lists(twin_floats, min_size=rows * cols, max_size=rows * cols))
+    values = np.array(cells).reshape(rows, cols)
+    labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows)))
+    ids = data.draw(st.lists(twin_ids, min_size=rows, max_size=rows))
+    directory = tmp_path_factory.mktemp("twin")
+    cases = (  # labels as a list in the dump: the twin holds what int() wrote
+        (save_dataset, LabeledDataset(values, labels, np.bincount(labels, minlength=2)),
+         lambda path: _read_csv(path, _check_header_for(False, None))),
+        (lambda dump, path: save_logit_dump(ids, values, labels.tolist(), path), None,
+         load_logit_dump),
+    )
+    for i, (save, ds, read) in enumerate(cases):
+        path = directory / f"{i}.csv"
+        assert save(ds, path) == _twin(path)
+        parses = []
+        with pytest.MonkeyPatch.context() as patch:  # a twin load parses no row
+            patch.setattr(dataset, "_csv_rows", lambda *args: parses.append(args))
+            loaded = read(path)
+        assert parses == []
+        _twin(path).unlink()
+        parsed = read(path)
+        assert _same(loaded, parsed) and np.array_equal(loaded[1], parsed[1])
+        assert loaded[0] == (ids if i else [])
+
+
+def _forge_twin(path: Path, values, labels, ids=None) -> None:
+    """A twin bound to the CSV's bytes as they are now, holding the arrays given."""
+    with _twin(path).open("wb") as out:
+        np.save(out, np.frombuffer(hashlib.sha256(path.read_bytes()).digest(), np.uint8))
+        for array in (values, labels) + (() if ids is None else (ids,)):
+            np.save(out, array)
+
+
+def _set_cell(path: Path, row: int, column: int, text: str) -> None:
+    """Rewrite one cell of a data row of a CSV."""
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[row + 1].rstrip("\n").split(",")
+    cells[column] = text
+    lines[row + 1] = ",".join(cells) + "\n"
+    path.write_text("".join(lines))
+
+
+def _cut_twin(keep):
+    """Cut the twin to its first ``keep(size)`` bytes."""
+    def cut(path, *arrays):
+        raw = _twin(path).read_bytes()
+        _twin(path).write_bytes(raw[:keep(len(raw))])
+    return cut
+
+
+def _forged_fault(column, cell, fault):
+    """The CSV's cell at row 1 and ``column`` set to ``cell``, and a twin that
+    holds the same fault, bound to the CSV's new bytes."""
+    def forge(path, values, labels, ids):
+        _set_cell(path, 1, column, cell)
+        values, labels = values.copy(), labels.copy()
+        fault(values, labels)
+        _forge_twin(path, values, labels, ids)
+    return forge
+
+
+# A CSV written with its twin, then changed so that the twin must be passed
+# over: each read equals the read of the same CSV without a twin.
+TWIN_FAULTS = {
+    "csv-value-edited": lambda path, *arrays: _set_cell(path, 1, -2, "4.0"),
+    "csv-fault-edited": lambda path, *arrays: _set_cell(path, 1, -2, "x"),
+    "twin-cut-in-the-digest": _cut_twin(lambda size: size // 20),
+    "twin-cut-in-half": _cut_twin(lambda size: size // 2),
+    "twin-cut-short-by-a-byte": _cut_twin(lambda size: size - 1),
+    "twin-not-npy": lambda path, *arrays: _twin(path).write_bytes(b"PK\x03\x04 not a twin"),
+    "twin-of-other-bytes": lambda path, values, labels, ids: _twin(path).write_bytes(
+        _twin(path).read_bytes().replace(hashlib.sha256(path.read_bytes()).digest(), bytes(32))),
+    "wrong-width": lambda path, values, labels, ids: _forge_twin(path, values[:, :1], labels, ids),
+    "fewer-value-rows-than-labels": lambda path, values, labels, ids: _forge_twin(
+        path, values[:2], labels, ids),
+    "no-rows": lambda path, values, labels, ids: (
+        path.write_text(path.read_text().splitlines()[0] + "\n"),
+        _forge_twin(path, values[:0], labels[:0], None if ids is None else ids[:0])),
+    "fortran-order": lambda path, values, labels, ids: _forge_twin(
+        path, np.asfortranarray(values), labels, ids),
+    "int32-labels": lambda path, values, labels, ids: _forge_twin(
+        path, values, labels.astype(np.int32), ids),
+    "big-endian-values": lambda path, values, labels, ids: _forge_twin(
+        path, values.astype(">f8"), labels, ids),
+    "nan": _forged_fault(-2, "nan", lambda values, labels: values.__setitem__((1, -1), np.nan)),
+    "label-out-of-range": _forged_fault(-1, "2", lambda values, labels: labels.__setitem__(1, 2)),
+    "negative-label": _forged_fault(-1, "-1", lambda values, labels: labels.__setitem__(1, -1)),
+}
+DUMP_TWIN_FAULTS = {
+    "ids-count": lambda path, values, labels, ids: _forge_twin(path, values, labels, ids[:2]),
+    "ids-not-str": lambda path, values, labels, ids: _forge_twin(
+        path, values, labels, np.arange(3)),
+    "ids-missing": lambda path, values, labels, ids: _forge_twin(path, values, labels),
+}
+
+
+@pytest.mark.parametrize("fmt, fault", [
+    *(("dataset", fault) for fault in TWIN_FAULTS),
+    *(("dump", fault) for fault in [*TWIN_FAULTS, *DUMP_TWIN_FAULTS]),
+])
+def test_a_twin_that_fails_a_check_changes_no_result_and_no_error(tmp_path, fmt, fault):
+    values = np.array([[0.5, -1.25], [3.0, -0.0], [5e-324, 1.7e308]])
+    labels = np.array([0, 1, 1])
+    ids = np.array(["a", "b", "c"]) if fmt == "dump" else None
+    path = tmp_path / "t.csv"
+    if fmt == "dump":
+        save_logit_dump(ids.tolist(), values, labels, path)
+        read = load_logit_dump
+    else:
+        save_dataset(LabeledDataset(values, labels, [1, 2]), path)
+        read = lambda path: load_dataset(path, num_classes=2)  # noqa: E731
+    {**TWIN_FAULTS, **DUMP_TWIN_FAULTS}[fault](path, values, labels, ids)
+    results = []
+    for _ in range(2):
+        try:
+            got = read(path)
+            results.append(got if fmt == "dump" else ([], got.features, got.labels))
+        except DataError as exc:
+            results.append(str(exc))
+        _twin(path).unlink(missing_ok=True)
+    with_twin, parsed = results
+    assert type(with_twin) is type(parsed)
+    assert with_twin == parsed if isinstance(parsed, str) else _same(with_twin, parsed)
+
+
+def test_a_csv_without_a_twin_is_not_hashed_by_the_reader(tmp_path, monkeypatch):
+    save_logit_dump(["a", "b"], np.eye(2), [0, 1], tmp_path / "d.csv")
+    hashed, sha256 = [], dataset._sha256
+    monkeypatch.setattr(dataset, "_sha256", lambda path: hashed.append(path) or sha256(path))
+    load_logit_dump(tmp_path / "d.csv")
+    assert hashed == [tmp_path / "d.csv"]
+    _twin(tmp_path / "d.csv").unlink()
+    load_logit_dump(tmp_path / "d.csv")
+    assert hashed == [tmp_path / "d.csv"]
+
+
+@pytest.mark.parametrize("ids", [
+    ["a,b", "c", "d"], ["a\rb", "c", "d"], ["a\nb", "c", "d"], ["a\0", "c", "d"],
+    ["long", "", ""]],
+    ids=["comma", "carriage-return", "line-feed", "nul", "padded-past-twice-the-length"])
+def test_ids_that_a_twin_cannot_carry_get_none(tmp_path, ids):
+    _twin(tmp_path / "d.csv").write_bytes(b"a stale twin")
+    assert save_logit_dump(ids, np.eye(3), [0, 1, 2], tmp_path / "d.csv") is None
+    assert _twin(tmp_path / "d.csv").read_bytes() == b"a stale twin"
+
+
+def test_a_stale_twin_in_a_reused_out_is_ignored(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["gen-data", "--counts", "30,10", "--val-per-class", "5", "--test-per-class", "5",
+            "--out", "d"]
+    assert cli.main([*argv, "--seed", "1"]) == 0
+    first = load_dataset("d/train.csv")
+
+    def full_disk(*args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with pytest.MonkeyPatch.context() as patch:  # the new train.csv is written, not its twin
+        patch.setattr(dataset, "_write_twin", full_disk)
+        assert cli.main([*argv, "--seed", "2"]) == 3
+    assert Path("d/train.csv.npy").exists()  # the first run's
+    loaded = load_dataset("d/train.csv")
+    Path("d/train.csv.npy").unlink()
+    parsed = load_dataset("d/train.csv")
+    assert not np.array_equal(parsed.features, first.features)
+    assert _same(([], loaded.features, loaded.labels), ([], parsed.features, parsed.labels))
+
+
 @pytest.mark.parametrize("rows, cols, slots, split_cells, with_ids, parts", [
     (dataset.CSV_SPLIT_CELLS - 1, 1, 2, None, True, 1),  # just below: one process
     (dataset.CSV_SPLIT_CELLS + 1, 1, 2, None, True, 2),  # just above: two parts
@@ -554,8 +745,10 @@ def test_a_split_write_has_the_bytes_of_a_one_process_write(
     monkeypatch.setattr(dataset, "_fork_slots", lambda: slots)
     dataset._write_csv(tmp_path / "split.csv", header, values, labels, ids)
     assert forks == ["_write_part"] * (parts - 1)
-    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.csv", "split.csv"]
+    for name in ("csv", "csv.npy"):  # the twins too
+        assert (tmp_path / f"split.{name}").read_bytes() == (tmp_path / f"one.{name}").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "one.csv", "one.csv.npy", "split.csv", "split.csv.npy"]
 
 
 def test_a_failing_part_raises_in_the_parent_as_in_one_process(tmp_path, monkeypatch, forks):
@@ -606,8 +799,10 @@ def test_a_failed_fork_leaves_the_work_in_this_process(tmp_path, monkeypatch, fo
     for fd in pipes:  # both ends closed again
         with pytest.raises(OSError):
             os.fstat(fd)
-    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.csv", "split.csv"]
+    for name in ("csv", "csv.npy"):  # the twins too
+        assert (tmp_path / f"split.{name}").read_bytes() == (tmp_path / f"one.{name}").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "one.csv", "one.csv.npy", "split.csv", "split.csv.npy"]
 
 
 def test_a_child_still_running_when_the_parent_raises_is_killed_and_reaped(forks):

@@ -41,11 +41,17 @@ size or many workers, and a counts file that does not fit the scores) and
 prints one ``sha256  <refused>/<case> exit <code>`` line per case, the digest
 of its stderr, so a changed message shows. The three
 toy-experiment runs print the same digests; their manifests differ only in
-``workers``, and the default one records the usable CPUs of the machine.
+``workers``, which is at most the usable CPUs of the machine.
+
+Every CSV that tailcal writes has a binary twin ``<name>.npy`` beside it,
+which gets a digest line like any output. The script then loads each twin
+and checks that it holds what parsing its CSV returns: the CSV's SHA-256,
+and the values, labels and ids bit for bit.
 
 Two trees produce the same outputs when this script prints the same text
 for both. Paths are relative to the work directory, which defaults to a
-fresh temporary one. Exits 1 if any command fails.
+fresh temporary one. Exits 1 if any command fails or a twin does not hold
+its CSV's parse, which it then names on stderr.
 
 When outputs are meant to move by rounding only, compare them value by
 value instead. Run each tree's copy of this script with its own ``--work``
@@ -59,7 +65,10 @@ every number has the same value. The text between the numbers must match;
 a file where it does not, or that only one directory holds, prints
 ``differs`` or ``missing``, and the script then exits 1. ``manifest.json``
 files are skipped: their input digests follow from the files compared, and
-their wall clock differs between runs.
+their wall clock differs between runs. Twins are compared by their arrays:
+the largest relative difference between their values, and ``differs`` when
+their labels, ids or shapes differ. Their digests are skipped, as each
+follows from its CSV.
 """
 
 from __future__ import annotations
@@ -74,6 +83,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SEED = "7"
@@ -324,6 +335,38 @@ def run_chain(work: Path) -> list[str]:
     return sorted(lines)
 
 
+def load_twin(path: Path) -> list:
+    """The arrays of a twin: its digest, values, labels and, for a logit
+    dump, ids."""
+    arrays = []
+    with path.open("rb") as raw:
+        while raw.peek(1):
+            arrays.append(np.load(raw, allow_pickle=False))
+    return arrays
+
+
+def check_twins(work: Path) -> list[str]:
+    """One line per twin under ``work`` that does not hold the parse of its
+    CSV, which tailcal's streamed reader (it reads no twin) makes."""
+    sys.path.insert(0, str(SRC))
+    from tailcal.dataset import _csv_blocks
+
+    problems = []
+    for twin in sorted(work.rglob("*.csv.npy")):
+        csv = twin.with_suffix("")
+        digest, values, labels, *ids = load_twin(twin)
+        blocks = list(_csv_blocks(csv, lambda names: (names[0] == "id", None)))
+        parsed = [np.concatenate([block[k] for block in blocks]) for k in (1, 2)]
+        parsed_ids = [i for block in blocks for i in block[0]]  # none in a dataset
+        held = (digest.tobytes() == hashlib.sha256(csv.read_bytes()).digest()
+                and all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+                        for a, b in zip((values, labels), parsed))
+                and [i.tolist() for i in ids] == ([parsed_ids] if parsed_ids else []))
+        if not held:
+            problems.append(f"{twin.relative_to(work).as_posix()}: not the parse of its CSV")
+    return problems
+
+
 NUMBER = re.compile(r"-?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?")
 
 
@@ -340,6 +383,20 @@ def largest_relative_difference(a: str, b: str) -> float | None:
     return largest
 
 
+def twin_difference(a: Path, b: Path) -> float | None:
+    """The largest relative difference between the values of two twins, or
+    None when their labels, ids or shapes differ."""
+    (_, values_a, *rest_a), (_, values_b, *rest_b) = load_twin(a), load_twin(b)
+    if values_a.shape != values_b.shape or len(rest_a) != len(rest_b) or not all(
+            x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(rest_a, rest_b)):
+        return None
+    differ = values_a != values_b
+    if not differ.any():
+        return 0.0
+    x, y = values_a[differ], values_b[differ]
+    return float((np.abs(x - y) / np.maximum(np.abs(x), np.abs(y))).max())
+
+
 def compare(work_a: Path, work_b: Path) -> int:
     """Print one line per output file of either directory; 1 if any differs
     in its text or is missing from one, else 0."""
@@ -353,11 +410,21 @@ def compare(work_a: Path, work_b: Path) -> int:
         if not (a.is_file() and b.is_file()):
             verdict = "missing"
         else:
-            diff = largest_relative_difference(a.read_text(), b.read_text())
+            diff = (twin_difference(a, b) if rel.endswith(".npy") else
+                    largest_relative_difference(a.read_text(), b.read_text()))
             verdict = "differs" if diff is None else f"{diff:.3g}"
         status |= verdict in ("missing", "differs")
         print(f"{verdict}  {rel}")
     return status
+
+
+def report(work: Path) -> int:
+    """Print the digest lines of a run in ``work``; 1 if a twin fails its
+    check, which goes to stderr, else 0."""
+    print("\n".join(run_chain(work)))
+    problems = check_twins(work)
+    sys.stderr.write("".join(line + "\n" for line in problems))
+    return 1 if problems else 0
 
 
 def main() -> None:
@@ -371,10 +438,10 @@ def main() -> None:
     if args.work:
         work = Path(args.work)
         work.mkdir(parents=True, exist_ok=True)
-        print("\n".join(run_chain(work)))
-    else:
-        with tempfile.TemporaryDirectory() as tmp:
-            print("\n".join(run_chain(Path(tmp))))
+        raise SystemExit(report(work))
+    with tempfile.TemporaryDirectory() as tmp:
+        status = report(Path(tmp))
+    raise SystemExit(status)
 
 
 if __name__ == "__main__":
