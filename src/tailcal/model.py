@@ -12,7 +12,9 @@ config's random stream. A two-class linear model steps on its log-odds
 margin, the sigmoid form of its two-logit softmax: one length-N vector in
 place of the N x 2 logits. It agrees with the softmax form to rounding
 (about 1e-13 relative), not bit for bit; every other model keeps the
-softmax step's bits.
+softmax step's bits. At full batch such a model's step only sums over the
+rows, so it reshuffles nothing and draws nothing from the stream: every
+step runs on the rows in stored order.
 """
 
 from __future__ import annotations
@@ -277,7 +279,7 @@ def _loss_and_grads(
     """
     y = np.asarray(labels, dtype=np.int64)
     shift = _loss_shift(loss, model.num_classes)
-    if isinstance(model, LinearSoftmaxModel) and model.num_classes == 2:
+    if _takes_log_odds_step(model):
         return _log_odds_loss_and_grads(model, x, y, shift)
     n = x.shape[0]
     hidden, pre, head = _forward(model, x)
@@ -298,6 +300,11 @@ def _loss_and_grads(
         d_hidden = (g @ head.weights) * _activate_grad(pre, model.activation)
         grads = [d_hidden.T @ x, d_hidden.sum(axis=0)] + grads
     return mean_loss, grads
+
+
+def _takes_log_odds_step(model: Model) -> bool:
+    """Whether ``model`` steps on its log-odds margin: a two-class linear model."""
+    return isinstance(model, LinearSoftmaxModel) and model.num_classes == 2
 
 
 def _log_odds_loss_and_grads(
@@ -342,6 +349,9 @@ def _learning_rate(cfg: TrainConfig, step: int) -> float:
 def train(model: Model, ds: LabeledDataset, loss: LossSpec, cfg: TrainConfig) -> TrainResult:
     """Mini-batch SGD with seeded shuffling; deterministic given cfg.seed.
 
+    A two-class linear model at full batch is not shuffled: each step runs on
+    the rows in stored order, and nothing is drawn from cfg.seed.
+
     Returns the trained model and the per-epoch mean loss trace. Aborts with
     NumericError when the loss goes non-finite or beyond 1e6.
     """
@@ -351,22 +361,32 @@ def train(model: Model, ds: LabeledDataset, loss: LossSpec, cfg: TrainConfig) ->
     params = model_parameters(model)
     result = TrainResult(model)
     gen = cfg.seed.generator()
+    # In C order, as a gathered batch always is: the BLAS sums in an order
+    # that depends on the layout.
+    features = np.ascontiguousarray(ds.features)
+    # The log-odds step sums over its rows, so at full batch a permutation
+    # would only reorder the summands.
+    in_order = cfg.batch_size == ds.n and _takes_log_odds_step(model)
     # One gather buffer for every step: a fresh batch-sized array per step
     # makes the allocator hand memory back to the OS and fault it in again.
     # mode="clip" never clips a permutation's indices; the default "raise"
     # would gather through a temporary array of the buffer's size.
-    buf = np.empty((cfg.batch_size, ds.dims))
+    buf = None if in_order else np.empty((cfg.batch_size, ds.dims))
     step = 0
     while step < cfg.iterations:
-        perm = gen.permutation(ds.n)
+        perm = None if in_order else gen.permutation(ds.n)
         epoch_loss = 0.0
         epoch_samples = 0
         for start in range(0, ds.n, cfg.batch_size):
             if step >= cfg.iterations:
                 break
-            batch = perm[start : start + cfg.batch_size]
-            x = np.take(ds.features, batch, axis=0, out=buf[: batch.size], mode="clip")
-            batch_loss, grads = _loss_and_grads(model, x, ds.labels[batch], loss)
+            if in_order:
+                x, y = features, ds.labels
+            else:
+                batch = perm[start : start + cfg.batch_size]
+                x = np.take(features, batch, axis=0, out=buf[: batch.size], mode="clip")
+                y = ds.labels[batch]
+            batch_loss, grads = _loss_and_grads(model, x, y, loss)
             if not np.isfinite(batch_loss):
                 raise NumericError(
                     f"non-finite loss at step {step}; lower the learning rate"
@@ -374,8 +394,8 @@ def train(model: Model, ds: LabeledDataset, loss: LossSpec, cfg: TrainConfig) ->
             lr = _learning_rate(cfg, step)
             for param, grad in zip(params, grads):
                 param -= lr * grad
-            epoch_loss += batch_loss * batch.size
-            epoch_samples += batch.size
+            epoch_loss += batch_loss * y.size
+            epoch_samples += y.size
             step += 1
         mean_epoch = epoch_loss / epoch_samples
         result.loss_trace.append(mean_epoch)

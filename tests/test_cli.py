@@ -167,6 +167,15 @@ def test_train_is_deterministic(small_run):
     assert a == b
 
 
+def test_train_with_its_full_batch_named_writes_the_bits_of_the_default(small_run):
+    """``small_run``'s stage1 trained on the default full batch of 1960 + 40 rows."""
+    assert run_cli("train", "--data", "data/train.csv", "--out", "named", "--seed", "77",
+                   "--batch-size", "2000") == 0
+    for name in ("model.json", "loss_trace.json"):
+        named, default = (small_run / out / name for out in ("named", "stage1"))
+        assert named.read_bytes() == default.read_bytes()
+
+
 def test_toy_stage1_training_fits_time_budget(workdir):
     assert run_cli("gen-data", "--out", "full", "--seed", "3") == 0
     started = time.time()

@@ -701,6 +701,33 @@ def test_ids_that_a_twin_cannot_carry_get_none(tmp_path, ids):
     assert _twin(tmp_path / "d.csv").read_bytes() == b"a stale twin"
 
 
+def test_int32_labels_get_a_twin_that_loads_the_bits_of_a_parse(tmp_path, monkeypatch):
+    path = tmp_path / "d.csv"
+    values = np.array([[0.5, -1.25], [3.0, -0.0], [5e-324, 1.7e308]])
+    labels = np.array([0, 1, 1], np.int32)
+    assert save_logit_dump(["a", "b", "c"], values, labels, path) == _twin(path)
+    with monkeypatch.context() as patch:  # a twin load parses no row
+        patch.setattr(dataset, "_csv_rows", None)
+        loaded = load_logit_dump(path)
+    _twin(path).unlink()
+    parsed = load_logit_dump(path)
+    assert loaded[2].dtype == np.int64 and _same(loaded, parsed)
+
+
+def test_a_label_beyond_int64_gets_no_twin_and_reads_as_without_one(tmp_path):
+    path = tmp_path / "d.csv"
+    _twin(path).write_bytes(b"a stale twin")
+    assert save_logit_dump(["a", "b"], np.eye(2), [0, 2**63], path) is None
+    assert _twin(path).read_bytes() == b"a stale twin"
+    errors = []
+    for _ in range(2):
+        with pytest.raises(DataError) as caught:
+            load_logit_dump(path)
+        errors.append(str(caught.value))
+        _twin(path).unlink(missing_ok=True)
+    assert errors[0] == errors[1] and "9223372036854775808" in errors[0]
+
+
 def test_a_stale_twin_in_a_reused_out_is_ignored(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     argv = ["gen-data", "--counts", "30,10", "--val-per-class", "5", "--test-per-class", "5",

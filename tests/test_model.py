@@ -325,10 +325,14 @@ def test_two_class_log_odds_step_is_finite_at_margins_of_800():
 
 
 def _row_indexed_train(model, ds, loss, cfg):
-    """train's SGD loop over the row-indexed references, gathering by index."""
+    """train's SGD loop over the row-indexed references, gathering by index.
+    A two-class linear model at full batch steps on the rows in stored order
+    and draws nothing."""
+    in_order = (cfg.batch_size == ds.n and isinstance(model, LinearSoftmaxModel)
+                and model.num_classes == 2)
     gen, step = cfg.seed.generator(), 0
     while step < cfg.iterations:
-        perm = gen.permutation(ds.n)
+        perm = np.arange(ds.n) if in_order else gen.permutation(ds.n)
         for start in range(0, ds.n, cfg.batch_size):
             if step < cfg.iterations:
                 batch = perm[start : start + cfg.batch_size]
@@ -366,6 +370,54 @@ def test_full_batch_logit_adjusted_train_at_ten_classes_matches_the_row_indexed_
         assert np.array_equal(trained, ref)
 
 
+@pytest.mark.parametrize("batch_size", [64, None])
+def test_two_class_train_on_fortran_ordered_features_has_the_bits_of_c_order(
+    toy_train, batch_size
+):
+    """At full batch the step runs on the dataset's own rows, whose layout
+    would change the GEMM's bits; a gathered batch was always in C order."""
+    fortran = LabeledDataset(np.asfortranarray(toy_train.features), toy_train.labels,
+                             toy_train.counts)
+    assert not fortran.features.flags.c_contiguous
+    cfg = small_cfg(iterations=20, batch_size=batch_size or toy_train.n, learning_rate=5.0)
+    a, b = (train(init_linear(2, 2), ds, LossSpec(), cfg) for ds in (toy_train, fortran))
+    for trained, ref in zip(model_parameters(a.model), model_parameters(b.model)):
+        assert np.array_equal(trained, ref)
+    assert a.loss_trace == b.loss_trace
+
+
+class _PermutationSpy(np.random.Generator):
+    """A generator that records the size of each permutation it draws."""
+
+    drawn: list[int] = []
+
+    def permutation(self, x, axis=0):
+        self.drawn.append(x)
+        return super().permutation(x, axis)
+
+
+@pytest.mark.parametrize("family, c, batch_size, iterations, draws", [
+    ("linear", 2, None, 7, 0),  # the rows in stored order, nothing drawn
+    ("linear", 2, 64, 12, 3),  # 5 batches of 300 rows per epoch: epochs of 5, 5 and 2
+    ("linear", 10, None, 7, 7),
+    ("mlp", 2, None, 7, 7),
+])
+def test_train_draws_one_permutation_per_epoch_except_two_class_linear_at_full_batch(
+    monkeypatch, family, c, batch_size, iterations, draws
+):
+    rng = np.random.default_rng(50 + c)
+    gmm = GaussianMixtureSpec(rng.normal(scale=2.0, size=(c, 2)), np.ones(c))
+    counts = [250, 50] if c == 2 else [30] * c
+    ds = sample_dataset(gmm, counts, RngStream(51))
+    model = (init_linear(c, 2) if family == "linear"
+             else init_mlp(c, 2, hidden=3, activation="tanh", rng=RngStream(52)))
+    monkeypatch.setattr(_PermutationSpy, "drawn", [])
+    monkeypatch.setattr(np.random, "Generator", _PermutationSpy)
+    cfg = small_cfg(iterations=iterations, batch_size=batch_size or ds.n)
+    train(model, ds, LossSpec(), cfg)
+    assert _PermutationSpy.drawn == [ds.n] * draws
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_batch_loss_and_grads_rejects_nonfinite_features(bad):
     x = np.zeros((4, 2))
@@ -385,6 +437,14 @@ def test_train_zero_iterations_returns_init(toy_train):
 def test_train_deterministic(toy_train):
     a = train(init_linear(2, 2), toy_train, LossSpec(), small_cfg(seed=3))
     b = train(init_linear(2, 2), toy_train, LossSpec(), small_cfg(seed=3))
+    np.testing.assert_array_equal(a.model.weights, b.model.weights)
+    np.testing.assert_array_equal(a.model.biases, b.model.biases)
+    assert a.loss_trace == b.loss_trace
+
+
+def test_two_class_linear_train_at_full_batch_has_the_same_bits_for_any_seed(toy_train):
+    a, b = (train(init_linear(2, 2), toy_train, LossSpec(),
+                  small_cfg(seed=seed, batch_size=toy_train.n)) for seed in (3, 4))
     np.testing.assert_array_equal(a.model.weights, b.model.weights)
     np.testing.assert_array_equal(a.model.biases, b.model.biases)
     assert a.loss_trace == b.loss_trace

@@ -6,7 +6,10 @@ Run from anywhere:
 
 It runs a small chain of ``python -m tailcal`` processes against the
 ``src/`` tree next to this script: gen-data (2- and 10-class), stage-1
-linear and MLP training, linear training with a cosine schedule, stage-2 CL
+linear and MLP training, the same linear training with ``--batch-size 2000``
+(``s1full``: the full batch of d2's 1 960 + 40 training rows named, so its
+``model.json`` and ``loss_trace.json`` print the digests of ``s1``'s), linear
+training with a cosine schedule, stage-2 CL
 and FT of the linear model, stage-2 CL of the 10-class MLP and of a 2-class
 one (whose new head is a two-class linear model), full-batch linear training
 on the 10-class data and a stage-2 FT from it (the linear softmax step, which
@@ -158,6 +161,8 @@ CHAIN = [
      "--test-per-class", "30"],
     ["gen-data", "--config", "cfg.json", "--out", "dcfg", "--test-per-class", "40"],
     ["train", "--data", "d2/train.csv", "--out", "s1", "--seed", SEED],
+    ["train", "--data", "d2/train.csv", "--out", "s1full", "--seed", SEED,
+     "--batch-size", "2000"],
     ["train", "--data", "d10/train.csv", "--out", "m10", "--seed", SEED, "--arch", "mlp",
      "--hidden", "8", "--lr", "0.5", "--iterations", "30", "--batch-size", "256"],
     ["train", "--data", "d10/train.csv", "--out", "m10cl", "--seed", SEED, "--stage", "2",
