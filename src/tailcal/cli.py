@@ -100,14 +100,6 @@ def _master_seed() -> int:
     raise UsageError(f"{SEED_ENV_VAR} must fit in a signed 64-bit integer, got {text!r}")
 
 
-# Flags that may name a file the command reads. main() hashes each string value
-# before the command runs, except --target-prior 'uniform' (lists are parsed).
-INPUT_FLAGS = (
-    "config", "data", "init", "model", "train_data", "logits", "train_logits",
-    "prior", "counts", "train_counts", "alpha_from_sweep", "target_prior",
-)
-
-
 @dataclass
 class RunDir:
     """The --out directory of one run and the output files named in it."""
@@ -140,8 +132,8 @@ def write_manifest(
         "wall_clock_s": time.time() - started,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    tmp = run.path / "manifest.json.tmp"
-    tmp.write_text(json.dumps(manifest, indent=1) + "\n")
+    tmp = run.path / "manifest.json.tmp"  # a --target-prior list is an array
+    tmp.write_text(json.dumps(manifest, indent=1, default=np.ndarray.tolist) + "\n")
     os.replace(tmp, run.path / "manifest.json")
 
 
@@ -154,10 +146,10 @@ def _option(default, kind, flag: str | None = "", choices=None, help=None, least
     """A row of a command's option table, also its --config key unless ``key``
     is False: a dataclass field with its default, its ``kind`` (int, float,
     str, a list of one, or a parser of a flag's text), its flag ("" for the
-    kebab-cased name, None where the table adds none, as for the shared
-    --seed), the ``choices`` of each entry, its help, whether it is
-    ``required``, its bounds (>= ``least``, > ``above``, < ``below``) and what
-    it ``needs``: a row any value needs, or a dict from a value to its row."""
+    kebab-cased name, None for a config key without one), the ``choices`` of
+    each entry, its help, whether it is ``required``, its bounds (>=
+    ``least``, > ``above``, < ``below``) and what it ``needs``: a row any
+    value needs, or a dict from a value to its row."""
     meta = dict(kind=kind, flag=flag, choices=choices, help=help, least=least, above=above,
                 below=below, needs=needs, required=required, key=key)
     return field(default_factory=lambda: default, metadata=meta)  # also takes a list default
@@ -334,7 +326,7 @@ def save_logit_dump(ids, logits, labels, path) -> Path | None:
     """Write the dump CSV and its binary twin; returns the twin's path, or None."""
     logits = np.asarray(logits, dtype=np.float64)
     header = ["id"] + [f"logit_{j}" for j in range(logits.shape[1])] + ["label"]
-    return _write_csv(path, header, logits, labels, ids)
+    return _write_csv(path, header, logits, labels, ids, num_classes=logits.shape[1])
 
 
 def _check_dump_header(names: list[str]) -> tuple[bool, int]:
@@ -435,10 +427,12 @@ class GenOptions:
     test_per_class: int = _option(5000, int, least=1)
     shift_direction: str = _option("uniform", str, choices=SHIFT_DIRECTIONS)
     shift_ratio: float = _option(1.0, float, least=1)
-    seed: int | None = _option(None, int, flag=None)
+    seed: int | None = _option(None, int)
 
 
-def cmd_gen_data(opts: GenOptions, names: dict, run: RunDir) -> dict:
+def _check_gen_data(opts: GenOptions, names: dict) -> None:
+    """A uniform shift only at ratio 1, and counts, means and sigmas that fit
+    --classes and --dims."""
     _check_uniform_ratio(names["shift_direction"], opts.shift_direction,
                          names["shift_ratio"], opts.shift_ratio)
     classes, dims = opts.classes, opts.dims
@@ -453,6 +447,10 @@ def cmd_gen_data(opts: GenOptions, names: dict, run: RunDir) -> dict:
     _refuse(opts.sigmas is not None and np.shape(opts.sigmas) != (classes,),
             f"{names['sigmas']} has shape {np.shape(opts.sigmas)}, but {names['classes']} is "
             f"{classes}")
+
+
+def cmd_gen_data(opts: GenOptions, names: dict, run: RunDir) -> dict:
+    classes, dims = opts.classes, opts.dims
     with _allocating(f"{names['classes' if classes >= dims else 'dims']}: a mixture of "
                      f"{classes} classes in {dims} dims", classes, dims):  # named by the larger size
         means = _default_means(classes, dims) if opts.means is None else opts.means
@@ -485,7 +483,7 @@ def cmd_gen_data(opts: GenOptions, names: dict, run: RunDir) -> dict:
     print(f"{'class':>6} {'train':>8} {'val':>8} {'test':>8}")
     for i in range(classes):
         print(f"{i:>6} {train_counts[i]:>8} {val_counts[i]:>8} {test_counts[i]:>8}")
-    return asdict(opts)
+    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +505,7 @@ class TrainOptions:
     arch: str = _option("linear", str, choices=("linear", "mlp"))
     hidden: int = _option(16, int, least=1)
     activation: str = _option("relu", str, choices=ACTIVATIONS)
-    seed: int | None = _option(None, int, flag=None)
+    seed: int | None = _option(None, int)
 
 
 def cmd_train(opts: TrainOptions, names: dict, run: RunDir) -> dict:
@@ -550,7 +548,7 @@ def cmd_train(opts: TrainOptions, names: dict, run: RunDir) -> dict:
     print(f"trained stage-{stage} model -> {model_path}")
     if result.loss_trace:
         print(f"final epoch mean loss: {result.loss_trace[-1]:.6f}")
-    return {key: value for key, value in asdict(opts).items() if key != "init"}
+    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +597,7 @@ def cmd_estimate_prior(opts: EstimateOptions, names: dict, run: RunDir) -> dict:
     for i, (f, e) in enumerate(zip(freq, estimate.probs)):
         print(f"{i:>6} {f:>12.6f} {e:>12.6f}")
     print(f"estimator: {estimate.estimator}  samples: {estimate.samples}")
-    return {"estimator": opts.estimator, "target_prior": [float(v) for v in target]}
+    return {"target_prior": target}
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +612,7 @@ class ScoresOptions:  # the rows with which adjust, eval and sweep-alpha name th
     data: str | None = _option(None, str)
 
 
-def _check_scores(command: str, opts: ScoresOptions) -> None:
+def _check_scores(command: str, opts: ScoresOptions, names: dict) -> None:
     """The flags from which adjust, eval and sweep-alpha read scores."""
     _refuse(not (opts.logits or opts.model and opts.data),
             f"{command} needs --logits, or --model with --data")
@@ -640,9 +638,9 @@ class AdjustOptions(ScoresOptions):
                                            help="chosen_alpha.json from a sweep-alpha run")
 
 
-def _check_adjust(opts: AdjustOptions) -> None:
+def _check_adjust(opts: AdjustOptions, names: dict) -> None:
     """adjust's scores flags, and no alpha given twice unless --method is none."""
-    _check_scores("adjust", opts)
+    _check_scores("adjust", opts, names)
     _refuse(opts.method != "none" and opts.alpha is not None and opts.alpha_from_sweep is not None,
             "give either --alpha or --alpha-from-sweep, not both")
 
@@ -699,7 +697,7 @@ def cmd_adjust(opts: AdjustOptions, names: dict, run: RunDir) -> dict:
     acc_after = evaluation.top1_accuracy(np.argmax(adjusted, axis=1), labels)
     print(f"top-1 before adjustment: {acc_before:.4f}")
     print(f"top-1 after adjustment:  {acc_after:.4f}")
-    return {"method": opts.method, "spec": spec.to_json()}
+    return {"spec": spec.to_json()}
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +734,7 @@ def cmd_eval(opts: EvalOptions, names: dict, run: RunDir) -> dict:
     for fmt, name in (("json", "report.json"), ("csv", "report.csv"), ("table-text", "report.txt")):
         evaluation.emit_report(report, fmt, run.output(name))
     print((run.path / "report.txt").read_text(), end="")
-    return {"target_prior": [float(v) for v in target]}
+    return {"target_prior": target}
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +752,7 @@ class ToyConfig:
     iterations: int = _option(TOY_ITERATIONS, int, least=1)  # an untrained model has no boundary
     batch_size: int | None = _option(None, int, least=1)  # full batch
     schedule: str = _option(TOY_SCHEDULE, str, choices=SCHEDULES)
-    seed: int = _option(DEFAULT_SEED, int, flag=None)
+    seed: int = _option(DEFAULT_SEED, int)
 
     def train_counts(self) -> np.ndarray:
         tail = int(round(self.samples / (self.imbalance + 1.0)))
@@ -980,7 +978,7 @@ def cmd_toy_experiment(opts: ToyOptions, names: dict, run: RunDir) -> dict:
     print(f"p2p within 1 point of bayes: {'PASS' if o['p2p_within_1pt_of_bayes'] else 'FAIL'}")
     e = summary["effective_prior"]
     print(f"effective head prior exceeds frequency in {e['head_exceeds_frequency_trials']}/{e['trials']} trials")
-    return {**summary["config"], "workers": workers}
+    return {"workers": workers}
 
 
 # ---------------------------------------------------------------------------
@@ -1002,10 +1000,10 @@ class ShiftOptions:
     trials: int = _option(20, int, least=1)
     test_samples: int = _option(10000, int, least=1)
     alpha: float = _option(1.0, float, least=0)
-    seed: int | None = _option(None, int, flag=None)
+    seed: int | None = _option(None, int)
 
 
-def _check_shift_eval(opts: ShiftOptions) -> None:
+def _check_shift_eval(opts: ShiftOptions, names: dict) -> None:
     """A uniform shift only at ratio 1, and a --test-samples whose test set
     keeps a sample of each class under every shift."""
     _check_uniform_ratio("--directions", opts.directions, "--ratios", opts.ratios)
@@ -1095,8 +1093,7 @@ def cmd_shift_eval(opts: ShiftOptions, names: dict, run: RunDir) -> dict:
         label = f"{row['direction']}@{row['ratio']:g}"
         print(f"{label:>14} {row['unadjusted_mean']:>12.4f} {row['adjusted_mean']:>12.4f}")
     run.output("shift_eval.csv").write_text("\n".join(lines) + "\n")
-    return {"ratios": opts.ratios, "directions": opts.directions, "trials": opts.trials,
-            "seed": opts.seed}
+    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -1171,7 +1168,7 @@ class IngestOptions:
                                  help="training counts JSON for the train-side estimate")
     grid: list[float] = _option(DEFAULT_ALPHA_GRID, list[float], least=0,
                                 help="comma-separated alpha grid")
-    seed: int | None = _option(None, int, flag=None)
+    seed: int | None = _option(None, int)
 
 
 def cmd_ingest_logits(opts: IngestOptions, names: dict, run: RunDir) -> dict:
@@ -1217,7 +1214,7 @@ def cmd_ingest_logits(opts: IngestOptions, names: dict, run: RunDir) -> dict:
     print(f"holdout split: {result['val_size']} rows; tuned alpha = {result['alpha']:g}")
     print(f"top-1 before: {result['top1_before']:.4f}  after: {result['top1_after']:.4f}  "
           f"delta: {report['delta']:+.4f}")
-    return {"split": opts.split, "alpha": result["alpha"], "seed": opts.seed}
+    return {"alpha": result["alpha"]}
 
 
 # ---------------------------------------------------------------------------
@@ -1246,7 +1243,7 @@ def cmd_sweep_alpha(opts: SweepOptions, names: dict, run: RunDir) -> dict:
     for a, acc in curve:
         print(f"alpha={a:g}: accuracy={acc:.4f}")
     print(f"chosen alpha: {alpha:g}")
-    return {"method": opts.method}
+    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -1262,14 +1259,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"tailcal {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     # flags that several subcommands share, each declared once
-    out, seed, config = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    out, config = (argparse.ArgumentParser(add_help=False) for _ in range(2))
     out.add_argument("--out")
-    seed.add_argument("--seed", type=int)
     config.add_argument("--config")
     for name, parents, options, func, check, help in (
-        ("gen-data", [out, seed, config], GenOptions, cmd_gen_data, None,
+        ("gen-data", [out, config], GenOptions, cmd_gen_data, _check_gen_data,
          "synthesize long-tailed Gaussian-mixture datasets"),
-        ("train", [out, seed, config], TrainOptions, cmd_train, None,
+        ("train", [out, config], TrainOptions, cmd_train, None,
          "stage-1 or stage-2 training"),
         ("estimate-prior", [out], EstimateOptions, cmd_estimate_prior, None,
          "estimate the effective prior of a model"),
@@ -1277,11 +1273,11 @@ def build_parser() -> argparse.ArgumentParser:
          "apply a post-hoc prior correction"),
         ("eval", [out], EvalOptions, cmd_eval, partial(_check_scores, "eval"),
          "evaluate a logit dump or model on data"),
-        ("toy-experiment", [out, seed], ToyOptions, cmd_toy_experiment, None,
+        ("toy-experiment", [out], ToyOptions, cmd_toy_experiment, None,
          "seeded multi-trial toy comparison"),
-        ("shift-eval", [out, seed], ShiftOptions, cmd_shift_eval, _check_shift_eval,
+        ("shift-eval", [out], ShiftOptions, cmd_shift_eval, _check_shift_eval,
          "evaluate under shifted test priors"),
-        ("ingest-logits", [out, seed], IngestOptions, cmd_ingest_logits, None,
+        ("ingest-logits", [out], IngestOptions, cmd_ingest_logits, None,
          "correct an externally produced logit dump"),
         ("sweep-alpha", [out], SweepOptions, cmd_sweep_alpha,
          partial(_check_scores, "sweep-alpha"), "grid-search the estimate exponent"),
@@ -1299,21 +1295,21 @@ def main(argv=None) -> int:
     try:
         opts, names = _resolve(args, args.options)  # before any input is hashed or read
         if args.check:  # the rules across flags that compute something
-            args.check(opts)
-        inputs = {
-            path: _sha256(path).hex()
-            for flag in INPUT_FLAGS
-            if isinstance(path := getattr(args, flag, None), str)
-            and not (flag == "target_prior" and path == "uniform")
-        }
+            args.check(opts, names)
+        # The str value of a row without choices names a file, but a
+        # --target-prior of 'uniform' (a list is an array by now).
+        rows = [("config", getattr(args, "config", None))] + [
+            (o.name, getattr(opts, o.name)) for o in fields(opts) if o.metadata["choices"] is None]
+        inputs = {path: _sha256(path).hex() for name, path in rows
+                  if isinstance(path, str) and (name, path) != ("target_prior", "uniform")}
         if args.out:
             run = RunDir(Path(args.out))
         else:
             stamp = datetime.now(timezone.utc).strftime("%Y%m%d-%H%M%S")
             digest = hashlib.sha256(json.dumps(argv).encode()).hexdigest()[:8]
             run = RunDir(Path("runs") / f"{stamp}-{digest}")
-        config = args.func(opts, names, run)
-        write_manifest(run, args.command, argv, config, inputs, started)
+        derived = args.func(opts, names, run)  # what the command worked out itself
+        write_manifest(run, args.command, argv, asdict(opts) | derived, inputs, started)
         return 0
     except TailcalError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -309,14 +309,50 @@ def _write_part(file, values: np.ndarray, labels, ids) -> None:
         _write_rows(out, values, labels, ids)
 
 
-def _write_csv(path, header: list[str], values: np.ndarray, labels, ids=None) -> Path | None:
+def _checked_rows(path: Path, values: np.ndarray, labels, ids, bound: int):
+    """``(labels, ids)`` of rows that a read of their CSV accepts: the labels
+    as int64 and each id as the text written for it. A DataError naming
+    ``path`` for a label or id count other than the row count, no rows, a
+    non-finite value, a label that is not an integer in ``[0, bound)``, or an
+    id holding ``,``, CR or LF, which would split its line."""
+    if not (isinstance(labels, np.ndarray) and labels.dtype == np.int64):
+        try:  # written through int()
+            labels = np.fromiter(map(int, labels), np.int64, len(labels))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"{path}: labels must be integers in [0, {bound}): {exc}") from exc
+    ids = None if ids is None else [f"{i}" for i in ids]
+    rows = len(values)
+    for what, count in (("labels", len(labels)), ("ids", rows if ids is None else len(ids))):
+        if count != rows:
+            raise DataError(f"{path}: {count} {what} for {rows} rows")
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():  # named by its line in the CSV, as a read names it
+        raise DataError(f"{path}: line {2 + int(np.argmin(finite))}: non-finite value")
+    outside = (labels < 0) | (labels >= bound)
+    if outside.any():
+        row = int(np.argmax(outside))
+        raise DataError(f"{path}: line {2 + row}: label {labels[row]} out of range [0, {bound})")
+    for line, text in enumerate(ids or (), start=2):
+        if any(c in text for c in ",\r\n"):
+            raise DataError(f"{path}: line {line}: id {text!r} holds ',', CR or LF")
+    return labels, ids
+
+
+def _write_csv(path, header: list[str], values: np.ndarray, labels, ids=None,
+               num_classes: int | None = None) -> Path | None:
     """Write the CSV format shared by datasets and logit dumps, then its
     binary twin (:func:`_write_twin`); returns the twin's path, or None.
 
-    ``header`` first, then one ``[id,]v0,...,v{K-1},label`` line per row, in
-    UTF-8. Floats go through ``repr``, the shortest decimal that round-trips
-    a float64 exactly. Lines are written one at a time, so the file's text is
-    never held in memory whole.
+    The rows are first checked as a read with ``num_classes`` (None: any
+    int64) checks them (:func:`_checked_rows`), so a refused write touches no
+    file. Then an earlier twin of ``path`` is removed, so a written CSV never
+    sits beside a twin of other rows. Then ``header``, then one
+    ``[id,]v0,...,v{K-1},label`` line per row, in UTF-8. Floats go through
+    ``repr``, the shortest decimal that round-trips a float64 exactly. Lines
+    are written one at a time, so the file's text is never held in memory
+    whole.
 
     A write of at least ``CSV_SPLIT_CELLS`` values and two rows is split in
     two when there are two :func:`_fork_slots`. This process writes the first
@@ -325,6 +361,9 @@ def _write_csv(path, header: list[str], values: np.ndarray, labels, ids=None) ->
     is then appended. The bytes are those of a one-process write.
     """
     path = Path(path)
+    bound = np.iinfo(np.int64).max if num_classes is None else num_classes  # as _csv_text's
+    labels, ids = _checked_rows(path, values, labels, ids, bound)
+    _twin_path(path).unlink(missing_ok=True)
     rows = len(values)
     half = rows // 2 if values.size >= CSV_SPLIT_CELLS and _fork_slots() > 1 else 0
     with open(path, "w", encoding="utf-8") as out:
@@ -359,37 +398,41 @@ def _sha256(path) -> bytes:
     return digest.digest()
 
 
-def _write_twin(path: Path, values: np.ndarray, labels, ids) -> Path | None:
-    """Write the binary twin of the CSV just written at ``path`` from the
-    rows written into it, and return the twin's path.
+def _binding(path: Path, arrays) -> bytes:
+    """The digest that binds a twin's ``arrays`` to the CSV at ``path``: the
+    SHA-256 of the CSV's SHA-256 digest followed, per array, by a line of its
+    dtype, shape and memory order, and its bytes in C order."""
+    digest = hashlib.sha256(_sha256(path))
+    for array in arrays:
+        order = "F" if array.flags.f_contiguous and not array.flags.c_contiguous else "C"
+        digest.update(f"{array.dtype.str} {array.shape} {order}\n".encode())
+        digest.update(np.ascontiguousarray(array))
+    return digest.digest()
 
-    The twin is one ``.npy`` file of consecutive ``np.save`` arrays: the
-    CSV's SHA-256 digest (32 uint8), the float64 values in C order, the int64
-    labels and, with ``ids``, the ids as a numpy str array, each the text
-    written for it. There is no twin (None, and nothing written) for ids
-    holding ``,``, a line break or NUL, which the CSV or a str array cannot
-    carry, nor for ids that a str array, which pads each to the longest,
-    would hold in more than twice their total length.
+
+def _write_twin(path: Path, values: np.ndarray, labels: np.ndarray, ids) -> Path | None:
+    """Write the binary twin of the CSV just written at ``path`` from the
+    rows written into it, as :func:`_checked_rows` returned them, and return
+    the twin's path.
+
+    The twin is one ``.npy`` file of consecutive ``np.save`` arrays: their
+    :func:`_binding` to the CSV (32 uint8), the float64 values in C order,
+    the int64 labels and, with ``ids``, the ids as a numpy str array. There
+    is no twin (None, and nothing written) for ids holding NUL, which a str
+    array cannot carry, nor for ids that a str array, which pads each to the
+    longest, would hold in more than twice their total length.
     """
+    arrays = [np.ascontiguousarray(values, dtype=np.float64), labels]
     if ids is not None:
-        ids = [f"{i}" for i in ids]  # the text _write_rows wrote
         text = "".join(ids)
-        if (len(ids) != len(values) or any(c in text for c in ",\r\n\0")
-                or max(map(len, ids), default=0) * len(ids) > 2 * len(text)):
+        if "\0" in text or max(map(len, ids)) * len(ids) > 2 * len(text):
             return None
-    labels = np.asarray(labels)
-    if labels.dtype != np.int64:  # written through int()
-        try:
-            labels = np.fromiter(map(int, labels), np.int64, len(labels))
-        except OverflowError:  # beyond int64, where a parse refuses the CSV as well
-            return None
+        arrays.append(np.array(ids, dtype=str))
     twin = _twin_path(path)
     with open(twin, "wb") as out:
-        np.save(out, np.frombuffer(_sha256(path), np.uint8))
-        np.save(out, np.ascontiguousarray(values, dtype=np.float64))
-        np.save(out, labels)
-        if ids is not None:
-            np.save(out, np.array(ids, dtype=str))
+        np.save(out, np.frombuffer(_binding(path, arrays), np.uint8))
+        for array in arrays:
+            np.save(out, array)
     return twin
 
 
@@ -398,20 +441,19 @@ def _load_twin(path: Path, names: list[str], has_ids: bool, bound: int):
     (:func:`_write_twin`), whose header ``names`` passed its check: what a
     parse of the CSV returns, or None.
 
-    None when there is no twin, when its digest is not that of the CSV's
-    bytes as they are now, when it is truncated or unreadable, and when its
-    arrays fail a check a parse applies: their dtypes, values ``(rows,
-    width)`` in C order with the width the header gives, one label and id per
-    row and at least one row, finite values, and labels in ``[0, bound)``.
-    The CSV is hashed only when a twin exists.
+    None when there is no twin, when its digest is not the :func:`_binding`
+    of its arrays to the CSV's bytes as they are now, when it is truncated or
+    unreadable, and when its arrays fail a check a parse applies: their
+    dtypes, values ``(rows, width)`` in C order with the width the header
+    gives, one label and id per row and at least one row, finite values, and
+    labels in ``[0, bound)``. The CSV is hashed only when a twin exists.
     """
     try:  # read_array, unlike np.load, reads an .npy array and nothing else
         with _twin_path(path).open("rb") as twin:
-            digest = np.lib.format.read_array(twin, allow_pickle=False)
-            if digest.dtype != np.uint8 or digest.tobytes() != _sha256(path):
-                return None
-            values, labels, *ids = (np.lib.format.read_array(twin, allow_pickle=False)
-                                    for _ in range(3 if has_ids else 2))
+            digest, values, labels, *ids = (np.lib.format.read_array(twin, allow_pickle=False)
+                                            for _ in range(4 if has_ids else 3))
+        if digest.dtype != np.uint8 or digest.tobytes() != _binding(path, [values, labels, *ids]):
+            return None
     except (OSError, ValueError, MemoryError):  # MemoryError: a shape no file holds
         return None
     rows = len(labels) if labels.ndim == 1 else 0

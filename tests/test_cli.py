@@ -12,7 +12,7 @@ import sys
 import time
 import tracemalloc
 import warnings
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -787,6 +787,60 @@ def test_manifest_records_inputs_and_outputs(small_run):
     assert len(manifest["inputs"]["data/train.csv"]) == 64
     assert any(p.endswith("model.json") for p in manifest["outputs"])
     assert manifest["config"]["seed"] == 77
+
+
+def _subcommands() -> dict:
+    """Each command's parser, by name."""
+    parser = cli.build_parser()
+    return next(a.choices for a in parser._actions if a.dest == "command")
+
+
+# One quick command line per command, and what its manifest's config holds
+# beside its resolved option table: the values the command worked out itself.
+MANIFEST_RUNS = {
+    "gen-data": (["--counts", "20,10", "--val-per-class", "2", "--test-per-class", "2"], {}),
+    "train": (["--data", "{train}", "--iterations", "2"], {}),
+    "estimate-prior": (["--model", "{model}", "--data", "{train}", "--estimator", "train"],
+                       {"target_prior": [0.5, 0.5]}),
+    "adjust": (["--logits", "{dump2}", "--method", "none"], {"spec": {"method": "none"}}),
+    "eval": (["--logits", "{dump2}", "--groups", "50,5"], {"target_prior": [0.5, 0.5]}),
+    "toy-experiment": (["--trials", "1", "--samples", "200", "--test-samples", "200",
+                        "--iterations", "2"], {"workers": 1}),
+    "shift-eval": (["--model", "{model}", "--train-data", "{train}", "--ratios", "2",
+                    "--trials", "1", "--test-samples", "40"], {}),
+    "ingest-logits": (["--logits", "{dump2}", "--grid", "0"], {"alpha": 0.0}),
+    "sweep-alpha": (["--prior", "{prior}", "--logits", "{dump2}", "--method", "p2p-la",
+                     "--grid", "0,2"], {}),
+}
+
+
+@pytest.mark.parametrize("command", MANIFEST_RUNS)
+def test_a_manifest_config_is_the_resolved_option_table_and_what_the_command_worked_out(
+    tiny, workdir, command
+):
+    files, _ = tiny
+    given, derived = MANIFEST_RUNS[command]
+    argv = [command, *(a.format(**files) for a in given), "--out", "run"]
+    args = cli.build_parser().parse_args(argv)
+    opts, _ = cli._resolve(args, args.options)
+    resolved = json.loads(json.dumps(asdict(opts), default=np.ndarray.tolist))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    config = load_manifest(workdir / "run" / "manifest.json")["config"]
+    assert set(config) == {f.name for f in fields(args.options)} | set(derived)
+    assert config == resolved | derived
+
+
+def test_each_seeded_command_lists_seed_once_in_its_help():
+    commands = _subcommands()
+    assert set(commands) == set(MANIFEST_RUNS)
+    seeded = [name for name, parser in commands.items()
+              if "seed" in {f.name for f in fields(parser.get_default("options"))}]
+    assert seeded == ["gen-data", "train", "toy-experiment", "shift-eval", "ingest-logits"]
+    for name, parser in commands.items():
+        flags = [line.split()[0] for line in parser.format_help().splitlines()
+                 if line.startswith("  --")]
+        assert flags.count("--seed") == (name in seeded), name
 
 
 def _sha256(path) -> str:
@@ -1574,12 +1628,9 @@ def test_option_value_a_check_rejects_exits_2_naming_it(
 
 
 # rows refused only once an input is hashed or read: the sizes a command checks
-# itself, and the gen-data checks that follow the hashing of its --config file
+# itself
 AFTER_INPUT = {"train-hidden-too-big", "train-config-hidden-too-big", "shift-test-samples-too-big",
-               "train-batch-size-above-rows", "gen-config-dims-1-default-means",
-               "gen-config-counts-length", "gen-config-means-1-class",
-               "gen-config-means-2-of-3-classes", "gen-config-means-2-dims",
-               "gen-config-means-3-dims", "gen-config-sigmas-3"}
+               "train-batch-size-above-rows"}
 
 
 def _spy_on_input_readers(monkeypatch, hashes=False) -> list[str]:

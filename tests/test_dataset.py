@@ -580,12 +580,48 @@ def test_a_twin_loads_the_bits_a_parse_of_its_csv_returns(tmp_path_factory, data
         assert loaded[0] == (ids if i else [])
 
 
+def _binding(path: Path, arrays) -> bytes:
+    """The digest binding a twin's arrays to the CSV's bytes as they are now:
+    the SHA-256 of the CSV's SHA-256, then per array a line of its dtype,
+    shape and memory order, and its bytes in C order."""
+    digest = hashlib.sha256(hashlib.sha256(path.read_bytes()).digest())
+    for array in arrays:
+        order = "F" if array.flags.f_contiguous and not array.flags.c_contiguous else "C"
+        digest.update(f"{array.dtype.str} {array.shape} {order}\n".encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.digest()
+
+
 def _forge_twin(path: Path, values, labels, ids=None) -> None:
     """A twin bound to the CSV's bytes as they are now, holding the arrays given."""
+    arrays = (values, labels) + (() if ids is None else (ids,))
     with _twin(path).open("wb") as out:
-        np.save(out, np.frombuffer(hashlib.sha256(path.read_bytes()).digest(), np.uint8))
-        for array in (values, labels) + (() if ids is None else (ids,)):
+        np.save(out, np.frombuffer(_binding(path, arrays), np.uint8))
+        for array in arrays:
             np.save(out, array)
+
+
+def _twin_arrays(path: Path) -> list:
+    """Every array of the twin of the CSV at ``path``, its digest first."""
+    arrays = []
+    with _twin(path).open("rb") as raw:
+        while raw.peek(1):
+            arrays.append(np.lib.format.read_array(raw))
+    return arrays
+
+
+def _one_byte_changed(index: int):
+    """The twin's array ``index`` (1 values, 2 labels, 3 ids) with the lowest
+    bit of its first byte flipped, and the digest it was written with kept."""
+    def change(path, *given):
+        arrays = _twin_arrays(path)
+        raw = bytearray(arrays[index].tobytes())
+        raw[0] ^= 1
+        arrays[index] = np.frombuffer(raw, arrays[index].dtype).reshape(arrays[index].shape)
+        with _twin(path).open("wb") as out:
+            for array in arrays:
+                np.save(out, array)
+    return change
 
 
 def _set_cell(path: Path, row: int, column: int, text: str) -> None:
@@ -626,7 +662,10 @@ TWIN_FAULTS = {
     "twin-cut-short-by-a-byte": _cut_twin(lambda size: size - 1),
     "twin-not-npy": lambda path, *arrays: _twin(path).write_bytes(b"PK\x03\x04 not a twin"),
     "twin-of-other-bytes": lambda path, values, labels, ids: _twin(path).write_bytes(
-        _twin(path).read_bytes().replace(hashlib.sha256(path.read_bytes()).digest(), bytes(32))),
+        _twin(path).read_bytes().replace(_twin_arrays(path)[0].tobytes(), bytes(32))),
+    # each passes every check a parse makes; only the binding tells them apart
+    "twin-value-byte": _one_byte_changed(1),
+    "twin-label-byte": _one_byte_changed(2),
     "wrong-width": lambda path, values, labels, ids: _forge_twin(path, values[:, :1], labels, ids),
     "fewer-value-rows-than-labels": lambda path, values, labels, ids: _forge_twin(
         path, values[:2], labels, ids),
@@ -648,6 +687,7 @@ DUMP_TWIN_FAULTS = {
     "ids-not-str": lambda path, values, labels, ids: _forge_twin(
         path, values, labels, np.arange(3)),
     "ids-missing": lambda path, values, labels, ids: _forge_twin(path, values, labels),
+    "twin-id-byte": _one_byte_changed(3),
 }
 
 
@@ -691,14 +731,13 @@ def test_a_csv_without_a_twin_is_not_hashed_by_the_reader(tmp_path, monkeypatch)
     assert hashed == [tmp_path / "d.csv"]
 
 
-@pytest.mark.parametrize("ids", [
-    ["a,b", "c", "d"], ["a\rb", "c", "d"], ["a\nb", "c", "d"], ["a\0", "c", "d"],
-    ["long", "", ""]],
-    ids=["comma", "carriage-return", "line-feed", "nul", "padded-past-twice-the-length"])
+@pytest.mark.parametrize("ids", [["a\0", "c", "d"], ["long", "", ""]],
+                         ids=["nul", "padded-past-twice-the-length"])
 def test_ids_that_a_twin_cannot_carry_get_none(tmp_path, ids):
     _twin(tmp_path / "d.csv").write_bytes(b"a stale twin")
     assert save_logit_dump(ids, np.eye(3), [0, 1, 2], tmp_path / "d.csv") is None
-    assert _twin(tmp_path / "d.csv").read_bytes() == b"a stale twin"
+    assert not _twin(tmp_path / "d.csv").exists()  # removed before the CSV was written
+    assert load_logit_dump(tmp_path / "d.csv")[0] == ids
 
 
 def test_int32_labels_get_a_twin_that_loads_the_bits_of_a_parse(tmp_path, monkeypatch):
@@ -714,21 +753,42 @@ def test_int32_labels_get_a_twin_that_loads_the_bits_of_a_parse(tmp_path, monkey
     assert loaded[2].dtype == np.int64 and _same(loaded, parsed)
 
 
-def test_a_label_beyond_int64_gets_no_twin_and_reads_as_without_one(tmp_path):
+NAN = float("nan")
+DATASET_HEADER = ["f0", "f1", "f2", "label"]
+
+
+@pytest.mark.parametrize("ids, values, labels, message", [
+    (["a", "b"], np.eye(3), [0, 1, 0], "2 ids for 3 rows"),
+    (["a", "b", "c"], np.eye(3), [0, 1], "2 labels for 3 rows"),
+    ([], np.zeros((0, 3)), [], "no data rows"),
+    (None, np.zeros((0, 3)), [], "no data rows"),
+    (["a", "b", "c"], [[0, 0, 0], [0, NAN, 0], [0, 0, 0]], [0, 1, 0], "line 3: non-finite value"),
+    (None, [[0, 0, 0], [0, 0, 0], [0, 0, -np.inf]], [0, 1, 0], "line 4: non-finite value"),
+    (["a", "b", "c"], np.eye(3), [0, -1, 0], "line 3: label -1 out of range [0, 3)"),
+    (["a", "b", "c"], np.eye(3), [0, 1, 3], "line 4: label 3 out of range [0, 3)"),
+    (None, np.eye(3), [0, 2**63 - 1, 0],
+     "line 3: label 9223372036854775807 out of range [0, 9223372036854775807)"),
+    (None, np.eye(3), [0, 2**63, 0], "labels must be integers in [0, 9223372036854775807): "),
+    (["a", "b", "c"], np.eye(3), [0, 1, "x"],
+     "labels must be integers in [0, 3): invalid literal for int() with base 10: 'x'"),
+    (["a", "b,c", "d"], np.eye(3), [0, 1, 2], "line 3: id 'b,c' holds ',', CR or LF"),
+    (["a", "b", "c\r"], np.eye(3), [0, 1, 2], "line 4: id 'c\\r' holds ',', CR or LF"),
+    (["a\nb", "c", "d"], np.eye(3), [0, 1, 2], "line 2: id 'a\\nb' holds ',', CR or LF"),
+], ids=["ids-count", "labels-count", "no-rows-dump", "no-rows-dataset", "nan", "minus-inf",
+        "label-minus-1", "label-at-logit-count", "label-int64-max", "label-beyond-int64",
+        "label-not-an-integer", "id-comma", "id-carriage-return", "id-line-feed"])
+def test_rows_a_read_would_refuse_are_not_written(tmp_path, ids, values, labels, message):
     path = tmp_path / "d.csv"
-    _twin(path).write_bytes(b"a stale twin")
-    assert save_logit_dump(["a", "b"], np.eye(2), [0, 2**63], path) is None
-    assert _twin(path).read_bytes() == b"a stale twin"
-    errors = []
-    for _ in range(2):
-        with pytest.raises(DataError) as caught:
-            load_logit_dump(path)
-        errors.append(str(caught.value))
-        _twin(path).unlink(missing_ok=True)
-    assert errors[0] == errors[1] and "9223372036854775808" in errors[0]
+    with pytest.raises(DataError) as caught:
+        if ids is None:
+            dataset._write_csv(path, DATASET_HEADER, np.asarray(values, float), labels)
+        else:
+            save_logit_dump(ids, values, labels, path)
+    assert str(caught.value).startswith(f"{path}: {message}")
+    assert list(tmp_path.iterdir()) == []  # neither a CSV nor a twin
 
 
-def test_a_stale_twin_in_a_reused_out_is_ignored(tmp_path, monkeypatch):
+def test_a_csv_rewritten_in_a_reused_out_keeps_no_old_twin(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     argv = ["gen-data", "--counts", "30,10", "--val-per-class", "5", "--test-per-class", "5",
             "--out", "d"]
@@ -741,12 +801,8 @@ def test_a_stale_twin_in_a_reused_out_is_ignored(tmp_path, monkeypatch):
     with pytest.MonkeyPatch.context() as patch:  # the new train.csv is written, not its twin
         patch.setattr(dataset, "_write_twin", full_disk)
         assert cli.main([*argv, "--seed", "2"]) == 3
-    assert Path("d/train.csv.npy").exists()  # the first run's
-    loaded = load_dataset("d/train.csv")
-    Path("d/train.csv.npy").unlink()
-    parsed = load_dataset("d/train.csv")
-    assert not np.array_equal(parsed.features, first.features)
-    assert _same(([], loaded.features, loaded.labels), ([], parsed.features, parsed.labels))
+    assert Path("d/train.csv").exists() and not Path("d/train.csv.npy").exists()
+    assert not np.array_equal(load_dataset("d/train.csv").features, first.features)
 
 
 @pytest.mark.parametrize("rows, cols, slots, split_cells, with_ids, parts", [
@@ -779,12 +835,15 @@ def test_a_split_write_has_the_bytes_of_a_one_process_write(
 
 
 def test_a_failing_part_raises_in_the_parent_as_in_one_process(tmp_path, monkeypatch, forks):
-    values, labels = np.ones((7, 2)), [0] * 6 + ["x"]  # the last part's last label
+    # the last part's last id, a lone surrogate, passes the row checks but not UTF-8
+    values, labels, ids = np.ones((7, 2)), [0] * 7, [f"r{i}" for i in range(6)] + ["\ud800"]
     monkeypatch.setattr(dataset, "CSV_SPLIT_CELLS", 1)
     for slots in (1, 3):
         monkeypatch.setattr(dataset, "_fork_slots", lambda: slots)
-        with pytest.raises(ValueError, match=r"^invalid literal for int\(\) with base 10: 'x'$"):
-            dataset._write_csv(tmp_path / f"{slots}.csv", ["f0", "f1", "label"], values, labels)
+        with pytest.raises(UnicodeEncodeError, match=r"^'utf-8' codec can't encode character "
+                                                     r"'\\ud800' in position 0: surrogates not"):
+            dataset._write_csv(tmp_path / f"{slots}.csv", ["id", "f0", "f1", "label"], values,
+                               labels, ids)
     assert forks == ["_write_part"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["1.csv", "3.csv"]
 

@@ -44,12 +44,24 @@ size or many workers, and a counts file that does not fit the scores) and
 prints one ``sha256  <refused>/<case> exit <code>`` line per case, the digest
 of its stderr, so a changed message shows. The three
 toy-experiment runs print the same digests; their manifests differ only in
-``workers``, which is at most the usable CPUs of the machine.
+``workers``, which is at most the usable CPUs of the machine. A manifest's
+``config`` is the command's whole resolved option table, the seed included,
+and the values the command worked out itself, so a row added to a table, or
+a changed default, moves the manifest lines of that command. A flag declared
+in another place moves the ``<help>`` line of its command and the
+``<refused>/<command>-kind`` line, whose stderr starts with the usage;
+``--seed``, for one, is a row of each seeded command's table (``gen-data``,
+``train``, ``toy-experiment``, ``shift-eval``, ``ingest-logits``), so a
+usage lists it after the table's other flags (in ``toy-experiment``, before
+the ``--workers`` that its table adds to the toy's own rows).
 
 Every CSV that tailcal writes has a binary twin ``<name>.npy`` beside it,
 which gets a digest line like any output. The script then loads each twin
-and checks that it holds what parsing its CSV returns: the CSV's SHA-256,
-and the values, labels and ids bit for bit.
+and checks that it holds what parsing its CSV returns: the values, labels
+and ids bit for bit, and a digest that binds them to the CSV, which the
+script computes itself. That digest is the SHA-256 of the CSV's SHA-256
+digest followed, per array, by a line ``<dtype> <shape> <C or F>`` and the
+array's bytes in C order.
 
 Two trees produce the same outputs when this script prints the same text
 for both. Paths are relative to the work directory, which defaults to a
@@ -350,6 +362,16 @@ def load_twin(path: Path) -> list:
     return arrays
 
 
+def binding(csv: Path, arrays) -> bytes:
+    """The digest that binds a twin's arrays to the CSV at ``csv``."""
+    digest = hashlib.sha256(hashlib.sha256(csv.read_bytes()).digest())
+    for array in arrays:
+        order = "F" if array.flags.f_contiguous and not array.flags.c_contiguous else "C"
+        digest.update(f"{array.dtype.str} {array.shape} {order}\n".encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.digest()
+
+
 def check_twins(work: Path) -> list[str]:
     """One line per twin under ``work`` that does not hold the parse of its
     CSV, which tailcal's streamed reader (it reads no twin) makes."""
@@ -363,7 +385,7 @@ def check_twins(work: Path) -> list[str]:
         blocks = list(_csv_blocks(csv, lambda names: (names[0] == "id", None)))
         parsed = [np.concatenate([block[k] for block in blocks]) for k in (1, 2)]
         parsed_ids = [i for block in blocks for i in block[0]]  # none in a dataset
-        held = (digest.tobytes() == hashlib.sha256(csv.read_bytes()).digest()
+        held = (digest.tobytes() == binding(csv, [values, labels, *ids])
                 and all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
                         for a, b in zip((values, labels), parsed))
                 and [i.tolist() for i in ids] == ([parsed_ids] if parsed_ids else []))
