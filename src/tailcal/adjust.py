@@ -21,11 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import METHODS
 from .errors import DataError, UsageError
 from .model import LinearSoftmaxModel
 from .numerics import as_matrix, prob_matrix, prob_vector
 
-METHODS = ("class-frequency", "p2p-ce", "p2p-la", "none")
 PRIOR_KIND_FREQUENCY = "frequency"
 
 # Effective-prior estimator kinds (see prior.py). The train-side estimate is

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import json
 import operator
 import os
@@ -30,47 +29,18 @@ from typing import get_args, get_origin
 
 import numpy as np
 
-from . import __version__, adjust, evaluation, prior
-from .dataset import (
-    PROFILE_KINDS,
+# The library is imported where it runs, so a start loads only the modules
+# of its command; the option tables read their choices from the package.
+from . import (
+    ACTIVATIONS,
+    DEFAULT_ALPHA_GRID,
+    METHODS,
+    SCHEDULES,
     SHIFT_DIRECTIONS,
-    GaussianMixtureSpec,
-    ShiftSpec,
-    empirical_prior,
-    load_counts,
-    load_dataset,
-    make_longtail_counts,
-    make_shifted_counts,
-    sample_dataset,
-    save_counts,
-    save_dataset,
-    _csv_blocks,
-    _forked,
-    _read_csv,
-    _sha256,
-    _usable_cpus,
-    _write_csv,
+    STAGE_TWO_MODES,
+    __version__,
 )
 from .errors import DataError, NumericError, TailcalError, UsageError
-from .model import (
-    ACTIVATIONS,
-    SCHEDULES,
-    STAGE_TWO_MODES,
-    LossSpec,
-    ModelProvenance,
-    TrainConfig,
-    _loss_shift,
-    init_linear,
-    init_mlp,
-    load_model,
-    predict_logits,
-    save_model,
-    stage2_retrain,
-    train,
-)
-from .numerics import RngStream, prob_vector, softmax_rows
-from .oracle import bayes_classify, boundary_offset, toy_mixture
-from .prior import DEFAULT_ALPHA_GRID  # a table row named prior hides the module
 
 DEFAULT_SEED = 20260808
 SEED_ENV_VAR = "TAILCAL_SEED"
@@ -278,10 +248,13 @@ def _check_uniform_ratio(direction_name: str, directions, ratio_name: str, ratio
 # flag value formats: text that does not parse is an argparse usage error (exit 2)
 
 
-def _group_thresholds(text: str) -> evaluation.GroupThresholds:
+def _group_thresholds(text: str):
+    """The evaluation.GroupThresholds that 'many_min,few_max' gives."""
+    from .evaluation import GroupThresholds
+
     try:
         many, few = (int(v) for v in text.split(","))
-        return evaluation.GroupThresholds(many, few)
+        return GroupThresholds(many, few)
     except (ValueError, TailcalError) as exc:
         raise argparse.ArgumentTypeError(f"expected many_min,few_max, got {text!r}: {exc}")
 
@@ -290,6 +263,8 @@ def _target_prior(text: str):
     """'uniform' and counts-file paths pass through; a JSON list is parsed here."""
     if not text.strip().startswith("["):
         return text
+    from .numerics import prob_vector
+
     try:
         values = np.asarray(json.loads(text), dtype=np.float64)
         with np.errstate(all="ignore"):
@@ -307,6 +282,8 @@ def _resolve_target(opts, num_classes: int, positive: bool = False) -> np.ndarra
     if value is None or isinstance(value, str) and value == "uniform":
         return np.full(num_classes, 1.0 / num_classes)
     if isinstance(value, str):
+        from .dataset import empirical_prior, load_counts
+
         counts = load_counts(value)
         _check_classes(f"--target-prior {value}", counts.size, opts, num_classes)
         return empirical_prior(counts)
@@ -324,6 +301,8 @@ def _resolve_target(opts, num_classes: int, positive: bool = False) -> np.ndarra
 
 def save_logit_dump(ids, logits, labels, path) -> Path | None:
     """Write the dump CSV and its binary twin; returns the twin's path, or None."""
+    from .dataset import _write_csv
+
     logits = np.asarray(logits, dtype=np.float64)
     header = ["id"] + [f"logit_{j}" for j in range(logits.shape[1])] + ["label"]
     return _write_csv(path, header, logits, labels, ids, num_classes=logits.shape[1])
@@ -338,12 +317,18 @@ def _check_dump_header(names: list[str]) -> tuple[bool, int]:
 
 
 def load_logit_dump(path) -> tuple[list[str], np.ndarray, np.ndarray]:
+    from .dataset import _read_csv
+
     return _read_csv(path, _check_dump_header)
 
 
 def _dump_posterior_means(path) -> tuple[np.ndarray, int]:
     """Column means of the softmax of a logit dump's rows, and the row count,
     read a block at a time: the dump is never held whole."""
+    from . import prior
+    from .dataset import _csv_blocks
+    from .numerics import softmax_rows
+
     blocks = _csv_blocks(Path(path), _check_dump_header)
     return prior.column_means(softmax_rows(logits) for _, logits, _ in blocks)
 
@@ -352,15 +337,21 @@ def _dump_posterior_means(path) -> tuple[np.ndarray, int]:
 # shared model helpers
 
 
-def _train_side_posteriors(model, provenance: ModelProvenance, features) -> np.ndarray:
+def _train_side_posteriors(model, provenance, features) -> np.ndarray:
     """Posteriors as seen by the training loss: the train-time shift of the
     provenance's loss re-applied (zero for a plain CE model)."""
+    from .model import _loss_shift, predict_logits
+    from .numerics import softmax_rows
+
     return softmax_rows(
         predict_logits(model, features) + _loss_shift(provenance.loss, model.num_classes)
     )
 
 
 def _raw_posteriors(model, features) -> np.ndarray:
+    from .model import predict_logits
+    from .numerics import softmax_rows
+
     return softmax_rows(predict_logits(model, features))
 
 
@@ -368,6 +359,8 @@ def _load_for(model, opts, name: str, path: str):
     """The dataset at ``path``, given as ``name``, for ``model`` read from the
     --model of ``opts``: its labels below the model's class count, and a data
     error naming both files unless its features are as many as the model's."""
+    from .dataset import load_dataset
+
     ds = load_dataset(path, num_classes=model.num_classes)
     if ds.dims != model.dims:
         raise DataError(f"{name} {path} has {ds.dims} features, but --model {opts.model} "
@@ -411,6 +404,9 @@ def _default_means(classes: int, dims: int) -> np.ndarray:
     return means
 
 
+PROFILE_KINDS = ("exponential", "step")  # training count profiles of gen-data
+
+
 @_table
 class GenOptions:
     classes: int = _option(2, int, least=2)
@@ -450,6 +446,10 @@ def _check_gen_data(opts: GenOptions, names: dict) -> None:
 
 
 def cmd_gen_data(opts: GenOptions, names: dict, run: RunDir) -> dict:
+    from .dataset import (GaussianMixtureSpec, ShiftSpec, make_longtail_counts,
+                          make_shifted_counts, sample_dataset, save_counts, save_dataset)
+    from .numerics import RngStream
+
     classes, dims = opts.classes, opts.dims
     with _allocating(f"{names['classes' if classes >= dims else 'dims']}: a mixture of "
                      f"{classes} classes in {dims} dims", classes, dims):  # named by the larger size
@@ -509,6 +509,11 @@ class TrainOptions:
 
 
 def cmd_train(opts: TrainOptions, names: dict, run: RunDir) -> dict:
+    from .dataset import empirical_prior, load_dataset
+    from .model import (LossSpec, ModelProvenance, TrainConfig, init_linear, init_mlp,
+                        load_model, save_model, stage2_retrain, train)
+    from .numerics import RngStream
+
     ds = load_dataset(opts.data)
     _refuse(opts.batch_size is not None and opts.batch_size > ds.n,
             f"{names['batch_size']} {opts.batch_size} exceeds the {ds.n} rows of --data "
@@ -566,6 +571,10 @@ class EstimateOptions:
 
 
 def cmd_estimate_prior(opts: EstimateOptions, names: dict, run: RunDir) -> dict:
+    from . import prior
+    from .dataset import empirical_prior
+    from .model import load_model
+
     model, provenance = load_model(opts.model)
     ds = _load_for(model, opts, "--data", opts.data)
     target = _resolve_target(opts, model.num_classes)
@@ -629,7 +638,7 @@ def _check_classes(name: str, count: int, opts, classes: int) -> None:
 
 @_table
 class AdjustOptions(ScoresOptions):
-    method: str = _option(None, str, choices=adjust.METHODS, required=True, needs={
+    method: str = _option(None, str, choices=METHODS, required=True, needs={
         "class-frequency": "counts", "p2p-ce": "prior", "p2p-la": "prior"})
     prior: str | None = _option(None, str, help="effective-prior JSON for p2p methods")
     counts: str | None = _option(None, str, help="counts JSON for class-frequency")
@@ -649,6 +658,8 @@ def _resolve_alpha(opts: AdjustOptions) -> float | None:
     """The --alpha value, or the alpha of the --alpha-from-sweep file, a finite
     JSON number >= 0. None means the prior's own."""
     if opts.alpha_from_sweep is not None:
+        from . import prior
+
         try:
             payload = json.loads(Path(opts.alpha_from_sweep).read_text())
             return prior._json_alpha(payload["alpha"])
@@ -659,7 +670,10 @@ def _resolve_alpha(opts: AdjustOptions) -> float | None:
     return opts.alpha
 
 
-def _adjustment(opts: AdjustOptions, num_classes: int) -> adjust.AdjustmentSpec:
+def _adjustment(opts: AdjustOptions, num_classes: int):
+    """The adjust.AdjustmentSpec that --method and its files give."""
+    from . import adjust, prior
+
     target = _resolve_target(opts, num_classes, positive=opts.method != "none")
     if opts.target_prior is None and opts.method != "none":
         _notice("no --target-prior given; defaulting to uniform")
@@ -667,6 +681,8 @@ def _adjustment(opts: AdjustOptions, num_classes: int) -> adjust.AdjustmentSpec:
         return adjust.no_adjustment()
     alpha = _resolve_alpha(opts)
     if opts.method == "class-frequency":
+        from .dataset import empirical_prior, load_counts
+
         counts = load_counts(opts.counts)
         _check_classes(f"--counts {opts.counts}", counts.size, opts, num_classes)
         return adjust.class_frequency_spec(empirical_prior(counts), target,
@@ -680,12 +696,16 @@ def _load_scores(opts: ScoresOptions) -> tuple[list[str], np.ndarray, np.ndarray
     """Row ids, logits and labels from --logits, or from --model run on --data."""
     if opts.logits:
         return load_logit_dump(opts.logits)
+    from .model import load_model, predict_logits
+
     model, _ = load_model(opts.model)
     ds = _load_for(model, opts, "--data", opts.data)
     return [str(i) for i in range(ds.n)], predict_logits(model, ds.features), ds.labels
 
 
 def cmd_adjust(opts: AdjustOptions, names: dict, run: RunDir) -> dict:
+    from . import adjust, evaluation
+
     ids, logits, labels = _load_scores(opts)
     spec = _adjustment(opts, logits.shape[1])
     adjusted = adjust.adjust_logits(logits, spec)
@@ -707,11 +727,15 @@ def cmd_adjust(opts: AdjustOptions, names: dict, run: RunDir) -> dict:
 @_table
 class EvalOptions(ScoresOptions):
     train_counts: str | None = _option(None, str)
-    groups: evaluation.GroupThresholds | None = _option(None, _group_thresholds,
-                                                        help="many_min,few_max thresholds")
+    groups: object = _option(None, _group_thresholds,  # an evaluation.GroupThresholds
+                             help="many_min,few_max thresholds")
 
 
 def cmd_eval(opts: EvalOptions, names: dict, run: RunDir) -> dict:
+    from . import evaluation
+    from .dataset import load_counts
+    from .numerics import softmax_rows
+
     _, logits, labels = _load_scores(opts)
     provenance = (
         {"logits": opts.logits} if opts.logits else {"model": opts.model, "data": opts.data}
@@ -771,6 +795,12 @@ TOY_VARIANTS = ("ce", "class-freq", "p2p")
 
 def run_toy_trial(cfg: ToyConfig, trial: int) -> dict:
     """One seeded trial: sample, train CE, correct three ways, score all."""
+    from . import adjust, evaluation, prior
+    from .dataset import empirical_prior, sample_dataset
+    from .model import LossSpec, TrainConfig, init_linear, predict_logits, train
+    from .numerics import RngStream, softmax_rows
+    from .oracle import bayes_classify, boundary_offset, toy_mixture
+
     gmm = toy_mixture()
     base = RngStream(cfg.seed).child(trial)
     ds_train = sample_dataset(gmm, cfg.train_counts(), base.child(0))
@@ -821,6 +851,8 @@ def toy_workers(trials: int, workers: int | None = None) -> int:
     """The process count for ``trials`` toy trials: ``workers``, by default
     one per usable CPU (the process's affinity mask where the OS has one),
     at most one per usable CPU and one per trial."""
+    from .dataset import _usable_cpus
+
     most = min(trials, _usable_cpus())
     return most if workers is None else min(workers, most)
 
@@ -855,6 +887,8 @@ def toy_experiment(cfg: ToyConfig, workers: int | None = None) -> dict:
     Every trial draws only from its own per-trial stream, so the aggregate
     has the same bits for any worker count.
     """
+    from .dataset import _forked
+
     if cfg.trials < 1:
         raise UsageError("need at least one trial")
     parts = toy_workers(cfg.trials, workers)
@@ -927,6 +961,9 @@ class ToyOptions(ToyConfig):
 
 
 def cmd_toy_experiment(opts: ToyOptions, names: dict, run: RunDir) -> dict:
+    from . import evaluation
+    from .oracle import toy_mixture
+
     cfg = ToyConfig(**{f.name: getattr(opts, f.name) for f in fields(ToyConfig)})
     _refuse(cfg.batch_size is not None and cfg.batch_size > cfg.samples,
             f"{names['batch_size']} {cfg.batch_size} exceeds {names['samples']} {cfg.samples}")
@@ -1006,6 +1043,8 @@ class ShiftOptions:
 def _check_shift_eval(opts: ShiftOptions, names: dict) -> None:
     """A uniform shift only at ratio 1, and a --test-samples whose test set
     keeps a sample of each class under every shift."""
+    from .dataset import ShiftSpec, make_shifted_counts
+
     _check_uniform_ratio("--directions", opts.directions, "--ratios", opts.ratios)
     base_counts = np.full(2, opts.test_samples // 2)
     for direction, ratio in _shifts(opts.directions, opts.ratios):
@@ -1018,14 +1057,14 @@ def _check_shift_eval(opts: ShiftOptions, names: dict) -> None:
 
 def shift_eval_rows(
     model,
-    provenance: ModelProvenance,
+    provenance,
     train_counts,
     train_side_estimate,
     directions,
     ratios,
     test_samples: int,
     trials: int,
-    master: RngStream,
+    master,
     alpha: float = 1.0,
 ) -> list[dict]:
     """Accuracy of raw vs matched-target correction under label shifts.
@@ -1036,6 +1075,11 @@ def shift_eval_rows(
     ``trials`` times; the uniform cell uses the same machinery with ratio 1,
     so it reproduces a plain balanced evaluation exactly.
     """
+    from . import adjust, evaluation, prior
+    from .dataset import ShiftSpec, empirical_prior, make_shifted_counts, sample_dataset
+    from .model import predict_logits
+    from .oracle import toy_mixture
+
     gmm = toy_mixture()
     freq = empirical_prior(train_counts)
     base_counts = np.full(2, test_samples // 2)
@@ -1069,6 +1113,10 @@ def shift_eval_rows(
 
 
 def cmd_shift_eval(opts: ShiftOptions, names: dict, run: RunDir) -> dict:
+    from . import prior
+    from .model import load_model
+    from .numerics import RngStream
+
     test_split = _allocating(f"--test-samples: the test split of {opts.test_samples} rows of 2 "
                              "features", opts.test_samples, 2)
     model, provenance = load_model(opts.model)
@@ -1105,7 +1153,7 @@ def ingest_logits(
     logits: np.ndarray,
     labels: np.ndarray,
     val_frac: float,
-    master: RngStream,
+    master,
     target_prior: np.ndarray,
     grid,
     train_means: tuple[np.ndarray, int] | None = None,
@@ -1118,6 +1166,10 @@ def ingest_logits(
     posteriors, as :func:`_dump_posterior_means` reads them, and
     ``train_counts`` its class counts; both have one entry per logit column.
     """
+    from . import adjust, evaluation, prior
+    from .dataset import empirical_prior
+    from .numerics import softmax_rows
+
     n = logits.shape[0]
     if not 0.0 < val_frac < 1.0:
         raise UsageError(f"val fraction must be in (0, 1), got {val_frac}")
@@ -1172,6 +1224,10 @@ class IngestOptions:
 
 
 def cmd_ingest_logits(opts: IngestOptions, names: dict, run: RunDir) -> dict:
+    from . import prior
+    from .dataset import _forked, load_counts
+    from .numerics import RngStream
+
     # the train dump is folded in a forked child while the eval dump is parsed
     train_logits = opts.train_logits
     with _forked(_dump_posterior_means, train_logits) if train_logits else nullcontext() as fold:
@@ -1224,11 +1280,13 @@ def cmd_ingest_logits(opts: IngestOptions, names: dict, run: RunDir) -> dict:
 @_table
 class SweepOptions(ScoresOptions):
     prior: str = _option(None, str, required=True)
-    method: str = _option("p2p-ce", str, choices=tuple(m for m in adjust.METHODS if m != "none"))
+    method: str = _option("p2p-ce", str, choices=tuple(m for m in METHODS if m != "none"))
     grid: list[float] = _option(DEFAULT_ALPHA_GRID, list[float], least=0)
 
 
 def cmd_sweep_alpha(opts: SweepOptions, names: dict, run: RunDir) -> dict:
+    from . import prior
+
     estimate = prior.load_prior(opts.prior)
     _, logits, labels = _load_scores(opts)
     _check_classes(f"--prior {opts.prior}", estimate.probs.size, opts, logits.shape[1])
@@ -1300,11 +1358,15 @@ def main(argv=None) -> int:
         # --target-prior of 'uniform' (a list is an array by now).
         rows = [("config", getattr(args, "config", None))] + [
             (o.name, getattr(opts, o.name)) for o in fields(opts) if o.metadata["choices"] is None]
+        from .dataset import _sha256
+
         inputs = {path: _sha256(path).hex() for name, path in rows
                   if isinstance(path, str) and (name, path) != ("target_prior", "uniform")}
         if args.out:
             run = RunDir(Path(args.out))
         else:
+            import hashlib
+
             stamp = datetime.now(timezone.utc).strftime("%Y%m%d-%H%M%S")
             digest = hashlib.sha256(json.dumps(argv).encode()).hexdigest()[:8]
             run = RunDir(Path("runs") / f"{stamp}-{digest}")

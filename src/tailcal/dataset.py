@@ -24,11 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import SHIFT_DIRECTIONS
 from .errors import DataError, NumericError, UsageError
 from .numerics import RngStream, as_matrix, prob_vector
-
-PROFILE_KINDS = ("exponential", "step")
-SHIFT_DIRECTIONS = ("forward", "backward", "uniform")
 
 # Lines per block of a CSV read: a read holds one block's parse beside the
 # arrays it fills.
@@ -313,8 +311,9 @@ def _checked_rows(path: Path, values: np.ndarray, labels, ids, bound: int):
     """``(labels, ids)`` of rows that a read of their CSV accepts: the labels
     as int64 and each id as the text written for it. A DataError naming
     ``path`` for a label or id count other than the row count, no rows, a
-    non-finite value, a label that is not an integer in ``[0, bound)``, or an
-    id holding ``,``, CR or LF, which would split its line."""
+    non-finite value, a label that is not an integer in ``[0, bound)``, an id
+    holding ``,``, CR or LF, which would split its line, or an id that UTF-8
+    cannot encode, such as a lone surrogate."""
     if not (isinstance(labels, np.ndarray) and labels.dtype == np.int64):
         try:  # written through int()
             labels = np.fromiter(map(int, labels), np.int64, len(labels))
@@ -337,6 +336,12 @@ def _checked_rows(path: Path, values: np.ndarray, labels, ids, bound: int):
     for line, text in enumerate(ids or (), start=2):
         if any(c in text for c in ",\r\n"):
             raise DataError(f"{path}: line {line}: id {text!r} holds ',', CR or LF")
+    try:  # one encode of all ids; the LFs before a failing character count its line
+        "\n".join(ids or ()).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        line = 2 + exc.object.count("\n", 0, exc.start)
+        raise DataError(f"{path}: line {line}: id {ids[line - 2]!r} cannot be encoded "
+                        "as UTF-8") from None
     return labels, ids
 
 

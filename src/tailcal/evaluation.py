@@ -52,9 +52,10 @@ def confusion_matrix(predictions, truth, num_classes: int) -> np.ndarray:
     true = np.asarray(truth, dtype=np.int64)
     if pred.shape != true.shape or pred.ndim != 1 or pred.size == 0:
         raise DataError("predictions and truth must be equal-length, non-empty")
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(matrix, (true, pred), 1)
-    return matrix
+    if min(pred.min(), true.min()) < 0 or max(pred.max(), true.max()) >= num_classes:
+        raise DataError(f"a prediction or true class lies outside [0, {num_classes})")
+    cells = np.bincount(true * num_classes + pred, minlength=num_classes * num_classes)
+    return cells.reshape(num_classes, num_classes)
 
 
 def top1_accuracy(predictions, truth) -> float:

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import ACTIVATIONS, SCHEDULES, STAGE_TWO_MODES
 from .dataset import LabeledDataset
 from .errors import DataError, NumericError, TailcalError, UsageError
 from .numerics import (
@@ -40,9 +41,6 @@ from .numerics import (
 
 MODEL_SCHEMA_VERSION = 1
 LOSS_KINDS = ("plain-ce", "logit-adjusted")
-SCHEDULES = ("constant", "cosine")
-ACTIVATIONS = ("relu", "tanh")
-STAGE_TWO_MODES = ("CL", "FT")
 
 DIVERGENCE_LIMIT = 1e6
 

@@ -71,7 +71,7 @@ def prob_matrix(values) -> np.ndarray:
         raise DataError(f"posterior matrix needs >= 2 columns, got {m.shape[1]}")
     if np.any(m < 0):
         raise NumericError("negative posterior entry")
-    sums = m.sum(axis=1)
+    sums = _row_sum(m)[:, 0]
     bad = np.abs(sums - 1.0) > SIMPLEX_ATOL
     if np.any(bad):
         i = int(np.argmax(bad))

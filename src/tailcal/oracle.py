@@ -16,7 +16,7 @@ import numpy as np
 from .dataset import GaussianMixtureSpec
 from .errors import DataError, UsageError
 from .model import LinearSoftmaxModel, Model
-from .numerics import RngStream, as_matrix, prob_vector, softmax_rows
+from .numerics import RngStream, _row_sum, as_matrix, prob_vector, softmax_rows
 
 
 def toy_mixture() -> GaussianMixtureSpec:
@@ -30,7 +30,7 @@ def _log_likelihood_rows(gmm: GaussianMixtureSpec, x: np.ndarray) -> np.ndarray:
     """(N, C) log N(x; mean_i, sigma_i^2 I) up to the shared 2*pi constant."""
     # ||x - mu_i||^2 expanded to avoid an (N, C, D) intermediate.
     sq = (
-        (x * x).sum(axis=1, keepdims=True)
+        _row_sum(x * x)
         - 2.0 * x @ gmm.means.T
         + (gmm.means * gmm.means).sum(axis=1)
     )

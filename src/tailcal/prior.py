@@ -25,6 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
+import tailcal
+
 from . import adjust
 from .adjust import (
     ESTIMATOR_AVERAGED,
@@ -40,7 +42,7 @@ PROB_FLOOR = 1e-8
 
 ESTIMATORS = (ESTIMATOR_TRAIN_SIDE,) + PMBAR_KINDS
 
-DEFAULT_ALPHA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
+DEFAULT_ALPHA_GRID = tailcal.DEFAULT_ALPHA_GRID  # the grid callers pass to tune_alpha_on_logits
 
 
 @dataclass(frozen=True)

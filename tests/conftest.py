@@ -60,7 +60,6 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(dataset, "_fork_slots", lambda: 2)
     monkeypatch.setattr(dataset, "_forked", spy)
-    monkeypatch.setattr(cli, "_forked", spy)
     yield started
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

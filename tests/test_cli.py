@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailcal import adjust, cli, dataset, prior
+from tailcal import model as model_module
 from tailcal.cli import (
     ToyConfig,
     load_logit_dump,
@@ -128,7 +129,7 @@ def test_train_stage2_init_that_does_not_fit_the_data_exits_3_naming_both(
                    "--iterations", "2", "--out", "m", "--seed", "1") == 0
     capsys.readouterr()
     steps = []
-    monkeypatch.setattr(cli, "stage2_retrain", lambda *args: steps.append(args))
+    monkeypatch.setattr("tailcal.model.stage2_retrain", lambda *args: steps.append(args))
     code = run_cli("train", "--data", "d/train.csv", "--stage", "2", "--mode", mode,
                    "--init", "m/model.json", "--out", "x")
     assert (code, capsys.readouterr().err) == (3, (
@@ -529,7 +530,7 @@ def test_toy_experiment_single_trial(workdir, capsys):
 
 
 def test_toy_experiment_worker_invariance(workdir, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)  # --workers 3 is not capped
+    monkeypatch.setattr(dataset, "_usable_cpus", lambda: 3)  # --workers 3 is not capped
     args = ["toy-experiment", "--trials", "6", "--samples", "2000",
             "--test-samples", "1000", "--seed", "9"]
     runs = {"w1": ["--workers", "1"], "w3": ["--workers", "3"], "default": []}
@@ -566,7 +567,7 @@ def test_toy_workers_default_to_the_usable_cpus_at_most_one_per_trial(
 
 def test_toy_experiment_caps_workers_at_the_usable_cpus(workdir, monkeypatch, forks):
     # 4 trials: a cap that did not hold would still fork no more than 3 children
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(dataset, "_usable_cpus", lambda: 2)
     assert run_cli("toy-experiment", "--trials", "4", "--samples", "200", "--test-samples",
                    "100", "--iterations", "5", "--workers", "500", "--out", "toy") == 0
     assert forks == ["_toy_part"]
@@ -613,7 +614,7 @@ def test_toy_experiment_raises_the_lowest_failing_trial_for_any_worker_count(
         return run_trial(cfg, trial)
 
     monkeypatch.setattr(cli, "run_toy_trial", failing_trial)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(dataset, "_usable_cpus", lambda: 3)
     code = run_cli(
         "toy-experiment", "--trials", "4", "--samples", "200", "--test-samples", "100",
         "--iterations", "5", "--workers", workers, "--out", "toy",
@@ -631,7 +632,7 @@ def test_toy_experiment_keeps_the_trials_of_a_failed_fork_in_this_process(monkey
         return json.dumps({k: v for k, v in result.items() if k != "_trial0"})
 
     expected = summary(1)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(dataset, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(os, "fork", _no_fork)
     assert summary(3) == expected
     assert forks == ["_toy_part"] * 2
@@ -717,7 +718,7 @@ def test_toy_experiment_kills_its_children_when_this_process_stops(monkeypatch, 
         time.sleep(60)
 
     monkeypatch.setattr(cli, "run_toy_trial", stuck_trial)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(dataset, "_usable_cpus", lambda: 3)
     start = time.monotonic()
     with pytest.raises(Stop):
         cli.toy_experiment(ToyConfig(trials=3), 3)
@@ -907,7 +908,7 @@ def test_failed_run_in_a_reused_out_leaves_no_manifest(workdir, monkeypatch):
     def full_disk(counts, path):
         raise OSError("no space left on device")
 
-    monkeypatch.setattr("tailcal.cli.save_counts", full_disk)
+    monkeypatch.setattr(dataset, "save_counts", full_disk)
     assert run_cli(*argv) == 3
     assert (workdir / "d" / "test.csv").exists()
     assert not (workdir / "d" / "manifest.json").exists()
@@ -1413,14 +1414,14 @@ def test_gen_data_memory_error_at_the_mixture_exits_2_naming_the_key(workdir, ca
 
 
 def test_gen_data_memory_error_at_sampling_exits_2_naming_the_flag(workdir, capsys, monkeypatch):
-    sample = cli.sample_dataset
+    sample = dataset.sample_dataset
 
     def short_of_memory(gmm, counts, rng):
         if counts.sum() == 6:  # the val split
             raise MemoryError
         return sample(gmm, counts, rng)
 
-    monkeypatch.setattr(cli, "sample_dataset", short_of_memory)
+    monkeypatch.setattr(dataset, "sample_dataset", short_of_memory)
     code = run_cli("gen-data", "--counts", "20,10", "--val-per-class", "3", "--out", "x")
     assert code == 2
     assert capsys.readouterr().err == (
@@ -1638,9 +1639,9 @@ def _spy_on_input_readers(monkeypatch, hashes=False) -> list[str]:
     that folds a --train-logits dump, so that each call is listed; with
     ``hashes``, the hash of an input file as well."""
     called = []
-    spied = ((dataset, "_read_csv"), (dataset, "_csv_blocks"), (cli, "_read_csv"),
-             (cli, "_csv_blocks"), (cli, "load_model"), (cli, "_forked"))
-    for module, name in spied + (((cli, "_sha256"),) if hashes else ()):
+    spied = ((dataset, "_read_csv"), (dataset, "_csv_blocks"), (model_module, "load_model"),
+             (dataset, "_forked"))
+    for module, name in spied + (((dataset, "_sha256"),) if hashes else ()):
         def spy(*args, _name=name, _real=getattr(module, name), **kwargs):
             called.append(_name)
             return _real(*args, **kwargs)
@@ -1847,7 +1848,7 @@ def test_memory_error_in_a_hidden_layer_exits_2_naming_hidden(tiny, capsys, monk
         raise MemoryError
 
     files, outs = tiny
-    monkeypatch.setattr(cli, stage, short_of_memory)
+    monkeypatch.setattr(model_module, stage, short_of_memory)
     out = next(outs)
     assert run_cli("train", "--data", files["train"], "--arch", "mlp", "--hidden", "4",
                    "--out", out) == 2
@@ -1872,7 +1873,7 @@ def test_memory_error_while_sampling_exits_2_naming_the_size(
         raise MemoryError
 
     files, outs = tiny
-    monkeypatch.setattr(cli, "sample_dataset", short_of_memory)
+    monkeypatch.setattr(dataset, "sample_dataset", short_of_memory)
     out = next(outs)
     assert run_cli(*(a.format(**files) for a in argv), "--out", out) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -2005,14 +2006,96 @@ def test_entry_freezes_the_objects_after_main_returns_and_exits_with_its_code(mo
     assert events == ["main", "freeze", ("exit", 3)]
 
 
-def test_importing_the_cli_loads_none_of_the_lazily_imported_modules():
-    # process pools, and the quadrature that only the oracle's callers need
-    lazy = "{'multiprocessing', 'concurrent.futures', 'logging', 'queue', 'numpy.polynomial'}"
-    code = f"import sys, tailcal.cli; print(sorted({lazy} & set(sys.modules)))"
+# Imports tailcal.cli in a fresh interpreter, then runs each command line of
+# the JSON list argv[1] in a forked child, so that each starts from that
+# import alone. Prints one JSON list: per command line, None for the import
+# alone, its exit code and the modules it loaded of those that LAZY names.
+LOADS = """
+import contextlib, io, json, os, sys
+import tailcal.cli
+
+LAZY = ("multiprocessing", "concurrent", "logging", "queue", "hashlib", "numpy.polynomial",
+        "tailcal")
+
+def loaded():
+    return sorted(name for name in sys.modules
+                  if any(name == lazy or name.startswith(lazy + ".") for lazy in LAZY))
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = tailcal.cli.main(argv)
+        except SystemExit as exc:  # --help, --version and argparse refusals
+            code = exc.code
+    return code, loaded()
+
+results = []
+for argv in json.loads(sys.argv[1]):
+    if argv is None:
+        results.append((None, loaded()))
+        continue
+    read, write = os.pipe()
+    if os.fork() == 0:
+        os.write(write, json.dumps(run(argv)).encode())
+        os._exit(0)
+    os.close(write)
+    with os.fdopen(read) as pipe:
+        results.append(json.loads(pipe.read()))
+    os.wait()
+print(json.dumps(results))
+"""
+
+
+def _loads(*argvs) -> list[tuple]:
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True)
-    assert done.stdout == "[]\n"
+    done = subprocess.run([sys.executable, "-c", LOADS, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, check=True)
+    return [tuple(result) for result in json.loads(done.stdout)]
+
+
+START = ["tailcal", "tailcal.cli", "tailcal.errors"]  # what importing tailcal.cli loads
+
+
+def test_importing_the_cli_loads_none_of_the_lazily_imported_modules():
+    """Neither the package's library modules nor hashlib, process pools or
+    the quadrature that only the oracle's callers need; nor does a run that
+    argparse ends."""
+    assert _loads(None, ["--help"], ["--version"], ["gen-data", "--classes", "x"]) == [
+        (None, START), (0, START), (0, START), (2, START)]
+
+
+# command -> (a run of it, the library modules it loads beyond START)
+RUN_LOADS = {
+    "gen-data": (["--counts", "20,10", "--val-per-class", "2", "--test-per-class", "2"],
+                 {"dataset", "numerics"}),
+    "train": (["--data", "{train}", "--iterations", "2"], {"dataset", "numerics", "model"}),
+    "estimate-prior": (["--model", "{model}", "--data", "{train}", "--estimator", "train"],
+                       {"dataset", "numerics", "model", "adjust", "prior"}),
+    "adjust": (["--logits", "{dump2}", "--method", "p2p-la", "--prior", "{prior}"],
+               {"dataset", "numerics", "model", "adjust", "prior", "evaluation"}),
+    "eval": (["--logits", "{dump3}"], {"dataset", "numerics", "model", "adjust", "evaluation"}),
+    "toy-experiment": (["--trials", "1", "--samples", "200", "--test-samples", "100",
+                        "--iterations", "5"],
+                       {"dataset", "numerics", "model", "adjust", "prior", "evaluation",
+                        "oracle"}),
+    "shift-eval": (["--model", "{model}", "--train-data", "{train}", "--trials", "1",
+                    "--test-samples", "40", "--ratios", "2"],
+                   {"dataset", "numerics", "model", "adjust", "prior", "evaluation", "oracle"}),
+    "ingest-logits": (["--logits", "{dump2}"],
+                      {"dataset", "numerics", "model", "adjust", "prior", "evaluation"}),
+    "sweep-alpha": (["--prior", "{prior}", "--logits", "{dump2}", "--method", "p2p-la"],
+                    {"dataset", "numerics", "model", "adjust", "prior"}),
+}
+
+
+def test_each_command_loads_only_the_library_modules_it_runs(tiny):
+    files, outs = tiny
+    argvs = [[command, *(a.format(**files) for a in argv), "--out", str(next(outs))]
+             for command, (argv, _) in RUN_LOADS.items()]
+    assert not RUN_LOADS["gen-data"][1] & {"model", "prior", "adjust", "evaluation", "oracle"}
+    expected = [(0, sorted(START + [f"tailcal.{m}" for m in modules] + ["hashlib"]))
+                for _, modules in RUN_LOADS.values()]
+    assert _loads(*argvs) == expected
 
 
 # a malformed prior.json entry, and the reason the message gives

@@ -774,9 +774,12 @@ DATASET_HEADER = ["f0", "f1", "f2", "label"]
     (["a", "b,c", "d"], np.eye(3), [0, 1, 2], "line 3: id 'b,c' holds ',', CR or LF"),
     (["a", "b", "c\r"], np.eye(3), [0, 1, 2], "line 4: id 'c\\r' holds ',', CR or LF"),
     (["a\nb", "c", "d"], np.eye(3), [0, 1, 2], "line 2: id 'a\\nb' holds ',', CR or LF"),
+    (["a", "\ud800"], np.eye(2), np.array([0, 1]),
+     "line 3: id '\\ud800' cannot be encoded as UTF-8"),
 ], ids=["ids-count", "labels-count", "no-rows-dump", "no-rows-dataset", "nan", "minus-inf",
         "label-minus-1", "label-at-logit-count", "label-int64-max", "label-beyond-int64",
-        "label-not-an-integer", "id-comma", "id-carriage-return", "id-line-feed"])
+        "label-not-an-integer", "id-comma", "id-carriage-return", "id-line-feed",
+        "id-lone-surrogate"])
 def test_rows_a_read_would_refuse_are_not_written(tmp_path, ids, values, labels, message):
     path = tmp_path / "d.csv"
     with pytest.raises(DataError) as caught:
@@ -835,13 +838,21 @@ def test_a_split_write_has_the_bytes_of_a_one_process_write(
 
 
 def test_a_failing_part_raises_in_the_parent_as_in_one_process(tmp_path, monkeypatch, forks):
-    # the last part's last id, a lone surrogate, passes the row checks but not UTF-8
-    values, labels, ids = np.ones((7, 2)), [0] * 7, [f"r{i}" for i in range(6)] + ["\ud800"]
+    # the disk fills once the last row, which the last part writes, is written
+    values, labels, ids = np.ones((7, 2)), [0] * 7, [f"r{i}" for i in range(7)]
+    write_rows = dataset._write_rows
+
+    def filling_rows(out, values, labels, ids):
+        ids = list(ids)
+        write_rows(out, values, labels, ids)
+        if ids[-1] == "r6":
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(dataset, "_write_rows", filling_rows)
     monkeypatch.setattr(dataset, "CSV_SPLIT_CELLS", 1)
     for slots in (1, 3):
         monkeypatch.setattr(dataset, "_fork_slots", lambda: slots)
-        with pytest.raises(UnicodeEncodeError, match=r"^'utf-8' codec can't encode character "
-                                                     r"'\\ud800' in position 0: surrogates not"):
+        with pytest.raises(OSError, match=r"^\[Errno 28\] No space left on device$"):
             dataset._write_csv(tmp_path / f"{slots}.csv", ["id", "f0", "f1", "label"], values,
                                labels, ids)
     assert forks == ["_write_part"]

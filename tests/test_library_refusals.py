@@ -97,6 +97,12 @@ REFUSALS = {
     "confusion-matrix-lengths": (
         lambda: confusion_matrix([0, 1], [0], 2),
         DataError, "predictions and truth must be equal-length, non-empty"),
+    "confusion-matrix-range": (
+        lambda: confusion_matrix([2], [0], 2),
+        DataError, "a prediction or true class lies outside [0, 2)"),
+    "confusion-matrix-negative": (
+        lambda: confusion_matrix([0], [-1], 2),
+        DataError, "a prediction or true class lies outside [0, 2)"),
     "linear-model-bias-count": (
         lambda: LinearSoftmaxModel(np.zeros((2, 2)), np.zeros(3)),
         DataError, "one bias per class required"),

@@ -72,9 +72,9 @@ def traced_run(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        from tailcal import cli, dataset  # traced: its module-level lines run here
+        from tailcal import dataset  # traced: its module-level lines run here
 
-        dataset._forked = cli._forked = _merging(dataset._forked, seen)
+        dataset._forked = _merging(dataset._forked, seen)
         code = pytest.main(pytest_args)
     finally:
         sys.settrace(None)
