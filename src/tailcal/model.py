@@ -14,7 +14,8 @@ place of the N x 2 logits. It agrees with the softmax form to rounding
 (about 1e-13 relative), not bit for bit; every other model keeps the
 softmax step's bits. At full batch such a model's step only sums over the
 rows, so it reshuffles nothing and draws nothing from the stream: every
-step runs on the rows in stored order.
+step runs on the rows in stored order, and the run allocates the step's
+row-long buffers once for all its steps.
 """
 
 from __future__ import annotations
@@ -268,17 +269,22 @@ def batch_loss_and_grads(
 
 
 def _loss_and_grads(
-    model: Model, x: np.ndarray, labels: np.ndarray, loss: LossSpec
+    model: Model,
+    x: np.ndarray,
+    labels: np.ndarray,
+    loss: LossSpec,
+    ws: _LogOddsWorkspace | None = None,
 ) -> tuple[float, list[np.ndarray]]:
     """:func:`batch_loss_and_grads` over finite float64 features ``x``.
 
-    A two-class linear model takes the log-odds step, every other model the
-    softmax step, whose gradient is built in place of its logits.
+    A two-class linear model takes the log-odds step, in ``ws`` when given
+    (built from these labels) or else in a fresh workspace; every other model
+    takes the softmax step, whose gradient is built in place of its logits.
     """
     y = np.asarray(labels, dtype=np.int64)
     shift = _loss_shift(loss, model.num_classes)
     if _takes_log_odds_step(model):
-        return _log_odds_loss_and_grads(model, x, y, shift)
+        return _log_odds_loss_and_grads(model, x, ws or _LogOddsWorkspace(y), shift)
     n = x.shape[0]
     hidden, pre, head = _forward(model, x)
     z = hidden @ head.weights.T
@@ -305,8 +311,22 @@ def _takes_log_odds_step(model: Model) -> bool:
     return isinstance(model, LinearSoftmaxModel) and model.num_classes == 2
 
 
+class _LogOddsWorkspace:
+    """The buffers of the log-odds step over one batch of N rows: the labels
+    as floats y and as signs 1 - 2y, the mask d >= 0 and three float rows
+    that each step overwrites."""
+
+    def __init__(self, y: np.ndarray):
+        n = y.shape[0]
+        positive = y == 1
+        self.labels = positive.astype(np.float64)
+        self.signs = np.where(positive, -1.0, 1.0)
+        self.non_negative = np.empty(n, dtype=bool)
+        self.d, self.e, self.q = np.empty(n), np.empty(n), np.empty(n)
+
+
 def _log_odds_loss_and_grads(
-    model: LinearSoftmaxModel, x: np.ndarray, y: np.ndarray, shift: np.ndarray
+    model: LinearSoftmaxModel, x: np.ndarray, ws: _LogOddsWorkspace, shift: np.ndarray
 ) -> tuple[float, list[np.ndarray]]:
     """The softmax step of a two-class linear model over its one margin.
 
@@ -315,21 +335,37 @@ def _log_odds_loss_and_grads(
     length-N vector replaces the N x 2 logits. One e = exp(-|d|) gives both
     sigmoid(d) and each row's loss softplus(+-d), so nothing overflows. The
     results match the softmax form to rounding, not bit for bit.
+
+    Every row-long intermediate is written into ``ws``, whose labels are the
+    batch's, with the bits that picking by label and by sign would give: d
+    times a sign of +-1 is +-d exactly, infinities included; the sigmoid's
+    numerator, 1 where d >= 0 and e elsewhere, is max(e, d >= 0) since
+    e <= 1; and the mean is the sum over n, as np.mean takes it. The labels
+    are float rows, not masks: a ufunc masked by ``where=`` runs many times
+    slower on labels that alternate often.
     """
     w, b = model.weights, model.biases
     n = x.shape[0]
-    d = x @ (w[1] - w[0])
+    d, e, q = ws.d, ws.e, ws.q
+    np.matmul(x, w[1] - w[0], out=d)
     d += (b[1] - b[0]) + (shift[1] - shift[0])
-    e = np.exp(-np.abs(d))
-    wrong_way = np.where(y == 1, -d, d)  # the margin towards the other class
-    mean_loss = float(np.mean(np.maximum(wrong_way, 0.0) + np.log1p(e)))
-    q = np.where(d >= 0.0, 1.0, e)
-    q /= 1.0 + e  # sigmoid(d)
-    q -= y
+    np.abs(d, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.greater_equal(d, 0.0, out=ws.non_negative)
+    d *= ws.signs  # the margin towards the other class
+    np.maximum(d, 0.0, out=d)
+    np.log1p(e, out=q)
+    d += q
+    mean_loss = float(d.sum() / n)
+    np.maximum(e, ws.non_negative, out=q)
+    e += 1.0
+    q /= e  # sigmoid(d)
+    q -= ws.labels
     q /= n
     weight_grad = q @ x
     bias_grad = q.sum()
-    return mean_loss, [np.stack((-weight_grad, weight_grad)), np.array([-bias_grad, bias_grad])]
+    return mean_loss, [np.array((-weight_grad, weight_grad)), np.array([-bias_grad, bias_grad])]
 
 
 @dataclass
@@ -348,7 +384,8 @@ def train(model: Model, ds: LabeledDataset, loss: LossSpec, cfg: TrainConfig) ->
     """Mini-batch SGD with seeded shuffling; deterministic given cfg.seed.
 
     A two-class linear model at full batch is not shuffled: each step runs on
-    the rows in stored order, and nothing is drawn from cfg.seed.
+    the rows in stored order, and nothing is drawn from cfg.seed. Its steps
+    share one workspace, built once per run, for their row-long intermediates.
 
     Returns the trained model and the per-epoch mean loss trace. Aborts with
     NumericError when the loss goes non-finite or beyond 1e6.
@@ -370,6 +407,8 @@ def train(model: Model, ds: LabeledDataset, loss: LossSpec, cfg: TrainConfig) ->
     # mode="clip" never clips a permutation's indices; the default "raise"
     # would gather through a temporary array of the buffer's size.
     buf = None if in_order else np.empty((cfg.batch_size, ds.dims))
+    # For the same reason the in-order steps reuse one log-odds workspace.
+    ws = _LogOddsWorkspace(ds.labels) if in_order else None
     step = 0
     while step < cfg.iterations:
         perm = None if in_order else gen.permutation(ds.n)
@@ -384,7 +423,7 @@ def train(model: Model, ds: LabeledDataset, loss: LossSpec, cfg: TrainConfig) ->
                 batch = perm[start : start + cfg.batch_size]
                 x = np.take(features, batch, axis=0, out=buf[: batch.size], mode="clip")
                 y = ds.labels[batch]
-            batch_loss, grads = _loss_and_grads(model, x, y, loss)
+            batch_loss, grads = _loss_and_grads(model, x, y, loss, ws)
             if not np.isfinite(batch_loss):
                 raise NumericError(
                     f"non-finite loss at step {step}; lower the learning rate"

@@ -107,13 +107,28 @@ def _row_sum(e: np.ndarray) -> np.ndarray:
     over their column views: at N = 10 000 (2-core x86, numpy 2.4) that takes
     about 15 us against about 230 us for numpy's reduction. numpy's sum
     starts from +0.0, so the added 0.0 turns a -0.0 sum into +0.0 as it does.
-    Three or more terms round differently in another order, so wider rows
-    keep the reduction over a C-ordered copy: numpy sums a C-ordered row of 8
-    or more terms pairwise, but an F-ordered matrix column by column.
+    Three or more terms round differently in another order. numpy sums a
+    C-ordered row of 8 to 15 terms as ((c0+c1)+(c2+c3))+((c4+c5)+(c6+c7))
+    and then adds c8, c9, ... in order, so those rows are summed over their
+    column views in that order: 65 us against 260 us at 12 408 x 10. Other
+    rows keep the reduction over a C-ordered copy, as numpy sums an F-ordered
+    matrix column by column.
     """
-    if e.shape[1] != 2:
+    c = e.shape[1]
+    if c == 2:
+        s = e[:, 0] + e[:, 1]
+    elif 8 <= c <= 15:
+        s = e[:, 0] + e[:, 1]
+        t = e[:, 2] + e[:, 3]
+        s += t
+        np.add(e[:, 4], e[:, 5], out=t)
+        u = e[:, 6] + e[:, 7]
+        t += u
+        s += t
+        for j in range(8, c):
+            s += e[:, j]
+    else:
         return np.ascontiguousarray(e).sum(axis=1, keepdims=True)
-    s = e[:, 0] + e[:, 1]
     s += 0.0
     return s[:, None]
 

@@ -59,3 +59,19 @@ def test_a_run_without_a_result_loses_its_pair():
     row = bench_pairs.summarize(pairs, BETTER)["ops_per_s"]
     assert row["wins"] == 9 and row["pairs"] == 10 and row["holds"]
     assert row["change"] == (1.5, 1.5, 1.5)
+
+
+@pytest.mark.parametrize("cached", ["parent", "change"])
+def test_a_tree_holding_bytecode_is_refused_before_any_run(tmp_path, monkeypatch, capsys, cached):
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    for tree in trees.values():
+        (tree / "src" / "tailcal").mkdir(parents=True)
+    cache = trees[cached] / "src" / "tailcal" / "__pycache__"
+    cache.mkdir()
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: pytest.fail("a run started"))
+    monkeypatch.setattr("sys.argv", ["bench_pairs.py", str(trees["parent"]),
+                                     str(trees["change"]), "--workload", "toy"])
+    with pytest.raises(SystemExit) as stopped:
+        bench_pairs.main()
+    assert stopped.value.code == 2
+    assert f"{cache} holds bytecode" in capsys.readouterr().err

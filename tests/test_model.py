@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -322,6 +323,77 @@ def test_two_class_log_odds_step_is_finite_at_margins_of_800():
     assert value == 400.0
     assert np.array_equal(grads[0], [[-400.0, 0.0], [400.0, 0.0]])
     assert np.array_equal(grads[1], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("loss_kind", ["plain-ce", "logit-adjusted"])
+def test_two_class_log_odds_step_keeps_the_reference_bits_at_weights_of_1e300(loss_kind):
+    """Margins of about 1e300, and of +-inf on every fourth row: the step
+    flips the margin's sign and subtracts the labels exactly there, so it
+    keeps the reference's bits and warns of no invalid value. A margin
+    built as relu(d) - y * d would read inf - inf, a NaN, on those rows."""
+    rng = np.random.default_rng(300)
+    model = LinearSoftmaxModel(np.array([[1e300, -1e300], [-1e300, 1e300]]),
+                               np.array([1e300, -1e300]))
+    x = rng.normal(size=(64, 2))
+    x[::4, 0] *= 1e10  # x0 * (w1 - w0)[0] overflows to +-inf
+    y = rng.integers(0, 2, size=64)
+    loss = _loss_of_kind(loss_kind, rng, 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value, grads = batch_loss_and_grads(model, x, y, loss)
+    with np.errstate(over="ignore"):
+        ref_value, ref_grads = _row_indexed_log_odds_loss_and_grads(model, x, y, loss)
+    assert value == ref_value == math.inf
+    for g, ref in zip(grads, ref_grads, strict=True):
+        assert np.array_equal(g, ref)
+    assert np.all(np.isfinite(grads[0]))
+    messages = [str(w.message) for w in caught]
+    assert any("overflow" in m for m in messages)
+    assert not [m for m in messages if "invalid value" in m]
+
+
+def _traced_peak(run) -> int:
+    """The bytes that ``run()`` holds at its peak beyond those held before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_two_class_full_batch_train_peaks_alike_for_1_and_100_steps():
+    ds = sample_dataset(separable_gmm(), [15_000, 5_000], RngStream(20))
+    peaks = [_traced_peak(lambda: train(init_linear(2, 2), ds, LossSpec(),
+                                        small_cfg(iterations=steps, batch_size=ds.n)))
+             for steps in (1, 100)]
+    assert peaks[1] <= peaks[0] + 8 * ds.n  # one float row
+
+
+def test_two_class_step_in_a_reused_workspace_allocates_no_row():
+    """numpy casts the mask d >= 0 to floats through a buffer of at most
+    8 192 values, so at 20 000 rows that buffer is below one row."""
+    rng = np.random.default_rng(21)
+    n = 20_000
+    x, y = rng.normal(size=(n, 2)), rng.integers(0, 2, size=n)
+    model = LinearSoftmaxModel(rng.normal(size=(2, 2)), rng.normal(size=2))
+    ws = model_module._LogOddsWorkspace(y)
+
+    def step():
+        return model_module._loss_and_grads(model, x, y, LossSpec(), ws)
+
+    step()
+    assert _traced_peak(step) < 8 * n
+
+
+def test_two_class_full_batch_train_in_one_workspace_matches_the_row_indexed_loop(toy_train):
+    loss = LossSpec("logit-adjusted", [0.7, 0.3])
+    cfg = small_cfg(iterations=30, batch_size=toy_train.n, learning_rate=5.0)
+    result = train(init_linear(2, 2), toy_train, loss, cfg)
+    model = _row_indexed_train(init_linear(2, 2), toy_train, loss, cfg)
+    for trained, ref in zip(model_parameters(result.model), model_parameters(model)):
+        assert np.array_equal(trained, ref)
 
 
 def _row_indexed_train(model, ds, loss, cfg):

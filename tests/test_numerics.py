@@ -54,7 +54,7 @@ def test_log_sum_exp_values():
         log_sum_exp([])
 
 
-ROW_WIDTHS = (2, 3, 10, FOLD_MAX_COLUMNS, FOLD_MAX_COLUMNS + 1, 32, 100)
+ROW_WIDTHS = (2, 3, 8, 9, 10, 15, FOLD_MAX_COLUMNS, FOLD_MAX_COLUMNS + 1, 32, 100)
 
 
 def _hard_rows(c: int, layout: str) -> np.ndarray:

@@ -17,6 +17,10 @@ gain rule holds: the change wins at least nine tenths of the pairs run, and
 its median beats the parent's by more than the distance between the
 parent's quartiles. It prints every run whose operations failed a gate or
 that gave no result, and exits 1 if there was one.
+
+It refuses (exit 2) a tree that holds ``src/tailcal/__pycache__``: a start
+that finds that bytecode skips compiling the package, so the two trees
+would not start alike.
 """
 
 from __future__ import annotations
@@ -93,6 +97,10 @@ def main() -> int:
     parser.add_argument("--seconds", type=float, default=35.0)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
+    for tree in (args.parent, args.change):
+        cache = tree / "src" / "tailcal" / "__pycache__"
+        if cache.exists():
+            parser.error(f"{cache} holds bytecode, which the other tree may lack; remove it")
     declared = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     better = {m["name"]: m["better"] for m in declared}
 

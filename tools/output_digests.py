@@ -42,7 +42,12 @@ fixed list of command lines that a check refuses (``REFUSED``: per command,
 one case of each kind of check it makes on its flags, none asking for a large
 size or many workers, and a counts file that does not fit the scores) and
 prints one ``sha256  <refused>/<case> exit <code>`` line per case, the digest
-of its stderr, so a changed message shows. The three
+of its stderr, so a changed message shows. One run diverges
+(``DIVERGED``: two-class ``train --lr 1e308`` on d2, which stops at its
+second step) and prints one ``sha256  <diverged>/train-lr-1e308 exit <code>`` line,
+the digest of its last ``error:`` line and its warnings' categories and
+messages, sorted, without the file and line that each warning names, as
+those move with any edit of the code. The three
 toy-experiment runs print the same digests; their manifests differ only in
 ``workers``, which is at most the usable CPUs of the machine. A manifest's
 ``config`` is the command's whole resolved option table, the seed included,
@@ -318,6 +323,21 @@ def run_refused(work: Path, env: dict) -> list[str]:
     return lines
 
 
+DIVERGED = ["train", "--data", "d2/train.csv", "--seed", SEED, "--lr", "1e308", "--out", "diverged"]
+WARNING = re.compile(r"^.*:\d+: (\w+Warning: .*)$")  # "<file>:<line>: <category>: <message>"
+
+
+def run_diverged(work: Path, env: dict) -> str:
+    """The ``sha256  <diverged>/train-lr-1e308 exit <code>`` line of DIVERGED."""
+    proc = subprocess.run([sys.executable, "-m", "tailcal", *DIVERGED], cwd=work, env=env,
+                          capture_output=True, text=True)
+    stderr = proc.stderr.splitlines()
+    errors = [line for line in stderr if line.startswith("error:")]
+    warned = sorted(m.group(1) for line in stderr if (m := WARNING.match(line)))
+    digest = hashlib.sha256("".join(f"{line}\n" for line in errors[-1:] + warned).encode())
+    return f"{digest.hexdigest()}  <diverged>/train-lr-1e308 exit {proc.returncode}"
+
+
 def run_chain(work: Path) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("TAILCAL_SEED", None)
@@ -337,6 +357,7 @@ def run_chain(work: Path) -> list[str]:
             raise SystemExit(f"tailcal {' '.join(argv)}: exit {proc.returncode}")
         lines.append(f"{hashlib.sha256(proc.stdout).hexdigest()}  {out}/<stdout>")
     lines += run_refused(work, env)
+    lines.append(run_diverged(work, env))
     for command in ("", *SUBCOMMANDS):
         argv = [sys.executable, "-m", "tailcal", *command.split(), "--help"]
         proc = subprocess.run(argv, cwd=work, env=env, capture_output=True, check=True)
