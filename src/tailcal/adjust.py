@@ -5,10 +5,11 @@ Every supported method is one multiplicative correction applied per class:
     adjusted_logit_i = logit_i - alpha * log(estimate_i) + log(target_i)
 
 equivalently, posteriors are scaled by target_i / estimate_i**alpha and
-renormalized. The methods differ only in which prior estimate they demand:
-``class-frequency`` uses the empirical count prior, ``p2p-ce`` the effective
-prior measured on training-side posteriors, and ``p2p-la`` the effective
-prior of a logit-adjusted model measured with the train-time shift removed.
+renormalized. The methods differ only in which prior estimate they demand,
+as ``tailcal.PRIOR_KINDS`` lists: ``class-frequency`` uses the empirical
+count prior, ``p2p-ce`` the effective prior measured on training-side
+posteriors, and ``p2p-la`` the effective prior of a logit-adjusted model
+measured with the train-time shift removed.
 Any per-sample scale factor is absorbed by the row renormalization, so it
 never changes an argmax.
 """
@@ -21,27 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import METHODS
+from . import PRIOR_KINDS
 from .errors import DataError, UsageError
 from .model import LinearSoftmaxModel
 from .numerics import as_matrix, prob_matrix, prob_vector
-
-PRIOR_KIND_FREQUENCY = "frequency"
-
-# Effective-prior estimator kinds (see prior.py). The train-side estimate is
-# the prior the training loss saw; the other three all measure the
-# inference-side marginal, so they are interchangeable with one another.
-ESTIMATOR_TRAIN_SIDE = "train-side"
-ESTIMATOR_VAL_SIDE = "val-side"
-ESTIMATOR_TRAIN_REWEIGHTED = "train-reweighted"
-ESTIMATOR_AVERAGED = "averaged"
-PMBAR_KINDS = (ESTIMATOR_VAL_SIDE, ESTIMATOR_TRAIN_REWEIGHTED, ESTIMATOR_AVERAGED)
-
-_METHOD_COMPAT = {
-    "class-frequency": (PRIOR_KIND_FREQUENCY,),
-    "p2p-ce": (ESTIMATOR_TRAIN_SIDE,),
-    "p2p-la": PMBAR_KINDS,
-}
 
 
 @dataclass(frozen=True)
@@ -60,7 +44,7 @@ class AdjustmentSpec:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if self.method not in METHODS:
+        if self.method not in PRIOR_KINDS:
             raise UsageError(f"unknown adjustment method {self.method!r}")
         if not 0 <= self.alpha < np.inf:
             need = ">= 0" if self.alpha < 0 else "finite"
@@ -73,7 +57,7 @@ class AdjustmentSpec:
         target = prob_vector(self.target_prior)
         if estimated.shape != target.shape:
             raise DataError("estimated and target priors must have equal length")
-        allowed = _METHOD_COMPAT[self.method]
+        allowed = PRIOR_KINDS[self.method]
         if self.prior_kind not in allowed:
             raise UsageError(
                 f"method {self.method!r} requires a prior of kind "
@@ -100,9 +84,7 @@ def no_adjustment() -> AdjustmentSpec:
 
 def class_frequency_spec(freq_prior, target_prior, alpha: float = 1.0) -> AdjustmentSpec:
     """Correction from the empirical count prior, e.g. ``empirical_prior(counts)``."""
-    return AdjustmentSpec(
-        "class-frequency", freq_prior, PRIOR_KIND_FREQUENCY, target_prior, alpha
-    )
+    return AdjustmentSpec("class-frequency", freq_prior, "frequency", target_prior, alpha)
 
 
 def spec_from_estimate(method: str, estimate, target_prior, alpha: float | None = None) -> AdjustmentSpec:

@@ -34,7 +34,9 @@ import numpy as np
 from . import (
     ACTIVATIONS,
     DEFAULT_ALPHA_GRID,
+    ESTIMATORS,
     METHODS,
+    PRIOR_KINDS,
     SCHEDULES,
     SHIFT_DIRECTIONS,
     STAGE_TWO_MODES,
@@ -199,9 +201,10 @@ def _resolve(args, options):
     """The ``options`` dataclass resolved from ``args``, and per key the name
     of what set it: flags beat the --config file, which beats the defaults.
     A value from the file is named ``config <file>: key '<k>'``, any other by
-    its flag, and a seed not given is _master_seed's. Every value given, as a
-    flag or in the file, passes _check; then a value that needs a row left
-    unset is a usage error naming both."""
+    its flag, and a seed not given is _master_seed's. A key of the file that
+    is no config key of the table is a usage error naming it. Every value
+    given, as a flag or in the file, passes _check; then a value that needs
+    a row left unset is a usage error naming both."""
     table = fields(options)
     names = {option.name: _flag(option) for option in table}
     given = []
@@ -213,8 +216,11 @@ def _resolve(args, options):
             raise UsageError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(config, dict):
             raise UsageError(f"config {path} must hold a JSON object")
+        keys = [o.name for o in table if o.metadata["key"]]
+        for key in config:
+            _refuse(key not in keys, f"config {path}: key {key!r} is not one of {', '.join(keys)}")
         given = [(o, config[o.name], f"config {path}: key {o.name!r}")
-                 for o in table if o.metadata["key"] and o.name in config]
+                 for o in table if o.name in config]
     given += [(o, v, _flag(o)) for o in table if (v := getattr(args, o.name, None)) is not None]
     values = {}
     for option, value, name in given:
@@ -755,8 +761,7 @@ def cmd_eval(opts: EvalOptions, names: dict, run: RunDir) -> dict:
         thresholds=opts.groups,
         provenance=provenance,
     )
-    for fmt, name in (("json", "report.json"), ("csv", "report.csv"), ("table-text", "report.txt")):
-        evaluation.emit_report(report, fmt, run.output(name))
+    evaluation.emit_report(report, *(run.output(f"report.{ext}") for ext in ("json", "csv", "txt")))
     print((run.path / "report.txt").read_text(), end="")
     return {"target_prior": target}
 
@@ -1280,7 +1285,8 @@ def cmd_ingest_logits(opts: IngestOptions, names: dict, run: RunDir) -> dict:
 @_table
 class SweepOptions(ScoresOptions):
     prior: str = _option(None, str, required=True)
-    method: str = _option("p2p-ce", str, choices=tuple(m for m in METHODS if m != "none"))
+    method: str = _option("p2p-ce", str, choices=tuple(  # those that take a --prior estimate
+        m for m, kinds in PRIOR_KINDS.items() if any(k in ESTIMATORS for k in kinds)))
     grid: list[float] = _option(DEFAULT_ALPHA_GRID, list[float], least=0)
 
 

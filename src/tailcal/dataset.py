@@ -77,13 +77,10 @@ def make_longtail_counts(
     ``max_count / imbalance_factor``: counts[i] = round(max_count * IF**(-i /
     (C - 1))), so counts[0] == max_count and counts[C-1] == round(max_count /
     IF). ``step`` gives the head half of the classes ``max_count`` each and the
-    tail half round(max_count / IF).
+    tail half round(max_count / IF). It takes C >= 2 and IF >= 1, the bounds
+    of ``gen-data --classes`` and ``--imbalance``.
     """
     c = num_classes
-    if c < 2:
-        raise UsageError(f"need >= 2 classes, got {c}")
-    if imbalance_factor < 1:
-        raise UsageError(f"imbalance factor must be >= 1, got {imbalance_factor}")
     if kind == "exponential":
         i = np.arange(c, dtype=np.float64)
         counts = _round_half_even(max_count * imbalance_factor ** (-i / (c - 1)))

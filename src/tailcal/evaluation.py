@@ -14,7 +14,6 @@ import numpy as np
 from .adjust import achieved_prior
 from .dataset import GaussianMixtureSpec
 from .errors import DataError, NumericError, UsageError
-from .model import LinearSoftmaxModel
 from .numerics import prob_vector
 
 REPORT_SCHEMA_VERSION = 1
@@ -163,17 +162,12 @@ def _report_table(report: dict) -> str:
     return f"{header}\n{row}\n{extra}\n"
 
 
-def emit_report(report: dict, fmt: str, path) -> None:
-    """Write a :func:`build_report` dict as json (canonical), csv, or table-text."""
-    path = Path(path)
-    if fmt == "json":
-        path.write_text(json.dumps(report, indent=1) + "\n")
-    elif fmt == "csv":
-        path.write_text("\n".join(_report_csv_lines(report)) + "\n")
-    elif fmt == "table-text":
-        path.write_text(_report_table(report))
-    else:
-        raise UsageError(f"unknown report format {fmt!r}")
+def emit_report(report: dict, json_path, csv_path, text_path) -> None:
+    """Write a :func:`build_report` dict as json (canonical), as csv and as a
+    text table, to the three paths."""
+    Path(json_path).write_text(json.dumps(report, indent=1) + "\n")
+    Path(csv_path).write_text("\n".join(_report_csv_lines(report)) + "\n")
+    Path(text_path).write_text(_report_table(report))
 
 
 def _boundary_points(
@@ -192,15 +186,13 @@ def _boundary_points(
 def export_boundary_data(named_models, gmm: GaussianMixtureSpec, bayes_prior, path) -> None:
     """CSV of sampled decision lines: header ``series,x0,x1``.
 
-    Each (name, linear model) pair contributes one series of 41 points over
-    [-4, 4]; the Bayes line under ``bayes_prior`` is appended as series
-    ``bayes``. 2-D two-class settings with equal class sigmas only.
+    Each (name, two-class linear model) pair contributes one series of 41
+    points over [-4, 4]; the Bayes line under ``bayes_prior`` is appended as
+    series ``bayes``. 2-D two-class settings with equal class sigmas only.
     """
     spans = np.linspace(-4.0, 4.0, 41)
     lines = ["series,x0,x1"]
     for name, model in named_models:
-        if not isinstance(model, LinearSoftmaxModel) or model.num_classes != 2:
-            raise UsageError(f"series {name!r} is not a 2-class linear model")
         dw = model.weights[0] - model.weights[1]
         db = float(model.biases[0] - model.biases[1])
         for x0, x1 in _boundary_points(dw, db, spans):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import GaussianMixtureSpec
 from .errors import DataError, UsageError
-from .model import LinearSoftmaxModel, Model
+from .model import Model
 from .numerics import RngStream, _row_sum, as_matrix, prob_vector, softmax_rows
 
 
@@ -74,18 +74,6 @@ def sample_mixture(
     return features, labels
 
 
-def _two_class_linear(model: Model, gmm: GaussianMixtureSpec, what: str) -> None:
-    """A usage error unless ``model`` is a two-class linear model of a
-    two-class mixture, as the closed forms below need; a data error unless
-    it reads as many features as the mixture has dims."""
-    if not isinstance(model, LinearSoftmaxModel):
-        raise UsageError(f"{what} requires a linear model")
-    if model.num_classes != 2 or gmm.num_classes != 2:
-        raise UsageError(f"{what} requires exactly 2 classes")
-    if model.dims != gmm.dims:
-        raise DataError(f"model has {model.dims} features, mixture has {gmm.dims} dims")
-
-
 def oracle_effective_prior(model: Model, gmm: GaussianMixtureSpec, prior) -> np.ndarray:
     """The exact class marginal a two-class linear model's posteriors imply
     on draws from the mixture under ``prior``.
@@ -94,14 +82,12 @@ def oracle_effective_prior(model: Model, gmm: GaussianMixtureSpec, prior) -> np.
     db, sigma_k^2 |dw|^2), so E[sigmoid(d)] = 1/2 + E[tanh(d / 2)] / 2 (exactly
     1/2 for a zero model) is a 1-D integral, summed by 64-node Gauss-Hermite
     quadrature: within 1e-5 while sigma_k |dw| <= 5 (the toy CE model's is
-    about 2), 3e-3 off at 10.
+    about 2), 3e-3 off at 10. The model and the mixture must both be
+    two-class, with equal dims; nothing checks it.
     """
     from numpy.polynomial.hermite_e import hermegauss  # ~4 ms; only callers pay
 
-    _two_class_linear(model, gmm, "effective prior")
     p = prob_vector(prior)
-    if p.shape[0] != 2:
-        raise DataError("prior length must match the number of classes")
     nodes, weights = hermegauss(64)
     dw = model.weights[1] - model.weights[0]
     db = float(model.biases[1] - model.biases[0])
@@ -117,12 +103,10 @@ def boundary_offset(model: Model, gmm: GaussianMixtureSpec, prior) -> float:
     zero-log-odds plane and the Bayes boundary under ``prior``.
 
     Positive values mean the model's boundary sits beyond the Bayes one in
-    the direction of class 1's mean. Two-class linear models of a mixture
-    with equal class sigmas only, where the Bayes boundary is a plane.
+    the direction of class 1's mean. Two-class linear models of a two-class
+    mixture with equal class sigmas only, where the Bayes boundary is a
+    plane; nothing checks it but the boundary's slope, which it divides by.
     """
-    _two_class_linear(model, gmm, "boundary offset")
-    if abs(gmm.sigmas[0] - gmm.sigmas[1]) > 1e-12:
-        raise UsageError("boundary offset requires equal class sigmas")
     p = prob_vector(prior)
     delta = gmm.means[1] - gmm.means[0]
     m = float(np.linalg.norm(delta))

@@ -28,19 +28,10 @@ import numpy as np
 import tailcal
 
 from . import adjust
-from .adjust import (
-    ESTIMATOR_AVERAGED,
-    ESTIMATOR_TRAIN_REWEIGHTED,
-    ESTIMATOR_TRAIN_SIDE,
-    ESTIMATOR_VAL_SIDE,
-    PMBAR_KINDS,
-)
 from .errors import DataError, NumericError, TailcalError, UsageError
 from .numerics import prob_matrix, prob_vector
 
 PROB_FLOOR = 1e-8
-
-ESTIMATORS = (ESTIMATOR_TRAIN_SIDE,) + PMBAR_KINDS
 
 DEFAULT_ALPHA_GRID = tailcal.DEFAULT_ALPHA_GRID  # the grid callers pass to tune_alpha_on_logits
 
@@ -55,7 +46,7 @@ class EffectivePrior:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if self.estimator not in ESTIMATORS:
+        if self.estimator not in tailcal.ESTIMATORS:
             raise UsageError(f"unknown estimator tag {self.estimator!r}")
         if self.samples < 1:
             raise DataError("sample count must be >= 1")
@@ -102,7 +93,7 @@ def _mean_posterior(posteriors, kind: str) -> EffectivePrior:
 
 def effective_prior_train(posteriors) -> EffectivePrior:
     """Mean training-side posterior per class: the prior the model absorbed."""
-    return _mean_posterior(posteriors, ESTIMATOR_TRAIN_SIDE)
+    return _mean_posterior(posteriors, "train-side")
 
 
 def pmbar_from_val(posteriors) -> EffectivePrior:
@@ -111,7 +102,7 @@ def pmbar_from_val(posteriors) -> EffectivePrior:
     For a logit-adjusted model the posteriors must come from raw inference
     logits (train-time shift removed).
     """
-    return _mean_posterior(posteriors, ESTIMATOR_VAL_SIDE)
+    return _mean_posterior(posteriors, "val-side")
 
 
 def reweight_means(means: np.ndarray, target_prior, train_prior, samples: int) -> EffectivePrior:
@@ -128,9 +119,7 @@ def reweight_means(means: np.ndarray, target_prior, train_prior, samples: int) -
     if target.shape != train.shape or means.shape != train.shape:
         raise DataError("posteriors, target and train priors disagree on classes")
     raw = means * target / train
-    return EffectivePrior(
-        _floor_and_normalize(raw / raw.sum()), ESTIMATOR_TRAIN_REWEIGHTED, samples
-    )
+    return EffectivePrior(_floor_and_normalize(raw / raw.sum()), "train-reweighted", samples)
 
 
 def pmbar_from_train(train_posteriors, target_prior, train_prior) -> EffectivePrior:
@@ -146,7 +135,7 @@ def pmbar_from_train(train_posteriors, target_prior, train_prior) -> EffectivePr
 def average_estimates(a: EffectivePrior, b: EffectivePrior) -> EffectivePrior:
     """Probability-space mean of two estimates of the val-side marginal."""
     for est in (a, b):
-        if est.estimator not in PMBAR_KINDS:
+        if est.estimator not in tailcal.PRIOR_KINDS["p2p-la"]:
             raise UsageError(
                 f"cannot average a {est.estimator!r} estimate; "
                 "only val-side/train-reweighted/averaged estimates measure "
@@ -156,9 +145,7 @@ def average_estimates(a: EffectivePrior, b: EffectivePrior) -> EffectivePrior:
         raise DataError("estimates must have equal length")
     mean = (a.probs + b.probs) / 2.0
     return EffectivePrior(
-        _floor_and_normalize(mean / mean.sum()),
-        ESTIMATOR_AVERAGED,
-        a.samples + b.samples,
+        _floor_and_normalize(mean / mean.sum()), "averaged", a.samples + b.samples
     )
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tailcal import PRIOR_KINDS
 from tailcal.adjust import (
     AdjustmentSpec,
     achieved_prior,
@@ -16,10 +17,10 @@ from tailcal.adjust import (
     save_spec,
     spec_from_estimate,
 )
-from tailcal.errors import UsageError
+from tailcal.errors import DataError, UsageError
 from tailcal.model import predict_logits
 from tailcal.numerics import softmax_rows
-from tailcal.prior import EffectivePrior
+from tailcal.prior import EffectivePrior, load_prior
 
 UNIFORM = np.array([0.5, 0.5])
 
@@ -163,6 +164,31 @@ def test_method_estimator_compatibility_enforced():
     for kind in ("val-side", "train-reweighted", "averaged"):
         spec = AdjustmentSpec("p2p-la", np.array([0.9, 0.1]), kind, UNIFORM, 1.0)
         assert spec.method == "p2p-la"
+
+
+def test_spec_from_estimate_takes_exactly_the_method_and_tag_pairs_of_the_table(tmp_path):
+    kinds = {kind for accepted in PRIOR_KINDS.values() for kind in accepted}
+    estimates = []
+    for tag in sorted(kinds | {"train", "val", "mystery"}):
+        path = tmp_path / f"{tag}.json"
+        path.write_text(json.dumps({"probs": [0.7, 0.3], "estimator": tag, "samples": 5}))
+        try:
+            estimates.append(load_prior(path))
+        except DataError as exc:
+            assert str(exc).endswith(f"unknown estimator tag {tag!r}")
+    # every kind but the count prior is the tag of an estimate that a prior file holds
+    assert sorted(e.estimator for e in estimates) == sorted(kinds - {"frequency"})
+    for estimate in estimates:
+        for method, accepted in PRIOR_KINDS.items():
+            if not accepted:  # "none" takes no prior and ignores the estimate
+                continue
+            if estimate.estimator in accepted:
+                assert spec_from_estimate(method, estimate, UNIFORM).prior_kind == estimate.estimator
+            else:
+                with pytest.raises(UsageError) as exc:
+                    spec_from_estimate(method, estimate, UNIFORM)
+                assert str(exc.value) == (f"method {method!r} requires a prior of kind "
+                                          f"{' or '.join(accepted)}, got {estimate.estimator!r}")
 
 
 def test_spec_validation_errors():

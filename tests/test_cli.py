@@ -454,6 +454,35 @@ def test_counts_file_without_integers_of_at_least_1_exits_3(small_run, capsys, b
     assert not (small_run / "x").exists()
 
 
+def test_sweep_alpha_refuses_class_frequency_before_any_input_is_read(workdir, capsys):
+    (method,) = (o for o in fields(cli.SweepOptions) if o.name == "method")
+    assert method.metadata["choices"] == ("p2p-ce", "p2p-la")
+    with pytest.raises(SystemExit) as exc:  # argparse: no --prior file holds a count prior
+        main(["sweep-alpha", "--prior", "absent.json", "--logits", "absent.csv",
+              "--method", "class-frequency", "--out", "x"])
+    assert exc.value.code == 2
+    assert "argument --method: invalid choice: 'class-frequency'" in capsys.readouterr().err
+    assert not (workdir / "x").exists()
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["train", "--data", "bad"], "", "no header"),
+    (["train", "--data", "bad"], "f0,f1,label\n", "no data rows"),
+    (["train", "--data", "bad"], "f0,f1,label\n0.5,0.25,0\n1.5,-0.25,2\n",
+     "class 1 has no samples"),
+    (["adjust", "--model", "stage1/model.json", "--data", "data/test.csv",
+      "--method", "class-frequency", "--counts", "bad", "--target-prior", "uniform"],
+     "counts = [10, 5]\n",
+     "not a counts file: Expecting value: line 1 column 1 (char 0)"),
+], ids=["empty-data", "header-only-data", "data-without-class-1", "counts-not-json"])
+def test_an_input_file_the_reader_refuses_exits_3_naming_it(small_run, capsys, argv, text,
+                                                             message):
+    (small_run / "bad").write_text(text)
+    assert run_cli(*argv, "--out", "x") == 3
+    assert capsys.readouterr().err == f"error: bad: {message}\n"
+    assert not (small_run / "x").exists()
+
+
 # Per CSV format: its header, one valid data row, and a command that reads it.
 CSV_READERS = {
     "dataset": ("f0,f1,label", "0.5,0.25,1", ("train", "--data")),
@@ -1332,6 +1361,24 @@ def test_any_malformed_config_value_exits_2_naming_the_key(tiny, command, data):
     assert code == 2, (argv, value, err.getvalue())
     assert err.getvalue().startswith(f"error: config {run / 'cfg.json'}: key {key!r} "), err.getvalue()
     assert "Traceback" not in err.getvalue()
+    assert not (run / "x").exists()
+
+
+@pytest.mark.parametrize("command, key", [("gen-data", "learning_rate"), ("train", "learning_rate"),
+                                          ("train", "data"), ("train", "init")])
+def test_a_config_key_that_is_no_config_key_of_the_command_exits_2(tiny, capsys, command, key):
+    files, outs = tiny
+    options, rest = CONFIG_CASES[command]
+    run = next(outs)
+    run.mkdir(parents=True)
+    (run / "cfg.json").write_text(json.dumps({"seed": 3, key: "absent.csv"}))
+    # a --data that does not exist: the key is refused before any input is hashed
+    argv = [command, "--config", str(run / "cfg.json"), *(a.format(train="absent.csv")
+                                                          for a in rest), "--out", str(run / "x")]
+    assert main(argv) == 2
+    keys = ", ".join(o.name for o in fields(options) if o.metadata["key"])
+    assert capsys.readouterr().err == (f"error: config {run / 'cfg.json'}: key {key!r} "
+                                       f"is not one of {keys}\n")
     assert not (run / "x").exists()
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from tailcal.dataset import GaussianMixtureSpec
-from tailcal.errors import DataError, UsageError
-from tailcal.model import LinearSoftmaxModel, init_linear, init_mlp, predict_logits
+from tailcal.errors import DataError
+from tailcal.model import LinearSoftmaxModel, init_linear, predict_logits
 from tailcal.numerics import RngStream, prob_vector, softmax_rows
 from tailcal.oracle import (
     bayes_classify,
@@ -100,19 +100,6 @@ def test_oracle_effective_prior_matches_a_million_draws(gmm, toy_ce_model, sigma
     assert np.abs(exact - sampled).sum() < 3 / math.sqrt(n)
 
 
-def test_oracle_effective_prior_rejects_unsupported_models(gmm):
-    mlp = init_mlp(2, 2, hidden=3, activation="relu", rng=RngStream(1))
-    with pytest.raises(UsageError, match="effective prior requires a linear model"):
-        oracle_effective_prior(mlp, gmm, [0.5, 0.5])
-    three = GaussianMixtureSpec(np.zeros((3, 2)) + np.eye(3, 2), np.ones(3))
-    with pytest.raises(UsageError, match="effective prior requires exactly 2 classes"):
-        oracle_effective_prior(init_linear(3, 2), three, [1 / 3] * 3)
-    with pytest.raises(DataError, match="model has 3 features, mixture has 2 dims"):
-        oracle_effective_prior(init_linear(2, 3), gmm, [0.5, 0.5])
-    with pytest.raises(DataError, match="prior length must match the number of classes"):
-        oracle_effective_prior(init_linear(2, 2), gmm, [0.5, 0.3, 0.2])
-
-
 def test_oracle_vs_train_side_estimator(gmm, toy_ce_model, toy_train):
     from tailcal.prior import effective_prior_train
 
@@ -159,19 +146,6 @@ def test_boundary_offset_unequal_sigmas_crossing():
     t_star = float(roots[np.argmin(np.abs(roots - 1.0))])
     post = bayes_posterior_rows(gmm, prior, [[-1.0 + t_star, 0.0]])[0]
     assert post[0] == pytest.approx(post[1], abs=1e-10)
-    # the Bayes boundary is curved, so no offset of a linear one is defined
-    model = LinearSoftmaxModel(np.array([[-1.0, 0.0], [1.0, 0.0]]), np.zeros(2))
-    with pytest.raises(UsageError, match="boundary offset requires equal class sigmas"):
-        boundary_offset(model, gmm, prior)
-
-
-def test_boundary_offset_rejects_unsupported_models(gmm):
-    mlp = init_mlp(2, 2, hidden=3, activation="relu", rng=RngStream(1))
-    with pytest.raises(UsageError, match="boundary offset requires a linear model"):
-        boundary_offset(mlp, gmm, [0.5, 0.5])
-    three = GaussianMixtureSpec(np.zeros((3, 2)) + np.eye(3, 2), np.ones(3))
-    with pytest.raises(UsageError, match="boundary offset requires exactly 2 classes"):
-        boundary_offset(init_linear(3, 2), three, [1 / 3] * 3)
 
 
 def test_bayes_posterior_dimension_checks(gmm):

@@ -18,13 +18,13 @@ Lines count as executable when the compiled module maps bytecode to them,
 so blank lines, comments and docstrings are never listed. A child forked by
 ``dataset._forked`` (split CSV writes, the train-dump fold of
 ``ingest-logits``, toy-experiment trials) keeps tracing, and sends the lines
-it has run back with its result: the tool wraps ``_forked`` in ``dataset``
-and ``cli``, and the child pickles its line set as it pickles its result or
-exception. So the child's part of ``_forked`` reads as run, up to its
-``os._exit``. On a machine with one usable CPU nothing forks, and that part
-is listed as never run. A test's ``python -m tailcal`` subprocess is not
-traced, so lines that only such a subprocess runs are listed as never run.
-Tracing makes the suite several times slower.
+it has run back with its result: the tool wraps ``dataset._forked``, which
+``cli`` imports where it runs, and the child pickles its line set as it
+pickles its result or exception. So the child's part of ``_forked`` reads
+as run, up to its ``os._exit``. On a machine with one usable CPU nothing
+forks, and that part is listed as never run. A test's ``python -m tailcal``
+subprocess is not traced, so lines that only such a subprocess runs are
+listed as never run. Tracing makes the suite several times slower.
 """
 
 from __future__ import annotations

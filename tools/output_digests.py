@@ -272,6 +272,8 @@ REFUSED = {
     "train-strict-bound": ["train", "--data", "absent.csv", "--lr", "0"],
     "train-requirement": ["train", "--data", "absent.csv", "--stage", "2"],
     "train-config-key": ["train", "--data", "absent.csv", "--config", "refused_train.json"],
+    "train-config-unknown-key": ["train", "--data", "absent.csv", "--config",
+                                 "refused_unknown.json"],
     "estimate-prior-kind": ["estimate-prior", "--model", "absent.json", "--data", "absent.csv",
                             "--estimator", "mean"],
     "estimate-prior-requirement": ["estimate-prior", "--model", "absent.json", "--data",
@@ -304,7 +306,8 @@ REFUSED = {
                                   "--target-prior", "d10/counts.json"],
 }
 REFUSED_CONFIGS = {"refused_gen.json": {"classes": 1}, "refused_means.json": {"means": [[0, 0]]},
-                   "refused_sigmas.json": {"sigmas": [1, -1]}, "refused_train.json": {"lr": 0}}
+                   "refused_sigmas.json": {"sigmas": [1, -1]}, "refused_train.json": {"lr": 0},
+                   "refused_unknown.json": {"learning_rate": 0.001}}
 
 
 def run_refused(work: Path, env: dict) -> list[str]:
