@@ -47,6 +47,7 @@ from .errors import DataError, NumericError, TailcalError, UsageError
 DEFAULT_SEED = 20260808
 SEED_ENV_VAR = "TAILCAL_SEED"
 INT64 = np.iinfo(np.int64)
+_NOTICES: list[str] = []  # main() prints them once the run's manifest is written
 
 # Toy training defaults: full-batch gradient descent stopped well before
 # convergence. The early stop is what leaves a measurable gap between the
@@ -57,7 +58,7 @@ TOY_SCHEDULE = "constant"
 
 
 def _notice(msg: str) -> None:
-    print(f"notice: {msg}", file=sys.stderr)
+    _NOTICES.append(f"notice: {msg}")
 
 
 def _master_seed() -> int:
@@ -281,10 +282,12 @@ def _target_prior(text: str):
 
 def _resolve_target(opts, num_classes: int, positive: bool = False) -> np.ndarray:
     """The --target-prior of ``opts`` for scores of ``num_classes`` classes;
-    None is uniform. A counts file is checked by :func:`_check_classes`. With
-    ``positive``, for a correction that adds the target's log, a zero entry
-    is a numeric error naming its class."""
+    None is uniform, with a notice. A counts file is checked by
+    :func:`_check_classes`. With ``positive``, for a correction that adds the
+    target's log, a zero entry is a numeric error naming its class."""
     value = opts.target_prior
+    if value is None:
+        _notice("no --target-prior given; defaulting to uniform")
     if value is None or isinstance(value, str) and value == "uniform":
         return np.full(num_classes, 1.0 / num_classes)
     if isinstance(value, str):
@@ -583,29 +586,25 @@ def cmd_estimate_prior(opts: EstimateOptions, names: dict, run: RunDir) -> dict:
 
     model, provenance = load_model(opts.model)
     ds = _load_for(model, opts, "--data", opts.data)
-    target = _resolve_target(opts, model.num_classes)
-    if opts.target_prior is None and opts.estimator in ("train-reweighted", "averaged"):
-        _notice("no --target-prior given; defaulting to uniform")
-
     freq = empirical_prior(ds.counts)
+    target = None  # the train and val estimators take no target
     if opts.estimator == "train":
         estimate = prior.effective_prior_train(
             _train_side_posteriors(model, provenance, ds.features)
         )
     elif opts.estimator == "val":
         estimate = prior.pmbar_from_val(_raw_posteriors(model, ds.features))
-    elif opts.estimator == "train-reweighted":
-        estimate = prior.pmbar_from_train(
-            _train_side_posteriors(model, provenance, ds.features), target, freq
-        )
-    else:  # averaged
-        ds_train = _load_for(model, opts, "--train-data", opts.train_data)
+    else:  # train-reweighted, or averaged with the val estimate of --data
+        target = _resolve_target(opts, model.num_classes)
+        averaged = opts.estimator == "averaged"
+        ds_train = _load_for(model, opts, "--train-data", opts.train_data) if averaged else ds
         freq = empirical_prior(ds_train.counts)
-        est_val = prior.pmbar_from_val(_raw_posteriors(model, ds.features))
-        est_train = prior.pmbar_from_train(
+        estimate = prior.pmbar_from_train(
             _train_side_posteriors(model, provenance, ds_train.features), target, freq
         )
-        estimate = prior.average_estimates(est_val, est_train)
+        if averaged:
+            est_val = prior.pmbar_from_val(_raw_posteriors(model, ds.features))
+            estimate = prior.average_estimates(est_val, estimate)
 
     prior.save_prior(estimate, run.output("prior.json"))
     print(f"{'class':>6} {'frequency':>12} {'effective':>12}")
@@ -680,11 +679,9 @@ def _adjustment(opts: AdjustOptions, num_classes: int):
     """The adjust.AdjustmentSpec that --method and its files give."""
     from . import adjust, prior
 
-    target = _resolve_target(opts, num_classes, positive=opts.method != "none")
-    if opts.target_prior is None and opts.method != "none":
-        _notice("no --target-prior given; defaulting to uniform")
     if opts.method == "none":
         return adjust.no_adjustment()
+    target = _resolve_target(opts, num_classes, positive=True)
     alpha = _resolve_alpha(opts)
     if opts.method == "class-frequency":
         from .dataset import empirical_prior, load_counts
@@ -723,7 +720,7 @@ def cmd_adjust(opts: AdjustOptions, names: dict, run: RunDir) -> dict:
     acc_after = evaluation.top1_accuracy(np.argmax(adjusted, axis=1), labels)
     print(f"top-1 before adjustment: {acc_before:.4f}")
     print(f"top-1 after adjustment:  {acc_after:.4f}")
-    return {"spec": spec.to_json()}
+    return {"spec": spec.to_json()} | ({"target_prior": None} if spec.method == "none" else {})
 
 
 # ---------------------------------------------------------------------------
@@ -761,8 +758,8 @@ def cmd_eval(opts: EvalOptions, names: dict, run: RunDir) -> dict:
         thresholds=opts.groups,
         provenance=provenance,
     )
-    evaluation.emit_report(report, *(run.output(f"report.{ext}") for ext in ("json", "csv", "txt")))
-    print((run.path / "report.txt").read_text(), end="")
+    paths = (run.output(f"report.{ext}") for ext in ("json", "csv", "txt"))
+    print(evaluation.emit_report(report, *paths), end="")
     return {"target_prior": target}
 
 
@@ -1238,8 +1235,6 @@ def cmd_ingest_logits(opts: IngestOptions, names: dict, run: RunDir) -> dict:
     with _forked(_dump_posterior_means, train_logits) if train_logits else nullcontext() as fold:
         ids, logits, labels = load_logit_dump(opts.logits)
         target = _resolve_target(opts, logits.shape[1], positive=True)
-        if opts.target_prior is None:
-            _notice("no --target-prior given; defaulting to uniform")
         train_means = train_counts = None
         if train_logits:
             train_means = fold()
@@ -1354,6 +1349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    _NOTICES.clear()
     args = build_parser().parse_args(argv)
     started = time.time()
     try:
@@ -1378,6 +1374,8 @@ def main(argv=None) -> int:
             run = RunDir(Path("runs") / f"{stamp}-{digest}")
         derived = args.func(opts, names, run)  # what the command worked out itself
         write_manifest(run, args.command, argv, asdict(opts) | derived, inputs, started)
+        sys.stdout.flush()  # a finished run's notices follow its stdout, also in one pipe
+        sys.stderr.write("".join(f"{line}\n" for line in _NOTICES))
         return 0
     except TailcalError as exc:
         print(f"error: {exc}", file=sys.stderr)

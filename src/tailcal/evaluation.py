@@ -162,12 +162,13 @@ def _report_table(report: dict) -> str:
     return f"{header}\n{row}\n{extra}\n"
 
 
-def emit_report(report: dict, json_path, csv_path, text_path) -> None:
+def emit_report(report: dict, json_path, csv_path, text_path) -> str:
     """Write a :func:`build_report` dict as json (canonical), as csv and as a
-    text table, to the three paths."""
+    text table, to the three paths; returns the text table."""
     Path(json_path).write_text(json.dumps(report, indent=1) + "\n")
     Path(csv_path).write_text("\n".join(_report_csv_lines(report)) + "\n")
-    Path(text_path).write_text(_report_table(report))
+    Path(text_path).write_text(table := _report_table(report))
+    return table
 
 
 def _boundary_points(

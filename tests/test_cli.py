@@ -7,6 +7,7 @@ import json
 import math
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -57,16 +58,27 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+@pytest.fixture(scope="session")
+def small_run_files(tmp_path_factory):
+    """The outputs of a quick end-to-end pipeline, made once per session."""
+    root = tmp_path_factory.mktemp("small_run")
+    with contextlib.chdir(root), contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli(
+            "gen-data", "--out", "data", "--seed", "77",
+            "--counts", "1960,40", "--val-per-class", "300", "--test-per-class", "500",
+        ) == 0
+        assert run_cli(
+            "train", "--data", "data/train.csv", "--out", "stage1", "--seed", "77",
+        ) == 0
+    return root
+
+
 @pytest.fixture()
-def small_run(workdir):
-    """A quick end-to-end pipeline shared by several tests."""
-    assert run_cli(
-        "gen-data", "--out", "data", "--seed", "77",
-        "--counts", "1960,40", "--val-per-class", "300", "--test-per-class", "500",
-    ) == 0
-    assert run_cli(
-        "train", "--data", "data/train.csv", "--out", "stage1", "--seed", "77",
-    ) == 0
+def small_run(workdir, small_run_files):
+    """A copy of the quick pipeline's outputs in the test's workdir, shared by
+    several tests: every path they hold is relative, and a twin binds to its
+    CSV's content, so the copy reads as the original does."""
+    shutil.copytree(small_run_files, workdir, dirs_exist_ok=True)
     return workdir
 
 
@@ -830,8 +842,8 @@ def _subcommands() -> dict:
 MANIFEST_RUNS = {
     "gen-data": (["--counts", "20,10", "--val-per-class", "2", "--test-per-class", "2"], {}),
     "train": (["--data", "{train}", "--iterations", "2"], {}),
-    "estimate-prior": (["--model", "{model}", "--data", "{train}", "--estimator", "train"],
-                       {"target_prior": [0.5, 0.5]}),
+    "estimate-prior": (["--model", "{model}", "--data", "{train}", "--estimator",
+                        "train-reweighted"], {"target_prior": [0.5, 0.5]}),
     "adjust": (["--logits", "{dump2}", "--method", "none"], {"spec": {"method": "none"}}),
     "eval": (["--logits", "{dump2}", "--groups", "50,5"], {"target_prior": [0.5, 0.5]}),
     "toy-experiment": (["--trials", "1", "--samples", "200", "--test-samples", "200",
@@ -1848,12 +1860,58 @@ def test_an_input_that_does_not_fit_exits_naming_it(workdir, tiny, capsys, argv,
     (workdir / "text.json").write_text("model\n")
     (workdir / "latin1.json").write_bytes(b"\xff\n")
     (workdir / "list.json").write_text("[1]\n")
-    # a target prior silences the notice of the commands that default it
-    defaults = argv[0] in ("adjust", "ingest-logits", "estimate-prior")
-    target = ["--target-prior", "uniform"] if defaults and "--target-prior" not in argv else []
-    assert run_cli(*(a.format(**files) for a in argv), *target, "--out", "x") == code
+    # a refused run prints no notice of a defaulted --target-prior
+    assert run_cli(*(a.format(**files) for a in argv), "--out", "x") == code
     assert capsys.readouterr().err == f"error: {message.format(**files)}\n"
     assert not (workdir / "x").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate-prior", "--model", "{model}", "--data", "{train}", "--estimator", "train"],
+    ["estimate-prior", "--model", "{model}", "--data", "{train}", "--estimator", "val"],
+    ["adjust", "--logits", "{dump2}", "--method", "none"],
+], ids=["estimate-train", "estimate-val", "adjust-none"])
+def test_a_target_prior_the_command_does_not_use_is_hashed_but_not_read(
+    workdir, tiny, capsys, argv
+):
+    files, _ = tiny
+    (workdir / "c3.json").write_text(json.dumps(UNFIT_FILES["c3.json"]))  # the scores have 2
+    assert run_cli(*(a.format(**files) for a in argv), "--target-prior", "c3.json",
+                   "--out", "x") == 0
+    assert capsys.readouterr().err == ""
+    manifest = load_manifest(workdir / "x" / "manifest.json")
+    assert "c3.json" in manifest["inputs"]
+    assert manifest["config"]["target_prior"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--logits", "{dump2}"],
+    ["sweep-alpha", "--logits", "{dump2}", "--prior", "{prior}", "--method", "p2p-la"],
+], ids=["eval", "sweep-alpha"])
+def test_eval_and_sweep_alpha_announce_a_defaulted_target_once_after_their_stdout(
+    workdir, tiny, capsys, argv
+):
+    files, outs = tiny
+    argv = [a.format(**files) for a in argv]
+    assert main([*argv, "--target-prior", "uniform", "--out", str(next(outs))]) == 0
+    stdout, stderr = capsys.readouterr()
+    assert stdout and stderr == ""
+    both = io.StringIO()
+    with contextlib.redirect_stdout(both), contextlib.redirect_stderr(both):
+        assert main([*argv, "--out", str(next(outs))]) == 0
+    assert both.getvalue() == stdout + "notice: no --target-prior given; defaulting to uniform\n"
+
+
+def test_a_notice_follows_the_stdout_of_its_run_where_both_share_one_pipe(workdir, tiny):
+    files, _ = tiny
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)  # so stdout is block-buffered, as into any pipe
+    done = subprocess.run([sys.executable, "-m", "tailcal", "eval", "--logits", files["dump2"],
+                           "--out", "x"], env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.STDOUT, text=True, check=True)
+    lines = done.stdout.splitlines()
+    assert lines[0].split() == ["Many", "Medium", "Few", "All"]
+    assert lines[-1] == "notice: no --target-prior given; defaulting to uniform"
 
 
 def test_eval_target_prior_zero_where_the_scores_put_mass_exits_4(workdir, tiny, capsys):
@@ -2014,7 +2072,6 @@ def test_a_bad_dump_fails_alike_with_the_train_fold_forked_or_not(
     assert forks == ["_dump_posterior_means"] * 2
     assert outcomes[0] == outcomes[1] == (3, (
         "error: eval.csv: line 5: could not convert string to float: 'x'\n" if bad == "both" else
-        "notice: no --target-prior given; defaulting to uniform\n"
         "error: train.csv: line 700: could not convert string to float: 'x'\n"))
 
 

@@ -117,7 +117,7 @@ def _tiny_report():
 
 
 def _emit(report, tmp_path):
-    emit_report(report, *(tmp_path / f"report.{ext}" for ext in ("json", "csv", "txt")))
+    return emit_report(report, *(tmp_path / f"report.{ext}" for ext in ("json", "csv", "txt")))
 
 
 def test_report_json_roundtrip(tmp_path):
@@ -145,8 +145,9 @@ def test_report_csv_row_count(tmp_path):
 def test_report_table_columns(tmp_path):
     report = _tiny_report()
     path = tmp_path / "report.txt"
-    _emit(report, tmp_path)
+    table = _emit(report, tmp_path)
     text = path.read_text()
+    assert table == text  # the table returned is the one written
     for column in ("Many", "Medium", "Few", "All"):
         assert column in text
 

@@ -37,10 +37,14 @@ The script writes these inputs first. It then prints one
 ``--help`` text (``tailcal`` and each subcommand), sorted, except
 ``manifest.json``; each manifest
 contributes its ``config``, ``inputs`` and ``outputs`` objects instead,
-because its wall clock and timestamp differ between runs. It also runs a
+because its wall clock and timestamp differ between runs. A command whose
+stderr holds a ``notice:`` line or a warning adds one ``sha256
+<out>/<stderr>`` line, the digest of those lines in their order, each
+warning as its category and message only (see DIVERGED below). It also runs a
 fixed list of command lines that a check refuses (``REFUSED``: per command,
 one case of each kind of check it makes on its flags, none asking for a large
-size or many workers, and a counts file that does not fit the scores) and
+size or many workers, and two counts files that do not fit the scores: a
+``--target-prior`` and, with the target left to its default, a ``--counts``) and
 prints one ``sha256  <refused>/<case> exit <code>`` line per case, the digest
 of its stderr, so a changed message shows. One run diverges
 (``DIVERGED``: two-class ``train --lr 1e308`` on d2, which stops at its
@@ -254,8 +258,8 @@ CHAIN = [
 ]
 
 
-# Each case but the last names files that do not exist: its check runs before any
-# input is read. The last reads a 2-class dump and a 10-class counts file of the chain.
+# Each case but the last two names files that do not exist: its check runs before any
+# input is read. The last two read a 2-class dump and a 10-class counts file of the chain.
 SCORES = ["--logits", "absent.csv"]
 SHIFT = ["shift-eval", "--model", "absent.json", "--train-data", "absent.csv"]
 REFUSED = {
@@ -304,6 +308,8 @@ REFUSED = {
     "sweep-alpha-requirement": ["sweep-alpha", "--prior", "absent.json"],
     "eval-target-prior-classes": ["eval", "--logits", "adj_none/adjusted_logits.csv",
                                   "--target-prior", "d10/counts.json"],
+    "adjust-counts-classes": ["adjust", "--logits", "adj_none/adjusted_logits.csv", "--method",
+                              "class-frequency", "--counts", "d10/counts.json"],
 }
 REFUSED_CONFIGS = {"refused_gen.json": {"classes": 1}, "refused_means.json": {"means": [[0, 0]]},
                    "refused_sigmas.json": {"sigmas": [1, -1]}, "refused_train.json": {"lr": 0},
@@ -330,13 +336,25 @@ DIVERGED = ["train", "--data", "d2/train.csv", "--seed", SEED, "--lr", "1e308", 
 WARNING = re.compile(r"^.*:\d+: (\w+Warning: .*)$")  # "<file>:<line>: <category>: <message>"
 
 
+def kept_stderr(stderr: str) -> list[str]:
+    """The ``notice:`` lines of ``stderr`` and its warnings' categories and
+    messages, in their order."""
+    kept = []
+    for line in stderr.splitlines():
+        if line.startswith("notice:"):
+            kept.append(line)
+        elif m := WARNING.match(line):
+            kept.append(m.group(1))
+    return kept
+
+
 def run_diverged(work: Path, env: dict) -> str:
     """The ``sha256  <diverged>/train-lr-1e308 exit <code>`` line of DIVERGED."""
     proc = subprocess.run([sys.executable, "-m", "tailcal", *DIVERGED], cwd=work, env=env,
                           capture_output=True, text=True)
     stderr = proc.stderr.splitlines()
     errors = [line for line in stderr if line.startswith("error:")]
-    warned = sorted(m.group(1) for line in stderr if (m := WARNING.match(line)))
+    warned = sorted(kept_stderr(proc.stderr))  # train prints no notice
     digest = hashlib.sha256("".join(f"{line}\n" for line in errors[-1:] + warned).encode())
     return f"{digest.hexdigest()}  <diverged>/train-lr-1e308 exit {proc.returncode}"
 
@@ -359,6 +377,9 @@ def run_chain(work: Path) -> list[str]:
             sys.stderr.write(proc.stderr.decode(errors="replace"))
             raise SystemExit(f"tailcal {' '.join(argv)}: exit {proc.returncode}")
         lines.append(f"{hashlib.sha256(proc.stdout).hexdigest()}  {out}/<stdout>")
+        if kept := kept_stderr(proc.stderr.decode()):
+            digest = hashlib.sha256("".join(f"{line}\n" for line in kept).encode())
+            lines.append(f"{digest.hexdigest()}  {out}/<stderr>")
     lines += run_refused(work, env)
     lines.append(run_diverged(work, env))
     for command in ("", *SUBCOMMANDS):
