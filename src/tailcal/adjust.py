@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import PRIOR_KINDS
-from .errors import DataError, UsageError
+from .errors import DataError, NumericError, UsageError
 from .model import LinearSoftmaxModel
 from .numerics import as_matrix, prob_matrix, prob_vector
 
@@ -63,6 +63,10 @@ class AdjustmentSpec:
                 f"method {self.method!r} requires a prior of kind "
                 f"{' or '.join(allowed)}, got {self.prior_kind!r}"
             )
+        with np.errstate(all="ignore"):  # the refusal below says it
+            if not np.isfinite(self.alpha * np.log(estimated)).all():
+                raise NumericError(f"alpha {self.alpha!r} times the log of the estimated prior "
+                                   "is not finite")
         object.__setattr__(self, "estimated_prior", estimated)
         object.__setattr__(self, "target_prior", target)
 

@@ -47,7 +47,6 @@ from .errors import DataError, NumericError, TailcalError, UsageError
 DEFAULT_SEED = 20260808
 SEED_ENV_VAR = "TAILCAL_SEED"
 INT64 = np.iinfo(np.int64)
-_NOTICES: list[str] = []  # main() prints them once the run's manifest is written
 
 # Toy training defaults: full-batch gradient descent stopped well before
 # convergence. The early stop is what leaves a measurable gap between the
@@ -55,10 +54,6 @@ _NOTICES: list[str] = []  # main() prints them once the run's manifest is writte
 TOY_LEARNING_RATE = 5.0
 TOY_ITERATIONS = 100
 TOY_SCHEDULE = "constant"
-
-
-def _notice(msg: str) -> None:
-    _NOTICES.append(f"notice: {msg}")
 
 
 def _master_seed() -> int:
@@ -75,10 +70,13 @@ def _master_seed() -> int:
 
 @dataclass
 class RunDir:
-    """The --out directory of one run and the output files named in it."""
+    """One run's record: its --out directory, the output files named in it,
+    what its command worked out for the manifest's config, and its notices."""
 
     path: Path
     outputs: list[str] = field(default_factory=list)
+    derived: dict = field(default_factory=dict)
+    notices: list[str] = field(default_factory=list)
 
     def output(self, name: str) -> Path:
         """``path/name``, recorded as an output. The first call creates the
@@ -105,7 +103,7 @@ def write_manifest(
         "wall_clock_s": time.time() - started,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    tmp = run.path / "manifest.json.tmp"  # a --target-prior list is an array
+    tmp = run.path / "manifest.json.tmp"  # a --target-prior list and a target are arrays
     tmp.write_text(json.dumps(manifest, indent=1, default=np.ndarray.tolist) + "\n")
     os.replace(tmp, run.path / "manifest.json")
 
@@ -280,28 +278,32 @@ def _target_prior(text: str):
         raise argparse.ArgumentTypeError(f"not a probability list: {text!r}: {exc}")
 
 
-def _resolve_target(opts, num_classes: int, positive: bool = False) -> np.ndarray:
-    """The --target-prior of ``opts`` for scores of ``num_classes`` classes;
-    None is uniform, with a notice. A counts file is checked by
-    :func:`_check_classes`. With ``positive``, for a correction that adds the
-    target's log, a zero entry is a numeric error naming its class."""
+def _resolve_target(opts, run: RunDir, num_classes: int, positive: bool = False) -> np.ndarray:
+    """The --target-prior of ``opts`` for scores of ``num_classes`` classes,
+    recorded on ``run`` as ``target``; None is uniform, with a notice. A
+    counts file is checked by :func:`_check_classes`. With ``positive``, for
+    a correction that adds the target's log, a zero entry is a numeric error
+    naming its class."""
     value = opts.target_prior
     if value is None:
-        _notice("no --target-prior given; defaulting to uniform")
+        run.notices.append("no --target-prior given; defaulting to uniform")
     if value is None or isinstance(value, str) and value == "uniform":
-        return np.full(num_classes, 1.0 / num_classes)
-    if isinstance(value, str):
+        target = np.full(num_classes, 1.0 / num_classes)
+    elif isinstance(value, str):
         from .dataset import empirical_prior, load_counts
 
         counts = load_counts(value)
         _check_classes(f"--target-prior {value}", counts.size, opts, num_classes)
-        return empirical_prior(counts)
-    _refuse(value.shape != (num_classes,),
-            f"--target-prior lists {value.shape[0]} classes, the scores have {num_classes}")
-    if positive and not value.all():  # only a list can hold a zero
-        raise NumericError(f"--target-prior gives class {int(np.argmin(value))} probability 0; "
-                           "the correction would add log 0 = -inf to its logits")
-    return value
+        target = empirical_prior(counts)
+    else:
+        _refuse(value.shape != (num_classes,),
+                f"--target-prior lists {value.shape[0]} classes, the scores have {num_classes}")
+        if positive and not value.all():  # only a list can hold a zero
+            raise NumericError(f"--target-prior gives class {int(np.argmin(value))} probability "
+                               "0; the correction would add log 0 = -inf to its logits")
+        target = value
+    run.derived["target"] = target
+    return target
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +424,7 @@ class GenOptions:
     dims: int = _option(2, int, least=1)
     means: list | None = _option(None, list[float], flag=None)
     sigmas: list | None = _option(None, list[float], flag=None, above=0)
-    profile: str = _option("exponential", str, choices=(*PROFILE_KINDS, "explicit"),
-                           needs={"explicit": "counts"})
+    profile: str = _option("exponential", str, choices=PROFILE_KINDS)
     max_count: int = _option(9901, int, least=1)
     imbalance: float = _option(100.0, float, least=1)
     counts: list | None = _option(None, list[int], least=1,
@@ -454,7 +455,7 @@ def _check_gen_data(opts: GenOptions, names: dict) -> None:
             f"{classes}")
 
 
-def cmd_gen_data(opts: GenOptions, names: dict, run: RunDir) -> dict:
+def cmd_gen_data(opts: GenOptions, names: dict, run: RunDir) -> None:
     from .dataset import (GaussianMixtureSpec, ShiftSpec, make_longtail_counts,
                           make_shifted_counts, sample_dataset, save_counts, save_dataset)
     from .numerics import RngStream
@@ -492,7 +493,6 @@ def cmd_gen_data(opts: GenOptions, names: dict, run: RunDir) -> dict:
     print(f"{'class':>6} {'train':>8} {'val':>8} {'test':>8}")
     for i in range(classes):
         print(f"{i:>6} {train_counts[i]:>8} {val_counts[i]:>8} {test_counts[i]:>8}")
-    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +517,7 @@ class TrainOptions:
     seed: int | None = _option(None, int)
 
 
-def cmd_train(opts: TrainOptions, names: dict, run: RunDir) -> dict:
+def cmd_train(opts: TrainOptions, names: dict, run: RunDir) -> None:
     from .dataset import empirical_prior, load_dataset
     from .model import (LossSpec, ModelProvenance, TrainConfig, init_linear, init_mlp,
                         load_model, save_model, stage2_retrain, train)
@@ -562,7 +562,6 @@ def cmd_train(opts: TrainOptions, names: dict, run: RunDir) -> dict:
     print(f"trained stage-{stage} model -> {model_path}")
     if result.loss_trace:
         print(f"final epoch mean loss: {result.loss_trace[-1]:.6f}")
-    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +578,7 @@ class EstimateOptions:
     train_data: str | None = _option(None, str)
 
 
-def cmd_estimate_prior(opts: EstimateOptions, names: dict, run: RunDir) -> dict:
+def cmd_estimate_prior(opts: EstimateOptions, names: dict, run: RunDir) -> None:
     from . import prior
     from .dataset import empirical_prior
     from .model import load_model
@@ -587,7 +586,6 @@ def cmd_estimate_prior(opts: EstimateOptions, names: dict, run: RunDir) -> dict:
     model, provenance = load_model(opts.model)
     ds = _load_for(model, opts, "--data", opts.data)
     freq = empirical_prior(ds.counts)
-    target = None  # the train and val estimators take no target
     if opts.estimator == "train":
         estimate = prior.effective_prior_train(
             _train_side_posteriors(model, provenance, ds.features)
@@ -595,7 +593,7 @@ def cmd_estimate_prior(opts: EstimateOptions, names: dict, run: RunDir) -> dict:
     elif opts.estimator == "val":
         estimate = prior.pmbar_from_val(_raw_posteriors(model, ds.features))
     else:  # train-reweighted, or averaged with the val estimate of --data
-        target = _resolve_target(opts, model.num_classes)
+        target = _resolve_target(opts, run, model.num_classes)
         averaged = opts.estimator == "averaged"
         ds_train = _load_for(model, opts, "--train-data", opts.train_data) if averaged else ds
         freq = empirical_prior(ds_train.counts)
@@ -611,7 +609,6 @@ def cmd_estimate_prior(opts: EstimateOptions, names: dict, run: RunDir) -> dict:
     for i, (f, e) in enumerate(zip(freq, estimate.probs)):
         print(f"{i:>6} {f:>12.6f} {e:>12.6f}")
     print(f"estimator: {estimate.estimator}  samples: {estimate.samples}")
-    return {"target_prior": target}
 
 
 # ---------------------------------------------------------------------------
@@ -675,13 +672,13 @@ def _resolve_alpha(opts: AdjustOptions) -> float | None:
     return opts.alpha
 
 
-def _adjustment(opts: AdjustOptions, num_classes: int):
+def _adjustment(opts: AdjustOptions, run: RunDir, num_classes: int):
     """The adjust.AdjustmentSpec that --method and its files give."""
     from . import adjust, prior
 
     if opts.method == "none":
         return adjust.no_adjustment()
-    target = _resolve_target(opts, num_classes, positive=True)
+    target = _resolve_target(opts, run, num_classes, positive=True)
     alpha = _resolve_alpha(opts)
     if opts.method == "class-frequency":
         from .dataset import empirical_prior, load_counts
@@ -706,11 +703,11 @@ def _load_scores(opts: ScoresOptions) -> tuple[list[str], np.ndarray, np.ndarray
     return [str(i) for i in range(ds.n)], predict_logits(model, ds.features), ds.labels
 
 
-def cmd_adjust(opts: AdjustOptions, names: dict, run: RunDir) -> dict:
+def cmd_adjust(opts: AdjustOptions, names: dict, run: RunDir) -> None:
     from . import adjust, evaluation
 
     ids, logits, labels = _load_scores(opts)
-    spec = _adjustment(opts, logits.shape[1])
+    spec = _adjustment(opts, run, logits.shape[1])
     adjusted = adjust.adjust_logits(logits, spec)
 
     if twin := save_logit_dump(ids, adjusted, labels, run.output("adjusted_logits.csv")):
@@ -720,7 +717,7 @@ def cmd_adjust(opts: AdjustOptions, names: dict, run: RunDir) -> dict:
     acc_after = evaluation.top1_accuracy(np.argmax(adjusted, axis=1), labels)
     print(f"top-1 before adjustment: {acc_before:.4f}")
     print(f"top-1 after adjustment:  {acc_after:.4f}")
-    return {"spec": spec.to_json()} | ({"target_prior": None} if spec.method == "none" else {})
+    run.derived["spec"] = spec.to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +731,7 @@ class EvalOptions(ScoresOptions):
                              help="many_min,few_max thresholds")
 
 
-def cmd_eval(opts: EvalOptions, names: dict, run: RunDir) -> dict:
+def cmd_eval(opts: EvalOptions, names: dict, run: RunDir) -> None:
     from . import evaluation
     from .dataset import load_counts
     from .numerics import softmax_rows
@@ -743,7 +740,7 @@ def cmd_eval(opts: EvalOptions, names: dict, run: RunDir) -> dict:
     provenance = (
         {"logits": opts.logits} if opts.logits else {"model": opts.model, "data": opts.data}
     )
-    target = _resolve_target(opts, logits.shape[1])
+    target = _resolve_target(opts, run, logits.shape[1])
     train_counts = None
     if opts.train_counts:
         train_counts = load_counts(opts.train_counts)
@@ -760,7 +757,6 @@ def cmd_eval(opts: EvalOptions, names: dict, run: RunDir) -> dict:
     )
     paths = (run.output(f"report.{ext}") for ext in ("json", "csv", "txt"))
     print(evaluation.emit_report(report, *paths), end="")
-    return {"target_prior": target}
 
 
 # ---------------------------------------------------------------------------
@@ -962,7 +958,7 @@ class ToyOptions(ToyConfig):
                                   "usable CPUs and at --trials (default: that cap)")
 
 
-def cmd_toy_experiment(opts: ToyOptions, names: dict, run: RunDir) -> dict:
+def cmd_toy_experiment(opts: ToyOptions, names: dict, run: RunDir) -> None:
     from . import evaluation
     from .oracle import toy_mixture
 
@@ -973,7 +969,7 @@ def cmd_toy_experiment(opts: ToyOptions, names: dict, run: RunDir) -> dict:
     splits = {key: _allocating(f"{names[key]}: the {split} split of {getattr(cfg, key)} rows "
                                "of 2 features", getattr(cfg, key), 2)
               for key, split in (("samples", "train"), ("test_samples", "test"))}
-    workers = toy_workers(cfg.trials, opts.workers)
+    workers = run.derived["processes"] = toy_workers(cfg.trials, opts.workers)
     with splits[max(splits, key=lambda key: getattr(cfg, key))]:  # named by the larger split
         summary = toy_experiment(cfg, workers)
     trial0 = summary.pop("_trial0")
@@ -1017,7 +1013,6 @@ def cmd_toy_experiment(opts: ToyOptions, names: dict, run: RunDir) -> dict:
     print(f"p2p within 1 point of bayes: {'PASS' if o['p2p_within_1pt_of_bayes'] else 'FAIL'}")
     e = summary["effective_prior"]
     print(f"effective head prior exceeds frequency in {e['head_exceeds_frequency_trials']}/{e['trials']} trials")
-    return {"workers": workers}
 
 
 # ---------------------------------------------------------------------------
@@ -1114,7 +1109,7 @@ def shift_eval_rows(
     return rows
 
 
-def cmd_shift_eval(opts: ShiftOptions, names: dict, run: RunDir) -> dict:
+def cmd_shift_eval(opts: ShiftOptions, names: dict, run: RunDir) -> None:
     from . import prior
     from .model import load_model
     from .numerics import RngStream
@@ -1143,7 +1138,6 @@ def cmd_shift_eval(opts: ShiftOptions, names: dict, run: RunDir) -> dict:
         label = f"{row['direction']}@{row['ratio']:g}"
         print(f"{label:>14} {row['unadjusted_mean']:>12.4f} {row['adjusted_mean']:>12.4f}")
     run.output("shift_eval.csv").write_text("\n".join(lines) + "\n")
-    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -1225,7 +1219,7 @@ class IngestOptions:
     seed: int | None = _option(None, int)
 
 
-def cmd_ingest_logits(opts: IngestOptions, names: dict, run: RunDir) -> dict:
+def cmd_ingest_logits(opts: IngestOptions, names: dict, run: RunDir) -> None:
     from . import prior
     from .dataset import _forked, load_counts
     from .numerics import RngStream
@@ -1234,7 +1228,7 @@ def cmd_ingest_logits(opts: IngestOptions, names: dict, run: RunDir) -> dict:
     train_logits = opts.train_logits
     with _forked(_dump_posterior_means, train_logits) if train_logits else nullcontext() as fold:
         ids, logits, labels = load_logit_dump(opts.logits)
-        target = _resolve_target(opts, logits.shape[1], positive=True)
+        target = _resolve_target(opts, run, logits.shape[1], positive=True)
         train_means = train_counts = None
         if train_logits:
             train_means = fold()
@@ -1253,6 +1247,7 @@ def cmd_ingest_logits(opts: IngestOptions, names: dict, run: RunDir) -> dict:
         train_means=train_means,
         train_counts=train_counts,
     )
+    run.derived["alpha"] = result["alpha"]
     prior.save_prior(result["estimate"], run.output("prior.json"))
     dump = run.output("adjusted_logits.csv")
     if twin := save_logit_dump(result["rest_ids"], result["adjusted_logits"],
@@ -1270,7 +1265,6 @@ def cmd_ingest_logits(opts: IngestOptions, names: dict, run: RunDir) -> dict:
     print(f"holdout split: {result['val_size']} rows; tuned alpha = {result['alpha']:g}")
     print(f"top-1 before: {result['top1_before']:.4f}  after: {result['top1_after']:.4f}  "
           f"delta: {report['delta']:+.4f}")
-    return {"alpha": result["alpha"]}
 
 
 # ---------------------------------------------------------------------------
@@ -1285,13 +1279,13 @@ class SweepOptions(ScoresOptions):
     grid: list[float] = _option(DEFAULT_ALPHA_GRID, list[float], least=0)
 
 
-def cmd_sweep_alpha(opts: SweepOptions, names: dict, run: RunDir) -> dict:
+def cmd_sweep_alpha(opts: SweepOptions, names: dict, run: RunDir) -> None:
     from . import prior
 
     estimate = prior.load_prior(opts.prior)
     _, logits, labels = _load_scores(opts)
     _check_classes(f"--prior {opts.prior}", estimate.probs.size, opts, logits.shape[1])
-    target = _resolve_target(opts, logits.shape[1], positive=True)
+    target = _resolve_target(opts, run, logits.shape[1], positive=True)
     alpha, curve = prior.tune_alpha_on_logits(
         logits, labels, opts.method, estimate, opts.grid, target
     )
@@ -1302,7 +1296,6 @@ def cmd_sweep_alpha(opts: SweepOptions, names: dict, run: RunDir) -> dict:
     for a, acc in curve:
         print(f"alpha={a:g}: accuracy={acc:.4f}")
     print(f"chosen alpha: {alpha:g}")
-    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -1349,7 +1342,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    _NOTICES.clear()
     args = build_parser().parse_args(argv)
     started = time.time()
     try:
@@ -1372,10 +1364,10 @@ def main(argv=None) -> int:
             stamp = datetime.now(timezone.utc).strftime("%Y%m%d-%H%M%S")
             digest = hashlib.sha256(json.dumps(argv).encode()).hexdigest()[:8]
             run = RunDir(Path("runs") / f"{stamp}-{digest}")
-        derived = args.func(opts, names, run)  # what the command worked out itself
-        write_manifest(run, args.command, argv, asdict(opts) | derived, inputs, started)
+        args.func(opts, names, run)
+        write_manifest(run, args.command, argv, asdict(opts) | run.derived, inputs, started)
         sys.stdout.flush()  # a finished run's notices follow its stdout, also in one pipe
-        sys.stderr.write("".join(f"{line}\n" for line in _NOTICES))
+        sys.stderr.write("".join(f"notice: {line}\n" for line in run.notices))
         return 0
     except TailcalError as exc:
         print(f"error: {exc}", file=sys.stderr)

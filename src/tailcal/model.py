@@ -136,6 +136,10 @@ class LossSpec:
             prior = prob_vector(self.prior)
             if np.any(prior <= 0):
                 raise NumericError("logit-adjusted loss needs strictly positive prior")
+            with np.errstate(over="ignore"):  # the refusal below says it
+                if not np.isfinite(self.alpha * np.log(prior)).all():
+                    raise NumericError(f"alpha {self.alpha!r} times the log of the loss prior "
+                                       "is not finite")
             object.__setattr__(self, "prior", prior)
         elif self.prior is not None:
             raise UsageError("plain cross-entropy takes no prior")

@@ -102,8 +102,8 @@ def test_gen_data_takes_means_that_fit_classes_and_dims_from_its_config(workdir)
 
 @pytest.mark.parametrize("argv, counts", [
     (["--profile", "step", "--max-count", "100", "--imbalance", "10"], [100, 100, 10, 10]),
-    (["--profile", "explicit", "--counts", "30,20,10,5"], [30, 20, 10, 5]),
-], ids=["step", "explicit"])
+    (["--counts", "30,20,10,5"], [30, 20, 10, 5]),
+], ids=["step", "counts"])
 def test_gen_data_profile_sets_the_train_counts(workdir, argv, counts):
     assert run_cli("gen-data", "--classes", "4", *argv, "--val-per-class", "1",
                    "--test-per-class", "1", "--out", "d") == 0
@@ -590,9 +590,10 @@ def test_toy_experiment_worker_invariance(workdir, capsys, monkeypatch):
     assert outputs("w1") == outputs("w3") == outputs("default")
     assert len(outputs("w1")) == 4
     assert stdout["w1"] == stdout["w3"] == stdout["default"]
-    workers = {out: load_manifest(workdir / out / "manifest.json")["config"]["workers"]
-               for out in runs}
-    assert workers == {"w1": 1, "w3": 3, "default": toy_workers(6)}
+    configs = {out: load_manifest(workdir / out / "manifest.json")["config"] for out in runs}
+    assert {out: c["workers"] for out, c in configs.items()} == {"w1": 1, "w3": 3, "default": None}
+    assert {out: c["processes"] for out, c in configs.items()} == {
+        "w1": 1, "w3": 3, "default": toy_workers(6)}
     assert "workers" not in json.loads((workdir / "w1" / "summary.json").read_text())["config"]
 
 
@@ -612,7 +613,8 @@ def test_toy_experiment_caps_workers_at_the_usable_cpus(workdir, monkeypatch, fo
     assert run_cli("toy-experiment", "--trials", "4", "--samples", "200", "--test-samples",
                    "100", "--iterations", "5", "--workers", "500", "--out", "toy") == 0
     assert forks == ["_toy_part"]
-    assert load_manifest(workdir / "toy" / "manifest.json")["config"]["workers"] == 2
+    config = load_manifest(workdir / "toy" / "manifest.json")["config"]
+    assert (config["workers"], config["processes"]) == (500, 2)
 
 
 def test_toy_experiment_runs_the_default_count_of_trials_at_once(monkeypatch, forks):
@@ -843,16 +845,17 @@ MANIFEST_RUNS = {
     "gen-data": (["--counts", "20,10", "--val-per-class", "2", "--test-per-class", "2"], {}),
     "train": (["--data", "{train}", "--iterations", "2"], {}),
     "estimate-prior": (["--model", "{model}", "--data", "{train}", "--estimator",
-                        "train-reweighted"], {"target_prior": [0.5, 0.5]}),
+                        "train-reweighted"], {"target": [0.5, 0.5]}),
     "adjust": (["--logits", "{dump2}", "--method", "none"], {"spec": {"method": "none"}}),
-    "eval": (["--logits", "{dump2}", "--groups", "50,5"], {"target_prior": [0.5, 0.5]}),
+    "eval": (["--logits", "{dump2}", "--groups", "50,5"], {"target": [0.5, 0.5]}),
     "toy-experiment": (["--trials", "1", "--samples", "200", "--test-samples", "200",
-                        "--iterations", "2"], {"workers": 1}),
+                        "--iterations", "2"], {"processes": 1}),
     "shift-eval": (["--model", "{model}", "--train-data", "{train}", "--ratios", "2",
                     "--trials", "1", "--test-samples", "40"], {}),
-    "ingest-logits": (["--logits", "{dump2}", "--grid", "0"], {"alpha": 0.0}),
+    "ingest-logits": (["--logits", "{dump2}", "--grid", "0"], {"target": [0.5, 0.5],
+                                                               "alpha": 0.0}),
     "sweep-alpha": (["--prior", "{prior}", "--logits", "{dump2}", "--method", "p2p-la",
-                     "--grid", "0,2"], {}),
+                     "--grid", "0,2"], {"target": [0.5, 0.5]}),
 }
 
 
@@ -869,7 +872,9 @@ def test_a_manifest_config_is_the_resolved_option_table_and_what_the_command_wor
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
     config = load_manifest(workdir / "run" / "manifest.json")["config"]
-    assert set(config) == {f.name for f in fields(args.options)} | set(derived)
+    rows = {f.name for f in fields(args.options)}
+    assert not rows & set(derived)  # a derived value never overwrites a row
+    assert set(config) == rows | set(derived)
     assert config == resolved | derived
 
 
@@ -1710,9 +1715,6 @@ def _spy_on_input_readers(monkeypatch, hashes=False) -> list[str]:
 
 @pytest.mark.parametrize("argv, body, message", [
     (["train", "--data", "{train}", "--stage", "2"], None, "--stage 2 needs --init"),
-    (["gen-data", "--profile", "explicit"], None, "--profile explicit needs --counts"),
-    (["gen-data", "--config", "cfg.json"], {"profile": "explicit"},
-     "config cfg.json: key 'profile' explicit needs --counts"),
     (["train", "--data", "{train}", "--config", "cfg.json"], {"stage": 2},
      "config cfg.json: key 'stage' 2 needs --init"),
     (["estimate-prior", "--model", "{model}", "--data", "{train}", "--estimator", "averaged"],
@@ -1732,8 +1734,7 @@ def _spy_on_input_readers(monkeypatch, hashes=False) -> list[str]:
     (["adjust", "--logits", "{dump2}", "--method", "p2p-ce", "--alpha", "1",
       "--alpha-from-sweep", "absent_sweep.json", "--prior", "absent.json"], None,
      "give either --alpha or --alpha-from-sweep, not both"),
-], ids=["train-stage-2", "gen-profile-explicit", "gen-config-profile-explicit",
-        "train-config-stage-2", "estimate-averaged", "adjust-cf-logits",
+], ids=["train-stage-2", "train-config-stage-2", "estimate-averaged", "adjust-cf-logits",
         "adjust-cf-model", "adjust-p2p-ce", "adjust-p2p-la", "ingest-train-logits",
         "adjust-alpha-twice"])
 def test_a_flag_a_command_needs_exits_2_before_any_input_is_parsed(
@@ -1881,7 +1882,58 @@ def test_a_target_prior_the_command_does_not_use_is_hashed_but_not_read(
     assert capsys.readouterr().err == ""
     manifest = load_manifest(workdir / "x" / "manifest.json")
     assert "c3.json" in manifest["inputs"]
-    assert manifest["config"]["target_prior"] is None
+    assert manifest["config"]["target_prior"] == "c3.json"
+    assert "target" not in manifest["config"]
+
+
+# the --target-prior flag, the row the manifest records, and the target it gives
+@pytest.mark.parametrize("given, row, target", [
+    ([], None, [0.5, 0.5]),
+    (["--target-prior", "uniform"], "uniform", [0.5, 0.5]),
+    (["--target-prior", "c31.json"], "c31.json", [0.75, 0.25]),
+    (["--target-prior", "[1, 3]"], [0.25, 0.75], [0.25, 0.75]),
+], ids=["default", "uniform", "counts", "list"])
+def test_a_manifest_records_the_target_the_run_used_beside_the_row_as_given(
+    workdir, tiny, given, row, target
+):
+    files, _ = tiny
+    (workdir / "c31.json").write_text(json.dumps({"counts": [3, 1]}))
+    assert run_cli("adjust", "--logits", files["dump2"], "--method", "p2p-la", "--prior",
+                   files["prior"], *given, "--out", "x") == 0
+    config = load_manifest(workdir / "x" / "manifest.json")["config"]
+    used = json.loads((workdir / "x" / "adjustment.json").read_text())["target_prior"]
+    assert config["target_prior"] == row
+    assert config["target"] == used == target
+
+
+# 1.7e308 times the log of a prior entry below 0.34 overflows: 0.05 in the
+# estimates of skew.csv and ts.json, 0.01 in the toy's class frequencies, about
+# 0.25 in tiny's class frequencies and in its model's train-side estimate
+@pytest.mark.parametrize("argv, what", [
+    (["adjust", "--logits", "skew.csv", "--method", "p2p-ce", "--prior", "ts.json",
+      "--alpha", "1.7e308"], "estimated prior"),
+    (["ingest-logits", "--logits", "skew.csv", "--grid", "1,1.7e308"], "estimated prior"),
+    (["sweep-alpha", "--logits", "skew.csv", "--prior", "ts.json", "--grid", "1,1.7e308"],
+     "estimated prior"),
+    (["shift-eval", "--model", "{model}", "--train-data", "{train}", "--alpha", "1.7e308",
+      "--ratios", "2", "--trials", "1", "--test-samples", "40"], "estimated prior"),
+    (["toy-experiment", "--alpha", "1.7e308", "--trials", "1", "--samples", "200",
+      "--test-samples", "200", "--iterations", "2"], "estimated prior"),
+    (["train", "--data", "{train}", "--loss", "la", "--alpha", "1.7e308"], "loss prior"),
+], ids=["adjust", "ingest-logits", "sweep-alpha", "shift-eval", "toy-experiment", "train"])
+def test_an_alpha_that_overflows_the_correction_exits_4_naming_it(
+    workdir, tiny, capsys, argv, what
+):
+    files, _ = tiny
+    logits = np.column_stack([np.full(30, np.log(19.0)), np.zeros(30)])  # softmax 0.95, 0.05
+    save_logit_dump([str(i) for i in range(30)], logits, np.arange(30) % 2, "skew.csv")
+    prior.save_prior(prior.EffectivePrior(np.array([0.95, 0.05]), "train-side", 10), "ts.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is refused, not warned about
+        assert run_cli(*(a.format(**files) for a in argv), "--out", "x") == 4
+    message = f"alpha 1.7e+308 times the log of the {what} is not finite"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (workdir / "x").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,8 +3,10 @@
 A check that a command reaches is tested through ``cli.main`` with the flag
 or file it names. The rows below are the checks left in the public types
 and functions that ``test_acceptance.py`` builds or calls, and in
-``oracle.boundary_offset``, whose check guards a division by zero. Each row
-gives the call, the exception class and the whole message.
+``oracle.boundary_offset``, whose check guards a division by zero. The two
+alpha-overflow rows are reached through the commands too; they pin the
+message of the library types. Each row gives the call, the exception class
+and the whole message.
 """
 
 import numpy as np
@@ -58,6 +60,9 @@ REFUSALS = {
     "spec-from-estimate-target-length": (
         lambda: adjust.spec_from_estimate("p2p-ce", _estimate(HALF), THIRDS),
         DataError, "estimated and target priors must have equal length"),
+    "spec-alpha-overflow": (
+        lambda: adjust.class_frequency_spec([0.9, 0.1], HALF, 1e308),
+        NumericError, "alpha 1e+308 times the log of the estimated prior is not finite"),
     "adjust-logits-columns": (
         lambda: adjust.adjust_logits(np.zeros((2, 3)), _p2p_ce()),
         DataError, "3 logit columns vs 2 classes"),
@@ -109,6 +114,9 @@ REFUSALS = {
     "loss-spec-negative-alpha": (
         lambda: LossSpec(alpha=-1.0),
         UsageError, "alpha must be finite and >= 0, got -1.0"),
+    "loss-spec-alpha-overflow": (
+        lambda: LossSpec("logit-adjusted", [0.9, 0.1], 1e308),
+        NumericError, "alpha 1e+308 times the log of the loss prior is not finite"),
     "loss-spec-zero-prior-entry": (
         lambda: LossSpec("logit-adjusted", [1.0, 0.0]),
         NumericError, "logit-adjusted loss needs strictly positive prior"),

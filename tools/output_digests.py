@@ -43,8 +43,11 @@ stderr holds a ``notice:`` line or a warning adds one ``sha256
 warning as its category and message only (see DIVERGED below). It also runs a
 fixed list of command lines that a check refuses (``REFUSED``: per command,
 one case of each kind of check it makes on its flags, none asking for a large
-size or many workers, and two counts files that do not fit the scores: a
-``--target-prior`` and, with the target left to its default, a ``--counts``) and
+size or many workers, two counts files that do not fit the scores: a
+``--target-prior`` and, with the target left to its default, a ``--counts``,
+and an ``--alpha`` or ``--grid`` entry of 1e308, whose product with the log
+of d2's prior overflows, for ``adjust``, ``sweep-alpha`` and ``train --loss
+la``) and
 prints one ``sha256  <refused>/<case> exit <code>`` line per case, the digest
 of its stderr, so a changed message shows. One run diverges
 (``DIVERGED``: two-class ``train --lr 1e308`` on d2, which stops at its
@@ -53,7 +56,8 @@ the digest of its last ``error:`` line and its warnings' categories and
 messages, sorted, without the file and line that each warning names, as
 those move with any edit of the code. The three
 toy-experiment runs print the same digests; their manifests differ only in
-``workers``, which is at most the usable CPUs of the machine. A manifest's
+``workers``, the flag as given, and ``processes``, the count of trial
+processes used, which is at most the usable CPUs of the machine. A manifest's
 ``config`` is the command's whole resolved option table, the seed included,
 and the values the command worked out itself, so a row added to a table, or
 a changed default, moves the manifest lines of that command. A flag declared
@@ -258,8 +262,9 @@ CHAIN = [
 ]
 
 
-# Each case but the last two names files that do not exist: its check runs before any
-# input is read. The last two read a 2-class dump and a 10-class counts file of the chain.
+# Each case but the last five names files that do not exist: its check runs before any
+# input is read. The last five read files of the chain: two read a 2-class dump and a
+# 10-class counts file, and three an alpha that overflows the correction of d2's prior.
 SCORES = ["--logits", "absent.csv"]
 SHIFT = ["shift-eval", "--model", "absent.json", "--train-data", "absent.csv"]
 REFUSED = {
@@ -270,7 +275,6 @@ REFUSED = {
     "gen-data-config-key": ["gen-data", "--config", "refused_gen.json"],
     "gen-data-config-means": ["gen-data", "--config", "refused_means.json"],
     "gen-data-config-sigmas": ["gen-data", "--config", "refused_sigmas.json"],
-    "gen-data-requirement": ["gen-data", "--profile", "explicit"],
     "train-kind": ["train", "--data", "absent.csv", "--iterations", "x"],
     "train-bound": ["train", "--data", "absent.csv", "--alpha", "-1"],
     "train-strict-bound": ["train", "--data", "absent.csv", "--lr", "0"],
@@ -310,6 +314,12 @@ REFUSED = {
                                   "--target-prior", "d10/counts.json"],
     "adjust-counts-classes": ["adjust", "--logits", "adj_none/adjusted_logits.csv", "--method",
                               "class-frequency", "--counts", "d10/counts.json"],
+    "adjust-alpha-overflow": ["adjust", "--logits", "adj_none/adjusted_logits.csv", "--method",
+                              "p2p-ce", "--prior", "est_train/prior.json", "--alpha", "1e308"],
+    "sweep-alpha-grid-overflow": ["sweep-alpha", "--prior", "est_train/prior.json", "--logits",
+                                  "adj_none/adjusted_logits.csv", "--grid", "1,1e308"],
+    "train-alpha-overflow": ["train", "--data", "d2/train.csv", "--loss", "la", "--alpha",
+                             "1e308"],
 }
 REFUSED_CONFIGS = {"refused_gen.json": {"classes": 1}, "refused_means.json": {"means": [[0, 0]]},
                    "refused_sigmas.json": {"sigmas": [1, -1]}, "refused_train.json": {"lr": 0},
