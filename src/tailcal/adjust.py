@@ -19,13 +19,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import PRIOR_KINDS
 from .errors import DataError, NumericError, UsageError
-from .model import LinearSoftmaxModel
 from .numerics import as_matrix, prob_matrix, prob_vector
+
+if TYPE_CHECKING:  # a run on --logits never loads the model module
+    from .model import LinearSoftmaxModel
 
 
 @dataclass(frozen=True)

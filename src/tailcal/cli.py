@@ -475,14 +475,16 @@ def cmd_gen_data(opts: GenOptions, names: dict, run: RunDir) -> None:
 
     master = RngStream(opts.seed)
     splits = []  # every split is sized before any is written
-    for split, counts, key in (
+    for stream, (split, counts, key) in enumerate((
         ("train", train_counts, "max_count" if opts.counts is None else "counts"),
         ("val", val_counts, "val_per_class"), ("test", test_counts, "test_per_class"),
-    ):
+    )):
         rows = sum(counts.tolist())
         what = f"{names[key]}: the {split} split of {rows} rows of {gmm.dims} features"
-        splits.append((split, counts, _allocating(what, rows, gmm.dims)))
-    for stream, (split, counts, guard) in enumerate(splits):  # one split in memory at a time
+        splits.append((rows, stream, split, counts, _allocating(what, rows, gmm.dims)))
+    # One split in memory at a time, the largest first: its matrices meet a
+    # heap that formatting the other splits has not fragmented yet.
+    for _, stream, split, counts, guard in sorted(splits, key=lambda s: -s[0]):
         with guard:
             ds = sample_dataset(gmm, counts, master.child(stream))
         if twin := save_dataset(ds, run.output(f"{split}.csv")):

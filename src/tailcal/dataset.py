@@ -13,7 +13,6 @@ import hashlib
 import json
 import os
 import pickle
-import shutil
 import tempfile
 import threading
 import warnings
@@ -156,6 +155,10 @@ def sample_dataset(gmm: GaussianMixtureSpec, counts, rng: RngStream) -> LabeledD
 
     Deterministic given the stream: the same (seed, stream_id) reproduces the
     dataset bit for bit.
+
+    Each class's noise is drawn into its rows of one matrix and scaled and
+    shifted there, and the one gather through the permutation frees that
+    matrix, so at most two feature matrices are alive at once.
     """
     counts = np.asarray(counts, dtype=np.int64)
     if counts.shape != (gmm.num_classes,):
@@ -163,15 +166,20 @@ def sample_dataset(gmm: GaussianMixtureSpec, counts, rng: RngStream) -> LabeledD
     if np.any(counts < 1):
         raise DataError(f"every class needs >= 1 sample, got {counts.tolist()}")
     gen = rng.generator()
-    blocks, labels = [], []
-    for i, n_i in enumerate(counts):
-        x = gmm.means[i] + gmm.sigmas[i] * gen.standard_normal((int(n_i), gmm.dims))
-        blocks.append(x)
-        labels.append(np.full(int(n_i), i, dtype=np.int64))
-    features = np.concatenate(blocks, axis=0)
-    labels = np.concatenate(labels)
-    perm = gen.permutation(features.shape[0])
-    return LabeledDataset(features[perm], labels[perm], counts)
+    sizes = counts.tolist()  # Python ints: no int64 wrap-around
+    draw = np.empty((sum(sizes), gmm.dims))
+    start = 0
+    for i, n_i in enumerate(sizes):
+        block = draw[start:start + n_i]
+        gen.standard_normal(out=block)
+        block *= gmm.sigmas[i]
+        block += gmm.means[i]
+        start += n_i
+    perm = gen.permutation(len(draw))
+    features = draw[perm]
+    del draw
+    labels = np.repeat(np.arange(gmm.num_classes, dtype=np.int64), counts)[perm]
+    return LabeledDataset(features, labels, counts)
 
 
 def empirical_prior(counts) -> np.ndarray:
@@ -360,7 +368,9 @@ def _write_csv(path, header: list[str], values: np.ndarray, labels, ids=None,
     two when there are two :func:`_fork_slots`. This process writes the first
     half of the rows into the file while a forked child (:func:`_forked`)
     formats the second half into an unlinked temporary file beside it, which
-    is then appended. The bytes are those of a one-process write.
+    is then appended. The bytes are those of a one-process write. Such a
+    write hashes the file for its twin as it goes: this process's half while
+    the child formats, the child's half as it is appended.
     """
     path = Path(path)
     bound = np.iinfo(np.int64).max if num_classes is None else num_classes  # as _csv_text's
@@ -368,6 +378,7 @@ def _write_csv(path, header: list[str], values: np.ndarray, labels, ids=None,
     _twin_path(path).unlink(missing_ok=True)
     rows = len(values)
     half = rows // 2 if values.size >= CSV_SPLIT_CELLS and _fork_slots() > 1 else 0
+    digest = None
     with open(path, "w", encoding="utf-8") as out:
         out.write(",".join(header) + "\n")
         if half == 0:
@@ -380,10 +391,14 @@ def _write_csv(path, header: list[str], values: np.ndarray, labels, ids=None,
                 _write_rows(out, values[:half], islice(labels, half),
                             None if ids is None else islice(ids, half))
                 out.flush()
+                digest = _hashed(path, hashlib.sha256())
                 wait()
                 spill.seek(0)
-                shutil.copyfileobj(spill, out.buffer, 1 << 20)
-    return _write_twin(path, values, labels, ids)
+                while block := spill.read(1 << 20):
+                    digest.update(block)
+                    out.buffer.write(block)
+    return _write_twin(path, values, labels, ids,
+                       _sha256(path) if digest is None else digest.digest())
 
 
 def _twin_path(path: Path) -> Path:
@@ -391,20 +406,24 @@ def _twin_path(path: Path) -> Path:
     return path.with_name(path.name + ".npy")
 
 
-def _sha256(path) -> bytes:
-    """The SHA-256 digest of a file's bytes, read 64 KiB at a time."""
-    digest = hashlib.sha256()
+def _hashed(path, digest):
+    """``digest`` updated with a file's bytes, read 64 KiB at a time."""
     with open(path, "rb") as raw:
         while block := raw.read(1 << 16):
             digest.update(block)
-    return digest.digest()
+    return digest
 
 
-def _binding(path: Path, arrays) -> bytes:
-    """The digest that binds a twin's ``arrays`` to the CSV at ``path``: the
-    SHA-256 of the CSV's SHA-256 digest followed, per array, by a line of its
-    dtype, shape and memory order, and its bytes in C order."""
-    digest = hashlib.sha256(_sha256(path))
+def _sha256(path) -> bytes:
+    """The SHA-256 digest of a file's bytes."""
+    return _hashed(path, hashlib.sha256()).digest()
+
+
+def _binding(csv_digest: bytes, arrays) -> bytes:
+    """The digest that binds a twin's ``arrays`` to the CSV whose SHA-256 is
+    ``csv_digest``: the SHA-256 of that digest followed, per array, by a line
+    of its dtype, shape and memory order, and its bytes in C order."""
+    digest = hashlib.sha256(csv_digest)
     for array in arrays:
         order = "F" if array.flags.f_contiguous and not array.flags.c_contiguous else "C"
         digest.update(f"{array.dtype.str} {array.shape} {order}\n".encode())
@@ -412,10 +431,11 @@ def _binding(path: Path, arrays) -> bytes:
     return digest.digest()
 
 
-def _write_twin(path: Path, values: np.ndarray, labels: np.ndarray, ids) -> Path | None:
-    """Write the binary twin of the CSV just written at ``path`` from the
-    rows written into it, as :func:`_checked_rows` returned them, and return
-    the twin's path.
+def _write_twin(path: Path, values: np.ndarray, labels: np.ndarray, ids,
+                csv_digest: bytes) -> Path | None:
+    """Write the binary twin of the CSV just written at ``path``, whose
+    SHA-256 is ``csv_digest``, from the rows written into it, as
+    :func:`_checked_rows` returned them, and return the twin's path.
 
     The twin is one ``.npy`` file of consecutive ``np.save`` arrays: their
     :func:`_binding` to the CSV (32 uint8), the float64 values in C order,
@@ -432,7 +452,7 @@ def _write_twin(path: Path, values: np.ndarray, labels: np.ndarray, ids) -> Path
         arrays.append(np.array(ids, dtype=str))
     twin = _twin_path(path)
     with open(twin, "wb") as out:
-        np.save(out, np.frombuffer(_binding(path, arrays), np.uint8))
+        np.save(out, np.frombuffer(_binding(csv_digest, arrays), np.uint8))
         for array in arrays:
             np.save(out, array)
     return twin
@@ -454,7 +474,8 @@ def _load_twin(path: Path, names: list[str], has_ids: bool, bound: int):
         with _twin_path(path).open("rb") as twin:
             digest, values, labels, *ids = (np.lib.format.read_array(twin, allow_pickle=False)
                                             for _ in range(4 if has_ids else 3))
-        if digest.dtype != np.uint8 or digest.tobytes() != _binding(path, [values, labels, *ids]):
+        arrays = [values, labels, *ids]
+        if digest.dtype != np.uint8 or digest.tobytes() != _binding(_sha256(path), arrays):
             return None
     except (OSError, ValueError, MemoryError):  # MemoryError: a shape no file holds
         return None

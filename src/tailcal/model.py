@@ -211,7 +211,9 @@ def predict_logits(model: Model, features) -> np.ndarray:
             f"model expects {model.dims}-dim features, got {x.shape[1]}"
         )
     hidden, _, head = _forward(model, x)
-    return hidden @ head.weights.T + head.biases
+    logits = hidden @ head.weights.T
+    logits += head.biases
+    return logits
 
 
 def ce_loss_and_grad(logits, label: int) -> tuple[float, np.ndarray]:

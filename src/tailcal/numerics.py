@@ -134,10 +134,12 @@ def _row_sum(e: np.ndarray) -> np.ndarray:
 
 
 def log_sum_exp_rows(z) -> np.ndarray:
-    """Row-wise log-sum-exp of a matrix."""
+    """Row-wise log-sum-exp of a matrix, through one temporary matrix."""
     m = as_matrix(z)
     mx = _row_max(m)
-    return (mx + np.log(_row_sum(np.exp(m - mx))))[:, 0]
+    e = m - mx
+    np.exp(e, out=e)
+    return (mx + np.log(_row_sum(e)))[:, 0]
 
 
 def softmax(z) -> np.ndarray:
@@ -154,12 +156,15 @@ def softmax(z) -> np.ndarray:
 
 
 def softmax_rows(z) -> np.ndarray:
-    """Row-wise stable softmax of a logit matrix."""
+    """Row-wise stable softmax of a logit matrix, computed in the one matrix
+    it returns."""
     m = as_matrix(z)
     if m.shape[1] < 2:
         raise DataError("softmax needs >= 2 logits per row")
-    e = np.exp(m - _row_max(m))
-    return e / _row_sum(e)
+    e = m - _row_max(m)
+    np.exp(e, out=e)
+    e /= _row_sum(e)
+    return e
 
 
 def _splitmix64(x: int) -> int:

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,23 @@ def forks(monkeypatch):
     yield started
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _traced_peak(run) -> int:
+    """The bytes that ``run()`` holds at its peak beyond those held before;
+    numpy reports its array buffers to ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture()
+def traced_peak():
+    return _traced_peak
 
 
 @pytest.fixture()

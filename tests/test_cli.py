@@ -1493,6 +1493,41 @@ def test_gen_data_memory_error_at_sampling_exits_2_naming_the_flag(workdir, caps
     )
 
 
+def _spy_on_sampling(monkeypatch, short_of_memory_at=None) -> list:
+    """Wrap ``dataset.sample_dataset`` so that each call lists its row count
+    and stream; a call for ``short_of_memory_at`` rows raises MemoryError."""
+    sampled, sample = [], dataset.sample_dataset
+
+    def spy(gmm, counts, rng):
+        sampled.append((sum(counts.tolist()), rng))
+        if sampled[-1][0] == short_of_memory_at:
+            raise MemoryError
+        return sample(gmm, counts, rng)
+
+    monkeypatch.setattr(dataset, "sample_dataset", spy)
+    return sampled
+
+
+def test_gen_data_samples_the_largest_split_first_each_on_its_own_stream(workdir, monkeypatch):
+    sampled = _spy_on_sampling(monkeypatch)
+    argv = ["--counts", "20,10", "--val-per-class", "3", "--test-per-class", "40", "--seed", "9"]
+    assert run_cli("gen-data", *argv, "--out", "x") == 0
+    master = RngStream(9)
+    assert sampled == [(80, master.child(2)), (30, master.child(0)), (6, master.child(1))]
+
+
+def test_gen_data_short_of_memory_for_its_largest_split_writes_no_split(
+    workdir, capsys, monkeypatch
+):
+    sampled = _spy_on_sampling(monkeypatch, short_of_memory_at=80)
+    argv = ["--counts", "20,10", "--val-per-class", "3", "--test-per-class", "40"]
+    assert run_cli("gen-data", *argv, "--out", "x") == 2
+    assert capsys.readouterr().err == (
+        "error: --test-per-class: the test split of 80 rows of 2 features is too big to "
+        "allocate\n")
+    assert [rows for rows, _ in sampled] == [80] and not (workdir / "x").exists()
+
+
 @pytest.mark.parametrize("argv, body, message", [
     (["gen-data", "--dims", "0"], None, "--dims must be >= 1, got 0"),
     (["gen-data", "--classes", "1"], None, "--classes must be >= 2, got 1"),
@@ -2228,8 +2263,8 @@ RUN_LOADS = {
     "estimate-prior": (["--model", "{model}", "--data", "{train}", "--estimator", "train"],
                        {"dataset", "numerics", "model", "adjust", "prior"}),
     "adjust": (["--logits", "{dump2}", "--method", "p2p-la", "--prior", "{prior}"],
-               {"dataset", "numerics", "model", "adjust", "prior", "evaluation"}),
-    "eval": (["--logits", "{dump3}"], {"dataset", "numerics", "model", "adjust", "evaluation"}),
+               {"dataset", "numerics", "adjust", "prior", "evaluation"}),
+    "eval": (["--logits", "{dump3}"], {"dataset", "numerics", "adjust", "evaluation"}),
     "toy-experiment": (["--trials", "1", "--samples", "200", "--test-samples", "100",
                         "--iterations", "5"],
                        {"dataset", "numerics", "model", "adjust", "prior", "evaluation",
@@ -2238,9 +2273,9 @@ RUN_LOADS = {
                     "--test-samples", "40", "--ratios", "2"],
                    {"dataset", "numerics", "model", "adjust", "prior", "evaluation", "oracle"}),
     "ingest-logits": (["--logits", "{dump2}"],
-                      {"dataset", "numerics", "model", "adjust", "prior", "evaluation"}),
+                      {"dataset", "numerics", "adjust", "prior", "evaluation"}),
     "sweep-alpha": (["--prior", "{prior}", "--logits", "{dump2}", "--method", "p2p-la"],
-                    {"dataset", "numerics", "model", "adjust", "prior"}),
+                    {"dataset", "numerics", "adjust", "prior"}),
 }
 
 

@@ -89,6 +89,40 @@ def test_sample_dataset_deterministic(gmm):
     np.testing.assert_array_equal(a.labels, b.labels)
 
 
+def _sample_by_blocks(gmm, counts, rng):
+    """sample_dataset's earlier formulation, the bit reference: one block per
+    class, concatenated, then gathered through the permutation."""
+    gen = rng.generator()
+    blocks, labels = [], []
+    for i, n_i in enumerate(counts):
+        blocks.append(gmm.means[i] + gmm.sigmas[i] * gen.standard_normal((n_i, gmm.dims)))
+        labels.append(np.full(n_i, i, dtype=np.int64))
+    features, labels = np.concatenate(blocks, axis=0), np.concatenate(labels)
+    perm = gen.permutation(features.shape[0])
+    return features[perm], labels[perm]
+
+
+@pytest.mark.parametrize("stream", [RngStream(17), RngStream(17).child(2)], ids=["root", "child"])
+@pytest.mark.parametrize("dims", [1, 32])
+def test_sample_dataset_has_the_bits_of_per_class_blocks_concatenated(stream, dims):
+    gen = np.random.default_rng(dims)
+    gmm = GaussianMixtureSpec(gen.normal(size=(4, dims)) * 3, [0.3, 1.0, 2.5, 7.0])
+    counts = [53, 1, 200, 17]  # uneven, with a one-row class
+    ds = sample_dataset(gmm, counts, stream)
+    features, labels = _sample_by_blocks(gmm, counts, stream)
+    assert ds.features.tobytes() == features.tobytes() and ds.features.shape == features.shape
+    assert ds.labels.dtype == labels.dtype and np.array_equal(ds.labels, labels)
+    assert ds.counts.tolist() == counts
+
+
+def test_sample_dataset_holds_at_most_two_feature_matrices(traced_peak):
+    gmm = GaussianMixtureSpec(np.eye(10, 32) * 4, np.ones(10))
+    counts = [5000, 3000, 2000, 1000, 500, 300, 200, 100, 50, 1]
+    sample_dataset(gmm, [1] * 10, RngStream(4))  # the first call loads code that stays
+    peak = traced_peak(lambda: sample_dataset(gmm, counts, RngStream(4)))
+    assert peak <= 2.3 * sum(counts) * 32 * 8
+
+
 def test_sample_dataset_rejects_zero_count(gmm):
     with pytest.raises(DataError, match="every class needs >= 1 sample"):
         sample_dataset(gmm, [3, 0], RngStream(5))
@@ -827,6 +861,19 @@ def test_a_split_write_has_the_bytes_of_a_one_process_write(
         assert (tmp_path / f"split.{name}").read_bytes() == (tmp_path / f"one.{name}").read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "one.csv", "one.csv.npy", "split.csv", "split.csv.npy"]
+
+
+def test_a_split_write_hashes_its_csv_as_it_writes_it(tmp_path, monkeypatch, forks):
+    hashed, sha256 = [], dataset._sha256
+    monkeypatch.setattr(dataset, "_sha256", lambda path: hashed.append(path.name) or sha256(path))
+    monkeypatch.setattr(dataset, "CSV_SPLIT_CELLS", 1)
+    values, labels = np.arange(14.0).reshape(7, 2) / 3, np.arange(7) % 3
+    for name, slots in (("split.csv", 2), ("one.csv", 1)):
+        monkeypatch.setattr(dataset, "_fork_slots", lambda: slots)
+        dataset._write_csv(tmp_path / name, ["f0", "f1", "label"], values, labels)
+    assert forks == ["_write_part"] and hashed == ["one.csv"]  # read back unsplit only
+    for name in ("csv", "csv.npy"):
+        assert (tmp_path / f"split.{name}").read_bytes() == (tmp_path / f"one.{name}").read_bytes()
 
 
 def test_a_failing_part_raises_in_the_parent_as_in_one_process(tmp_path, monkeypatch, forks):

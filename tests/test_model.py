@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -56,6 +55,12 @@ def test_predict_logits_rows_land_on_simplex(rng):
     posts = softmax_rows(predict_logits(model, rng.normal(size=(10, 4))))
     for row in posts:
         prob_vector(row)
+
+
+def test_predict_logits_holds_no_matrix_beside_the_logits(rng, traced_peak):
+    model = LinearSoftmaxModel(rng.normal(size=(10, 4)), rng.normal(size=10))
+    x = rng.normal(size=(20_000, 4))
+    assert traced_peak(lambda: predict_logits(model, x)) <= 1.1 * 20_000 * 10 * 8
 
 
 def test_predict_logits_dimension_mismatch():
@@ -352,26 +357,15 @@ def test_two_class_log_odds_step_keeps_the_reference_bits_at_weights_of_1e300(lo
     assert not [m for m in messages if "invalid value" in m]
 
 
-def _traced_peak(run) -> int:
-    """The bytes that ``run()`` holds at its peak beyond those held before."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        run()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
-def test_two_class_full_batch_train_peaks_alike_for_1_and_100_steps():
+def test_two_class_full_batch_train_peaks_alike_for_1_and_100_steps(traced_peak):
     ds = sample_dataset(separable_gmm(), [15_000, 5_000], RngStream(20))
-    peaks = [_traced_peak(lambda: train(init_linear(2, 2), ds, LossSpec(),
+    peaks = [traced_peak(lambda: train(init_linear(2, 2), ds, LossSpec(),
                                         small_cfg(iterations=steps, batch_size=ds.n)))
              for steps in (1, 100)]
     assert peaks[1] <= peaks[0] + 8 * ds.n  # one float row
 
 
-def test_two_class_step_in_a_reused_workspace_allocates_no_row():
+def test_two_class_step_in_a_reused_workspace_allocates_no_row(traced_peak):
     """numpy casts the mask d >= 0 to floats through a buffer of at most
     8 192 values, so at 20 000 rows that buffer is below one row."""
     rng = np.random.default_rng(21)
@@ -384,7 +378,7 @@ def test_two_class_step_in_a_reused_workspace_allocates_no_row():
         return model_module._loss_and_grads(model, x, y, LossSpec(), ws)
 
     step()
-    assert _traced_peak(step) < 8 * n
+    assert traced_peak(step) < 8 * n
 
 
 def test_two_class_full_batch_train_in_one_workspace_matches_the_row_indexed_loop(toy_train):

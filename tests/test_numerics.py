@@ -17,6 +17,16 @@ from tailcal.numerics import (
     softmax_rows,
 )
 
+# Rows of 10 take the folded max and sum, rows of 40 numpy's reductions. (At
+# 2 columns each (N,) column is half the matrix, so the row vectors alone
+# exceed the bound.)
+@pytest.mark.parametrize("columns", [10, 40])
+@pytest.mark.parametrize("fn", [log_sum_exp_rows, softmax_rows])
+def test_row_softmax_family_holds_one_temporary_matrix(traced_peak, fn, columns):
+    z = np.random.default_rng(columns).normal(size=(200_000 // columns, columns)) * 20
+    assert traced_peak(lambda: fn(z)) <= 1.5 * z.nbytes
+
+
 finite_logits = st.lists(
     st.floats(min_value=-700, max_value=700, allow_nan=False), min_size=2, max_size=8
 )
